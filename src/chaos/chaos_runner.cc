@@ -65,8 +65,6 @@ class ChaosRunner {
   std::vector<Workload> readers_;
   Workload driver_;                       // sentinels, checkTail, final read-back
   std::unique_ptr<ErwinStClient> injector_;  // st half-appends (predictable ids)
-  std::vector<ErwinMClient*> m_clients_;
-  std::vector<ErwinStClient*> st_clients_;
 
   std::vector<Rng> writer_rngs_;
   Rng inject_rng_;
@@ -94,21 +92,11 @@ ChaosRunner::Workload ChaosRunner::MakeWorkloadClient() {
     history_->RecordReadServe(server, advertised_stable,
                               static_cast<uint32_t>(records.size()), max_pos);
   };
-  if (options_.mode == ErwinMode::kM) {
-    auto c = cluster_->MakeMClient();
-    w.node = c->node_id();
-    w.id = c->client_id();
-    c->SetReadReplyObserver(serve_observer);
-    m_clients_.push_back(c.get());
-    w.client = std::move(c);
-  } else {
-    auto c = cluster_->MakeStClient();
-    w.node = c->node_id();
-    w.id = c->client_id();
-    c->SetReadReplyObserver(serve_observer);
-    st_clients_.push_back(c.get());
-    w.client = std::move(c);
-  }
+  auto c = cluster_->MakeClient();
+  w.node = c->node_id();
+  w.id = c->client_id();
+  c->SetReadReplyObserver(serve_observer);
+  w.client = std::move(c);
   w.log = w.client->log();
   return w;
 }
@@ -542,7 +530,6 @@ ChaosReport ChaosRunner::Run() {
   driver_ = MakeWorkloadClient();
   if (options_.mode == ErwinMode::kSt) {
     injector_ = cluster_->MakeStClient();
-    st_clients_.push_back(injector_.get());
   }
 
   std::vector<NodeId> client_nodes;

@@ -145,7 +145,7 @@ struct KafkaParams {
 // its own stable-gp broadcast; reads at/above stable still go to the primary, whose
 // waiter queue provides the wait-for-stability semantics.
 struct ClientReadParams {
-  // 0 = always primary (pinned baseline), 1 = legacy static client-modulo pin,
+  // 0 = always primary (pinned baseline);
   // 2 = load-aware power-of-two-choices over per-replica EWMA of observed read
   //     RTT plus server-piggybacked CPU queue depth (default).
   uint32_t read_routing_mode = 2;

@@ -1,0 +1,540 @@
+#include "src/lazylog/erwin_client.h"
+
+#include <algorithm>
+
+#include "src/common/logging.h"
+#include "src/control/zookeeper.h"
+#include "src/lazylog/index_read.h"
+
+namespace lazylog {
+
+ErwinClient::ErwinClient(Network* net, const SimParams& params, ClusterView view,
+                         ClientId client_id)
+    : endpoint_(net),
+      params_(params),
+      view_(std::move(view)),
+      client_id_(client_id),
+      rng_(params.seed ^ (0xc11e47a5ULL + client_id)),
+      router_(&params_, &rng_, &read_stats_),
+      coalescer_(&endpoint_, &params_, &router_, &tails_, &read_stats_) {
+  InstallLogRegistry(view_.logs);
+}
+
+// --- append ------------------------------------------------------------------------------
+
+void ErwinClient::Append(const AppendOptions& options, Buf payload, AppendCallback cb) {
+  if (QuotaMuted(options.log, cb)) {
+    return;
+  }
+  auto p = std::make_shared<PendingAppend>();
+  p->id = RecordId{client_id_, next_request_id_++};
+  p->payload = std::move(payload);
+  p->tag = options.tag;
+  p->log = options.log;
+  p->cb = std::move(cb);
+  SendAppend(std::move(p));
+}
+
+void ErwinClient::OnAppendReplies(std::shared_ptr<PendingAppend> p,
+                                  const std::vector<Status>& ss, size_t leader) {
+  const bool all_ok = std::all_of(ss.begin(), ss.end(), [](const Status& s) { return s.ok(); });
+  if (all_ok) {
+    // Durable everywhere the mode writes: the append is complete (1 RTT).
+    p->cb(Status::Ok());
+    return;
+  }
+  // A Rejected data write (Erwin-st) means the shard already no-op'ed this id after an
+  // earlier attempt timed out; the append is lost and must not be retried under the
+  // same id. Sequencing replicas never reject.
+  for (const Status& s : ss) {
+    if (s.code() == StatusCode::kRejected) {
+      p->cb(s);
+      return;
+    }
+  }
+  // A refused append (admission control): the sequencing tier is shedding load, not
+  // reconfiguring — retry in place with backoff. The leader's verdict decides the retry
+  // budget; once the leader admits, it dup-acks every resend, so the flag is sticky
+  // across attempts without storing it.
+  for (const Status& s : ss) {
+    if (s.code() == StatusCode::kOverloaded) {
+      EnqueueOverloadRetry(std::move(p), /*leader_admitted=*/ss[leader].ok());
+      return;
+    }
+  }
+  // Leader-only verdicts on the virtual-log control state: a quota refusal gets the
+  // short in-place backoff (the bucket refills in milliseconds); a deleted-log
+  // refusal is permanent and surfaces immediately.
+  if (ss[leader].code() == StatusCode::kQuotaExceeded) {
+    MuteQuota(p->log);
+    EnqueueQuotaRetry(std::move(p));
+    return;
+  }
+  if (ss[leader].code() == StatusCode::kInvalidArgument) {
+    p->cb(ss[leader]);
+    return;
+  }
+  for (const Status& s : ss) {
+    if (!s.ok()) {
+      p->last_error = s;
+      break;
+    }
+  }
+  EnqueueRetry(std::move(p));
+}
+
+void ErwinClient::EnqueueRetry(std::shared_ptr<PendingAppend> p) {
+  if (p->attempts > 50) {
+    LLOG(kWarn) << "append giving up after " << p->attempts << " attempts";
+    p->cb(p->last_error.ok() ? Status::Timeout("append retries exhausted") : p->last_error);
+    return;
+  }
+  retry_queue_.push_back(std::move(p));
+  if (!resolving_config_) {
+    resolving_config_ = true;
+    ResolveConfig();
+  }
+}
+
+// An overloaded replica refused the append *before* doing any work. That is not a view
+// problem: probing the config would succeed immediately and resend straight into the
+// same full ring, so back off in place on the shared jittered schedule instead. The
+// budget is deliberately small — under sustained saturation, surfacing kOverloaded to
+// the application beats parking an unbounded queue of doomed retries. Replicas that
+// did admit an earlier attempt dup-filter the resend, so the id never binds twice.
+// Erwin-st data writes of earlier attempts are harmless orphans if the budget runs out:
+// the shard scrubs unmatched data by age (st_orphan_scrub_age_ns).
+void ErwinClient::EnqueueOverloadRetry(std::shared_ptr<PendingAppend> p,
+                                       bool leader_admitted) {
+  p->overload_attempts++;
+  // Leader-refused: shed after the small budget. Leader-admitted: a follower's gate
+  // refused it, but the entry already occupies an ordering slot — keep retrying (the
+  // followers' retry-priority band and shed-entry scrub guarantee progress), with a
+  // hard cap diverting pathological cases to the slow config-probing path.
+  if (!leader_admitted &&
+      p->overload_attempts > static_cast<int>(params_.client_overload_retry_limit)) {
+    p->cb(Status::Overloaded("append shed after overload retries"));
+    return;
+  }
+  if (p->overload_attempts > 64) {
+    EnqueueRetry(std::move(p));
+    return;
+  }
+  p->last_error = Status::Overloaded();
+  // Computed before the capture moves from p (argument evaluation is unsequenced).
+  const uint64_t backoff =
+      OverloadBackoffNs(static_cast<uint32_t>(p->overload_attempts), rng_.NextDouble());
+  endpoint_.loop()->Schedule(backoff,
+                             [this, p = std::move(p)]() mutable { SendAppend(std::move(p)); });
+}
+
+// A quota refusal is the tenant's own doing, not the cluster's: the ring has room, the
+// bucket is empty. Retry on the short overload schedule (one refill period away), but
+// surface kQuotaExceeded — not kOverloaded — when the budget runs out so the
+// application can tell throttling from congestion.
+void ErwinClient::EnqueueQuotaRetry(std::shared_ptr<PendingAppend> p) {
+  p->overload_attempts++;
+  if (p->overload_attempts > static_cast<int>(params_.client_overload_retry_limit)) {
+    p->cb(Status::QuotaExceeded("append shed by tenant quota"));
+    return;
+  }
+  p->last_error = Status::QuotaExceeded();
+  const uint64_t backoff =
+      OverloadBackoffNs(static_cast<uint32_t>(p->overload_attempts), rng_.NextDouble());
+  endpoint_.loop()->Schedule(backoff,
+                             [this, p = std::move(p)]() mutable { SendAppend(std::move(p)); });
+}
+
+// The leader said this log's bucket is empty: shed fresh appends locally for the mute
+// window so an over-quota tenant stops flooding every replica with doomed RPCs.
+// In-flight retries bypass the mute — their budget is what smoothly drains the
+// bucket's refill back to admitted appends.
+bool ErwinClient::QuotaMuted(LogId log, AppendCallback& cb) {
+  if (log == kDefaultLog || params_.client_quota_mute_ns == 0) {
+    return false;
+  }
+  auto it = quota_muted_until_.find(log);
+  if (it == quota_muted_until_.end() || endpoint_.loop()->Now() >= it->second) {
+    return false;
+  }
+  endpoint_.loop()->Schedule(0, [cb = std::move(cb)]() {
+    cb(Status::QuotaExceeded("append shed by tenant quota (client-side)"));
+  });
+  return true;
+}
+
+void ErwinClient::MuteQuota(LogId log) {
+  if (log == kDefaultLog || params_.client_quota_mute_ns == 0) {
+    return;
+  }
+  quota_muted_until_[log] = endpoint_.loop()->Now() + params_.client_quota_mute_ns;
+}
+
+void ErwinClient::ProbeThen(std::function<void()> then, int attempt) {
+  if (attempt > 1000) {
+    then();  // give up resolving; the continuation will fail and surface the error
+    return;
+  }
+  const NodeId target = view_.seq_config[probe_cursor_++ % view_.seq_config.size()];
+  endpoint_.Call(
+      target, kSeqGetConfig, "",
+      [this, then = std::move(then), attempt](Status s, Decoder d) mutable {
+        SeqConfigResp resp;
+        bool usable = false;
+        if (s.ok()) {
+          // Only adopt views at least as new as ours: a partitioned straggler still in
+          // an older (fenced-off) view must not drag the client backwards.
+          usable = resp.Decode(d) && !resp.sealed && !resp.config.empty() &&
+                   resp.view >= view_.view;
+        }
+        if (!usable) {
+          endpoint_.loop()->Schedule(
+              RetryBackoffNs(static_cast<uint32_t>(attempt), rng_.NextDouble()),
+              [this, then = std::move(then), attempt]() mutable {
+                ProbeThen(std::move(then), attempt + 1);
+              });
+          return;
+        }
+        if (resp.view != view_.view) {
+          view_changes_++;
+        }
+        view_.view = resp.view;
+        view_.seq_config.assign(resp.config.begin(), resp.config.end());
+        then();
+      },
+      2 * kMs);
+}
+
+void ErwinClient::RefreshShardConfig(std::function<void()> then) {
+  if (view_.zk == kInvalidNode) {
+    then();
+    return;
+  }
+  ZkClient zk(&endpoint_, view_.zk);
+  zk.GetData(
+      "/shards/config",
+      [this, then = std::move(then)](Status s, std::string data, uint64_t) mutable {
+        if (s.ok()) {
+          uint64_t epoch = 0;
+          std::vector<std::vector<NodeId>> shards;
+          if (DecodeShardConfig(data, &epoch, &shards) && epoch > view_.shard_epoch) {
+            view_.shard_epoch = epoch;
+            for (size_t s2 = shards.size(); s2 < view_.shards.size(); ++s2) {
+              shards.push_back(view_.shards[s2]);
+            }
+            view_.shards = std::move(shards);
+          }
+        }
+        then();
+      },
+      5 * kMs);
+}
+
+void ErwinClient::ResolveConfig() {
+  // Probe until an unsealed view is found, refresh the shard membership (a failed data
+  // write may mean a replaced shard replica rather than a sequencing view change), then
+  // resend every queued append under the new config. Retries keep their record id and
+  // target shard: the first write to reach the ordering decides, and every layer
+  // filters duplicates.
+  ProbeThen([this]() {
+    RefreshShardConfig([this]() {
+      resolving_config_ = false;
+      auto queued = std::move(retry_queue_);
+      retry_queue_.clear();
+      for (auto& p : queued) {
+        SendAppend(std::move(p));
+      }
+    });
+  });
+}
+
+// --- read --------------------------------------------------------------------------------
+
+void ErwinClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
+  if (len == 0) {
+    cb(Status::Ok(), {});
+    return;
+  }
+  // Serve whatever contiguous prefix the readahead cache holds, fetch the rest.
+  auto cached = std::make_shared<std::vector<PositionedRecord>>();
+  const uint64_t hit = readahead_.TakePrefix(from, len, cached.get());
+  read_stats_.readahead_hits += hit;
+  if (hit == len) {
+    endpoint_.loop()->Schedule(0, [cached, cb = std::move(cb)]() {
+      cb(Status::Ok(), std::move(*cached));
+    });
+    MaybePrefetch(from + len);
+    return;
+  }
+  ReadCallback wrapped = [this, from, len, cached, cb = std::move(cb)](
+                             Status s, std::vector<PositionedRecord> recs) {
+    if (!s.ok()) {
+      cb(std::move(s), {});
+      return;
+    }
+    if (cached->empty()) {
+      cached->swap(recs);
+    } else {
+      for (PositionedRecord& pr : recs) {
+        cached->push_back(std::move(pr));
+      }
+    }
+    MaybePrefetch(from + len);
+    cb(Status::Ok(), std::move(*cached));
+  };
+  FetchRange(from + hit, len - hit, std::move(wrapped));
+}
+
+void ErwinClient::MaybePrefetch(LogPos next) {
+  const auto& cr = params_.client_read;
+  if (cr.readahead_records == 0 || readahead_inflight_) {
+    return;
+  }
+  // Only the stable region is prefetched: those bindings are final, so cached entries
+  // never need revalidation.
+  const LogPos stable = tails_.stable();
+  if (next >= stable || readahead_.Covers(next)) {
+    return;
+  }
+  const uint32_t n =
+      static_cast<uint32_t>(std::min<uint64_t>(cr.readahead_records, stable - next));
+  readahead_inflight_ = true;
+  read_stats_.readahead_fetched += n;
+  FetchRange(next, n, [this](Status s, std::vector<PositionedRecord> recs) {
+    readahead_inflight_ = false;
+    if (s.ok()) {
+      readahead_.Insert(std::move(recs),
+                        std::max<size_t>(4 * params_.client_read.readahead_records, 1024));
+    }
+  });
+}
+
+void ErwinClient::RefreshThenRetry(int attempt, std::function<void()> retry) {
+  RefreshShardConfig([this, attempt, retry = std::move(retry)]() {
+    endpoint_.loop()->Schedule(
+        RetryBackoffNs(static_cast<uint32_t>(attempt), rng_.NextDouble()), retry);
+  });
+}
+
+// --- readNext (index tier) -------------------------------------------------------------------
+
+void ErwinClient::ReadNext(LogId log, StreamTag tag, LogPos from, uint32_t max,
+                           ReadNextCallback cb) {
+  if (tag == kNoTag) {
+    cb(Status::InvalidArgument("read-next requires a stream tag"), {}, from);
+    return;
+  }
+  if (view_.index_nodes.empty()) {
+    ScanReadNext(log, tag, from, max, std::move(cb));
+    return;
+  }
+  ReadNextViaIndex(log, tag, from, max, std::move(cb), 0);
+}
+
+void ErwinClient::ReadNextViaIndex(LogId log, StreamTag tag, LogPos from, uint32_t max,
+                                   ReadNextCallback cb, int attempt) {
+  IndexSelectiveRead(&endpoint_, &params_, &view_, client_id_, log, tag, from, max,
+                     /*by_rank=*/false, cb,
+                     [this, log, tag, from, max, cb, attempt]() {
+                       if (attempt >= 3) {
+                         ScanReadNext(log, tag, from, max, cb);
+                         return;
+                       }
+                       // The shard fetch (or the index pull itself) failed — likely a
+                       // stale replica set rather than a down index tier. Re-resolve
+                       // the shard membership and retry the selective path before
+                       // paying for a full scan.
+                       RefreshThenRetry(attempt, [this, log, tag, from, max, cb, attempt]() {
+                         ReadNextViaIndex(log, tag, from, max, cb, attempt + 1);
+                       });
+                     },
+                     &router_, &tails_);
+}
+
+// --- named-log read / tail (virtual logs) --------------------------------------------------
+
+void ErwinClient::ReadLog(LogId log, LogPos from, uint64_t len, ReadCallback cb) {
+  if (len == 0) {
+    cb(Status::Ok(), {});
+    return;
+  }
+  if (view_.index_nodes.empty()) {
+    ScanReadLog(log, from, len, std::move(cb));
+    return;
+  }
+  ReadLogViaIndex(log, from, len, std::move(cb), 0);
+}
+
+void ErwinClient::ReadLogViaIndex(LogId log, LogPos from, uint64_t len, ReadCallback cb,
+                                  int attempt) {
+  // The phylog's positions are ranks in its (log, kNoTag) index list; a by_rank lookup
+  // serves [from, from+len) directly and the helper re-labels the records with ranks.
+  const uint32_t max = static_cast<uint32_t>(std::min<uint64_t>(len, 1u << 20));
+  IndexSelectiveRead(
+      &endpoint_, &params_, &view_, client_id_, log, kNoTag, from, max,
+      /*by_rank=*/true,
+      [cb](Status s, std::vector<PositionedRecord> recs, LogPos) {
+        cb(std::move(s), std::move(recs));
+      },
+      [this, log, from, len, cb, attempt]() {
+        if (attempt >= 3) {
+          ScanReadLog(log, from, len, cb);
+          return;
+        }
+        RefreshThenRetry(attempt, [this, log, from, len, cb, attempt]() {
+          ReadLogViaIndex(log, from, len, cb, attempt + 1);
+        });
+      },
+      &router_, &tails_);
+}
+
+// --- tail / trim ---------------------------------------------------------------------------
+
+void ErwinClient::CheckTail(TailCallback cb) { CheckTailAttempt(std::move(cb), 0); }
+
+void ErwinClient::CheckTailAttempt(TailCallback cb, int attempt) {
+  endpoint_.Call(view_.seq_config[0], kSeqCheckTail, "",
+                 [this, cb, attempt](Status s, Decoder d) {
+                   if (!s.ok()) {
+                     if (attempt >= 20) {
+                       cb(std::move(s), 0, 0);
+                       return;
+                     }
+                     // Leader unreachable / changed: re-resolve and retry.
+                     ProbeThen([this, cb, attempt]() { CheckTailAttempt(cb, attempt + 1); });
+                     return;
+                   }
+                   SeqCheckTailResp resp;
+                   if (!resp.Decode(d)) {
+                     cb(Status::Internal("bad tail response"), 0, 0);
+                     return;
+                   }
+                   last_tail_view_ = resp.view;
+                   tails_.Note(endpoint_.loop()->Now(), resp.durable, resp.stable);
+                   cb(Status::Ok(), resp.durable, resp.stable);
+                 },
+                 5 * kMs);
+}
+
+bool ErwinClient::CachedTail(LogPos* durable, LogPos* stable) {
+  if (!tails_.Get(endpoint_.loop()->Now(), params_.client_read.tail_cache_ttl_ns, durable,
+                  stable)) {
+    return false;
+  }
+  read_stats_.tail_cache_hits++;
+  return true;
+}
+
+void ErwinClient::CheckTailOfLog(LogId log, TailCallback cb) {
+  CheckTailOfLogAttempt(log, std::move(cb), 0);
+}
+
+void ErwinClient::CheckTailOfLogAttempt(LogId log, TailCallback cb, int attempt) {
+  SeqCheckTailReq req;
+  req.log = log;
+  endpoint_.CallMsg(view_.seq_config[0], kSeqCheckTail, req,
+                    [this, log, cb, attempt](Status s, Decoder d) {
+                      if (!s.ok()) {
+                        if (attempt >= 20) {
+                          cb(std::move(s), 0, 0);
+                          return;
+                        }
+                        ProbeThen([this, log, cb, attempt]() {
+                          CheckTailOfLogAttempt(log, cb, attempt + 1);
+                        });
+                        return;
+                      }
+                      SeqCheckTailResp resp;
+                      if (!resp.Decode(d)) {
+                        cb(Status::Internal("bad tail response"), 0, 0);
+                        return;
+                      }
+                      cb(Status::Ok(), resp.durable, resp.stable);
+                    },
+                    5 * kMs);
+}
+
+void ErwinClient::ResolveLog(const std::string& name,
+                             std::function<void(Status, LogId)> cb) {
+  if (view_.zk == kInvalidNode) {
+    cb(Status::InvalidArgument("unknown log: " + name), kDefaultLog);
+    return;
+  }
+  // Refresh the registry from "/logs/config" and retry the lookup: Open() falls
+  // through to here exactly when the installed snapshot predates the log's creation.
+  ZkClient zk(&endpoint_, view_.zk);
+  zk.GetData("/logs/config",
+             [this, name, cb = std::move(cb)](Status s, std::string data, uint64_t) mutable {
+               if (s.ok()) {
+                 uint64_t epoch = 0;
+                 std::vector<LogRegistryEntry> entries;
+                 if (DecodeLogConfig(data, &epoch, &entries) && epoch > view_.log_epoch) {
+                   view_.log_epoch = epoch;
+                   view_.logs = entries;
+                   InstallLogRegistry(std::move(entries));
+                 }
+               }
+               for (const LogRegistryEntry& entry : log_registry()) {
+                 if (entry.name == name && !entry.deleted) {
+                   cb(Status::Ok(), entry.id);
+                   return;
+                 }
+               }
+               cb(Status::InvalidArgument("unknown log: " + name), kDefaultLog);
+             },
+             5 * kMs);
+}
+
+void ErwinClient::Trim(LogPos index, TrimCallback cb) { TrimAttempt(index, std::move(cb), 0); }
+
+void ErwinClient::TrimAttempt(LogPos index, TrimCallback cb, int attempt) {
+  TrimMsg msg{index};
+  endpoint_.CallMsg(view_.seq_config[0], kSeqTrim, msg,
+                    [this, index, cb, attempt](Status s, Decoder) {
+                      if (!s.ok() && attempt < 20) {
+                        ProbeThen([this, index, cb, attempt]() {
+                          TrimAttempt(index, cb, attempt + 1);
+                        });
+                        return;
+                      }
+                      cb(std::move(s));
+                    },
+                    10 * kMs);
+}
+
+// --- appendSync (§5.5 extension) ------------------------------------------------------------
+
+void ErwinClient::AppendSync(Buf payload, AppendCallback cb) {
+  Append(AppendOptions{}, std::move(payload), [this, cb](Status st) {
+    if (!st.ok()) {
+      cb(std::move(st));
+      return;
+    }
+    // The record is durable; now wait until the stable prefix has passed the durable
+    // tail observed at ack time, i.e. the record's binding is final.
+    CheckTail([this, cb](Status s, LogPos durable_count, LogPos) {
+      if (!s.ok()) {
+        cb(std::move(s));
+        return;
+      }
+      PollStable(durable_count, cb);
+    });
+  });
+}
+
+void ErwinClient::PollStable(LogPos target, AppendCallback cb) {
+  CheckTail([this, target, cb](Status s, LogPos, LogPos stable) {
+    if (!s.ok()) {
+      cb(std::move(s));
+      return;
+    }
+    if (stable >= target) {
+      cb(Status::Ok());
+      return;
+    }
+    endpoint_.loop()->Schedule(params_.seq.ordering_interval_ns,
+                               [this, target, cb]() { PollStable(target, cb); });
+  });
+}
+
+}  // namespace lazylog

@@ -200,7 +200,7 @@ std::unique_ptr<ErwinStClient> ErwinCluster::MakeStClient() {
                                          next_client_id_++);
 }
 
-std::unique_ptr<SharedLogClient> ErwinCluster::MakeClient() {
+std::unique_ptr<ErwinClient> ErwinCluster::MakeClient() {
   if (options_.mode == ErwinMode::kM) {
     return MakeMClient();
   }

@@ -48,8 +48,8 @@ class ErwinCluster {
   // Client factories. Clients are owned by the caller but must not outlive the cluster.
   std::unique_ptr<ErwinMClient> MakeMClient();
   std::unique_ptr<ErwinStClient> MakeStClient();
-  // Mode-dispatched factory for code that only needs the SharedLogClient interface.
-  std::unique_ptr<SharedLogClient> MakeClient();
+  // Mode-dispatched factory for code that only needs the shared Erwin client surface.
+  std::unique_ptr<ErwinClient> MakeClient();
 
   // Current topology for hand-built clients.
   ClusterView MakeView() const;

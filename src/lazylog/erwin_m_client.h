@@ -1,147 +1,27 @@
 // Erwin-m client library (§4). Appends write the record to every sequencing replica in
 // parallel and complete when all acknowledge — 1 RTT, no coordination. Reads go to the
-// shard owning the position (p mod n); the shard gates them on stable-gp. On sealed /
-// stale-view errors the client re-resolves the configuration and retries with the same
-// record id (replicas filter duplicates).
+// shard owning the position (p mod n); the shard gates them on stable-gp. Everything
+// but the append fan-out and the position->shard resolution is the shared ErwinClient.
 #ifndef SRC_LAZYLOG_ERWIN_M_CLIENT_H_
 #define SRC_LAZYLOG_ERWIN_M_CLIENT_H_
 
-#include <deque>
-#include <map>
 #include <memory>
 
-#include "src/common/params.h"
-#include "src/common/random.h"
-#include "src/lazylog/cluster_view.h"
-#include "src/lazylog/read_path.h"
-#include "src/lazylog/shared_log_client.h"
-#include "src/rpc/rpc.h"
-#include "src/rpc/rpc_methods.h"
-#include "src/seq/seq_messages.h"
+#include "src/lazylog/erwin_client.h"
 
 namespace lazylog {
 
-class ErwinMClient : public SharedLogClient {
+class ErwinMClient : public ErwinClient {
  public:
-  ErwinMClient(Network* net, const SimParams& params, ClusterView view, ClientId client_id);
-
-  NodeId node_id() const { return endpoint_.node_id(); }
-
-  // appendSync extension (§5.5): completes only after the record is bound to its final
-  // position (eager ordering at the cost of latency).
-  void AppendSync(Buf payload, AppendCallback cb);
-
-  // Number of view changes this client has observed (tests).
-  uint64_t view_changes() const { return view_changes_; }
-  ViewId view() const { return view_.view; }
-  // View that served the most recent successful CheckTail (the durable count may
-  // legitimately shrink across views when an uncommitted suffix is dropped; oracles
-  // scope durable-monotonicity per view using this).
-  ViewId last_tail_view() const { return last_tail_view_; }
-  uint64_t shard_epoch() const { return view_.shard_epoch; }
-  // Most recent durable/stable tail heard from CheckTail replies and read-reply
-  // piggybacks; true only while fresher than client_read.tail_cache_ttl_ns.
-  bool CachedTail(LogPos* durable, LogPos* stable) override;
-  // Observer over every routed/classic read reply (serving replica, advertised stable,
-  // records); the chaos read-staleness oracle subscribes.
-  void SetReadReplyObserver(ReadCoalescer::ReplyObserver obs) {
-    coalescer_.SetReplyObserver(std::move(obs));
-  }
-  ClientId client_id() const { return client_id_; }
-  // RPC outcome counters (chaos reports: how much of a run hit timeouts/retries).
-  const RpcStats& rpc_stats() const { return endpoint_.stats(); }
+  ErwinMClient(Network* net, const SimParams& params, ClusterView view, ClientId client_id)
+      : ErwinClient(net, params, std::move(view), client_id) {}
 
  protected:
-  // --- SharedLogClient (reached through LogHandle) ---
-  void Append(const AppendOptions& options, Buf payload, AppendCallback cb) override;
-  void Read(LogPos from, uint64_t len, ReadCallback cb) override;
-  void CheckTail(TailCallback cb) override;
-  void Trim(LogPos index, TrimCallback cb) override;
-  // Selective read via the index tier (falls back to the base-class scan when the
-  // view has no index nodes or the index path fails mid-flight).
-  void ReadNext(LogId log, StreamTag tag, LogPos from, uint32_t max,
-                ReadNextCallback cb) override;
-  // Named-log ranged read via the index tier's rank lists (scan fallback as above).
-  void ReadLog(LogId log, LogPos from, uint64_t len, ReadCallback cb) override;
-  // Per-phylog tail from the leader's log cursors (SeqCheckTailReq body).
-  void CheckTailOfLog(LogId log, TailCallback cb) override;
-  // Name resolution against "/logs/config" in ZooKeeper.
-  void ResolveLog(const std::string& name,
-                  std::function<void(Status, LogId)> cb) override;
+  void SendAppend(std::shared_ptr<PendingAppend> p) override;
+  void FetchRange(LogPos from, uint64_t len, ReadCallback cb) override;
 
  private:
-  struct PendingAppend {
-    RecordId id;
-    Buf payload;
-    StreamTag tag = kNoTag;
-    LogId log = kDefaultLog;
-    AppendCallback cb;
-    int attempts = 0;
-    int overload_attempts = 0;
-    // Most recent failure seen for this append; reported if the retry budget runs out.
-    Status last_error = Status::Timeout("append retries exhausted");
-  };
-
-  void SendAppend(std::shared_ptr<PendingAppend> p);
-  void EnqueueRetry(std::shared_ptr<PendingAppend> p);
-  // kOverloaded resend: in-place jittered backoff, no config probe (overload is not a
-  // view problem). The shed budget applies only when the leader itself refused;
-  // leader-admitted appends persist until the follower gates let them through.
-  void EnqueueOverloadRetry(std::shared_ptr<PendingAppend> p, bool leader_admitted);
-  // kQuotaExceeded resend: same in-place backoff; always leader-refused (quotas are
-  // enforced at the leader only), so the small shed budget always applies.
-  void EnqueueQuotaRetry(std::shared_ptr<PendingAppend> p);
-  // True (and sheds the append locally with kQuotaExceeded) while `log` is muted by a
-  // recent quota refusal; MuteQuota starts/extends the window.
-  bool QuotaMuted(LogId log, AppendCallback& cb);
-  void MuteQuota(LogId log);
-  void ResolveConfig();
-  // Probes replicas until an unsealed view at least as new as ours is found, adopts it,
-  // then runs `then`. Retries use jittered exponential backoff (RetryBackoffNs) so a
-  // herd of clients deposed by the same view change does not probe in lockstep.
-  void ProbeThen(std::function<void()> then, int attempt = 0);
-  // Re-reads "/shards/config" from ZK and adopts it if its epoch is newer; runs `then`
-  // regardless of outcome. No-op without a control plane.
-  void RefreshShardConfig(std::function<void()> then);
   void ReadAttempt(LogPos from, uint64_t len, ReadCallback cb, int attempt);
-  void CheckTailAttempt(TailCallback cb, int attempt);
-  void CheckTailOfLogAttempt(LogId log, TailCallback cb, int attempt);
-  void TrimAttempt(LogPos index, TrimCallback cb, int attempt);
-  // Index-path ReadNext with re-resolution: a failed index pull or shard fetch (e.g. a
-  // promoted shard primary the cached view predates) refreshes "/shards/config" and
-  // retries on the shared jittered backoff before degrading to the scan fallback.
-  void ReadNextViaIndex(LogId log, StreamTag tag, LogPos from, uint32_t max,
-                        ReadNextCallback cb, int attempt);
-  // Same machinery for the named-log rank read (by_rank lookup on the (log, kNoTag)
-  // list, ScanReadLog as the degraded path).
-  void ReadLogViaIndex(LogId log, LogPos from, uint64_t len, ReadCallback cb,
-                       int attempt);
-  void PollStable(LogPos target, AppendCallback cb);
-  // Prefetches the stable region past a sequential reader's cursor (one in flight).
-  void MaybePrefetch(LogPos next);
-
-  RpcEndpoint endpoint_;
-  SimParams params_;
-  ClusterView view_;
-  ClientId client_id_;
-  Rng rng_;  // jitter for config-refresh backoff; seeded per client
-  RequestId next_request_id_ = 1;
-  bool resolving_config_ = false;
-  size_t probe_cursor_ = 0;
-  uint64_t view_changes_ = 0;
-  ViewId last_tail_view_ = 0;
-  std::deque<std::shared_ptr<PendingAppend>> retry_queue_;
-  // Per-log client-side quota mute (see SimParams::client_quota_mute_ns).
-  std::map<LogId, SimTime> quota_muted_until_;
-
-  // Read scale-out (read_path.h): sub-reads entirely below the cached stable tail are
-  // routed across replicas and coalesced; subs reaching at or above it keep the old
-  // waiting read at the shard primary.
-  ReplicaRouter router_;
-  TailCache tails_;
-  ReadAheadCache readahead_;
-  ReadCoalescer coalescer_;
-  bool readahead_inflight_ = false;
 };
 
 }  // namespace lazylog

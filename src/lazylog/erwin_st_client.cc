@@ -2,24 +2,13 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
-#include "src/control/zookeeper.h"
-#include "src/lazylog/index_read.h"
-
 namespace lazylog {
 
 ErwinStClient::ErwinStClient(Network* net, const SimParams& params, ClusterView view,
                              ClientId client_id)
-    : endpoint_(net),
-      params_(params),
-      view_(std::move(view)),
-      client_id_(client_id),
-      rng_(params.seed ^ (0xc11e47a5ULL + client_id)),
-      router_(&params_, &rng_, client_id, &read_stats_),
-      coalescer_(&endpoint_, &params_, &router_, &tails_, &read_stats_) {
-  rr_cursor_ = client_id;  // decorrelate shard choice across clients
-  InstallLogRegistry(view_.logs);
-}
+    : ErwinClient(net, params, std::move(view), client_id),
+      rr_cursor_(client_id),  // decorrelate shard choice across clients
+      readahead_records_(params.client_read.readahead_records) {}
 
 void ErwinStClient::AddShard(std::vector<NodeId> replicas) {
   view_.shards.push_back(std::move(replicas));
@@ -28,22 +17,10 @@ void ErwinStClient::AddShard(std::vector<NodeId> replicas) {
 // --- append (§5.1): data to the shard replicas + metadata to the sequencing replicas,
 // all in parallel, 1 RTT -------------------------------------------------------------------
 
-void ErwinStClient::Append(const AppendOptions& options, Buf payload, AppendCallback cb) {
-  if (QuotaMuted(options.log, cb)) {
-    return;
-  }
-  auto p = std::make_shared<PendingAppend>();
-  p->id = RecordId{client_id_, next_request_id_++};
-  p->payload = std::move(payload);
-  p->tag = options.tag;
-  p->log = options.log;
-  p->shard = static_cast<ShardId>(rr_cursor_++ % view_.num_shards());
-  p->cb = std::move(cb);
-  SendAppend(std::move(p));
-}
-
 void ErwinStClient::SendAppend(std::shared_ptr<PendingAppend> p) {
-  p->attempts++;
+  if (p->attempts++ == 0) {
+    p->shard = static_cast<ShardId>(rr_cursor_++ % view_.num_shards());
+  }
   const auto& shard_replicas = view_.shards[p->shard];
   // Once every data replica has acked the payload, resends skip the data writes: an
   // overload refusal is a metadata-tier event, and re-sending the (already durable)
@@ -52,57 +29,14 @@ void ErwinStClient::SendAppend(std::shared_ptr<PendingAppend> p) {
   // load optimization, not a correctness hinge.
   const size_t n_data = p->data_durable ? 0 : shard_replicas.size();
   const size_t n_meta = view_.seq_config.size();
+  // Slots [0, n_data) are the data writes; slot n_data is the leader (seq_config[0]).
   auto gather =
       Gather::Create(n_data + n_meta, [this, p, n_data](const std::vector<Status>& ss) {
         if (n_data > 0 && std::all_of(ss.begin(), ss.begin() + n_data,
                                       [](const Status& s) { return s.ok(); })) {
           p->data_durable = true;
         }
-        const bool all_ok =
-            std::all_of(ss.begin(), ss.end(), [](const Status& s) { return s.ok(); });
-        if (all_ok) {
-          p->cb(Status::Ok());
-          return;
-        }
-        // A Rejected data write means the shard already no-op'ed this id after an
-        // earlier attempt timed out; the append is lost and must not be retried
-        // under the same id.
-        for (const Status& s : ss) {
-          if (s.code() == StatusCode::kRejected) {
-            p->cb(s);
-            return;
-          }
-        }
-        // A refused metadata append (admission control): the sequencing tier is
-        // shedding load, not reconfiguring — retry in place with backoff. The leader's
-        // verdict (slot n_data: seq_config[0]) decides the retry budget; once the
-        // leader admits, it dup-acks every resend, so the flag is sticky across
-        // attempts without storing it.
-        for (const Status& s : ss) {
-          if (s.code() == StatusCode::kOverloaded) {
-            EnqueueOverloadRetry(p, /*leader_admitted=*/ss[n_data].ok());
-            return;
-          }
-        }
-        // Leader-only verdicts on the virtual-log control state (the leader's slot is
-        // n_data): a quota refusal gets the short in-place backoff; a deleted-log
-        // refusal is permanent and surfaces immediately.
-        if (ss[n_data].code() == StatusCode::kQuotaExceeded) {
-          MuteQuota(p->log);
-          EnqueueQuotaRetry(std::move(p));
-          return;
-        }
-        if (ss[n_data].code() == StatusCode::kInvalidArgument) {
-          p->cb(ss[n_data]);
-          return;
-        }
-        for (const Status& s : ss) {
-          if (!s.ok()) {
-            p->last_error = s;
-            break;
-          }
-        }
-        EnqueueRetry(p);
+        OnAppendReplies(p, ss, /*leader=*/n_data);
       });
   // Data writes to every replica of the chosen shard (no coordination, §5.1). The
   // request is encoded once; replicas share the frame and the payload attachment.
@@ -135,228 +69,10 @@ void ErwinStClient::SendAppend(std::shared_ptr<PendingAppend> p) {
   }
 }
 
-void ErwinStClient::EnqueueRetry(std::shared_ptr<PendingAppend> p) {
-  if (p->attempts > 50) {
-    p->cb(p->last_error.ok() ? Status::Timeout("append retries exhausted") : p->last_error);
-    return;
-  }
-  retry_queue_.push_back(std::move(p));
-  if (!resolving_config_) {
-    resolving_config_ = true;
-    ResolveConfig();
-  }
-}
-
-// See ErwinMClient::EnqueueOverloadRetry: overload is shed in place (no config probe —
-// a probe is CPU-free and would succeed instantly, turning backoff into a retry storm),
-// with a small budget so saturation surfaces as kOverloaded instead of queueing forever.
-// The data writes of earlier attempts are harmless orphans if the budget runs out: the
-// shard scrubs unmatched data by age (st_orphan_scrub_age_ns), and replicas that did
-// admit the metadata dup-filter the resend, so the id never binds twice.
-void ErwinStClient::EnqueueOverloadRetry(std::shared_ptr<PendingAppend> p,
-                                         bool leader_admitted) {
-  p->overload_attempts++;
-  // A leader-refused append holds no ordering resources: shed it after the small
-  // budget so saturation surfaces fast. A leader-admitted one is already in the
-  // ordering pipeline — a follower's gate refused it, and abandoning it now would
-  // waste the ordered slot — so it keeps retrying (the followers' retry-priority band
-  // and shed-entry scrub guarantee progress), with a hard cap diverting pathological
-  // cases to the slow config-probing path instead of looping forever.
-  if (!leader_admitted &&
-      p->overload_attempts > static_cast<int>(params_.client_overload_retry_limit)) {
-    p->cb(Status::Overloaded("append shed after overload retries"));
-    return;
-  }
-  if (p->overload_attempts > 64) {
-    EnqueueRetry(p);
-    return;
-  }
-  p->last_error = Status::Overloaded();
-  // Computed before the capture moves from p (argument evaluation is unsequenced).
-  const uint64_t backoff =
-      OverloadBackoffNs(static_cast<uint32_t>(p->overload_attempts), rng_.NextDouble());
-  endpoint_.loop()->Schedule(backoff,
-                             [this, p = std::move(p)]() mutable { SendAppend(std::move(p)); });
-}
-
-// See ErwinMClient::QuotaMuted: shed fresh appends locally while a recent leader
-// refusal says the log's bucket is empty; in-flight retries bypass the mute.
-bool ErwinStClient::QuotaMuted(LogId log, AppendCallback& cb) {
-  if (log == kDefaultLog || params_.client_quota_mute_ns == 0) {
-    return false;
-  }
-  auto it = quota_muted_until_.find(log);
-  if (it == quota_muted_until_.end() || endpoint_.loop()->Now() >= it->second) {
-    return false;
-  }
-  endpoint_.loop()->Schedule(0, [cb = std::move(cb)]() {
-    cb(Status::QuotaExceeded("append shed by tenant quota (client-side)"));
-  });
-  return true;
-}
-
-void ErwinStClient::MuteQuota(LogId log) {
-  if (log == kDefaultLog || params_.client_quota_mute_ns == 0) {
-    return;
-  }
-  quota_muted_until_[log] = endpoint_.loop()->Now() + params_.client_quota_mute_ns;
-}
-
-// See ErwinMClient::EnqueueQuotaRetry: one refill period away, but surfaces
-// kQuotaExceeded — not kOverloaded — so the application can tell throttling from
-// congestion. Earlier attempts' data writes are harmless orphans (age-scrubbed).
-void ErwinStClient::EnqueueQuotaRetry(std::shared_ptr<PendingAppend> p) {
-  p->overload_attempts++;
-  if (p->overload_attempts > static_cast<int>(params_.client_overload_retry_limit)) {
-    p->cb(Status::QuotaExceeded("append shed by tenant quota"));
-    return;
-  }
-  p->last_error = Status::QuotaExceeded();
-  const uint64_t backoff =
-      OverloadBackoffNs(static_cast<uint32_t>(p->overload_attempts), rng_.NextDouble());
-  endpoint_.loop()->Schedule(backoff,
-                             [this, p = std::move(p)]() mutable { SendAppend(std::move(p)); });
-}
-
-void ErwinStClient::ProbeThen(std::function<void()> then, int attempt) {
-  if (attempt > 1000) {
-    then();
-    return;
-  }
-  const NodeId target = view_.seq_config[probe_cursor_++ % view_.seq_config.size()];
-  endpoint_.Call(
-      target, kSeqGetConfig, "",
-      [this, then = std::move(then), attempt](Status s, Decoder d) mutable {
-        SeqConfigResp resp;
-        bool usable = false;
-        if (s.ok()) {
-          // Only adopt views at least as new as ours: a partitioned straggler still in
-          // an older (fenced-off) view must not drag the client backwards.
-          usable = resp.Decode(d) && !resp.sealed && !resp.config.empty() &&
-                   resp.view >= view_.view;
-        }
-        if (!usable) {
-          endpoint_.loop()->Schedule(
-              RetryBackoffNs(static_cast<uint32_t>(attempt), rng_.NextDouble()),
-              [this, then = std::move(then), attempt]() mutable {
-                ProbeThen(std::move(then), attempt + 1);
-              });
-          return;
-        }
-        view_.view = resp.view;
-        view_.seq_config.assign(resp.config.begin(), resp.config.end());
-        then();
-      },
-      2 * kMs);
-}
-
-void ErwinStClient::RefreshShardConfig(std::function<void()> then) {
-  if (view_.zk == kInvalidNode) {
-    then();
-    return;
-  }
-  ZkClient zk(&endpoint_, view_.zk);
-  zk.GetData(
-      "/shards/config",
-      [this, then = std::move(then)](Status s, std::string data, uint64_t) mutable {
-        if (s.ok()) {
-          uint64_t epoch = 0;
-          std::vector<std::vector<NodeId>> shards;
-          if (DecodeShardConfig(data, &epoch, &shards) && epoch > view_.shard_epoch) {
-            view_.shard_epoch = epoch;
-            // Runtime-added shards may not be in ZK yet; keep any tail beyond the
-            // controller's matrix.
-            for (size_t s2 = shards.size(); s2 < view_.shards.size(); ++s2) {
-              shards.push_back(view_.shards[s2]);
-            }
-            view_.shards = std::move(shards);
-          }
-        }
-        then();
-      },
-      5 * kMs);
-}
-
-void ErwinStClient::ResolveConfig() {
-  ProbeThen([this]() {
-    // A failed data write may mean a replaced shard replica rather than a sequencing
-    // view change; refresh both before resending.
-    RefreshShardConfig([this]() {
-      resolving_config_ = false;
-      auto queued = std::move(retry_queue_);
-      retry_queue_.clear();
-      // Retries keep their record id and target shard: the first metadata write to
-      // reach the ordering decides, and every layer filters duplicates.
-      for (auto& p : queued) {
-        SendAppend(std::move(p));
-      }
-    });
-  });
-}
-
 // --- read (§5.3): resolve positions to shards via the cached map, then read ---------------
 
-void ErwinStClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
-  if (len == 0) {
-    cb(Status::Ok(), {});
-    return;
-  }
-  // Serve whatever contiguous prefix the readahead cache holds, fetch the rest.
-  auto cached = std::make_shared<std::vector<PositionedRecord>>();
-  const uint64_t hit = readahead_.TakePrefix(from, len, cached.get());
-  read_stats_.readahead_hits += hit;
-  if (hit == len) {
-    endpoint_.loop()->Schedule(0, [cached, cb = std::move(cb)]() {
-      cb(Status::Ok(), std::move(*cached));
-    });
-    MaybePrefetch(from + len);
-    return;
-  }
-  ReadCallback wrapped = [this, from, len, cached, cb = std::move(cb)](
-                             Status s, std::vector<PositionedRecord> recs) {
-    if (!s.ok()) {
-      cb(std::move(s), {});
-      return;
-    }
-    if (cached->empty()) {
-      cached->swap(recs);
-    } else {
-      for (PositionedRecord& pr : recs) {
-        cached->push_back(std::move(pr));
-      }
-    }
-    MaybePrefetch(from + len);
-    cb(Status::Ok(), std::move(*cached));
-  };
-  auto rd = std::make_shared<PendingRead>(PendingRead{from + hit, len - hit, std::move(wrapped)});
-  TryRead(std::move(rd));
-}
-
-void ErwinStClient::MaybePrefetch(LogPos next) {
-  const auto& cr = params_.client_read;
-  if (cr.readahead_records == 0 || readahead_inflight_ || !cache_enabled_) {
-    return;
-  }
-  // Only the stable region is prefetched: those bindings are final, so cached entries
-  // never need revalidation.
-  const LogPos stable = tails_.stable();
-  if (next >= stable || readahead_.Covers(next)) {
-    return;
-  }
-  const uint32_t n =
-      static_cast<uint32_t>(std::min<uint64_t>(cr.readahead_records, stable - next));
-  readahead_inflight_ = true;
-  read_stats_.readahead_fetched += n;
-  auto rd = std::make_shared<PendingRead>(
-      PendingRead{next, n, [this](Status s, std::vector<PositionedRecord> recs) {
-                    readahead_inflight_ = false;
-                    if (s.ok()) {
-                      readahead_.Insert(
-                          std::move(recs),
-                          std::max<size_t>(4 * params_.client_read.readahead_records, 1024));
-                    }
-                  }});
-  TryRead(std::move(rd));
+void ErwinStClient::FetchRange(LogPos from, uint64_t len, ReadCallback cb) {
+  TryRead(std::make_shared<PendingRead>(PendingRead{from, len, std::move(cb)}));
 }
 
 void ErwinStClient::TryRead(std::shared_ptr<PendingRead> rd) {
@@ -455,11 +171,7 @@ void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
         // Target unreachable (possibly a replaced replica) or a slow-path wait outlived
         // the attempt timeout: refresh the shard membership and retry with backoff.
         rd->attempts++;
-        RefreshShardConfig([this, rd]() {
-          endpoint_.loop()->Schedule(
-              RetryBackoffNs(static_cast<uint32_t>(rd->attempts), rng_.NextDouble()),
-              [this, rd]() { TryRead(rd); });
-        });
+        RefreshThenRetry(rd->attempts, [this, rd]() { TryRead(rd); });
         return;
       }
     }
@@ -488,201 +200,6 @@ void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
                      slot(std::move(s), Decoder());
                    });
   }
-}
-
-// --- readNext (index tier) ------------------------------------------------------------------
-
-void ErwinStClient::ReadNext(LogId log, StreamTag tag, LogPos from, uint32_t max,
-                             ReadNextCallback cb) {
-  if (tag == kNoTag) {
-    cb(Status::InvalidArgument("read-next requires a stream tag"), {}, from);
-    return;
-  }
-  if (view_.index_nodes.empty()) {
-    ScanReadNext(log, tag, from, max, std::move(cb));
-    return;
-  }
-  ReadNextViaIndex(log, tag, from, max, std::move(cb), 0);
-}
-
-void ErwinStClient::ReadNextViaIndex(LogId log, StreamTag tag, LogPos from, uint32_t max,
-                                     ReadNextCallback cb, int attempt) {
-  IndexSelectiveRead(&endpoint_, &params_, &view_, client_id_, log, tag, from, max,
-                     /*by_rank=*/false, cb,
-                     [this, log, tag, from, max, cb, attempt]() {
-                       if (attempt >= 3) {
-                         ScanReadNext(log, tag, from, max, cb);
-                         return;
-                       }
-                       // The shard fetch (or the index pull itself) failed — likely a
-                       // stale replica set rather than a down index tier. Re-resolve
-                       // the shard membership and retry the selective path with the
-                       // shared jittered backoff before paying for a full scan.
-                       RefreshShardConfig([this, log, tag, from, max, cb, attempt]() {
-                         endpoint_.loop()->Schedule(
-                             RetryBackoffNs(static_cast<uint32_t>(attempt), rng_.NextDouble()),
-                             [this, log, tag, from, max, cb, attempt]() {
-                               ReadNextViaIndex(log, tag, from, max, cb, attempt + 1);
-                             });
-                       });
-                     },
-                     &router_, &tails_);
-}
-
-// --- named-log read / tail (virtual logs) ---------------------------------------------------
-
-void ErwinStClient::ReadLog(LogId log, LogPos from, uint64_t len, ReadCallback cb) {
-  if (len == 0) {
-    cb(Status::Ok(), {});
-    return;
-  }
-  if (view_.index_nodes.empty()) {
-    ScanReadLog(log, from, len, std::move(cb));
-    return;
-  }
-  ReadLogViaIndex(log, from, len, std::move(cb), 0);
-}
-
-void ErwinStClient::ReadLogViaIndex(LogId log, LogPos from, uint64_t len, ReadCallback cb,
-                                    int attempt) {
-  // The phylog's positions are ranks in its (log, kNoTag) index list; a by_rank lookup
-  // serves [from, from+len) directly and the helper re-labels the records with ranks.
-  const uint32_t max = static_cast<uint32_t>(std::min<uint64_t>(len, 1u << 20));
-  IndexSelectiveRead(
-      &endpoint_, &params_, &view_, client_id_, log, kNoTag, from, max,
-      /*by_rank=*/true,
-      [cb](Status s, std::vector<PositionedRecord> recs, LogPos) {
-        cb(std::move(s), std::move(recs));
-      },
-      [this, log, from, len, cb, attempt]() {
-        if (attempt >= 3) {
-          ScanReadLog(log, from, len, cb);
-          return;
-        }
-        RefreshShardConfig([this, log, from, len, cb, attempt]() {
-          endpoint_.loop()->Schedule(
-              RetryBackoffNs(static_cast<uint32_t>(attempt), rng_.NextDouble()),
-              [this, log, from, len, cb, attempt]() {
-                ReadLogViaIndex(log, from, len, cb, attempt + 1);
-              });
-        });
-      },
-      &router_, &tails_);
-}
-
-// --- tail / trim ----------------------------------------------------------------------------
-
-void ErwinStClient::CheckTail(TailCallback cb) { CheckTailAttempt(std::move(cb), 0); }
-
-void ErwinStClient::CheckTailAttempt(TailCallback cb, int attempt) {
-  endpoint_.Call(view_.seq_config[0], kSeqCheckTail, "",
-                 [this, cb, attempt](Status s, Decoder d) {
-                   if (!s.ok()) {
-                     if (attempt >= 20) {
-                       cb(std::move(s), 0, 0);
-                       return;
-                     }
-                     ProbeThen([this, cb, attempt]() { CheckTailAttempt(cb, attempt + 1); });
-                     return;
-                   }
-                   SeqCheckTailResp resp;
-                   if (!resp.Decode(d)) {
-                     cb(Status::Internal("bad tail response"), 0, 0);
-                     return;
-                   }
-                   last_tail_view_ = resp.view;
-                   tails_.Note(endpoint_.loop()->Now(), resp.durable, resp.stable);
-                   cb(Status::Ok(), resp.durable, resp.stable);
-                 },
-                 5 * kMs);
-}
-
-bool ErwinStClient::CachedTail(LogPos* durable, LogPos* stable) {
-  if (!tails_.Get(endpoint_.loop()->Now(), params_.client_read.tail_cache_ttl_ns, durable,
-                  stable)) {
-    return false;
-  }
-  read_stats_.tail_cache_hits++;
-  return true;
-}
-
-void ErwinStClient::CheckTailOfLog(LogId log, TailCallback cb) {
-  CheckTailOfLogAttempt(log, std::move(cb), 0);
-}
-
-void ErwinStClient::CheckTailOfLogAttempt(LogId log, TailCallback cb, int attempt) {
-  SeqCheckTailReq req;
-  req.log = log;
-  endpoint_.CallMsg(view_.seq_config[0], kSeqCheckTail, req,
-                    [this, log, cb, attempt](Status s, Decoder d) {
-                      if (!s.ok()) {
-                        if (attempt >= 20) {
-                          cb(std::move(s), 0, 0);
-                          return;
-                        }
-                        ProbeThen([this, log, cb, attempt]() {
-                          CheckTailOfLogAttempt(log, cb, attempt + 1);
-                        });
-                        return;
-                      }
-                      SeqCheckTailResp resp;
-                      if (!resp.Decode(d)) {
-                        cb(Status::Internal("bad tail response"), 0, 0);
-                        return;
-                      }
-                      cb(Status::Ok(), resp.durable, resp.stable);
-                    },
-                    5 * kMs);
-}
-
-void ErwinStClient::ResolveLog(const std::string& name,
-                               std::function<void(Status, LogId)> cb) {
-  if (view_.zk == kInvalidNode) {
-    cb(Status::InvalidArgument("unknown log: " + name), kDefaultLog);
-    return;
-  }
-  // Refresh the registry from "/logs/config" and retry the lookup: Open() falls
-  // through to here exactly when the installed snapshot predates the log's creation.
-  ZkClient zk(&endpoint_, view_.zk);
-  zk.GetData("/logs/config",
-             [this, name, cb = std::move(cb)](Status s, std::string data, uint64_t) mutable {
-               if (s.ok()) {
-                 uint64_t epoch = 0;
-                 std::vector<LogRegistryEntry> entries;
-                 if (DecodeLogConfig(data, &epoch, &entries) && epoch > view_.log_epoch) {
-                   view_.log_epoch = epoch;
-                   view_.logs = entries;
-                   InstallLogRegistry(std::move(entries));
-                 }
-               }
-               for (const LogRegistryEntry& entry : log_registry()) {
-                 if (entry.name == name && !entry.deleted) {
-                   cb(Status::Ok(), entry.id);
-                   return;
-                 }
-               }
-               cb(Status::InvalidArgument("unknown log: " + name), kDefaultLog);
-             },
-             5 * kMs);
-}
-
-void ErwinStClient::Trim(LogPos index, TrimCallback cb) {
-  TrimAttempt(index, std::move(cb), 0);
-}
-
-void ErwinStClient::TrimAttempt(LogPos index, TrimCallback cb, int attempt) {
-  TrimMsg msg{index};
-  endpoint_.CallMsg(view_.seq_config[0], kSeqTrim, msg,
-                    [this, index, cb, attempt](Status s, Decoder) {
-                      if (!s.ok() && attempt < 20) {
-                        ProbeThen([this, index, cb, attempt]() {
-                          TrimAttempt(index, cb, attempt + 1);
-                        });
-                        return;
-                      }
-                      cb(std::move(s));
-                    },
-                    10 * kMs);
 }
 
 // --- test hooks (§5.4) -----------------------------------------------------------------------

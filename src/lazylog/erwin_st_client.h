@@ -2,93 +2,44 @@
 // data goes to every replica of a client-chosen shard and the metadata <record-id,
 // shard-id> to every sequencing replica — all in parallel, completing in 1 RTT. Reads
 // first resolve the position->shard mapping (fetched in bulk and cached, §5.3), then
-// read the record from its shard.
+// read the record from its shard. Everything else is the shared ErwinClient.
 #ifndef SRC_LAZYLOG_ERWIN_ST_CLIENT_H_
 #define SRC_LAZYLOG_ERWIN_ST_CLIENT_H_
 
-#include <deque>
-#include <map>
 #include <memory>
+#include <vector>
 
-#include "src/common/params.h"
-#include "src/common/random.h"
-#include "src/lazylog/cluster_view.h"
-#include "src/lazylog/read_path.h"
-#include "src/lazylog/shared_log_client.h"
-#include "src/rpc/rpc.h"
-#include "src/rpc/rpc_methods.h"
-#include "src/seq/seq_messages.h"
+#include "src/lazylog/erwin_client.h"
 
 namespace lazylog {
 
-class ErwinStClient : public SharedLogClient {
+class ErwinStClient : public ErwinClient {
  public:
   ErwinStClient(Network* net, const SimParams& params, ClusterView view, ClientId client_id);
-
-  NodeId node_id() const { return endpoint_.node_id(); }
 
   // Seamless shard addition (§6.9): subsequent appends include the new shard in the
   // placement choice immediately.
   void AddShard(std::vector<NodeId> replicas);
 
   // Disables the client-side position-map cache (ablation for §6.7's observation that
-  // caching makes Erwin-st reads match Erwin-m).
-  void SetPosMapCacheEnabled(bool enabled) { cache_enabled_ = enabled; }
+  // caching makes Erwin-st reads match Erwin-m). Readahead is a client-side cache too
+  // and is switched with it.
+  void SetPosMapCacheEnabled(bool enabled) {
+    cache_enabled_ = enabled;
+    params_.client_read.readahead_records = enabled ? readahead_records_ : 0;
+  }
 
   // Test hooks for the client-failure protocol (§5.4): write only one half of an append.
   void AppendMetadataOnly(ShardId shard, AppendCallback cb);
   void AppendDataOnly(ShardId shard, Buf payload, AppendCallback cb);
 
   uint64_t posmap_fetches() const { return posmap_fetches_; }
-  // Most recent durable/stable tail heard from CheckTail replies and read-reply
-  // piggybacks; true only while fresher than client_read.tail_cache_ttl_ns.
-  bool CachedTail(LogPos* durable, LogPos* stable) override;
-  // Observer over every routed/classic read reply (serving replica, advertised stable,
-  // records); the chaos read-staleness oracle subscribes.
-  void SetReadReplyObserver(ReadCoalescer::ReplyObserver obs) {
-    coalescer_.SetReplyObserver(std::move(obs));
-  }
-  ClientId client_id() const { return client_id_; }
-  ViewId view() const { return view_.view; }
-  // View that served the most recent successful CheckTail (see ErwinMClient).
-  ViewId last_tail_view() const { return last_tail_view_; }
-  uint64_t shard_epoch() const { return view_.shard_epoch; }
-  // RPC outcome counters (chaos reports: how much of a run hit timeouts/retries).
-  const RpcStats& rpc_stats() const { return endpoint_.stats(); }
 
  protected:
-  // --- SharedLogClient (reached through LogHandle) ---
-  void Append(const AppendOptions& options, Buf payload, AppendCallback cb) override;
-  void Read(LogPos from, uint64_t len, ReadCallback cb) override;
-  void CheckTail(TailCallback cb) override;
-  void Trim(LogPos index, TrimCallback cb) override;
-  // Selective read via the index tier (falls back to the base-class scan when the
-  // view has no index nodes or the index path fails mid-flight).
-  void ReadNext(LogId log, StreamTag tag, LogPos from, uint32_t max,
-                ReadNextCallback cb) override;
-  // Named-log ranged read via the index tier's rank lists (scan fallback as above).
-  void ReadLog(LogId log, LogPos from, uint64_t len, ReadCallback cb) override;
-  // Per-phylog tail from the leader's log cursors (SeqCheckTailReq body).
-  void CheckTailOfLog(LogId log, TailCallback cb) override;
-  // Name resolution against "/logs/config" in ZooKeeper.
-  void ResolveLog(const std::string& name,
-                  std::function<void(Status, LogId)> cb) override;
+  void SendAppend(std::shared_ptr<PendingAppend> p) override;
+  void FetchRange(LogPos from, uint64_t len, ReadCallback cb) override;
 
  private:
-  struct PendingAppend {
-    RecordId id;
-    Buf payload;
-    StreamTag tag = kNoTag;
-    LogId log = kDefaultLog;
-    ShardId shard = 0;
-    AppendCallback cb;
-    int attempts = 0;
-    int overload_attempts = 0;
-    // Every data replica acked some attempt's payload write: resends go metadata-only.
-    bool data_durable = false;
-    // Most recent failure seen for this append; reported if the retry budget runs out.
-    Status last_error = Status::Timeout("append retries exhausted");
-  };
   struct PendingRead {
     LogPos from = 0;
     uint64_t len = 0;
@@ -96,72 +47,17 @@ class ErwinStClient : public SharedLogClient {
     int attempts = 0;
   };
 
-  void SendAppend(std::shared_ptr<PendingAppend> p);
-  void EnqueueRetry(std::shared_ptr<PendingAppend> p);
-  // kOverloaded resend: in-place jittered backoff, no config probe (overload is not a
-  // view problem). The shed budget applies only when the leader itself refused;
-  // leader-admitted appends persist until the follower gates let them through.
-  void EnqueueOverloadRetry(std::shared_ptr<PendingAppend> p, bool leader_admitted);
-  // kQuotaExceeded resend: same in-place backoff; always leader-refused (quotas are
-  // enforced at the leader only), so the small shed budget always applies.
-  void EnqueueQuotaRetry(std::shared_ptr<PendingAppend> p);
-  // True (and sheds the append locally with kQuotaExceeded) while `log` is muted by a
-  // recent quota refusal; MuteQuota starts/extends the window.
-  bool QuotaMuted(LogId log, AppendCallback& cb);
-  void MuteQuota(LogId log);
-  void ResolveConfig();
-  // Probes replicas until an unsealed view at least as new as ours is found; retries
-  // use jittered exponential backoff (RetryBackoffNs) to avoid a thundering herd.
-  void ProbeThen(std::function<void()> then, int attempt = 0);
-  // Re-reads "/shards/config" from ZK and adopts it if its epoch is newer; runs `then`
-  // regardless of outcome. No-op without a control plane.
-  void RefreshShardConfig(std::function<void()> then);
-  void CheckTailAttempt(TailCallback cb, int attempt);
-  void CheckTailOfLogAttempt(LogId log, TailCallback cb, int attempt);
-  void TrimAttempt(LogPos index, TrimCallback cb, int attempt);
   void TryRead(std::shared_ptr<PendingRead> rd);
-  // Index-path ReadNext with re-resolution: a failed index pull or shard fetch (e.g. a
-  // promoted shard primary the cached view predates) refreshes "/shards/config" and
-  // retries on the shared jittered backoff before degrading to the scan fallback.
-  void ReadNextViaIndex(LogId log, StreamTag tag, LogPos from, uint32_t max,
-                        ReadNextCallback cb, int attempt);
-  // Same machinery for the named-log rank read (by_rank lookup on the (log, kNoTag)
-  // list, ScanReadLog as the degraded path).
-  void ReadLogViaIndex(LogId log, LogPos from, uint64_t len, ReadCallback cb,
-                       int attempt);
   void DoRead(std::shared_ptr<PendingRead> rd);
   void FetchPosMap(LogPos needed_end, std::function<void()> then);
-  // Prefetches the stable region past a sequential reader's cursor (one in flight).
-  void MaybePrefetch(LogPos next);
 
-  RpcEndpoint endpoint_;
-  SimParams params_;
-  ClusterView view_;
-  ClientId client_id_;
-  Rng rng_;  // jitter for config-refresh backoff; seeded per client
-  RequestId next_request_id_ = 1;
-  uint64_t rr_cursor_ = 0;  // round-robin shard choice
-  bool resolving_config_ = false;
-  size_t probe_cursor_ = 0;
-  ViewId last_tail_view_ = 0;
-  std::deque<std::shared_ptr<PendingAppend>> retry_queue_;
-  // Per-log client-side quota mute (see SimParams::client_quota_mute_ns).
-  std::map<LogId, SimTime> quota_muted_until_;
+  uint64_t rr_cursor_;  // round-robin shard choice
 
   // Position->shard cache: posmap_[p] is the shard of position p; dense from 0.
   std::vector<uint32_t> posmap_;
   bool cache_enabled_ = true;
-  bool posmap_fetch_inflight_ = false;
+  uint32_t readahead_records_;  // configured readahead, restored with the cache
   uint64_t posmap_fetches_ = 0;
-
-  // Read scale-out (read_path.h): every ranged read resolves through the posmap, whose
-  // server gates on stable-gp — so every DoRead position is known-stable and may be
-  // served by any replica via the load-aware router + coalescer.
-  ReplicaRouter router_;
-  TailCache tails_;
-  ReadAheadCache readahead_;
-  ReadCoalescer coalescer_;
-  bool readahead_inflight_ = false;
 };
 
 }  // namespace lazylog

@@ -32,37 +32,26 @@ namespace lazylog {
 
 // Load-aware replica selection: power-of-two-choices over a per-replica EWMA of
 // observed read cost (measured RTT plus the server-piggybacked CPU backlog), with an
-// in-flight penalty so a replica is not flooded between feedback samples. Modes 0/1
-// reproduce the old behaviours for A/B benches: always-primary and static
-// client-modulo pinning.
+// in-flight penalty so a replica is not flooded between feedback samples. Mode 0
+// reproduces the old always-primary behaviour for A/B benches.
 class ReplicaRouter {
  public:
-  ReplicaRouter(const SimParams* params, Rng* rng, ClientId client_id, ReadPathStats* stats)
-      : params_(params), rng_(rng), client_id_(client_id), stats_(stats) {}
+  ReplicaRouter(const SimParams* params, Rng* rng, ReadPathStats* stats)
+      : params_(params), rng_(rng), stats_(stats) {}
 
   // Picks the serving replica for a known-stable read. `replicas[0]` is the primary.
   NodeId PickStable(const std::vector<NodeId>& replicas) {
     stats_->routed_reads++;
     NodeId picked = replicas[0];
-    if (replicas.size() > 1) {
-      switch (params_->client_read.read_routing_mode) {
-        case 0:
-          break;
-        case 1:
-          picked = replicas[client_id_ % replicas.size()];
-          break;
-        default: {
-          // Two distinct uniform choices; lower estimated cost wins. Randomness comes
-          // from the client's seeded rng so chaos replays stay deterministic.
-          const size_t a = rng_->Uniform(replicas.size());
-          size_t b = rng_->Uniform(replicas.size() - 1);
-          if (b >= a) {
-            ++b;
-          }
-          picked = Score(replicas[a]) <= Score(replicas[b]) ? replicas[a] : replicas[b];
-          break;
-        }
+    if (replicas.size() > 1 && params_->client_read.read_routing_mode != 0) {
+      // Two distinct uniform choices; lower estimated cost wins. Randomness comes from
+      // the client's seeded rng so chaos replays stay deterministic.
+      const size_t a = rng_->Uniform(replicas.size());
+      size_t b = rng_->Uniform(replicas.size() - 1);
+      if (b >= a) {
+        ++b;
       }
+      picked = Score(replicas[a]) <= Score(replicas[b]) ? replicas[a] : replicas[b];
     }
     if (picked != replicas[0]) {
       stats_->backup_routed++;
@@ -102,7 +91,6 @@ class ReplicaRouter {
 
   const SimParams* params_;
   Rng* rng_;
-  ClientId client_id_;
   ReadPathStats* stats_;
   std::unordered_map<NodeId, Estimate> est_;
 };

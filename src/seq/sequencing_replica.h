@@ -77,9 +77,6 @@ struct OrdererStats {
   };
 };
 
-// Old name, kept for call sites that predate the per-shard cursor rewrite.
-using SeqStats = OrdererStats;
-
 // Point-in-time copy of the counters plus the ordering frontiers — the single stats
 // surface consumed by benches/tests (no friend/field poking).
 struct OrdererStatsSnapshot {

@@ -105,6 +105,11 @@ struct KnobParams {
   uint64_t ring_low;
 };
 
+// Print a row by its name. Without this gtest prints the raw struct bytes, and the
+// `name` pointer makes the listed test names depend on where the linker placed the
+// string literals.
+void PrintTo(const KnobParams& k, std::ostream* os) { *os << k.name; }
+
 class OrderingKnobSweepTest : public ::testing::TestWithParam<KnobParams> {};
 
 TEST_P(OrderingKnobSweepTest, SequentialWorkloadIsCorrect) {

@@ -218,12 +218,8 @@ TEST(Fencing, InFlightAppendsSurviveViewChangeExactlyOnce) {
 
 TEST(Fencing, ShardReplacementFlowsThroughControlPlaneToClients) {
   ErwinClusterOptions copts = MOptions(13);
-  // Legacy client-modulo routing: this test is specifically about the one replica the
-  // client's reads are pinned to, so the load-aware router must not pick around it.
-  copts.params.client_read.read_routing_mode = 1;
   ErwinCluster c(copts);
-  auto client = c.MakeMClient();  // client_id 1: reads replica index 1 % 3 of each shard
-  ASSERT_EQ(client->client_id() % copts.shard_replication, 1u);
+  auto client = c.MakeMClient();
 
   std::vector<std::string> payloads;
   for (int i = 0; i < 6; ++i) {
@@ -237,27 +233,35 @@ TEST(Fencing, ShardReplacementFlowsThroughControlPlaneToClients) {
   ASSERT_GE(before.size(), payloads.size());
   ASSERT_EQ(client->shard_epoch(), 1u);
 
-  // Replace the exact replica this client reads from. The controller copies state to
-  // the replacement over RPC, persists the new membership to ZK under epoch 2, and
-  // re-wires the sequencing replicas via RPC.
-  const NodeId fresh = c.ReplaceShardReplica(0, 1);
-  c.RunFor(30 * kMs);
-  EXPECT_EQ(c.controller()->shard_epoch(), 2u);
-  EXPECT_EQ(c.MakeView().shard_epoch, 2u);
-  ASSERT_EQ(c.MakeView().shards[0][1], fresh);
+  // Replace every backup of both shards, so any backup the load-aware router picks for
+  // the stale client is dead. Each replacement goes through the controller: state copy
+  // over RPC, the new membership persisted to ZK under a bumped epoch, and the
+  // sequencing replicas re-wired via RPC.
+  for (uint32_t shard = 0; shard < copts.num_shards; ++shard) {
+    for (uint32_t replica = 1; replica < copts.shard_replication; ++replica) {
+      const NodeId fresh = c.ReplaceShardReplica(shard, replica);
+      c.RunFor(30 * kMs);
+      ASSERT_EQ(c.MakeView().shards[shard][replica], fresh);
+    }
+  }
+  EXPECT_EQ(c.controller()->shard_epoch(), 5u);
+  EXPECT_EQ(c.MakeView().shard_epoch, 5u);
 
-  // The old client's next read hits the crashed node, fails, refreshes
-  // "/shards/config", and retries against the replacement.
+  // The old client's next routed read hits a crashed backup, fails, refreshes
+  // "/shards/config", and retries against the replacements.
+  const uint64_t backup_before = client->ReadPathSnapshot().counters.backup_routed;
   const auto after = ReadBackAll(c, client.get());
   ASSERT_GE(after.size(), payloads.size());
   for (const std::string& p : payloads) {
     EXPECT_EQ(CountPayload(after, p), 1u) << p;
   }
-  EXPECT_EQ(client->shard_epoch(), 2u) << "client never adopted the new shard config";
+  EXPECT_GT(client->ReadPathSnapshot().counters.backup_routed, backup_before)
+      << "no read was routed to a (replaced) backup";
+  EXPECT_EQ(client->shard_epoch(), 5u) << "client never adopted the new shard config";
 
   // A client built afterwards starts on the new membership directly.
   auto late = c.MakeMClient();
-  EXPECT_EQ(late->shard_epoch(), 2u);
+  EXPECT_EQ(late->shard_epoch(), 5u);
 }
 
 }  // namespace

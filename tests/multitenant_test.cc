@@ -96,9 +96,11 @@ TEST(Multitenant, OpenByNameAndRankSpaceReads) {
 // A metered tenant that floods one pipeline window past its token bucket gets
 // kQuotaExceeded — never kOverloaded — on the excess, the refusals are counted per
 // log, an unmetered tenant on the same cluster is untouched, and the bucket refills.
-TEST(Multitenant, QuotaExhaustionMidPipelineWindow) {
+// Run in both modes: the quota verdict is read from the leader's reply slot, which
+// follows the data writes on Erwin-st.
+void CheckQuotaExhaustionMidPipelineWindow(ErwinMode mode) {
   ErwinClusterOptions opt;
-  opt.mode = ErwinMode::kM;
+  opt.mode = mode;
   opt.with_control_plane = false;
   ErwinCluster cluster(opt);
   // quota 200/s -> burst bucket clamps to 16 tokens; the flood below is 4x that.
@@ -135,18 +137,33 @@ TEST(Multitenant, QuotaExhaustionMidPipelineWindow) {
   const OrdererStats::PerLog* pm = FindLog(snap, metered_id);
   ASSERT_NE(pm, nullptr);
   EXPECT_EQ(pm->admitted, static_cast<uint64_t>(ok));
-  EXPECT_GT(pm->quota_rejected, 0u);
+  // Every shed append spent exactly its retry budget at the leader, one refusal per
+  // attempt; appends admitted past the 16-token burst were refused at most the budget
+  // minus one times. A leader verdict read from the wrong reply slot would spend an
+  // extra attempt per shed append.
+  const uint64_t budget = cluster.params().client_overload_retry_limit + 1;
+  EXPECT_GE(pm->quota_rejected, quota * budget);
+  EXPECT_LE(pm->quota_rejected, quota * budget + (ok - 16) * (budget - 1));
 
   // Tenant isolation: the refusals are the metered log's own doing — an unmetered
   // tenant on the same (idle) cluster appends without friction.
   EXPECT_TRUE(AppendSyncly(cluster.loop(), free_rider, "f0"));
-  const OrdererStats::PerLog* pf = FindLog(cluster.seq_replica(0).StatsSnapshot(), free_id);
+  const OrdererStatsSnapshot after = cluster.seq_replica(0).StatsSnapshot();
+  const OrdererStats::PerLog* pf = FindLog(after, free_id);
   ASSERT_NE(pf, nullptr);
   EXPECT_EQ(pf->quota_rejected, 0u);
 
   // The bucket refills with time: 200ms at 200/s restores the burst allowance.
   cluster.RunFor(200 * kMs);
   EXPECT_TRUE(AppendSyncly(cluster.loop(), metered, "after-refill"));
+}
+
+TEST(Multitenant, QuotaExhaustionMidPipelineWindow) {
+  CheckQuotaExhaustionMidPipelineWindow(ErwinMode::kM);
+}
+
+TEST(Multitenant, QuotaExhaustionMidPipelineWindowSt) {
+  CheckQuotaExhaustionMidPipelineWindow(ErwinMode::kSt);
 }
 
 // Deleting a log while appends are in flight: racing appends either complete or get

@@ -163,15 +163,18 @@ TEST(Overload, AdaptiveIntervalWidensUnderBacklogAndRecovers) {
 
 // When the whole sequencing tier refuses an append, the client retries on the short
 // overload backoff a few times and then surfaces kOverloaded — it does not park the
-// append forever. Appends admitted before the ring filled still ack normally.
-TEST(Overload, ClientSurfacesOverloadedAfterShedBudget) {
+// append forever. Appends admitted before the ring filled still ack normally. Run in
+// both modes: the shared verdict ladder finds the leader's reply at slot 0 on Erwin-m
+// and after the data writes on Erwin-st.
+void CheckClientSurfacesOverloadedAfterShedBudget(ErwinMode mode) {
   ErwinClusterOptions opt = TinyRingOptions();
+  opt.mode = mode;
   // Freeze ordering so the ring stays full for the whole test: every post-fill
   // append is refused by all replicas until the client sheds it.
   opt.params.seq.adaptive_ordering = false;
   opt.params.seq.ordering_interval_ns = 500 * kMs;
   ErwinCluster cluster(opt);
-  auto client = cluster.MakeMClient();
+  auto client = cluster.MakeClient();
   int ok = 0, overloaded = 0, other = 0, resolved = 0;
   // Trickle the appends (spacing >> network jitter) so every replica sees the same
   // arrival order and admits the same first 8.
@@ -194,6 +197,14 @@ TEST(Overload, ClientSurfacesOverloadedAfterShedBudget) {
   EXPECT_EQ(ok, 8);
   EXPECT_EQ(overloaded, 42);
   EXPECT_EQ(other, 0);
+}
+
+TEST(Overload, ClientSurfacesOverloadedAfterShedBudget) {
+  CheckClientSurfacesOverloadedAfterShedBudget(ErwinMode::kM);
+}
+
+TEST(Overload, ClientSurfacesOverloadedAfterShedBudgetSt) {
+  CheckClientSurfacesOverloadedAfterShedBudget(ErwinMode::kSt);
 }
 
 // A follower wedged by entries the leader's gate shed (admitted here, refused there —

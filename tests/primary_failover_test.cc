@@ -277,13 +277,8 @@ TEST(PrimaryFailover, StaleViewMultiRangeReadReResolvesShardConfig) {
   // The coalesced multi-range RPC against a replaced replica must fail through to the
   // client's retry ladder (not be silently absorbed), so the stale client refreshes
   // "/shards/config" and finishes the read against the new membership.
-  ErwinClusterOptions opts = Options(ErwinMode::kSt);
-  // Pin routing to replica client_id % 3 so the read deterministically targets the
-  // replica this test replaces (same scheme as the fencing test, st multi-range path).
-  opts.params.client_read.read_routing_mode = 1;
-  ErwinCluster cluster(opts);
+  ErwinCluster cluster(Options(ErwinMode::kSt));
   auto client = cluster.MakeStClient();
-  ASSERT_EQ(client->client_id() % cluster.shard_replication(), 1u);
   constexpr uint64_t kN = 12;
   for (uint64_t i = 0; i < kN; ++i) {
     ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "sv-" + std::to_string(i)));
@@ -294,20 +289,26 @@ TEST(PrimaryFailover, StaleViewMultiRangeReadReResolvesShardConfig) {
   ASSERT_EQ(warm->size(), kN);
   ASSERT_EQ(client->shard_epoch(), 1u);
 
-  // Replace the exact backups this client's routed reads are pinned to, on both
-  // shards; the stale client's next multi-range read hits a dead node.
-  cluster.ReplaceShardReplica(0, 1);
-  cluster.ReplaceShardReplica(1, 1);
-  cluster.RunFor(50 * kMs);
-  ASSERT_EQ(cluster.controller()->shard_epoch(), 3u);
+  // Replace every backup of both shards, so whichever backup the load-aware router
+  // picks, the stale client's next multi-range read hits a dead node.
+  for (uint32_t shard = 0; shard < cluster.num_shards(); ++shard) {
+    for (uint32_t replica = 1; replica < cluster.shard_replication(); ++replica) {
+      cluster.ReplaceShardReplica(shard, replica);
+      cluster.RunFor(50 * kMs);
+    }
+  }
+  ASSERT_EQ(cluster.controller()->shard_epoch(), 5u);
 
+  const uint64_t backup_before = client->ReadPathSnapshot().counters.backup_routed;
   auto after = ReadSyncly(cluster.loop(), *client, 0, kN, 10 * kSec);
   ASSERT_TRUE(after.has_value()) << "stale-view multi-range read never recovered";
   ASSERT_EQ(after->size(), kN);
   for (uint64_t i = 0; i < kN; ++i) {
     EXPECT_EQ((*after)[i].pos, i);
   }
-  EXPECT_EQ(client->shard_epoch(), 3u) << "client never re-resolved the shard config";
+  EXPECT_GT(client->ReadPathSnapshot().counters.backup_routed, backup_before)
+      << "no read was routed to a (replaced) backup";
+  EXPECT_EQ(client->shard_epoch(), 5u) << "client never re-resolved the shard config";
 }
 
 TEST(PrimaryFailover, ControllerSnapshotExportsFailoverCounters) {

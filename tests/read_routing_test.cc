@@ -89,7 +89,7 @@ TEST(ReplicaRouter, ModeZeroAlwaysPicksPrimary) {
   params.client_read.read_routing_mode = 0;
   Rng rng(7);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/3, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   const std::vector<NodeId> replicas = {10, 11, 12};
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(router.PickStable(replicas), 10u);
@@ -98,24 +98,11 @@ TEST(ReplicaRouter, ModeZeroAlwaysPicksPrimary) {
   EXPECT_EQ(stats.backup_routed, 0u);
 }
 
-TEST(ReplicaRouter, ModeOneIsClientModuloPin) {
-  SimParams params;
-  params.client_read.read_routing_mode = 1;
-  Rng rng(7);
-  ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/4, &stats);
-  const std::vector<NodeId> replicas = {10, 11, 12};
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(router.PickStable(replicas), 11u);  // 4 % 3 == 1
-  }
-  EXPECT_EQ(stats.backup_routed, 16u);
-}
-
 TEST(ReplicaRouter, PowerOfTwoChoicesSpreadsAcrossReplicas) {
   SimParams params;  // mode 2 default
   Rng rng(42);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/1, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   const std::vector<NodeId> replicas = {10, 11, 12};
   std::map<NodeId, int> picks;
   for (int i = 0; i < 300; ++i) {
@@ -138,7 +125,7 @@ TEST(ReplicaRouter, AvoidsSlowReplicaAfterFeedback) {
   SimParams params;
   Rng rng(9);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/1, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   const std::vector<NodeId> replicas = {10, 11};
   // Teach the router: replica 11 is 50x slower than replica 10.
   for (int i = 0; i < 8; ++i) {
@@ -167,7 +154,7 @@ TEST(ReplicaRouter, InflightPenaltyShedsLoad) {
   SimParams params;
   Rng rng(3);
   ReadPathStats stats;
-  ReplicaRouter router(&params, &rng, /*client_id=*/1, &stats);
+  ReplicaRouter router(&params, &rng, &stats);
   // Equal EWMAs, but replica 10 has a pile of our own unanswered reads.
   for (NodeId n : {10u, 11u}) {
     router.OnIssue(n);
