@@ -4,13 +4,13 @@
 
 namespace lazylog {
 
-void ServerCpu::Execute(uint64_t cost_ns, std::function<void()> fn) {
+void ServerCpu::Execute(uint64_t cost_ns, EventFn fn) {
   const SimTime start = std::max(loop_->Now(), busy_until_);
   busy_until_ = start + cost_ns;
   loop_->ScheduleAt(busy_until_, std::move(fn));
 }
 
-void Disk::Write(uint64_t bytes, std::function<void()> fn) {
+void Disk::Write(uint64_t bytes, EventFn fn) {
   const SimTime start = std::max(loop_->Now(), busy_until_);
   const uint64_t xfer_ns = static_cast<uint64_t>(
       static_cast<double>(bytes) / params_.write_bandwidth_bytes_per_sec * 1e9 * slowdown_);

@@ -5,8 +5,6 @@
 #ifndef SRC_SIM_RESOURCES_H_
 #define SRC_SIM_RESOURCES_H_
 
-#include <functional>
-
 #include "src/common/params.h"
 #include "src/sim/event_loop.h"
 
@@ -26,10 +24,10 @@ class ServerCpu {
   }
 
   // Queues work costing `cost_ns`; `fn` runs at completion time.
-  void Execute(uint64_t cost_ns, std::function<void()> fn);
+  void Execute(uint64_t cost_ns, EventFn fn);
 
   // Convenience: Execute(CostFor(bytes), fn).
-  void ExecuteFor(uint64_t bytes, std::function<void()> fn) {
+  void ExecuteFor(uint64_t bytes, EventFn fn) {
     Execute(CostFor(bytes), std::move(fn));
   }
 
@@ -52,7 +50,7 @@ class Disk {
   Disk(EventLoop* loop, const DiskParams& params) : loop_(loop), params_(params) {}
 
   // Persists `bytes`; `fn` (optional) runs at durability time.
-  void Write(uint64_t bytes, std::function<void()> fn = nullptr);
+  void Write(uint64_t bytes, EventFn fn = nullptr);
 
   // Bytes of queued-but-unwritten data (for backpressure decisions and tests).
   uint64_t QueueDepthNs() const;

@@ -171,8 +171,8 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
       r.Send(Status::InvalidArgument("bad fetch"));
       return;
     }
-    auto it = pos_to_local_.find(req.pos);
-    if (it == pos_to_local_.end()) {
+    const uint64_t local = LocalIndexOf(req.pos);
+    if (local == kNoLocal) {
       r.Send(Status::Unavailable("position not bound yet"));
       return;
     }
@@ -185,7 +185,7 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
         }
       }
     }
-    const Record* rec = log_.Get(it->second);
+    const Record* rec = log_.Get(local);
     LL_CHECK(rec != nullptr, "bound position missing from log");
     Encoder e;
     EncodeRecord(e, *rec);
@@ -219,8 +219,8 @@ void ShardServer::Bootstrap(LogPos stable_gp, LogPos meta_next_pos) {
 }
 
 const Record* ShardServer::RecordAt(LogPos pos) const {
-  auto it = pos_to_local_.find(pos);
-  return it == pos_to_local_.end() ? nullptr : log_.Get(it->second);
+  const uint64_t local = LocalIndexOf(pos);
+  return local == kNoLocal ? nullptr : log_.Get(local);
 }
 
 uint64_t ShardServer::DiskAdmissionDelay() const {
@@ -230,21 +230,39 @@ uint64_t ShardServer::DiskAdmissionDelay() const {
 
 // --- ordered storage ----------------------------------------------------------------
 
-void ShardServer::StoreOrdered(LogPos pos, Record record, bool allow_existing) {
-  auto it = pos_to_local_.find(pos);
-  if (it != pos_to_local_.end()) {
+uint64_t ShardServer::LocalIndexOf(LogPos pos) const {
+  // Fast paths for the common cases: a fresh position past the ordered tail, and the
+  // position just stored.
+  if (local_pos_.empty() || pos > local_pos_.back()) {
+    return kNoLocal;
+  }
+  if (pos == local_pos_.back()) {
+    return local_pos_base_ + local_pos_.size() - 1;
+  }
+  auto it = std::lower_bound(local_pos_.begin(), local_pos_.end(), pos);
+  if (it == local_pos_.end() || *it != pos) {
+    return kNoLocal;
+  }
+  return local_pos_base_ + static_cast<uint64_t>(it - local_pos_.begin());
+}
+
+uint64_t ShardServer::StoreOrdered(LogPos pos, Record record, bool allow_existing) {
+  const uint64_t existing = LocalIndexOf(pos);
+  if (existing != kNoLocal) {
     LL_CHECK(allow_existing, "duplicate ordered position");
-    log_.Overwrite(it->second, std::move(record));
-    return;
+    log_.Overwrite(existing, std::move(record));
+    return existing;
   }
   if (fencing_disabled_ && !local_pos_.empty() && pos < local_pos_.back()) {
-    return;  // unfenced split-brain interleaving can regress positions; drop (fixture only)
+    // Unfenced split-brain interleaving can regress positions; drop (fixture only).
+    return kNoLocal;
   }
   LL_CHECK(local_pos_.empty() || pos > local_pos_.back(), "ordered positions must ascend");
   const uint64_t local = log_.Append(std::move(record));
+  LL_CHECK(local == local_pos_base_ + local_pos_.size(), "local index out of step with positions");
   local_pos_.push_back(pos);
-  pos_to_local_[pos] = local;
   stats_.appends++;
+  return local;
 }
 
 void ShardServer::TruncateOrderedFrom(LogPos pos) {
@@ -260,7 +278,6 @@ void ShardServer::TruncateOrderedFrom(LogPos pos) {
         pool_arrival_[rec->id] = endpoint_.loop()->Now();
       }
     }
-    pos_to_local_.erase(local_pos_.back());
     local_pos_.pop_back();
     ++dropped;
   }
@@ -349,7 +366,7 @@ void ShardServer::ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Re
   }
   uint64_t bytes2 = 0;
   for (auto& pr : req->records) {
-    if (!req->overwrite && pos_to_local_.count(pr.pos) > 0) {
+    if (!req->overwrite && LocalIndexOf(pr.pos) != kNoLocal) {
       continue;  // duplicate push from an orderer retry; idempotent
     }
     StoreOrdered(pr.pos, pr.record, req->overwrite);
@@ -470,10 +487,13 @@ bool ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<Bat
   }
   // Data not here yet: bind a placeholder, start the timeout (§5.4). The primary
   // decides no-op; backups repair by fetching from the primary instead.
-  StoreOrdered(entry.pos, Record{entry.id, "", true}, false);
+  const uint64_t local = StoreOrdered(entry.pos, Record{entry.id, "", true}, false);
+  if (local == kNoLocal) {
+    return false;  // dropped by the unfenced test fixture; nothing to resolve later
+  }
   PendingBinding pb;
   pb.pos = entry.pos;
-  pb.local_index = pos_to_local_[entry.pos];
+  pb.local_index = local;
   pb.batch = batch;
   if (batch) {
     batch->waits++;
@@ -711,7 +731,7 @@ void ShardServer::ApplyMetaWindow(std::shared_ptr<ShardOrderMetaReq> req_ptr, Re
       meta_log_.push_back(entry.shard);
     }
     if (entry.shard == shard_id_) {
-      if (pos_to_local_.count(entry.pos) > 0 && !req.overwrite) {
+      if (!req.overwrite && LocalIndexOf(entry.pos) != kNoLocal) {
         continue;  // duplicate push (orderer retry)
       }
       BindPosition(entry, batch);
@@ -765,13 +785,13 @@ void ShardServer::HandleReplicateNoOp(NodeId from, Decoder d, Responder r) {
     stats_.noops_created++;
     AdvanceTagIndex();
   } else {
-    auto bound = pos_to_local_.find(msg.pos);
-    if (bound != pos_to_local_.end()) {
+    const uint64_t bound = LocalIndexOf(msg.pos);
+    if (bound != kNoLocal) {
       // A retried no-op can arrive after a recovery flush rebound this position to a
       // different record; the primary's decision only covers its own id.
-      const Record* cur = log_.Get(bound->second);
+      const Record* cur = log_.Get(bound);
       if (cur != nullptr && cur->id == msg.id) {
-        log_.Overwrite(bound->second, Record{msg.id, "", true});
+        log_.Overwrite(bound, Record{msg.id, "", true});
       }
     }
   }
@@ -803,8 +823,8 @@ void ShardServer::HandleRead(Decoder d, Responder r) {
 }
 
 void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
-  auto it = pos_to_local_.find(req.pos);
-  if (it == pos_to_local_.end()) {
+  uint64_t local = LocalIndexOf(req.pos);
+  if (local == kNoLocal) {
     r.Send(Status::Internal("stable position not on this shard"));
     return;
   }
@@ -812,7 +832,6 @@ void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
     stats_.backup_reads++;
   }
   ShardReadResp resp;
-  uint64_t local = it->second;
   uint64_t bytes = 0;
   for (uint32_t i = 0; i < req.len; ++i, ++local) {
     if (local >= log_.end_index() || local - local_pos_base_ >= local_pos_.size()) {
@@ -979,11 +998,11 @@ void ShardServer::HandleMultiRead(Decoder d, Responder r) {
     if (p < trimmed_below_ || (p >= stable_gp_ && !read_gate_disabled_)) {
       continue;
     }
-    auto it = pos_to_local_.find(p);
-    if (it == pos_to_local_.end()) {
+    const uint64_t local = LocalIndexOf(p);
+    if (local == kNoLocal) {
       continue;
     }
-    const Record* rec = log_.Get(it->second);
+    const Record* rec = log_.Get(local);
     if (rec == nullptr) {
       continue;
     }
@@ -1016,10 +1035,9 @@ void ShardServer::HandleMultiRangeRead(Decoder d, Responder r) {
   uint64_t bytes = 0;
   for (const ReadRange& range : req.ranges) {
     uint32_t served = 0;
-    auto it = pos_to_local_.find(range.pos);
-    if (it != pos_to_local_.end() && range.pos >= trimmed_below_ &&
+    uint64_t local = LocalIndexOf(range.pos);
+    if (local != kNoLocal && range.pos >= trimmed_below_ &&
         (range.pos < stable_gp_ || read_gate_disabled_)) {
-      uint64_t local = it->second;
       for (uint32_t i = 0; i < range.len; ++i, ++local) {
         if (local >= log_.end_index() || local - local_pos_base_ >= local_pos_.size()) {
           break;
@@ -1066,13 +1084,11 @@ void ShardServer::HandleTrim(Decoder d, Responder r) {
     return;
   }
   trimmed_below_ = std::max(trimmed_below_, msg.up_to);
-  while (!local_pos_.empty() && local_pos_.front() < trimmed_below_) {
-    pos_to_local_.erase(local_pos_.front());
-    local_pos_.pop_front();
-    ++local_pos_base_;
-  }
+  const auto trimmed_end = std::lower_bound(local_pos_.begin(), local_pos_.end(), trimmed_below_);
+  local_pos_base_ += static_cast<uint64_t>(trimmed_end - local_pos_.begin());
+  local_pos_.erase(local_pos_.begin(), trimmed_end);
   // Segment-granular GC; entries below local_pos_base_ in a partial front segment are
-  // unreachable (their pos_to_local_ entries are gone) and vanish with the segment.
+  // unreachable (their positions are gone from local_pos_) and vanish with the segment.
   log_.TrimTo(local_pos_base_);
   r.Send(Status::Ok());
 }
@@ -1487,8 +1503,8 @@ void ShardServer::HandleBackfill(Decoder d, Responder r) {
     r.Send(Status::InvalidArgument("bad backfill"));
     return;
   }
-  auto it = pos_to_local_.find(req.pos);
-  if (it == pos_to_local_.end()) {
+  const uint64_t local = LocalIndexOf(req.pos);
+  if (local == kNoLocal) {
     r.Send(Status::Unavailable("position not bound here"));
     return;
   }
@@ -1498,7 +1514,7 @@ void ShardServer::HandleBackfill(Decoder d, Responder r) {
       return;
     }
   }
-  const Record* rec = log_.Get(it->second);
+  const Record* rec = log_.Get(local);
   LL_CHECK(rec != nullptr, "bound position missing from log");
   Encoder e;
   EncodeRecord(e, *rec);

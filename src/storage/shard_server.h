@@ -222,15 +222,18 @@ class ShardServer {
   // responses deliver the body too, so the orderer resyncs even on failure).
   void SendWatermarkAck(Responder r, const Status& s);
   // Shared admission decision for both window kinds. kApply also covers re-applies of
-  // applied-but-not-yet-durable retransmits (idempotent via pos_to_local_).
+  // applied-but-not-yet-durable retransmits (idempotent: bound positions are skipped).
   enum class Admit { kApply, kAckDurable, kPark, kOverflow };
   Admit DecideAdmit(LogPos lo, LogPos hi, bool overwrite) const;
   // Flush/overwrite windows reset the ordering frontiers: the unstable tail is being
   // rewritten, so parked windows and completed spans from the old view are dropped.
   void ResetOrderFrontiersForOverwrite(LogPos truncate_from, LogPos range_hi);
 
-  // Stores one ordered record locally (append or recovery overwrite).
-  void StoreOrdered(LogPos pos, Record record, bool overwrite_tail_done);
+  // Stores one ordered record locally (append or recovery overwrite). Returns its local
+  // index, or kNoLocal if the unfenced test fixture dropped a regressed position.
+  uint64_t StoreOrdered(LogPos pos, Record record, bool allow_existing);
+  // Local log index bound to global position `pos`, or kNoLocal if none is.
+  uint64_t LocalIndexOf(LogPos pos) const;
   // Truncates everything with position >= pos (recovery overwrite path).
   void TruncateOrderedFrom(LogPos pos);
   // Erwin-st: binds position -> record data from the unordered pool, or parks a
@@ -292,11 +295,12 @@ class ShardServer {
   StableGpObserver stable_gp_observer_;
 
   // Ordered storage: dense local log + position bookkeeping. local_pos_[i] is the
-  // global position of local index local_pos_base_ + i.
+  // global position of local index local_pos_base_ + i; positions ascend, so
+  // LocalIndexOf is a binary search over local_pos_.
+  static constexpr uint64_t kNoLocal = UINT64_MAX;
   SegmentedLog log_;
-  std::deque<LogPos> local_pos_;
+  std::vector<LogPos> local_pos_;
   uint64_t local_pos_base_ = 0;
-  std::unordered_map<LogPos, uint64_t> pos_to_local_;  // global pos -> local index
   LogPos trimmed_below_ = 0;
 
   // Erwin-st state. Pool entries are handles onto the client's payload backing (the

@@ -41,6 +41,29 @@ TEST(ChaosDeterminism, DifferentSeedsDiverge) {
   EXPECT_NE(a.digest, b.digest) << "different seeds should explore different executions";
 }
 
+// Pins the default-option digests `chaos_runner --mode=both --seeds=3` prints. A change
+// that must preserve event order (event loop, network, RPC, storage bookkeeping) keeps
+// these values; a change that alters an execution on purpose updates them and says why.
+TEST(ChaosDeterminism, GoldenDigests) {
+  struct Golden {
+    ErwinMode mode;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {ErwinMode::kM, 1, 0x6c6ad1725a1bb09cULL},  {ErwinMode::kM, 2, 0xebaa00060ffc95ecULL},
+      {ErwinMode::kM, 3, 0x946da2da050617ebULL},  {ErwinMode::kSt, 1, 0x591a60fe4e1b8d0aULL},
+      {ErwinMode::kSt, 2, 0xc43b4611c3a717eaULL}, {ErwinMode::kSt, 3, 0x6aed9f7fe99bf34aULL},
+  };
+  for (const Golden& g : kGolden) {
+    ChaosOptions opts;
+    opts.mode = g.mode;
+    opts.seed = g.seed;
+    const ChaosReport report = RunChaos(opts);
+    EXPECT_EQ(report.digest, g.digest) << report.Summary();
+  }
+}
+
 TEST(ChaosSweep, ErwinMSmoke) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     const ChaosReport report = RunChaos(QuickOptions(ErwinMode::kM, seed));

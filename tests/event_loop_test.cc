@@ -1,6 +1,13 @@
 // EventLoop tests: time advancement, ordering, same-instant FIFO, cancellation,
-// RunUntil clamping, and runaway protection hooks.
+// RunUntil clamping, runaway protection hooks, slot reuse with stale handles, EventFn
+// captures, and a randomized comparison against a (time, sequence)-ordered model.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <map>
+#include <memory>
+#include <random>
+#include <utility>
 
 #include "src/sim/event_loop.h"
 
@@ -119,6 +126,187 @@ TEST(EventLoop, ManyEventsStressOrdering) {
   }
   loop.RunUntilIdle();
   EXPECT_EQ(count, 10'000);
+}
+
+TEST(EventLoop, StaleHandleDoesNotTouchReusedSlot) {
+  EventLoop loop;
+  EventHandle fired = loop.Schedule(10, []() {});
+  loop.RunUntilIdle();
+  EventHandle cancelled = loop.Schedule(10, []() {});
+  cancelled.Cancel();
+  // Both stale handles name the slot that `a` now reuses.
+  int runs = 0;
+  EventHandle a = loop.Schedule(10, [&]() { ++runs; });
+  EventHandle b = loop.Schedule(20, [&]() { ++runs; });
+  EXPECT_FALSE(fired.Pending());
+  EXPECT_FALSE(cancelled.Pending());
+  fired.Cancel();
+  cancelled.Cancel();
+  EXPECT_TRUE(a.Pending());
+  EXPECT_TRUE(b.Pending());
+  EXPECT_EQ(loop.QueuedEvents(), 2u);
+  loop.RunUntilIdle();
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(EventLoop, CancelRemovesFromQueue) {
+  EventLoop loop;
+  EventHandle a = loop.Schedule(10, []() {});
+  EventHandle b = loop.Schedule(20, []() {});
+  loop.Schedule(30, []() {});
+  EXPECT_EQ(loop.QueuedEvents(), 3u);
+  b.Cancel();
+  EXPECT_EQ(loop.QueuedEvents(), 2u);
+  b.Cancel();
+  EXPECT_EQ(loop.QueuedEvents(), 2u);
+  EventHandle copy = a;
+  copy.Cancel();
+  EXPECT_FALSE(a.Pending());
+  EXPECT_EQ(loop.QueuedEvents(), 1u);
+  loop.RunUntilIdle();
+  EXPECT_EQ(loop.QueuedEvents(), 0u);
+  EXPECT_EQ(loop.events_run(), 1u);
+}
+
+TEST(EventLoop, EmptyCallableSchedulesNothing) {
+  EventLoop loop;
+  EventHandle h = loop.Schedule(10, std::function<void()>());
+  EXPECT_FALSE(h.Pending());
+  EXPECT_EQ(loop.QueuedEvents(), 0u);
+}
+
+TEST(EventLoop, HandlerCancelsItselfAndAnother) {
+  EventLoop loop;
+  EventHandle self;
+  EventHandle other;
+  bool other_fired = false;
+  bool self_pending_inside = true;
+  self = loop.Schedule(10, [&]() {
+    self_pending_inside = self.Pending();
+    self.Cancel();  // already running: a no-op
+    other.Cancel();
+  });
+  other = loop.Schedule(10, [&]() { other_fired = true; });
+  loop.RunUntilIdle();
+  EXPECT_FALSE(self_pending_inside);
+  EXPECT_FALSE(other_fired);
+  EXPECT_EQ(loop.events_run(), 1u);
+}
+
+// Cancels a handle when destroyed; held by closures to exercise callables whose
+// destructors reach back into the loop.
+struct CancelOnDestroy {
+  EventHandle* target;
+  ~CancelOnDestroy() { target->Cancel(); }
+};
+
+TEST(EventLoop, CallableDestructorMayCancelDuringLoopTeardown) {
+  auto token = std::make_shared<int>(0);
+  EventHandle first;
+  EventHandle second;
+  {
+    EventLoop loop;
+    // Each closure's destructor cancels the other's handle, whichever dies first.
+    auto c1 = std::make_shared<CancelOnDestroy>(CancelOnDestroy{&second});
+    auto c2 = std::make_shared<CancelOnDestroy>(CancelOnDestroy{&first});
+    first = loop.Schedule(10, [c1, token]() {});
+    second = loop.Schedule(20, [c2, token]() {});
+    c1.reset();
+    c2.reset();
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);  // both closures destroyed exactly once
+}
+
+TEST(EventLoop, MoveOnlyAndLargeCaptures) {
+  EventLoop loop;
+  int got = 0;
+  auto owned = std::make_unique<int>(7);
+  loop.Schedule(10, [&got, p = std::move(owned)]() { got += *p; });
+  std::array<uint64_t, 32> big{};
+  big[31] = 5;
+  static_assert(sizeof(big) > EventFn::kInlineBytes);
+  auto token = std::make_shared<int>(0);
+  loop.Schedule(20, [&got, big, token]() { got += static_cast<int>(big[31]); });
+  EventHandle cancelled = loop.Schedule(30, [big, token]() {});
+  EXPECT_EQ(token.use_count(), 3);
+  cancelled.Cancel();
+  EXPECT_EQ(token.use_count(), 2);  // cancelling releases the captures at once
+  loop.RunUntilIdle();
+  EXPECT_EQ(got, 12);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventLoop, EventFnMovesBetweenOwners) {
+  int calls = 0;
+  EventFn a = [&calls]() { ++calls; };
+  EventFn b = std::move(a);
+  EXPECT_FALSE(static_cast<bool>(a));
+  b();
+  EventFn c;
+  c = std::move(b);
+  c();
+  EXPECT_EQ(calls, 2);
+}
+
+// Random schedules (many same-instant ties), cancels of live and stale handles, runs,
+// and handlers that schedule more events, checked step by step against a model keyed
+// by (time, scheduling order).
+TEST(EventLoop, RandomizedMatchesOrderedModel) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    EventLoop loop;
+    std::map<std::pair<SimTime, uint64_t>, int> model;
+    struct Scheduled {
+      EventHandle handle;
+      std::pair<SimTime, uint64_t> key;
+    };
+    std::vector<Scheduled> scheduled;
+    std::vector<int> fired;
+    uint64_t seq = 0;
+    std::function<void(uint64_t)> schedule = [&](uint64_t delay) {
+      const int id = static_cast<int>(scheduled.size());
+      const std::pair<SimTime, uint64_t> key{loop.Now() + delay, seq++};
+      EventHandle h = loop.Schedule(delay, [&, id]() {
+        fired.push_back(id);
+        if (id % 7 == 0) {
+          schedule(rng() % 4);  // handlers schedule too, often at the same instant
+        }
+      });
+      model.emplace(key, id);
+      scheduled.push_back(Scheduled{h, key});
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t op = rng() % 10;
+      if (op < 5) {
+        schedule(rng() % 50);
+      } else if (op < 7 && !scheduled.empty()) {
+        Scheduled& s = scheduled[rng() % scheduled.size()];
+        const bool live = model.count(s.key) > 0;
+        EXPECT_EQ(s.handle.Pending(), live);
+        s.handle.Cancel();
+        model.erase(s.key);
+      } else {
+        const bool ran = loop.RunOne();
+        ASSERT_EQ(ran, !model.empty());
+        if (ran) {
+          // A handler may have scheduled more; the fired event is the model's earliest
+          // entry that existed before the run.
+          auto first = model.begin();
+          ASSERT_EQ(fired.back(), first->second);
+          EXPECT_EQ(loop.Now(), first->first.first);
+          model.erase(first);
+        }
+      }
+      ASSERT_EQ(loop.QueuedEvents(), model.size());
+    }
+    while (loop.RunOne()) {
+      ASSERT_FALSE(model.empty());
+      ASSERT_EQ(fired.back(), model.begin()->second);
+      model.erase(model.begin());
+    }
+    EXPECT_TRUE(model.empty());
+  }
 }
 
 }  // namespace
