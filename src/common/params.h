@@ -98,8 +98,7 @@ struct SeqParams {
   // ordering tick replenishes every active log's deficit with an equal share of the
   // tick's effective batch budget; once ring occupancy reaches the low watermark, an
   // append from a log with no deficit left is refused kOverloaded while logs within
-  // their share keep being admitted. Disabled = admission stays log-blind.
-  bool tenant_fairness = true;
+  // their share keep being admitted. Always on; a lone tenant is never throttled by it.
   // Deficit accumulation cap, in multiples of the per-tick share: lets a trickling
   // tenant bank a small burst allowance without hoarding unbounded credit.
   uint32_t fairness_burst_quanta = 4;
@@ -151,11 +150,6 @@ struct ClientReadParams {
   uint32_t read_routing_mode = 2;
   // EWMA smoothing for per-replica cost estimates fed by read replies.
   double route_ewma_alpha = 0.3;
-  // Aggregation window for coalescing concurrent same-shard read sub-requests into
-  // one multi-range RPC. 0 = coalesce only sub-requests issued at the same simulated
-  // instant (fan-out of a single Read call and exactly-concurrent callers), which
-  // adds zero latency; >0 buffers sub-requests for that long before flushing.
-  uint64_t read_coalesce_window_ns = 0;
   // Max records packed into one multi-range read RPC; larger ranges are split into
   // chunks issued as independent pipelined RPCs so shard-side response serialization
   // CPU overlaps NIC transmission of earlier chunks.

@@ -170,7 +170,7 @@ class ReadAheadCache {
 // A *sub* is one logical sub-read: a run of consecutive target-local records, expressed
 // as pre-split ReadRanges (the caller owns the position arithmetic — Erwin-st splits on
 // its cached posmap, Erwin-m on its stride — each range at most read_chunk_records
-// long). Subs added for the same target within the aggregation window flush as one or
+// long). Subs added for the same target at the same simulated instant flush as one or
 // more kShardMultiRangeRead RPCs of at most read_chunk_records each; issuing the chunks
 // as independent RPCs lets the shard's response-serialization CPU for chunk k overlap
 // the NIC transmission of chunk k-1 on large ranges.
@@ -210,8 +210,9 @@ class ReadCoalescer {
     auto& q = pending_[target];
     q.push_back(std::move(sub));
     if (q.size() == 1) {
-      ep_->loop()->Schedule(params_->client_read.read_coalesce_window_ns,
-                            [this, target]() { Flush(target); });
+      // Flush at the end of this instant: sub-reads issued at the same simulated time
+      // (one Read's fan-out, exactly-concurrent callers) share an RPC at zero latency.
+      ep_->loop()->Schedule(0, [this, target]() { Flush(target); });
     }
   }
 

@@ -22,6 +22,13 @@ constexpr uint64_t kResealIntervalNs = 2 * kMs;
 // before the controller declares it failed. Polls run every 2 session heartbeats, so
 // this is a multi-timeout grace window for slow registrations under queued ZK writes.
 constexpr uint32_t kUnregisteredPollLimit = 4;
+
+template <typename Req>
+std::string EncodeBody(const Req& req) {
+  Encoder enc;
+  req.Encode(enc);
+  return enc.Take();
+}
 }  // namespace
 
 Controller::Controller(Network* net, const SimParams& params, NodeId zk_node)
@@ -125,7 +132,7 @@ void Controller::SealAll(uint32_t attempt) {
         break;
       }
     }
-    FlushRecovery(*live_nodes, recovery, 0);
+    FlushRecovery(*live_nodes, recovery);
   };
 
   // Fence the storage tier.
@@ -137,10 +144,7 @@ void Controller::SealAll(uint32_t attempt) {
   // worst accept a deposed leader's stable-gp stat update — its served coverage comes
   // from the (acked-fenced) shards' exports, so consistency never depends on this.
   if (!index_nodes_.empty()) {
-    ShardSealReq ireq{fence_view};
-    Encoder ienc;
-    ireq.Encode(ienc);
-    const Buf ibody = ienc.TakeBuf();
+    const Buf ibody = EncodeBody(ShardSealReq{fence_view});
     for (NodeId n : index_nodes_) {
       endpoint_.Call(n, kShardSeal, ibody, nullptr, 0);
     }
@@ -151,10 +155,7 @@ void Controller::SealAll(uint32_t attempt) {
     proceed();
     return;
   }
-  SeqSealReq seal{view_};
-  Encoder enc;
-  seal.Encode(enc);
-  const std::string body = enc.Take();
+  const std::string body = EncodeBody(SeqSealReq{view_});
   const ViewId sealed_view = view_;
   auto gather = Gather::Create(
       targets.size(),
@@ -197,10 +198,7 @@ void Controller::FenceShards(ViewId fence_view, std::shared_ptr<std::set<NodeId>
     done();
     return;
   }
-  ShardSealReq req{fence_view};
-  Encoder enc;
-  req.Encode(enc);
-  const std::string body = enc.Take();
+  const std::string body = EncodeBody(ShardSealReq{fence_view});
   const std::vector<NodeId> round(pending->begin(), pending->end());
   auto gather = Gather::Create(
       round.size(),
@@ -231,10 +229,7 @@ void Controller::ResealLoop() {
   endpoint_.loop()->Schedule(kResealIntervalNs, [this]() {
     reseal_armed_ = false;
     for (const auto& [node, sealed_view] : reseal_pending_) {
-      SeqSealReq seal{sealed_view};
-      Encoder enc;
-      seal.Encode(enc);
-      endpoint_.Call(node, kSeqSeal, enc.Take(),
+      endpoint_.Call(node, kSeqSeal, EncodeBody(SeqSealReq{sealed_view}),
                      [this, node](Status s, Decoder) {
                        // WRONG_VIEW means the node already moved to a newer view (it was
                        // started into the new config); either way it is no longer a
@@ -295,11 +290,7 @@ void Controller::ReconcilePoll() {
       kZkOpTimeoutNs);
 }
 
-void Controller::FlushRecovery(std::vector<NodeId> live, NodeId recovery, uint32_t attempt) {
-  const ViewId new_view = view_ + 1;
-  SeqFlushReq req{new_view};
-  Encoder enc;
-  req.Encode(enc);
+void Controller::FlushRecovery(const std::vector<NodeId>& live, NodeId recovery) {
   // New config: recovery replica leads, followed by the other live replicas.
   std::vector<NodeId> new_config{recovery};
   for (NodeId n : live) {
@@ -307,133 +298,103 @@ void Controller::FlushRecovery(std::vector<NodeId> live, NodeId recovery, uint32
       new_config.push_back(n);
     }
   }
-  endpoint_.Call(recovery, kSeqFetchLog, enc.Take(),
-                 [this, live = std::move(live), recovery, attempt,
-                  new_config = std::move(new_config)](Status s, Decoder d) mutable {
-                   SeqFlushResp resp;
-                   if (!s.ok() || !resp.Decode(d)) {
-                     LLOG(kError) << "controller: flush failed: " << s.ToString();
-                     if (attempt + 1 < 3) {
-                       endpoint_.loop()->Schedule(1 * kMs, [this, live = std::move(live),
-                                                            recovery, attempt]() mutable {
-                         FlushRecovery(std::move(live), recovery, attempt + 1);
-                       });
-                     } else {
-                       // The recovery replica is likely gone; restart from sealing with
-                       // whatever known_dead_ the watches have accumulated since.
-                       endpoint_.loop()->Schedule(1 * kMs, [this]() { SealAll(0); });
-                     }
-                     return;
-                   }
-                   timing_.flushed_at = endpoint_.loop()->Now();
-                   FinishView(std::move(new_config), resp.new_ordered_gp,
-                              std::move(resp.flushed_ids), 0);
-                 },
-                 params_.rpc_timeout_ns);
+  CallRetrying(
+      recovery, kSeqFetchLog, EncodeBody(SeqFlushReq{view_ + 1}),
+      {params_.rpc_timeout_ns, 1 * kMs, 3},
+      [this, new_config = std::move(new_config)](const Status& s, Decoder& d) mutable {
+        SeqFlushResp resp;
+        if (!s.ok() || !resp.Decode(d)) {
+          LLOG(kError) << "controller: flush failed: " << s.ToString();
+          return false;
+        }
+        timing_.flushed_at = endpoint_.loop()->Now();
+        FinishView(std::move(new_config), resp.new_ordered_gp, std::move(resp.flushed_ids));
+        return true;
+      },
+      [this](Status) {
+        // The recovery replica is likely gone; restart from sealing with whatever
+        // known_dead_ the watches have accumulated since.
+        endpoint_.loop()->Schedule(1 * kMs, [this]() { SealAll(0); });
+      });
 }
 
 void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
-                            std::vector<WireRecordId> flushed_ids, uint32_t attempt) {
+                            std::vector<WireRecordId> flushed_ids) {
   const ViewId new_view = view_ + 1;
   // Persist the new configuration *before* advancing stable-gp so a partitioned replica
-  // of the old view can never overwrite records exposed afterwards (§4.5). The write is
-  // retried: a controller<->ZK partition delays the view change but never aborts it.
-  Encoder cfg;
-  cfg.PutU64(new_view);
-  cfg.PutU32(static_cast<uint32_t>(new_config.size()));
-  for (NodeId n : new_config) {
-    cfg.PutU32(n);
-  }
-  zk_.SetData(
-      "/seq/config", cfg.Take(), UINT64_MAX,
-      [this, new_config = std::move(new_config), ordered_gp, flushed_ids = std::move(flushed_ids),
-       new_view, attempt](Status s) mutable {
-        if (!s.ok()) {
-          LLOG(kWarn) << "controller: zk config write failed (" << s.ToString()
-                      << "); retrying";
-          endpoint_.loop()->Schedule(
-              kZkRetryNs, [this, new_config = std::move(new_config), ordered_gp,
-                           flushed_ids = std::move(flushed_ids), attempt]() mutable {
-                FinishView(std::move(new_config), ordered_gp, std::move(flushed_ids),
-                           attempt + 1);
-              });
-          return;
-        }
+  // of the old view can never overwrite records exposed afterwards (§4.5). A
+  // controller<->ZK partition delays the view change but never aborts it.
+  auto encode = [new_view, new_config]() {
+    Encoder cfg;
+    cfg.PutU64(new_view);
+    cfg.PutU32(static_cast<uint32_t>(new_config.size()));
+    for (NodeId n : new_config) {
+      cfg.PutU32(n);
+    }
+    return cfg.Take();
+  };
+  ZkWriteUntilOk(
+      "/seq/config", std::move(encode),
+      [this, new_config = std::move(new_config), ordered_gp,
+       flushed_ids = std::move(flushed_ids), new_view]() mutable {
         timing_.view_written_at = endpoint_.loop()->Now();
         // Advance stable-gp on the shards: everything flushed is now stable. Stamped
         // with the new view so it passes the fence raised in SealAll.
-        StableGpMsg stable{new_view, ordered_gp};
-        Encoder se;
-        stable.Encode(se);
-        const std::string sbody = se.Take();
+        const std::string sbody = EncodeBody(StableGpMsg{new_view, ordered_gp});
         for (NodeId n : AllShardServers()) {
           endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
         }
         for (NodeId n : index_nodes_) {
           endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
         }
-        // Start the new view on every member, retrying per member until each one
-        // adopted it (a lost StartView would leave a member sealed forever).
         SeqStartViewReq sv;
         sv.view = new_view;
         sv.config.assign(new_config.begin(), new_config.end());
         sv.ordered_gp = ordered_gp;
         sv.stable_gp = ordered_gp;
         sv.flushed_ids = std::move(flushed_ids);
-        Encoder sve;
-        sv.Encode(sve);
-        auto body = std::make_shared<std::string>(sve.Take());
+        const std::string body = EncodeBody(sv);
         auto remaining = std::make_shared<size_t>(new_config.size());
+        auto started = [this, remaining, new_config, new_view]() {
+          if (--*remaining > 0) {
+            return;
+          }
+          view_ = new_view;
+          config_ = new_config;
+          timing_.new_view_at = endpoint_.loop()->Now();
+          timing_.complete = true;
+          reconfigurations_++;
+          reconfiguring_ = false;
+          LLOG(kInfo) << "controller: view " << new_view << " started";
+          if (on_reconfigured_) {
+            on_reconfigured_(timing_);
+          }
+          if (pending_failure_) {
+            pending_failure_ = false;
+            OnReplicaDown("(queued)");
+          }
+        };
+        // Start the new view on every member, retrying each until it adopted the view (a
+        // lost StartView would leave a member sealed forever).
         for (NodeId member : new_config) {
-          StartViewMember(member, body, new_view,
-                          [this, remaining, new_config, new_view]() {
-                            if (--*remaining > 0) {
-                              return;
-                            }
-                            view_ = new_view;
-                            config_ = new_config;
-                            timing_.new_view_at = endpoint_.loop()->Now();
-                            timing_.complete = true;
-                            reconfigurations_++;
-                            reconfiguring_ = false;
-                            LLOG(kInfo) << "controller: view " << new_view << " started";
-                            if (on_reconfigured_) {
-                              on_reconfigured_(timing_);
-                            }
-                            if (pending_failure_) {
-                              pending_failure_ = false;
-                              OnReplicaDown("(queued)");
-                            }
-                          });
+          CallRetrying(
+              member, kSeqStartView, body,
+              {kStartViewAttemptTimeoutNs, kStartViewRetryNs, RetryPolicy::kUnbounded},
+              [this, member, started](const Status& s, Decoder&) {
+                if (s.ok() || s.code() == StatusCode::kWrongView) {
+                  // Adopted (or already past) this view: no longer a reseal target.
+                  reseal_pending_.erase(member);
+                } else if (known_dead_.count(member) == 0) {
+                  return false;
+                }
+                // A member that died mid-reconfiguration settles too: the queued failure
+                // event removes it from the config, so it must not hold the view hostage.
+                started();
+                return true;
+              },
+              nullptr);
         }
-      },
-      kZkOpTimeoutNs);
-}
-
-void Controller::StartViewMember(NodeId member, std::shared_ptr<std::string> body,
-                                 ViewId new_view, std::function<void()> acked) {
-  endpoint_.Call(member, kSeqStartView, *body,
-                 [this, member, body, new_view, acked = std::move(acked)](
-                     Status s, Decoder) mutable {
-                   if (s.ok() || s.code() == StatusCode::kWrongView) {
-                     // Adopted (or already past) this view: no longer a reseal target.
-                     reseal_pending_.erase(member);
-                     acked();
-                     return;
-                   }
-                   if (known_dead_.count(member) > 0) {
-                     // Died mid-reconfiguration; the queued failure event will remove it
-                     // from the config. Don't hold the new view hostage.
-                     acked();
-                     return;
-                   }
-                   endpoint_.loop()->Schedule(
-                       kStartViewRetryNs, [this, member, body, new_view,
-                                           acked = std::move(acked)]() mutable {
-                         StartViewMember(member, body, new_view, std::move(acked));
-                       });
-                 },
-                 kStartViewAttemptTimeoutNs);
+      });
 }
 
 // --- shard membership ------------------------------------------------------------------
@@ -454,21 +415,8 @@ std::string Controller::EncodeShardConfig() const {
   return e.Take();
 }
 
-void Controller::WriteShardConfig(std::function<void(Status)> done) {
-  zk_.SetData("/shards/config", EncodeShardConfig(), UINT64_MAX,
-              [this, done = std::move(done)](Status s) mutable {
-                if (!s.ok()) {
-                  LLOG(kWarn) << "controller: shard config write failed; retrying";
-                  endpoint_.loop()->Schedule(kZkRetryNs, [this, done = std::move(done)]() mutable {
-                    WriteShardConfig(std::move(done));
-                  });
-                  return;
-                }
-                if (done) {
-                  done(Status::Ok());
-                }
-              },
-              kZkOpTimeoutNs);
+void Controller::WriteShardConfig(std::function<void()> done) {
+  ZkWriteUntilOk("/shards/config", [this]() { return EncodeShardConfig(); }, std::move(done));
 }
 
 void Controller::BeginShardOp(uint32_t shard, std::function<void()> op) {
@@ -514,52 +462,30 @@ void Controller::ReplaceShardReplica(uint32_t shard, uint32_t replica_index, Nod
 
 void Controller::DoReplaceShardReplica(uint32_t shard, NodeId old_node, NodeId new_node,
                                        std::function<void(Status)> done) {
-  const NodeId source = shards_[shard][0];
-  ShardCopyStateReq req{source};
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto attempt_copy = std::make_shared<std::function<void(uint32_t)>>();
-  // The stored closure holds only a weak self-reference: the in-flight RPC callback
-  // and the scheduled retry own the strong one, so the chain frees itself once the
-  // retries stop instead of leaking a shared_ptr cycle.
-  std::weak_ptr<std::function<void(uint32_t)>> weak_copy = attempt_copy;
-  *attempt_copy = [this, shard, old_node, new_node, body, weak_copy,
-                   done = std::move(done)](uint32_t attempt) mutable {
-    auto self = weak_copy.lock();
-    if (!self) {
-      return;
-    }
-    endpoint_.Call(new_node, kShardCopyState, *body,
-                   [this, shard, old_node, new_node, attempt, self,
-                    done](Status s, Decoder) mutable {
-                     if (!s.ok()) {
-                       if (attempt + 1 < 5) {
-                         endpoint_.loop()->Schedule(2 * kMs, [self, attempt]() {
-                           (*self)(attempt + 1);
-                         });
-                       } else {
-                         done(std::move(s));
-                       }
-                       return;
-                     }
-                     // State installed on the replacement: adopt + persist the new
-                     // membership, then re-wire the sequencing layer. Re-find the victim
-                     // by identity: its slot may have shifted while the copy ran.
-                     auto it = std::find(shards_[shard].begin(), shards_[shard].end(), old_node);
-                     if (it == shards_[shard].end()) {
-                       done(Status::Unavailable("old replica no longer a member"));
-                       return;
-                     }
-                     *it = new_node;
-                     shard_epoch_++;
-                     WriteShardConfig([this, old_node, new_node, done](Status) mutable {
-                       UpdateSeqShards(old_node, new_node, std::move(done));
-                     });
-                   },
-                   params_.rpc_timeout_ns);
-  };
-  (*attempt_copy)(0);
+  CallRetrying(
+      new_node, kShardCopyState, EncodeBody(ShardCopyStateReq{shards_[shard][0]}),
+      {params_.rpc_timeout_ns, 2 * kMs, 5},
+      [this, shard, old_node, new_node, done](const Status& s, Decoder&) {
+        if (!s.ok()) {
+          return false;
+        }
+        // State installed on the replacement: adopt + persist the new membership, then
+        // re-wire the sequencing layer. Re-find the victim by identity: its slot may
+        // have shifted while the copy ran.
+        auto it = std::find(shards_[shard].begin(), shards_[shard].end(), old_node);
+        if (it == shards_[shard].end()) {
+          done(Status::Unavailable("old replica no longer a member"));
+          return true;
+        }
+        *it = new_node;
+        shard_epoch_++;
+        WriteShardConfig([this, old_node, new_node, done]() {
+          FanOutToSeq(kSeqUpdateShards, EncodeBody(SeqUpdateShardsReq{old_node, new_node}),
+                      done);
+        });
+        return true;
+      },
+      done);
 }
 
 void Controller::AddShard(std::vector<NodeId> replicas) {
@@ -587,8 +513,7 @@ LogId Controller::CreateLog(const std::string& name, uint64_t quota_per_sec,
   entry.quota_per_sec = quota_per_sec;
   log_registry_.push_back(std::move(entry));
   log_epoch_++;
-  WriteLogConfig();
-  PushLogRegistry(std::move(done));
+  PublishLogRegistry(std::move(done));
   return log_registry_.back().id;
 }
 
@@ -597,8 +522,7 @@ void Controller::DeleteLog(const std::string& name, std::function<void(Status)> 
     if (entry.name == name && !entry.deleted) {
       entry.deleted = true;
       log_epoch_++;
-      WriteLogConfig();
-      PushLogRegistry(std::move(done));
+      PublishLogRegistry(std::move(done));
       return;
     }
   }
@@ -607,113 +531,16 @@ void Controller::DeleteLog(const std::string& name, std::function<void(Status)> 
   }
 }
 
-void Controller::WriteLogConfig() {
-  SeqUpdateLogsReq req{log_epoch_, log_registry_};
-  Encoder enc;
-  req.Encode(enc);
-  zk_.SetData("/logs/config", enc.Take(), UINT64_MAX,
-              [this](Status s) {
-                if (!s.ok()) {
-                  LLOG(kWarn) << "controller: log config write failed; retrying";
-                  // Re-encode at retry time: a newer epoch may have superseded this
-                  // write, and persisting the latest table is always correct.
-                  endpoint_.loop()->Schedule(kZkRetryNs, [this]() { WriteLogConfig(); });
-                }
-              },
-              kZkOpTimeoutNs);
-}
-
-void Controller::PushLogRegistry(std::function<void(Status)> done) {
-  std::vector<NodeId> targets;
-  for (NodeId n : seq_replicas_) {
-    if (known_dead_.count(n) == 0) {
-      targets.push_back(n);
-    }
-  }
-  if (targets.empty()) {
-    if (done) {
-      done(Status::Ok());
-    }
-    return;
-  }
-  SeqUpdateLogsReq req{log_epoch_, log_registry_};
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto remaining = std::make_shared<size_t>(targets.size());
-  auto finish = std::make_shared<std::function<void(Status)>>(std::move(done));
-  for (NodeId member : targets) {
-    auto send = std::make_shared<std::function<void(uint32_t)>>();
-    // Weak self-reference, as in UpdateSeqShards: the RPC callback / scheduled retry
-    // keep the closure alive, not the closure itself.
-    std::weak_ptr<std::function<void(uint32_t)>> weak_send = send;
-    *send = [this, member, body, weak_send, remaining, finish](uint32_t attempt) {
-      auto self = weak_send.lock();
-      if (!self) {
-        return;
-      }
-      endpoint_.Call(member, kSeqUpdateLogs, *body,
-                     [this, member, attempt, self, remaining, finish](Status s, Decoder) {
-                       if (!s.ok() && attempt + 1 < 10 && known_dead_.count(member) == 0) {
-                         endpoint_.loop()->Schedule(
-                             2 * kMs, [self, attempt]() { (*self)(attempt + 1); });
-                         return;
-                       }
-                       if (--*remaining == 0 && *finish) {
-                         (*finish)(Status::Ok());
-                       }
-                     },
-                     kStartViewAttemptTimeoutNs);
-    };
-    (*send)(0);
-  }
-}
-
-void Controller::UpdateSeqShards(NodeId old_node, NodeId new_node,
-                                 std::function<void(Status)> done) {
-  std::vector<NodeId> targets;
-  for (NodeId n : seq_replicas_) {
-    if (known_dead_.count(n) == 0) {
-      targets.push_back(n);
-    }
-  }
-  if (targets.empty()) {
-    if (done) {
-      done(Status::Ok());
-    }
-    return;
-  }
-  SeqUpdateShardsReq req{old_node, new_node};
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto remaining = std::make_shared<size_t>(targets.size());
-  auto finish = std::make_shared<std::function<void(Status)>>(std::move(done));
-  for (NodeId member : targets) {
-    auto send = std::make_shared<std::function<void(uint32_t)>>();
-    // Weak self-reference for the same reason as in ReplaceShardReplica: the RPC
-    // callback / scheduled retry keep the closure alive, not the closure itself.
-    std::weak_ptr<std::function<void(uint32_t)>> weak_send = send;
-    *send = [this, member, body, weak_send, remaining, finish](uint32_t attempt) {
-      auto self = weak_send.lock();
-      if (!self) {
-        return;
-      }
-      endpoint_.Call(member, kSeqUpdateShards, *body,
-                     [this, member, attempt, self, remaining, finish](Status s, Decoder) {
-                       if (!s.ok() && attempt + 1 < 10 && known_dead_.count(member) == 0) {
-                         endpoint_.loop()->Schedule(
-                             2 * kMs, [self, attempt]() { (*self)(attempt + 1); });
-                         return;
-                       }
-                       if (--*remaining == 0 && *finish) {
-                         (*finish)(Status::Ok());
-                       }
-                     },
-                     kStartViewAttemptTimeoutNs);
-    };
-    (*send)(0);
-  }
+void Controller::PublishLogRegistry(std::function<void(Status)> done) {
+  auto encode = [this]() {
+    Encoder enc;
+    SeqUpdateLogsReq{log_epoch_, log_registry_}.Encode(enc);
+    return enc.Take();
+  };
+  // The ZK write re-encodes per attempt: a newer epoch may have superseded this one, and
+  // persisting the latest table is always correct.
+  ZkWriteUntilOk("/logs/config", encode, nullptr);
+  FanOutToSeq(kSeqUpdateLogs, encode(), std::move(done));
 }
 
 // --- shard primary failover ------------------------------------------------------------
@@ -905,7 +732,7 @@ void Controller::SelectAndPromote(std::shared_ptr<PromoState> st) {
       }
     }
     st->new_order = std::move(pruned);
-    SendPromote(st, st->new_primary, 0, [this, st](Status s, LogPos upto) {
+    SendPromote(*st, st->new_primary, [this, st](Status s, LogPos upto) {
       if (!s.ok()) {
         // The candidate died mid-promotion: mark it dead and restart the protocol;
         // the next round seals the remaining survivors under a higher epoch.
@@ -930,7 +757,7 @@ void Controller::SelectAndPromote(std::shared_ptr<PromoState> st) {
   auto remaining = std::make_shared<size_t>(st->new_order.size() - 1);
   for (size_t i = 1; i < st->new_order.size(); ++i) {
     const NodeId peer = st->new_order[i];
-    SendPromote(st, peer, 0, [peer, acked, remaining, after_peers](Status s, LogPos) {
+    SendPromote(*st, peer, [peer, acked, remaining, after_peers](Status s, LogPos) {
       if (s.ok()) {
         acked->insert(peer);
       }
@@ -941,34 +768,27 @@ void Controller::SelectAndPromote(std::shared_ptr<PromoState> st) {
   }
 }
 
-void Controller::SendPromote(std::shared_ptr<PromoState> st, NodeId target, uint32_t attempt,
+void Controller::SendPromote(const PromoState& st, NodeId target,
                              std::function<void(Status, LogPos)> cb) {
   ShardPromoteReq req;
-  req.promo_epoch = st->promo_epoch;
-  for (NodeId n : st->new_order) {
+  req.promo_epoch = st.promo_epoch;
+  for (NodeId n : st.new_order) {
     req.order.push_back(n);
-    auto it = st->reports.find(n);
-    req.peer_applied.push_back(it != st->reports.end() ? it->second.order_applied : 0);
+    auto it = st.reports.find(n);
+    req.peer_applied.push_back(it != st.reports.end() ? it->second.order_applied : 0);
   }
-  Encoder enc;
-  req.Encode(enc);
-  endpoint_.Call(target, kShardPromote, enc.Take(),
-                 [this, st, target, attempt, cb = std::move(cb)](Status s, Decoder d) mutable {
-                   ShardOrderAckResp resp;
-                   if (s.ok() && resp.Decode(d)) {
-                     cb(Status::Ok(), resp.applied_upto);
-                     return;
-                   }
-                   if (attempt + 1 < kPromoRoundLimit) {
-                     endpoint_.loop()->Schedule(
-                         kFenceRetryNs, [this, st, target, attempt, cb = std::move(cb)]() mutable {
-                           SendPromote(st, target, attempt + 1, std::move(cb));
-                         });
-                     return;
-                   }
-                   cb(s.ok() ? Status::Unavailable("bad promote ack") : std::move(s), 0);
-                 },
-                 kFenceAttemptTimeoutNs);
+  CallRetrying(
+      target, kShardPromote, EncodeBody(req),
+      {kFenceAttemptTimeoutNs, kFenceRetryNs, kPromoRoundLimit},
+      [cb](const Status& s, Decoder& d) {
+        ShardOrderAckResp resp;
+        if (!s.ok() || !resp.Decode(d)) {
+          return false;  // an undecodable ack is retried like a lost one
+        }
+        cb(Status::Ok(), resp.applied_upto);
+        return true;
+      },
+      [cb](Status s) { cb(s.ok() ? Status::Unavailable("bad promote ack") : std::move(s), 0); });
 }
 
 void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
@@ -979,8 +799,8 @@ void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
   shards_[st->shard] = st->new_order;
   shard_epoch_++;
   SeqShardFailoverReq req{st->shard, st->old_primary, st->new_primary, st->reset_upto};
-  SeqShardFailoverAll(req, [this, st]() {
-    WriteShardConfig([this, st](Status) {
+  FanOutToSeq(kSeqShardFailover, EncodeBody(req), [this, st](Status) {
+    WriteShardConfig([this, st]() {
       UpdateIndexShards(st->old_primary, st->new_primary, 0);
       promotions_++;
       failover_timing_.opened_at = endpoint_.loop()->Now();
@@ -996,57 +816,11 @@ void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
   });
 }
 
-void Controller::SeqShardFailoverAll(const SeqShardFailoverReq& req,
-                                     std::function<void()> done) {
-  std::vector<NodeId> targets;
-  for (NodeId n : seq_replicas_) {
-    if (known_dead_.count(n) == 0) {
-      targets.push_back(n);
-    }
-  }
-  if (targets.empty()) {
-    done();
-    return;
-  }
-  Encoder enc;
-  req.Encode(enc);
-  auto body = std::make_shared<std::string>(enc.Take());
-  auto remaining = std::make_shared<size_t>(targets.size());
-  auto finish = std::make_shared<std::function<void()>>(std::move(done));
-  for (NodeId member : targets) {
-    auto send = std::make_shared<std::function<void(uint32_t)>>();
-    // Weak self-reference, same idiom as UpdateSeqShards.
-    std::weak_ptr<std::function<void(uint32_t)>> weak_send = send;
-    *send = [this, member, body, weak_send, remaining, finish](uint32_t attempt) {
-      auto self = weak_send.lock();
-      if (!self) {
-        return;
-      }
-      endpoint_.Call(member, kSeqShardFailover, *body,
-                     [this, member, attempt, self, remaining, finish](Status s, Decoder) {
-                       if (!s.ok() && attempt + 1 < 10 && known_dead_.count(member) == 0) {
-                         endpoint_.loop()->Schedule(
-                             2 * kMs, [self, attempt]() { (*self)(attempt + 1); });
-                         return;
-                       }
-                       if (--*remaining == 0) {
-                         (*finish)();
-                       }
-                     },
-                     kStartViewAttemptTimeoutNs);
-    };
-    (*send)(0);
-  }
-}
-
 void Controller::UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t attempt) {
   if (index_nodes_.empty()) {
     return;
   }
-  SeqUpdateShardsReq req{old_node, new_node};
-  Encoder enc;
-  req.Encode(enc);
-  const std::string body = enc.Take();
+  const std::string body = EncodeBody(SeqUpdateShardsReq{old_node, new_node});
   auto rearmed = std::make_shared<bool>(false);
   for (NodeId n : index_nodes_) {
     endpoint_.Call(n, kSeqUpdateShards, body,
@@ -1060,6 +834,96 @@ void Controller::UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t at
                    },
                    kFenceAttemptTimeoutNs);
   }
+}
+
+// --- retry primitive -------------------------------------------------------------------
+//
+// Three retry shapes drive every per-target control-plane exchange: CallRetrying (one
+// target, attempt-limited or unbounded), FanOutToSeq (the sequencing tier, one
+// CallRetrying per live member) and ZkWriteUntilOk (a ZK write that never gives up). The
+// fences that re-derive their target *set* every round (SealAll, FenceShards,
+// PromoSealRound, UpdateIndexShards) stay round-based.
+
+void Controller::CallRetrying(NodeId target, MethodId method, std::string body, RetryPolicy policy,
+                              ReplyHandler on_reply, std::function<void(Status)> on_exhausted,
+                              uint32_t attempt) {
+  endpoint_.Call(
+      target, method, body,
+      [this, target, method, body, policy, on_reply = std::move(on_reply),
+       on_exhausted = std::move(on_exhausted), attempt](Status s, Decoder d) mutable {
+        if (on_reply(s, d)) {
+          return;
+        }
+        if (policy.max_attempts != RetryPolicy::kUnbounded &&
+            attempt + 1 >= policy.max_attempts) {
+          on_exhausted(std::move(s));
+          return;
+        }
+        endpoint_.loop()->Schedule(
+            policy.backoff_ns,
+            [this, target, method, body = std::move(body), policy, on_reply = std::move(on_reply),
+             on_exhausted = std::move(on_exhausted), attempt]() mutable {
+              CallRetrying(target, method, std::move(body), policy, std::move(on_reply),
+                           std::move(on_exhausted), attempt + 1);
+            });
+      },
+      policy.attempt_timeout_ns);
+}
+
+void Controller::FanOutToSeq(MethodId method, std::string body,
+                             std::function<void(Status)> done) {
+  std::vector<NodeId> targets;
+  for (NodeId n : seq_replicas_) {
+    if (known_dead_.count(n) == 0) {
+      targets.push_back(n);
+    }
+  }
+  if (targets.empty()) {
+    if (done) {
+      done(Status::Ok());
+    }
+    return;
+  }
+  auto remaining = std::make_shared<size_t>(targets.size());
+  auto settled = [remaining, done = std::move(done)](Status) {
+    if (--*remaining == 0 && done) {
+      done(Status::Ok());
+    }
+  };
+  for (NodeId member : targets) {
+    CallRetrying(
+        member, method, body, {kStartViewAttemptTimeoutNs, 2 * kMs, 10},
+        [this, member, settled](const Status& s, Decoder&) {
+          if (!s.ok() && known_dead_.count(member) == 0) {
+            return false;
+          }
+          settled(Status::Ok());
+          return true;
+        },
+        settled);
+  }
+}
+
+void Controller::ZkWriteUntilOk(const std::string& path, std::function<std::string()> encode,
+                                std::function<void()> done) {
+  const std::string data = encode();
+  zk_.SetData(
+      path, data, UINT64_MAX,
+      [this, path, encode = std::move(encode), done = std::move(done)](Status s) mutable {
+        if (!s.ok()) {
+          LLOG(kWarn) << "controller: zk write of " << path << " failed (" << s.ToString()
+                      << "); retrying";
+          endpoint_.loop()->Schedule(kZkRetryNs, [this, path, encode = std::move(encode),
+                                                  done = std::move(done)]() mutable {
+            ZkWriteUntilOk(path, std::move(encode), std::move(done));
+          });
+          return;
+        }
+        if (done) {
+          done();
+        }
+      },
+      kZkOpTimeoutNs);
 }
 
 // --- stats -----------------------------------------------------------------------------

@@ -151,13 +151,9 @@ class Controller {
   void SealAll(uint32_t attempt);
   void FenceShards(ViewId fence_view, std::shared_ptr<std::set<NodeId>> pending,
                    std::function<void()> done);
-  void FlushRecovery(std::vector<NodeId> live, NodeId recovery, uint32_t attempt);
+  void FlushRecovery(const std::vector<NodeId>& live, NodeId recovery);
   void FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
-                  std::vector<WireRecordId> flushed_ids, uint32_t attempt);
-  // Per-member StartView with retries; a kWrongView reply means the member already
-  // adopted this (or a later) view and counts as success.
-  void StartViewMember(NodeId member, std::shared_ptr<std::string> body, ViewId new_view,
-                       std::function<void()> acked);
+                  std::vector<WireRecordId> flushed_ids);
   // Background re-seal of old-view members that did not ack the seal in time (e.g. a
   // leader partitioned from the controller but not from clients). Uses the current
   // view so the target's "stale seal" check passes.
@@ -165,13 +161,11 @@ class Controller {
   // ZK watch notifications are droppable; periodically reconcile the ephemeral listing
   // against the current config and synthesize the missed failure events.
   void ReconcilePoll();
-  void WriteShardConfig(std::function<void(Status)> done);
+  void WriteShardConfig(std::function<void()> done);
   std::string EncodeShardConfig() const;
-  // Persists the log registry to "/logs/config" (retrying like WriteShardConfig) and
-  // pushes it to every live sequencing replica via kSeqUpdateLogs.
-  void WriteLogConfig();
-  void PushLogRegistry(std::function<void(Status)> done);
-  void UpdateSeqShards(NodeId old_node, NodeId new_node, std::function<void(Status)> done);
+  // Persists the log registry to "/logs/config" and pushes it to every live sequencing
+  // replica via kSeqUpdateLogs; `done` fires once the push settled.
+  void PublishLogRegistry(std::function<void(Status)> done);
   std::vector<NodeId> AllShardServers() const;
 
   // Per-shard membership-op serialization: a promotion racing an in-flight backup
@@ -185,13 +179,37 @@ class Controller {
   void DoPromoteShardPrimary(uint32_t shard, std::function<void(Status)> done);
   void PromoSealRound(std::shared_ptr<PromoState> st, uint32_t attempt);
   void SelectAndPromote(std::shared_ptr<PromoState> st);
-  void SendPromote(std::shared_ptr<PromoState> st, NodeId target, uint32_t attempt,
-                   std::function<void(Status, LogPos)> cb);
+  void SendPromote(const PromoState& st, NodeId target, std::function<void(Status, LogPos)> cb);
   void FinishPromotion(std::shared_ptr<PromoState> st);
-  void SeqShardFailoverAll(const SeqShardFailoverReq& req, std::function<void()> done);
   // Re-points the index tier's delta feeds at the promoted primary; fire-and-forget
   // with bounded retries (the index is an access path, never an ack dependency).
   void UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t attempt);
+
+  // --- the control plane's one retry primitive -----------------------------------------
+  // Per-attempt timeout, backoff before each resend, and attempt limit.
+  struct RetryPolicy {
+    static constexpr uint32_t kUnbounded = 0;
+    uint64_t attempt_timeout_ns;
+    uint64_t backoff_ns;
+    uint32_t max_attempts;
+  };
+  // Judges one reply at reply time: true settles the call, false asks for a resend.
+  using ReplyHandler = std::function<bool(const Status&, Decoder&)>;
+  // Calls `method` on `target` until `on_reply` settles it, resending the same body
+  // `backoff_ns` after each unsettled reply. Once `max_attempts` replies went unsettled,
+  // `on_exhausted` gets the last status instead. Each resend re-enters this member
+  // function, so no closure ever holds a reference to itself.
+  void CallRetrying(NodeId target, MethodId method, std::string body, RetryPolicy policy,
+                    ReplyHandler on_reply, std::function<void(Status)> on_exhausted,
+                    uint32_t attempt = 0);
+  // Sends `body` to every sequencing replica not known dead, each with up to 10 attempts
+  // 2 ms apart; a member stops being retried once it is known dead. `done` fires once
+  // every member settled.
+  void FanOutToSeq(MethodId method, std::string body, std::function<void(Status)> done);
+  // Unconditional ZK write of `path`, retried every kZkRetryNs until ZK acks it. `encode`
+  // runs again on every attempt, so a retry persists the state current at that time.
+  void ZkWriteUntilOk(const std::string& path, std::function<std::string()> encode,
+                      std::function<void()> done);
 
   RpcEndpoint endpoint_;
   SimParams params_;

@@ -204,7 +204,7 @@ bool SequencingReplica::AdmitQuota(const SeqAppendReq& req) {
 }
 
 void SequencingReplica::ReplenishDeficits() {
-  if (!params_.seq.tenant_fairness || !is_leader()) {
+  if (!is_leader()) {
     return;
   }
   uint64_t active = 0;
@@ -263,8 +263,7 @@ bool SequencingReplica::AdmitAppend(const RecordId& id, LogId log) {
   // the low watermark admission is uncontended and stays log-blind, and a log that owns
   // the whole ring (unordered == occupancy) has no one to be fair to, so a lone tenant
   // is never throttled by fairness — it gets the full hysteresis band, like pre-phylog.
-  if (params_.seq.tenant_fairness && is_leader() &&
-      occupancy >= params_.seq.ring_low_watermark) {
+  if (is_leader() && occupancy >= params_.seq.ring_low_watermark) {
     LogCursor& lc = Cursor(log);
     // unordered counts ring entries, pending_cpu the admitted appends still queued for
     // the CPU charge — together, this log's share of ring_occupancy().

@@ -4,6 +4,8 @@
 // appends, and client retry across views.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/lazylog/erwin_cluster.h"
 #include "tests/test_util.h"
 
@@ -204,6 +206,87 @@ TEST(Recovery, SecondFailureTriggersSecondView) {
   EXPECT_EQ((*records)[0].record.payload, "v0");
   EXPECT_EQ((*records)[1].record.payload, "v1");
   EXPECT_EQ((*records)[2].record.payload, "v2");
+}
+
+// --- control-plane retry budgets -------------------------------------------------------
+// The controller pushes the log registry to each sequencing replica with up to 10
+// attempts (5 ms attempt timeout, 2 ms backoff, so roughly 70 ms of reachability
+// budget), and retries a new view's StartView per member until it lands.
+
+// Cuts (or heals) the link between the controller and sequencing replica `index`.
+void PartitionFromController(ErwinCluster& cluster, uint32_t index, bool cut) {
+  cluster.network().SetPartitioned(cluster.controller()->node_id(),
+                                   cluster.seq_replica(index).node_id(), cut);
+}
+
+TEST(Recovery, RegistryPushRetriesAcrossTransientPartition) {
+  ErwinCluster cluster(Options());
+  Controller* ctrl = cluster.controller();
+  const uint64_t old_epoch = cluster.seq_replica(2).log_epoch();
+  PartitionFromController(cluster, 2, true);
+  bool done = false;
+  ctrl->CreateLog("tenant", 0, [&](Status s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    done = true;
+  });
+  cluster.RunFor(20 * kMs);
+  EXPECT_FALSE(done);  // the cut-off replica has not adopted the table yet
+  EXPECT_EQ(cluster.seq_replica(2).log_epoch(), old_epoch);
+  PartitionFromController(cluster, 2, false);
+  cluster.RunFor(50 * kMs);
+  EXPECT_TRUE(done);
+  for (uint32_t i = 0; i < cluster.num_seq_replicas(); ++i) {
+    EXPECT_EQ(cluster.seq_replica(i).log_epoch(), ctrl->log_epoch()) << "replica " << i;
+  }
+}
+
+TEST(Recovery, RegistryPushGivesUpAfterAttemptBudget) {
+  ErwinCluster cluster(Options());
+  Controller* ctrl = cluster.controller();
+  const uint64_t old_epoch = cluster.seq_replica(2).log_epoch();
+  PartitionFromController(cluster, 2, true);
+  bool done = false;
+  ctrl->CreateLog("tenant", 0, [&](Status) { done = true; });
+  cluster.RunFor(150 * kMs);  // well past the 10-attempt budget
+  EXPECT_TRUE(done);          // the push settles instead of hanging on the cut replica
+  PartitionFromController(cluster, 2, false);
+  cluster.RunFor(50 * kMs);
+  EXPECT_EQ(cluster.seq_replica(0).log_epoch(), ctrl->log_epoch());
+  EXPECT_EQ(cluster.seq_replica(1).log_epoch(), ctrl->log_epoch());
+  // Nothing re-pushes after the budget ran out: the cut-off replica keeps the old table.
+  EXPECT_EQ(cluster.seq_replica(2).log_epoch(), old_epoch);
+  EXPECT_LT(old_epoch, ctrl->log_epoch());
+}
+
+TEST(Recovery, LostStartViewIsRetriedUntilAdopted) {
+  ErwinCluster cluster(Options());
+  Controller* ctrl = cluster.controller();
+  auto client = cluster.MakeMClient();
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "before"));
+  cluster.CrashSeqReplica(2);
+  // Cut replica 1 off from the controller once the flush is done (so it is sealed and
+  // part of the new config) but before the new view is persisted, so its StartView
+  // attempts time out until the link heals.
+  const SimTime deadline = cluster.loop().Now() + 2 * kSec;
+  while (ctrl->last_timing().flushed_at == 0 && cluster.loop().Now() < deadline) {
+    cluster.RunFor(100 * kUs);
+  }
+  ASSERT_NE(ctrl->last_timing().flushed_at, 0u);
+  ASSERT_EQ(ctrl->last_timing().view_written_at, 0u);
+  PartitionFromController(cluster, 1, true);
+  cluster.RunFor(15 * kMs);
+  EXPECT_NE(ctrl->last_timing().view_written_at, 0u);
+  EXPECT_FALSE(ctrl->last_timing().complete);
+  EXPECT_EQ(cluster.seq_replica(1).view(), 0u);
+  PartitionFromController(cluster, 1, false);
+  ASSERT_TRUE(AwaitReconfig(cluster));
+  EXPECT_EQ(ctrl->view(), 1u);
+  EXPECT_EQ(cluster.seq_replica(1).view(), 1u);
+  EXPECT_EQ(cluster.seq_replica(0).view(), 1u);
+  const auto& config = ctrl->current_config();
+  EXPECT_NE(std::find(config.begin(), config.end(), cluster.seq_replica(1).node_id()),
+            config.end());
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "after"));
 }
 
 }  // namespace
