@@ -495,18 +495,55 @@ void SequencingReplica::AssignPositions() {
     return;
   }
   const uint64_t k = std::min<uint64_t>(unassigned, eff_batch_);
-  if (mode_ == ErwinMode::kM) {
-    // Corfu-style placement: position p lives on shard p mod n (§4.3). Freeze the
-    // placement at assignment time so retried windows land on the same shard even if
-    // the shard count changes later.
-    const size_t n_shards = shard_primaries_.size();
-    LL_CHECK(n_shards > 0, "ordering without shards");
-    for (uint64_t i = 0; i < k; ++i) {
-      const LogPos pos = assigned_gp_ + i;
-      log_[pos - ordered_gp_].shard = static_cast<ShardId>(pos % n_shards);
-    }
-  }
+  // Freeze the placement at assignment time so retried windows land on the same shard
+  // even if the shard count changes later.
+  PlaceEntries(assigned_gp_, assigned_gp_ + k);
   assigned_gp_ += k;
+}
+
+void SequencingReplica::PlaceEntries(LogPos lo, LogPos hi) {
+  if (mode_ != ErwinMode::kM) {
+    return;  // Erwin-st entries already name the shard their data was written to
+  }
+  // Corfu-style placement: position p lives on shard p mod n (§4.3).
+  const size_t n_shards = shard_primaries_.size();
+  LL_CHECK(n_shards > 0, "ordering without shards");
+  for (LogPos pos = lo; pos < hi; ++pos) {
+    log_[pos - ordered_gp_].shard = static_cast<ShardId>(pos % n_shards);
+  }
+}
+
+SequencingReplica::EncodedWindow SequencingReplica::EncodeWindow(
+    ShardId shard, const OrderWindow& header) const {
+  Encoder enc;
+  MethodId method;
+  if (mode_ == ErwinMode::kM) {
+    ShardAppendBatchReq req;
+    static_cast<OrderWindow&>(req) = header;
+    for (LogPos p = header.range_lo; p < header.range_hi; ++p) {
+      const Entry& e = log_[p - ordered_gp_];
+      if (e.shard == shard) {
+        req.records.push_back(PositionedRecord{p, Record{e.id, e.payload, false, e.tag, e.log}});
+      }
+    }
+    req.Encode(enc);
+    method = kShardAppendBatch;
+  } else {
+    // Erwin-st: every shard primary stores the full metadata window (§5.2).
+    ShardOrderMetaReq req;
+    static_cast<OrderWindow&>(req) = header;
+    req.entries.reserve(header.range_hi - header.range_lo);
+    for (LogPos p = header.range_lo; p < header.range_hi; ++p) {
+      const Entry& e = log_[p - ordered_gp_];
+      req.entries.push_back(MetaEntry{p, e.id, e.shard});
+    }
+    req.Encode(enc);
+    method = kShardOrderMeta;
+  }
+  // m-mode windows carry the record payloads as attachments: the push shares the ring
+  // buffer's backing, it does not re-copy record bytes.
+  std::vector<Buf> atts = enc.TakeAtts();
+  return EncodedWindow{method, enc.TakeBuf(), std::move(atts)};
 }
 
 void SequencingReplica::ResetCursors(LogPos start) {
@@ -528,52 +565,22 @@ void SequencingReplica::PumpCursor(size_t s) {
     return;  // backing off after a failed window; the retry re-pumps
   }
   while (c.in_flight < eff_depth_ && c.next_pos < assigned_gp_) {
-    const LogPos lo = c.next_pos;
-    const LogPos hi = std::min<LogPos>(assigned_gp_, lo + eff_batch_);
-    Encoder enc;
-    MethodId method;
-    if (mode_ == ErwinMode::kM) {
-      ShardAppendBatchReq req;
-      req.view = view_;
-      req.range_lo = lo;
-      req.range_hi = hi;
-      for (LogPos p = lo; p < hi; ++p) {
-        const Entry& e = log_[p - ordered_gp_];
-        if (e.shard == c.shard) {
-          req.records.push_back(
-              PositionedRecord{p, Record{e.id, e.payload, false, e.tag, e.log}});
-        }
-      }
-      req.Encode(enc);
-      method = kShardAppendBatch;
-    } else {
-      // Erwin-st: every shard primary stores the full metadata window (§5.2).
-      ShardOrderMetaReq req;
-      req.view = view_;
-      req.range_lo = lo;
-      req.range_hi = hi;
-      req.entries.reserve(hi - lo);
-      for (LogPos p = lo; p < hi; ++p) {
-        const Entry& e = log_[p - ordered_gp_];
-        req.entries.push_back(MetaEntry{p, e.id, e.shard});
-      }
-      req.Encode(enc);
-      method = kShardOrderMeta;
-    }
-    c.next_pos = hi;
+    OrderWindow header;
+    header.view = view_;
+    header.range_lo = c.next_pos;
+    header.range_hi = std::min<LogPos>(assigned_gp_, c.next_pos + eff_batch_);
+    EncodedWindow w = EncodeWindow(c.shard, header);
+    c.next_pos = header.range_hi;
     c.in_flight++;
     c.pushes++;
     const uint64_t epoch = c.window_epoch;
     const ViewId window_view = view_;
     const SimTime sent_at = endpoint_.loop()->Now();
-    // m-mode windows carry the record payloads as attachments: the push shares the
-    // ring buffer's backing, it does not re-copy record bytes.
-    std::vector<Buf> atts = enc.TakeAtts();
-    endpoint_.Call(shard_primaries_[s], method, enc.TakeBuf(),
+    endpoint_.Call(shard_primaries_[s], w.method, std::move(w.body),
                    [this, s, epoch, window_view, sent_at](Status st, Decoder body) {
                      OnWindowAck(s, epoch, window_view, sent_at, st, std::move(body));
                    },
-                   params_.seq.order_push_timeout_ns, std::move(atts));
+                   params_.seq.order_push_timeout_ns, std::move(w.atts));
   }
 }
 
@@ -701,73 +708,13 @@ void SequencingReplica::AdvanceOrderedFromCursors() {
   for (size_t i = 1; i < config_.size(); ++i) {
     FollowerGc& f = follower_gc_[config_[i]];
     f.pending.insert(f.pending.end(), ids.begin(), ids.end());
-    SendFollowerGc(config_[i], nullptr);
+    SendFollowerGc(config_[i]);
   }
 }
 
-void SequencingReplica::PushBatchToShards(std::vector<Entry> batch, LogPos base_pos,
-                                          ViewId view, uint64_t timeout_ns,
-                                          std::function<void(bool ok, bool fenced)> done) {
-  // Recovery-flush barrier: unlike the steady-state cursor pipeline this rewrites the
-  // unstable tail on *every* shard and must succeed everywhere before the new view
-  // starts, so a Gather barrier is the semantics we want here.
-  const size_t n_shards = shard_primaries_.size();
-  LL_CHECK(n_shards > 0, "ordering without shards");
-  auto gather = Gather::Create(n_shards, [done = std::move(done)](const std::vector<Status>& ss) {
-    const bool ok = std::all_of(ss.begin(), ss.end(), [](const Status& s) { return s.ok(); });
-    const bool fenced = std::any_of(ss.begin(), ss.end(), [](const Status& s) {
-      return s.code() == StatusCode::kStaleView;
-    });
-    done(ok, fenced);
-  });
-  if (mode_ == ErwinMode::kM) {
-    std::vector<ShardAppendBatchReq> reqs(n_shards);
-    for (size_t s = 0; s < n_shards; ++s) {
-      reqs[s].view = view;
-      reqs[s].overwrite = true;
-      reqs[s].truncate_from = base_pos;
-      reqs[s].range_lo = base_pos;
-      reqs[s].range_hi = base_pos + batch.size();
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const LogPos pos = base_pos + i;
-      auto& req = reqs[pos % n_shards];
-      req.records.push_back(PositionedRecord{
-          pos,
-          Record{batch[i].id, std::move(batch[i].payload), false, batch[i].tag, batch[i].log}});
-    }
-    for (size_t s = 0; s < n_shards; ++s) {
-      endpoint_.CallMsg(shard_primaries_[s], kShardAppendBatch, reqs[s], gather->Slot(s),
-                        timeout_ns);
-    }
-    return;
-  }
-  // Erwin-st: push the full ordered metadata segment to every shard primary (§5.2).
-  ShardOrderMetaReq req;
-  req.view = view;
-  req.overwrite = true;
-  req.truncate_from = base_pos;
-  req.range_lo = base_pos;
-  req.range_hi = base_pos + batch.size();
-  req.entries.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    req.entries.push_back(MetaEntry{base_pos + i, batch[i].id, batch[i].shard});
-  }
-  Encoder enc;
-  req.Encode(enc);
-  const Buf body = enc.TakeBuf();
-  for (size_t s = 0; s < n_shards; ++s) {
-    endpoint_.Call(shard_primaries_[s], kShardOrderMeta, body, gather->Slot(s),
-                   timeout_ns);
-  }
-}
-
-void SequencingReplica::SendFollowerGc(NodeId follower, std::function<void()> done) {
+void SequencingReplica::SendFollowerGc(NodeId follower) {
   FollowerGc& f = follower_gc_[follower];
   if (f.inflight || (f.pending.empty() && f.acked_gp >= ordered_gp_)) {
-    if (done) {
-      done();
-    }
     return;
   }
   f.inflight = true;
@@ -781,12 +728,8 @@ void SequencingReplica::SendFollowerGc(NodeId follower, std::function<void()> do
   Encoder enc;
   gc.Encode(enc);
   endpoint_.Call(follower, kSeqGc, enc.Take(),
-                 [this, follower, gc_view, sent_gp, sent, done = std::move(done)](
-                     Status s, Decoder) {
+                 [this, follower, gc_view, sent_gp, sent](Status s, Decoder) {
                    OnFollowerGcDone(follower, gc_view, sent_gp, sent, s);
-                   if (done) {
-                     done();
-                   }
                  },
                  params_.seq.order_push_timeout_ns);
 }
@@ -818,7 +761,7 @@ void SequencingReplica::OnFollowerGcDone(NodeId follower, ViewId gc_view, LogPos
     // More ids were ordered while this send was in flight; drain immediately — the
     // cursor pipeline keeps ordering continuously, so a delayed GC round would become
     // the stable-gp bottleneck.
-    SendFollowerGc(follower, nullptr);
+    SendFollowerGc(follower);
   }
 }
 
@@ -858,7 +801,7 @@ void SequencingReplica::ArmGcRetry() {
       return;
     }
     for (size_t i = 1; i < config_.size(); ++i) {
-      SendFollowerGc(config_[i], nullptr);
+      SendFollowerGc(config_[i]);
     }
   });
 }
@@ -959,42 +902,61 @@ void SequencingReplica::HandleFlush(Decoder d, Responder r) {
   }
   LL_CHECK(sealed_, "flush on unsealed replica");
   // Flush this replica's unordered log to the shards, assigning positions from our
-  // last-ordered-gp (§4.5). The push overwrites any unstable tail the dead leader wrote.
-  std::vector<Entry> batch(log_.begin(), log_.end());
+  // last-ordered-gp (§4.5): one overwrite window over the whole log, which rewrites any
+  // unstable tail the dead leader wrote. Unlike the steady-state cursor pipeline it
+  // must land on *every* shard before the new view starts, so it is a Gather barrier
+  // whose retries belong to the controller.
   std::vector<WireRecordId> ids;
-  ids.reserve(batch.size());
-  for (const Entry& e : batch) {
+  ids.reserve(log_.size());
+  for (const Entry& e : log_) {
     ids.push_back(WireRecordId{e.id});
   }
-  const uint64_t k = batch.size();
-  PushBatchToShards(std::move(batch), ordered_gp_, req.new_view, params_.rpc_timeout_ns,
-                    [this, k, ids = std::move(ids), new_view = req.new_view, r](
-                        bool ok, bool /*fenced*/) mutable {
-                      if (!ok) {
-                        r.Send(Status::Unavailable("flush push failed"));
-                        return;
-                      }
-                      ordered_gp_ += k;
-                      assigned_gp_ = std::max(assigned_gp_, ordered_gp_);
-                      RememberOrdered(ids);
-                      for (const Entry& e : log_) {
-                        in_log_.erase(e.id);
-                        Cursor(e.log).ordered++;
-                      }
-                      for (auto& [log, lc] : log_cursors_) {
-                        lc.unordered = 0;
-                      }
-                      log_.clear();
-                      NotifyGpObserver();
-                      SeqFlushResp resp;
-                      resp.new_ordered_gp = ordered_gp_;
-                      resp.flushed_ids = std::move(ids);
-                      Encoder enc;
-                      resp.Encode(enc);
-                      last_flush_view_ = new_view;
-                      last_flush_resp_ = enc.data();
-                      r.Ok(enc);
-                    });
+  const uint64_t k = log_.size();
+  OrderWindow header;
+  header.view = req.new_view;
+  header.overwrite = true;
+  header.truncate_from = ordered_gp_;
+  header.range_lo = ordered_gp_;
+  header.range_hi = ordered_gp_ + k;
+  PlaceEntries(header.range_lo, header.range_hi);
+  const size_t n_shards = shard_primaries_.size();
+  auto gather = Gather::Create(
+      n_shards, [this, k, ids = std::move(ids), new_view = req.new_view, r](
+                    const std::vector<Status>& ss) mutable {
+        if (!std::all_of(ss.begin(), ss.end(), [](const Status& s) { return s.ok(); })) {
+          r.Send(Status::Unavailable("flush push failed"));
+          return;
+        }
+        ordered_gp_ += k;
+        assigned_gp_ = std::max(assigned_gp_, ordered_gp_);
+        RememberOrdered(ids);
+        for (const Entry& e : log_) {
+          in_log_.erase(e.id);
+          Cursor(e.log).ordered++;
+        }
+        for (auto& [log, lc] : log_cursors_) {
+          lc.unordered = 0;
+        }
+        log_.clear();
+        NotifyGpObserver();
+        SeqFlushResp resp;
+        resp.new_ordered_gp = ordered_gp_;
+        resp.flushed_ids = std::move(ids);
+        Encoder enc;
+        resp.Encode(enc);
+        last_flush_view_ = new_view;
+        last_flush_resp_ = enc.data();
+        r.Ok(enc);
+      });
+  EncodedWindow w;
+  for (size_t s = 0; s < n_shards; ++s) {
+    // An Erwin-st window is the same metadata for every shard: one body serves all.
+    if (s == 0 || mode_ == ErwinMode::kM) {
+      w = EncodeWindow(static_cast<ShardId>(s), header);
+    }
+    endpoint_.Call(shard_primaries_[s], w.method, w.body, gather->Slot(s),
+                   params_.rpc_timeout_ns, w.atts);
+  }
 }
 
 void SequencingReplica::HandleStartView(Decoder d, Responder r) {

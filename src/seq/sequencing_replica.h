@@ -275,12 +275,21 @@ class SequencingReplica {
   // entries locally, and queues follower GC.
   void AdvanceOrderedFromCursors();
   void ResetCursors(LogPos start);
-  // Recovery flush only: barrier-push `batch` (overwriting the unstable tail) to every
-  // shard primary. `done(ok, fenced)`: `fenced` is set when a shard rejected the push
-  // with STALE_VIEW — this replica has been sealed out of the current epoch.
-  void PushBatchToShards(std::vector<Entry> batch, LogPos base_pos, ViewId view,
-                         uint64_t timeout_ns, std::function<void(bool ok, bool fenced)> done);
-  void SendFollowerGc(NodeId follower, std::function<void()> done);
+  // Stamps shard placement on log entries at positions [lo, hi): Erwin-m places
+  // position p on shard p mod n (§4.3); Erwin-st entries keep their data shard.
+  void PlaceEntries(LogPos lo, LogPos hi);
+  // One encoded ordering window: the request body, its payload attachments, and the
+  // method it goes out on.
+  struct EncodedWindow {
+    MethodId method = 0;
+    Buf body;
+    std::vector<Buf> atts;
+  };
+  // Encodes the window `header` covers, read from log_, for `shard`: the shard's placed
+  // records (Erwin-m) or the full metadata window (Erwin-st, the same for every shard).
+  // The cursor pipeline and the recovery flush build their requests here.
+  EncodedWindow EncodeWindow(ShardId shard, const OrderWindow& header) const;
+  void SendFollowerGc(NodeId follower);
   void OnFollowerGcDone(NodeId follower, ViewId gc_view, LogPos sent_gp, size_t sent,
                         const Status& s);
   void AdvanceStableFromGc();

@@ -25,20 +25,19 @@ struct PositionedRecord {
   bool Decode(Decoder& d) { return d.GetU64(&pos) && DecodeRecord(d, &record); }
 };
 
-// Orderer -> shard primary: one ordering window of ordered records (Erwin-m).
-// `range_lo`/`range_hi` delimit the contiguous global-position span this window covers
-// (the shard stores only its owned subset but advances its applied watermark over the
+// Header shared by both ordering-window kinds (ShardAppendBatchReq, ShardOrderMetaReq).
+// `range_lo`/`range_hi` delimit the contiguous global-position span the window covers
+// (a shard stores only its owned subset but advances its applied watermark over the
 // whole span). Windows from one orderer cursor cover adjacent, non-overlapping spans;
 // the shard applies them in span order, parking any window that arrives ahead of a gap.
 // `overwrite` is set on the recovery flush, where previously pushed (but unstable) tail
 // entries may be logically rewritten (§4.5).
-struct ShardAppendBatchReq {
+struct OrderWindow {
   ViewId view = 0;
   bool overwrite = false;
   LogPos truncate_from = 0;  // valid when overwrite: drop local entries with pos >= this
   LogPos range_lo = 0;       // first global position covered by this window
   LogPos range_hi = 0;       // one past the last global position covered
-  std::vector<PositionedRecord> records;
 
   void Encode(Encoder& e) const {
     e.PutU64(view);
@@ -46,12 +45,23 @@ struct ShardAppendBatchReq {
     e.PutU64(truncate_from);
     e.PutU64(range_lo);
     e.PutU64(range_hi);
-    e.PutVector(records);
   }
   bool Decode(Decoder& d) {
     return d.GetU64(&view) && d.GetBool(&overwrite) && d.GetU64(&truncate_from) &&
-           d.GetU64(&range_lo) && d.GetU64(&range_hi) && d.GetVector(&records);
+           d.GetU64(&range_lo) && d.GetU64(&range_hi);
   }
+};
+
+// Orderer -> shard primary, and primary -> backup: one ordering window of ordered
+// records (Erwin-m).
+struct ShardAppendBatchReq : OrderWindow {
+  std::vector<PositionedRecord> records;
+
+  void Encode(Encoder& e) const {
+    OrderWindow::Encode(e);
+    e.PutVector(records);
+  }
+  bool Decode(Decoder& d) { return OrderWindow::Decode(d) && d.GetVector(&records); }
 };
 
 // Shard -> orderer: ack body for an ordering window (append batch or order meta).
@@ -225,30 +235,17 @@ struct MetaEntry {
   }
 };
 
-// Orderer -> every shard primary (Erwin-st): one ordering window of the metadata log.
-// Each primary stores the full position->shard map and binds the positions it owns.
-// Range semantics match ShardAppendBatchReq: windows cover adjacent spans and are
-// applied in span order (out-of-order arrivals park until the gap fills).
-struct ShardOrderMetaReq {
-  ViewId view = 0;
-  bool overwrite = false;
-  LogPos truncate_from = 0;  // valid when overwrite
-  LogPos range_lo = 0;       // first global position covered by this window
-  LogPos range_hi = 0;       // one past the last global position covered
+// Orderer -> every shard primary, and primary -> backup (Erwin-st): one ordering
+// window of the metadata log. Each primary stores the full position->shard map and
+// binds the positions it owns.
+struct ShardOrderMetaReq : OrderWindow {
   std::vector<MetaEntry> entries;
 
   void Encode(Encoder& e) const {
-    e.PutU64(view);
-    e.PutBool(overwrite);
-    e.PutU64(truncate_from);
-    e.PutU64(range_lo);
-    e.PutU64(range_hi);
+    OrderWindow::Encode(e);
     e.PutVector(entries);
   }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&view) && d.GetBool(&overwrite) && d.GetU64(&truncate_from) &&
-           d.GetU64(&range_lo) && d.GetU64(&range_hi) && d.GetVector(&entries);
-  }
+  bool Decode(Decoder& d) { return OrderWindow::Decode(d) && d.GetVector(&entries); }
 };
 
 // Client -> any shard server (Erwin-st): fetch position->shard mappings for caching.

@@ -26,16 +26,12 @@ void ShardServer::BatchAck::Complete(const Status& s) {
   if (--waits != 0) {
     return;
   }
-  if (!failed && track_span && server != nullptr) {
+  if (!failed && track_span) {
     server->OnWindowDurable(span_lo, span_hi);
   }
   if (responder.valid()) {
-    if (server != nullptr) {
-      server->SendWatermarkAck(std::move(responder),
-                               failed ? Status::Internal("shard batch failed") : Status::Ok());
-    } else {
-      responder.Send(failed ? Status::Internal("shard batch failed") : Status::Ok());
-    }
+    server->SendWatermarkAck(std::move(responder),
+                             failed ? Status::Internal("shard batch failed") : Status::Ok());
   }
 }
 
@@ -59,22 +55,6 @@ void ShardServer::OnWindowDurable(LogPos lo, LogPos hi) {
   }
 }
 
-ShardServer::Admit ShardServer::DecideAdmit(LogPos lo, LogPos hi, bool overwrite) const {
-  if (overwrite) {
-    return Admit::kApply;  // recovery flush rewrites the tail and resets the frontiers
-  }
-  if (hi == 0) {
-    return Admit::kApply;  // legacy window without range info: apply, no span tracking
-  }
-  if (hi <= order_durable_) {
-    return Admit::kAckDurable;  // fully durable retransmit: re-ack, do not re-apply
-  }
-  if (lo > order_applied_) {
-    return parked_.size() >= kMaxParkedWindows ? Admit::kOverflow : Admit::kPark;
-  }
-  return Admit::kApply;
-}
-
 void ShardServer::ResetOrderFrontiersForOverwrite(LogPos truncate_from, LogPos range_hi) {
   completed_spans_.clear();
   for (auto& [lo, w] : parked_) {
@@ -87,18 +67,6 @@ void ShardServer::ResetOrderFrontiersForOverwrite(LogPos truncate_from, LogPos r
   order_durable_ = std::min(order_durable_, truncate_from);
 }
 
-void ShardServer::DrainParkedWindows() {
-  while (!parked_.empty() && parked_.begin()->first <= order_applied_) {
-    OrderedWindow w = std::move(parked_.begin()->second);
-    parked_.erase(parked_.begin());
-    if (w.batch) {
-      ApplyAppendWindow(std::move(w.batch), std::move(w.responder));
-    } else {
-      ApplyMetaWindow(std::move(w.meta), std::move(w.responder), w.primary_path);
-    }
-  }
-}
-
 ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
                          ShardId shard_id, uint32_t num_shards)
     : endpoint_(net),
@@ -108,12 +76,11 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
       mode_(mode),
       shard_id_(shard_id),
       num_shards_(num_shards) {
-  endpoint_.Register(kShardAppendBatch, [this](NodeId, Decoder d, Responder r) {
-    HandleAppendBatch(d, std::move(r));
-  });
-  endpoint_.Register(kShardReplicate, [this](NodeId from, Decoder d, Responder r) {
-    HandleReplicate(from, d, std::move(r));
-  });
+  if (mode_ == ShardMode::kStModified) {
+    RegisterWindowMethods<ShardOrderMetaReq>(kShardOrderMeta);
+  } else {
+    RegisterWindowMethods<ShardAppendBatchReq>(kShardAppendBatch);
+  }
   endpoint_.Register(kShardRead, [this](NodeId, Decoder d, Responder r) {
     HandleRead(d, std::move(r));
   });
@@ -122,12 +89,6 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
   });
   endpoint_.Register(kShardPutData, [this](NodeId, Decoder d, Responder r) {
     HandlePutData(d, std::move(r));
-  });
-  endpoint_.Register(kShardOrderMeta, [this](NodeId, Decoder d, Responder r) {
-    HandleOrderMeta(d, std::move(r));
-  });
-  endpoint_.Register(kShardReplicateMeta, [this](NodeId from, Decoder d, Responder r) {
-    HandleReplicateMeta(from, d, std::move(r));
   });
   endpoint_.Register(kShardReplicateNoOp, [this](NodeId from, Decoder d, Responder r) {
     HandleReplicateNoOp(from, d, std::move(r));
@@ -298,55 +259,90 @@ void ShardServer::TruncateOrderedFrom(LogPos pos) {
   }
 }
 
-// --- Erwin-m: ordered batches from the background orderer ----------------------------
+// --- the ordering-window pipeline (both modes) ---------------------------------------
 
-void ShardServer::HandleAppendBatch(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardAppendBatchReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad append batch"));
-    return;
-  }
-  if (FencedOff(req->view)) {
-    r.Send(Status::StaleView("fenced: stale orderer view"));
-    return;
-  }
-  view_ = std::max(view_, req->view);
-  uint64_t bytes = 0;
-  for (const auto& pr : req->records) {
-    bytes += pr.record.payload.size();
-  }
-  cpu_.ExecuteFor(bytes, [this, req, r]() mutable {
-    AdmitAppendWindow(std::move(req), std::move(r));
+template <typename Req>
+void ShardServer::RegisterWindowMethods(MethodId from_orderer) {
+  endpoint_.Register(from_orderer, [this](NodeId from, Decoder d, Responder r) {
+    HandleWindow<Req>(from, /*from_orderer=*/true, d, std::move(r));
+  });
+  endpoint_.Register(ReplicateMethod(), [this](NodeId from, Decoder d, Responder r) {
+    HandleWindow<Req>(from, /*from_orderer=*/false, d, std::move(r));
   });
 }
 
-void ShardServer::AdmitAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r) {
-  switch (DecideAdmit(req->range_lo, req->range_hi, req->overwrite)) {
-    case Admit::kAckDurable:
-      stats_.windows_retransmitted++;
-      SendWatermarkAck(std::move(r), Status::Ok());
-      return;
-    case Admit::kPark: {
-      stats_.windows_parked++;
-      auto [it, inserted] = parked_.try_emplace(req->range_lo);
-      if (!inserted) {
-        SendWatermarkAck(std::move(it->second.responder),
-                         Status::Unavailable("superseded by a newer retry"));
-      }
-      it->second = OrderedWindow{std::move(req), nullptr, true, std::move(r)};
-      return;
-    }
-    case Admit::kOverflow:
-      SendWatermarkAck(std::move(r), Status::Unavailable("parked window overflow"));
-      return;
-    case Admit::kApply:
-      break;
-  }
-  ApplyAppendWindow(std::move(req), std::move(r));
-  DrainParkedWindows();
+MethodId ShardServer::ReplicateMethod() const {
+  return mode_ == ShardMode::kStModified ? kShardReplicateMeta : kShardReplicate;
 }
 
-void ShardServer::ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r) {
+template <typename Req>
+void ShardServer::HandleWindow(NodeId from, bool from_orderer, Decoder d, Responder r) {
+  if (!from_orderer) {
+    if (loading_) {
+      r.Send(Status::Unavailable("state copy in progress"));
+      return;
+    }
+    if (RejectPrimaryTraffic(from)) {
+      r.Send(Status::StaleView("fenced: not my primary"));
+      return;
+    }
+  }
+  auto req = std::make_shared<Req>();
+  if (!req->Decode(d)) {
+    r.Send(Status::InvalidArgument("bad ordering window"));
+    return;
+  }
+  if (FencedOff(req->view)) {
+    r.Send(Status::StaleView(from_orderer ? "fenced: stale orderer view" : "fenced: stale view"));
+    return;
+  }
+  view_ = std::max(view_, req->view);
+  cpu_.ExecuteFor(WindowCpuBytes(*req), [this, req, r]() mutable {
+    AdmitWindow(std::move(req), std::move(r));
+  });
+}
+
+template <typename Req>
+void ShardServer::AdmitWindow(std::shared_ptr<Req> req, Responder r) {
+  // A recovery flush always applies (it rewrites the tail and resets the frontiers), as
+  // does a legacy window without range info (no span tracking).
+  const bool ranged = !req->overwrite && req->range_hi != 0;
+  if (ranged && req->range_hi <= order_durable_) {
+    stats_.windows_retransmitted++;  // fully durable retransmit: re-ack, do not re-apply
+    SendWatermarkAck(std::move(r), Status::Ok());
+    return;
+  }
+  if (ranged && req->range_lo > order_applied_) {
+    if (parked_.size() >= kMaxParkedWindows) {
+      SendWatermarkAck(std::move(r), Status::Unavailable("parked window overflow"));
+      return;
+    }
+    stats_.windows_parked++;
+    auto [it, inserted] = parked_.try_emplace(req->range_lo);
+    if (!inserted) {
+      SendWatermarkAck(std::move(it->second.responder),
+                       Status::Unavailable("superseded by a newer retry"));
+    }
+    it->second = OrderedWindow{std::move(req), std::move(r)};
+    return;
+  }
+  // Also re-applies an applied-but-not-yet-durable retransmit (idempotent: bound
+  // positions are skipped).
+  ApplyWindow(std::move(req), std::move(r));
+  DrainParkedWindows<Req>();
+}
+
+template <typename Req>
+void ShardServer::DrainParkedWindows() {
+  while (!parked_.empty() && parked_.begin()->first <= order_applied_) {
+    OrderedWindow w = std::move(parked_.begin()->second);
+    parked_.erase(parked_.begin());
+    ApplyWindow(std::static_pointer_cast<Req>(std::move(w.req)), std::move(w.responder));
+  }
+}
+
+template <typename Req>
+void ShardServer::ApplyWindow(std::shared_ptr<Req> req, Responder r) {
   auto batch = std::make_shared<BatchAck>();
   batch->server = this;
   batch->responder = std::move(r);
@@ -364,14 +360,7 @@ void ShardServer::ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Re
     order_applied_ = std::max(order_applied_, req->range_hi);
     stats_.windows_applied++;
   }
-  uint64_t bytes2 = 0;
-  for (auto& pr : req->records) {
-    if (!req->overwrite && LocalIndexOf(pr.pos) != kNoLocal) {
-      continue;  // duplicate push from an orderer retry; idempotent
-    }
-    StoreOrdered(pr.pos, pr.record, req->overwrite);
-    bytes2 += pr.record.payload.size();
-  }
+  const uint64_t disk_bytes = ApplyEntries(*req, batch);
   // Replicate to backups; each ack releases one wait. Backups run the same admission,
   // so a window reordered in flight parks there until its predecessor lands.
   if (is_primary()) {
@@ -383,7 +372,7 @@ void ShardServer::ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Re
     const Buf body = enc.TakeBuf();
     for (size_t i = 1; i < replicas_.size(); ++i) {
       batch->waits++;
-      endpoint_.Call(replicas_[i], kShardReplicate, body,
+      endpoint_.Call(replicas_[i], ReplicateMethod(), body,
                      [batch](Status s, Decoder) { batch->Complete(s); },
                      params_.rpc_timeout_ns, atts);
     }
@@ -393,39 +382,69 @@ void ShardServer::ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Re
   // off the append critical path — it only sets the background-ordering cycle length,
   // which is what makes ordering batches grow with the append rate (Fig 11).
   batch->waits++;
-  disk_.Write(bytes2 + req->records.size() * 32,
-              [batch]() { batch->Complete(Status::Ok()); });
+  disk_.Write(disk_bytes, [batch]() { batch->Complete(Status::Ok()); });
   batch->Complete(Status::Ok());  // release the arming guard
 }
 
-void ShardServer::HandleReplicate(NodeId from, Decoder d, Responder r) {
-  // Backup side of HandleAppendBatch; same admission + storage path, but completion
-  // responds to the primary instead of arming replication of its own.
-  if (loading_) {
-    r.Send(Status::Unavailable("state copy in progress"));
-    return;
-  }
-  if (RejectPrimaryTraffic(from)) {
-    r.Send(Status::StaleView("fenced: not my primary"));
-    return;
-  }
-  auto req = std::make_shared<ShardAppendBatchReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad replicate"));
-    return;
-  }
-  if (FencedOff(req->view)) {
-    r.Send(Status::StaleView("fenced: stale view"));
-    return;
-  }
-  view_ = std::max(view_, req->view);
+uint64_t ShardServer::WindowCpuBytes(const ShardAppendBatchReq& w) const {
   uint64_t bytes = 0;
-  for (const auto& pr : req->records) {
+  for (const PositionedRecord& pr : w.records) {
     bytes += pr.record.payload.size();
   }
-  cpu_.ExecuteFor(bytes, [this, req, r]() mutable {
-    AdmitAppendWindow(std::move(req), std::move(r));
-  });
+  return bytes;
+}
+
+uint64_t ShardServer::WindowCpuBytes(const ShardOrderMetaReq& w) const {
+  return w.entries.size() * params_.seq.metadata_entry_bytes;
+}
+
+uint64_t ShardServer::ApplyEntries(const ShardAppendBatchReq& w,
+                                   const std::shared_ptr<BatchAck>& /*batch*/) {
+  uint64_t stored_bytes = 0;
+  for (const PositionedRecord& pr : w.records) {
+    if (!w.overwrite && LocalIndexOf(pr.pos) != kNoLocal) {
+      continue;  // duplicate push from an orderer retry; idempotent
+    }
+    StoreOrdered(pr.pos, pr.record, w.overwrite);
+    stored_bytes += pr.record.payload.size();
+  }
+  return stored_bytes + w.records.size() * 32;
+}
+
+uint64_t ShardServer::ApplyEntries(const ShardOrderMetaReq& w,
+                                   const std::shared_ptr<BatchAck>& batch) {
+  if (w.overwrite && w.truncate_from >= meta_base_ &&
+      w.truncate_from - meta_base_ < meta_log_.size()) {
+    meta_log_.resize(w.truncate_from - meta_base_);  // the flush rewrites the tail below
+  }
+  for (const MetaEntry& entry : w.entries) {
+    if (entry.pos < meta_base_) {
+      continue;  // before this shard joined (runtime-added shard, §6.9)
+    }
+    // Store the position->shard map (every shard keeps the full map; readers use it to
+    // locate records, §5.3).
+    const uint64_t idx = entry.pos - meta_base_;
+    if (idx < meta_log_.size()) {
+      meta_log_[idx] = entry.shard;
+    } else {
+      // A gap can only occur on a runtime-added shard whose bootstrap raced a batch
+      // that was in flight when it joined; those positions predate the shard and hold
+      // no records of ours. Readers resolve them via long-lived shards (§6.9).
+      while (meta_log_.size() < idx) {
+        meta_log_.push_back(UINT32_MAX);
+      }
+      meta_log_.push_back(entry.shard);
+    }
+    if (entry.shard == shard_id_) {
+      if (!w.overwrite && LocalIndexOf(entry.pos) != kNoLocal) {
+        continue;  // duplicate push (orderer retry)
+      }
+      BindPosition(entry, batch);
+    }
+  }
+  // The metadata log segment is what persists; bound data already hit the disk on
+  // PutData.
+  return w.entries.size() * params_.seq.metadata_entry_bytes;
 }
 
 // --- Erwin-st: unordered data + ordered metadata --------------------------------------
@@ -615,146 +634,6 @@ void ShardServer::SendReplicateNoOp(NodeId backup, NoOpMsg msg) {
                        });
                  },
                  params_.rpc_timeout_ns);
-}
-
-void ShardServer::HandleOrderMeta(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardOrderMetaReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad order meta"));
-    return;
-  }
-  if (FencedOff(req->view)) {
-    r.Send(Status::StaleView("fenced: stale orderer view"));
-    return;
-  }
-  view_ = std::max(view_, req->view);
-  cpu_.ExecuteFor(req->entries.size() * params_.seq.metadata_entry_bytes,
-                  [this, req, r]() mutable {
-                    AdmitMetaWindow(std::move(req), std::move(r), /*primary_path=*/true);
-                  });
-}
-
-void ShardServer::HandleReplicateMeta(NodeId from, Decoder d, Responder r) {
-  if (loading_) {
-    r.Send(Status::Unavailable("state copy in progress"));
-    return;
-  }
-  if (RejectPrimaryTraffic(from)) {
-    r.Send(Status::StaleView("fenced: not my primary"));
-    return;
-  }
-  auto req = std::make_shared<ShardOrderMetaReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad replicate meta"));
-    return;
-  }
-  if (FencedOff(req->view)) {
-    r.Send(Status::StaleView("fenced: stale view"));
-    return;
-  }
-  view_ = std::max(view_, req->view);
-  cpu_.ExecuteFor(req->entries.size() * params_.seq.metadata_entry_bytes,
-                  [this, req, r]() mutable {
-                    AdmitMetaWindow(std::move(req), std::move(r), /*primary_path=*/false);
-                  });
-}
-
-void ShardServer::AdmitMetaWindow(std::shared_ptr<ShardOrderMetaReq> req, Responder r,
-                                  bool primary_path) {
-  switch (DecideAdmit(req->range_lo, req->range_hi, req->overwrite)) {
-    case Admit::kAckDurable:
-      stats_.windows_retransmitted++;
-      SendWatermarkAck(std::move(r), Status::Ok());
-      return;
-    case Admit::kPark: {
-      stats_.windows_parked++;
-      auto [it, inserted] = parked_.try_emplace(req->range_lo);
-      if (!inserted) {
-        SendWatermarkAck(std::move(it->second.responder),
-                         Status::Unavailable("superseded by a newer retry"));
-      }
-      it->second = OrderedWindow{nullptr, std::move(req), primary_path, std::move(r)};
-      return;
-    }
-    case Admit::kOverflow:
-      SendWatermarkAck(std::move(r), Status::Unavailable("parked window overflow"));
-      return;
-    case Admit::kApply:
-      break;
-  }
-  ApplyMetaWindow(std::move(req), std::move(r), primary_path);
-  DrainParkedWindows();
-}
-
-void ShardServer::ApplyMetaWindow(std::shared_ptr<ShardOrderMetaReq> req_ptr, Responder r,
-                                  bool primary_path) {
-  const ShardOrderMetaReq& req = *req_ptr;
-  auto batch = std::make_shared<BatchAck>();
-  batch->server = this;
-  batch->responder = std::move(r);
-  batch->waits = 1;
-  if (req.overwrite) {
-    // Recovery flush: rewrite the unstable metadata tail and any bindings in it.
-    if (req.truncate_from >= meta_base_ &&
-        req.truncate_from - meta_base_ < meta_log_.size()) {
-      meta_log_.resize(req.truncate_from - meta_base_);
-    }
-    TruncateOrderedFrom(req.truncate_from);
-    ResetOrderFrontiersForOverwrite(req.truncate_from, req.range_hi);
-    batch->track_span = true;
-    batch->span_lo = std::min(req.truncate_from, req.range_lo);
-    batch->span_hi = std::max(req.range_hi, req.truncate_from);
-  } else if (req.range_hi > req.range_lo) {
-    batch->track_span = true;
-    batch->span_lo = req.range_lo;
-    batch->span_hi = req.range_hi;
-    order_applied_ = std::max(order_applied_, req.range_hi);
-    stats_.windows_applied++;
-  }
-  uint64_t bound_bytes = 0;
-  for (const MetaEntry& entry : req.entries) {
-    if (entry.pos < meta_base_) {
-      continue;  // before this shard joined (runtime-added shard, §6.9)
-    }
-    // Store the position->shard map (every shard keeps the full map; readers use it to
-    // locate records, §5.3).
-    const uint64_t idx = entry.pos - meta_base_;
-    if (idx < meta_log_.size()) {
-      meta_log_[idx] = entry.shard;
-    } else {
-      // A gap can only occur on a runtime-added shard whose bootstrap raced a batch
-      // that was in flight when it joined; those positions predate the shard and hold
-      // no records of ours. Readers resolve them via long-lived shards (§6.9).
-      while (meta_log_.size() < idx) {
-        meta_log_.push_back(UINT32_MAX);
-      }
-      meta_log_.push_back(entry.shard);
-    }
-    if (entry.shard == shard_id_) {
-      if (!req.overwrite && LocalIndexOf(entry.pos) != kNoLocal) {
-        continue;  // duplicate push (orderer retry)
-      }
-      BindPosition(entry, batch);
-      const Record* rec = RecordAt(entry.pos);
-      bound_bytes += rec != nullptr ? rec->payload.size() : 0;
-    }
-  }
-  if (primary_path && is_primary()) {
-    Encoder enc;
-    req.Encode(enc);
-    const Buf body = enc.TakeBuf();
-    for (size_t i = 1; i < replicas_.size(); ++i) {
-      batch->waits++;
-      endpoint_.Call(replicas_[i], kShardReplicateMeta, body,
-                     [batch](Status s, Decoder) { batch->Complete(s); },
-                     params_.rpc_timeout_ns);
-    }
-  }
-  // Persist the metadata log segment; bound data already hit the disk on PutData.
-  batch->waits++;
-  disk_.Write(req.entries.size() * params_.seq.metadata_entry_bytes,
-              [batch]() { batch->Complete(Status::Ok()); });
-  batch->Complete(Status::Ok());
 }
 
 // --- reads, stable-gp, trim -----------------------------------------------------------
@@ -1108,8 +987,7 @@ void ShardServer::HandleSeal(Decoder d, Responder r) {
   // Parked windows were stamped by the now-deposed orderer; reject them mid-pipeline so
   // their cursors self-seal instead of waiting out a timeout against a dead leader.
   for (auto it = parked_.begin(); it != parked_.end();) {
-    const ViewId wv = it->second.batch ? it->second.batch->view : it->second.meta->view;
-    if (wv < view_) {
+    if (it->second.req->view < view_) {
       SendWatermarkAck(std::move(it->second.responder),
                        Status::StaleView("fenced: parked window from sealed view"));
       it = parked_.erase(it);
@@ -1447,11 +1325,9 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
   if (attempt == 0) {
     stats_.handoff_records_refetched += entries;
   }
-  const MethodId method =
-      mode_ == ShardMode::kStModified ? kShardReplicateMeta : kShardReplicate;
   const std::vector<Buf> atts = e.TakeAtts();
   const Buf body = e.TakeBuf();
-  endpoint_.Call(peer, method, body,
+  endpoint_.Call(peer, ReplicateMethod(), body,
                  [this, peer, from, attempt](Status s, Decoder) {
                    if (s.ok() || attempt >= 4) {
                      return;  // a peer that stays unreachable gets its own replacement

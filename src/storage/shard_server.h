@@ -144,27 +144,21 @@ class ShardServer {
     bool track_span = false;
     LogPos span_lo = 0;
     LogPos span_hi = 0;
-    void Arm(int n) { waits += n; }
     void Complete(const Status& s);
   };
 
   // An ordering window parked because it arrived ahead of a gap in the span stream
-  // (pipelined cursors can reorder in flight). Exactly one of batch/meta is set.
+  // (pipelined cursors can reorder in flight). `req` is the decoded window, of the one
+  // type this shard's mode accepts (see HandleWindow).
   struct OrderedWindow {
-    std::shared_ptr<ShardAppendBatchReq> batch;  // Erwin-m payload
-    std::shared_ptr<ShardOrderMetaReq> meta;     // Erwin-st payload
-    bool primary_path = false;
+    std::shared_ptr<OrderWindow> req;
     Responder responder;
   };
 
   // Handlers.
-  void HandleAppendBatch(Decoder d, Responder r);   // orderer -> primary (Erwin-m)
-  void HandleReplicate(NodeId from, Decoder d, Responder r);  // primary -> backup
   void HandleRead(Decoder d, Responder r);
   void HandleSetStableGp(Decoder d, Responder r);
   void HandlePutData(Decoder d, Responder r);       // client -> replica (Erwin-st)
-  void HandleOrderMeta(Decoder d, Responder r);     // orderer -> primary (Erwin-st)
-  void HandleReplicateMeta(NodeId from, Decoder d, Responder r);  // primary -> backup
   void HandleReplicateNoOp(NodeId from, Decoder d, Responder r);  // primary -> backup
   void HandlePosMap(Decoder d, Responder r);
   void HandleIndexDelta(Decoder d, Responder r);  // index node -> primary: tag index pull
@@ -203,28 +197,45 @@ class ShardServer {
   // True if a message stamped `view` must be rejected as fenced-off.
   bool FencedOff(ViewId view) const { return view < view_ && !fencing_disabled_; }
 
-  // --- ordering-window admission (per-shard cursor pipeline) ---
+  // --- the ordering-window pipeline (§4.3; Erwin-st §5.2) ---
+  // One path for both modes, templated over the window type `Req`: ShardAppendBatchReq
+  // (records) on an Erwin-m shard, ShardOrderMetaReq (<record-id, shard-id> metadata)
+  // on an Erwin-st shard. The shard registers only its mode's pair of window methods,
+  // so every parked window has that one type. The handler serves both the orderer's
+  // window (`from_orderer`) and the primary's replicate of it; the backup side first
+  // refuses traffic during a state copy or from anyone but its primary.
+  template <typename Req>
+  void RegisterWindowMethods(MethodId from_orderer);
+  template <typename Req>
+  void HandleWindow(NodeId from, bool from_orderer, Decoder d, Responder r);
   // Windows cover adjacent global-position spans and must be applied in span order
   // (StoreOrdered requires ascending positions). Admission acks fully durable
   // retransmits immediately, parks ahead-of-gap arrivals, applies in-order windows,
   // and then drains any parked successors.
-  void AdmitAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r);
-  void AdmitMetaWindow(std::shared_ptr<ShardOrderMetaReq> req, Responder r,
-                       bool primary_path);
-  void ApplyAppendWindow(std::shared_ptr<ShardAppendBatchReq> req, Responder r);
-  void ApplyMetaWindow(std::shared_ptr<ShardOrderMetaReq> req, Responder r,
-                       bool primary_path);
+  template <typename Req>
+  void AdmitWindow(std::shared_ptr<Req> req, Responder r);
+  // Arms the ack, resets (overwrite) or tracks the span, runs the per-entry step,
+  // replicates to the backups (primary only), and persists.
+  template <typename Req>
+  void ApplyWindow(std::shared_ptr<Req> req, Responder r);
+  template <typename Req>
   void DrainParkedWindows();
+  // The per-mode steps of the pipeline. WindowCpuBytes is the CPU charge: payload bytes
+  // (Erwin-m) or entries x metadata_entry_bytes (Erwin-st). ApplyEntries stores the
+  // owned records (Erwin-m) or updates the position map and binds owned positions
+  // (Erwin-st), and returns the bytes the window writes to disk.
+  uint64_t WindowCpuBytes(const ShardAppendBatchReq& w) const;
+  uint64_t WindowCpuBytes(const ShardOrderMetaReq& w) const;
+  uint64_t ApplyEntries(const ShardAppendBatchReq& w, const std::shared_ptr<BatchAck>& batch);
+  uint64_t ApplyEntries(const ShardOrderMetaReq& w, const std::shared_ptr<BatchAck>& batch);
+  // Primary -> backup method for this mode's windows (apply fan-out and peer catch-up).
+  MethodId ReplicateMethod() const;
   // Folds a durably completed span into completed_spans_ and advances order_durable_
   // over the contiguous prefix.
   void OnWindowDurable(LogPos lo, LogPos hi);
   // Responds with `s` plus a ShardOrderAckResp carrying the durable watermark (error
   // responses deliver the body too, so the orderer resyncs even on failure).
   void SendWatermarkAck(Responder r, const Status& s);
-  // Shared admission decision for both window kinds. kApply also covers re-applies of
-  // applied-but-not-yet-durable retransmits (idempotent: bound positions are skipped).
-  enum class Admit { kApply, kAckDurable, kPark, kOverflow };
-  Admit DecideAdmit(LogPos lo, LogPos hi, bool overwrite) const;
   // Flush/overwrite windows reset the ordering frontiers: the unstable tail is being
   // rewritten, so parked windows and completed spans from the old view are dropped.
   void ResetOrderFrontiersForOverwrite(LogPos truncate_from, LogPos range_hi);

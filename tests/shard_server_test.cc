@@ -1,18 +1,30 @@
 // ShardServer tests, driven over the wire: black-box mode (ordered batches,
-// replication, stable-gp gating, slow-path wakeup, trim, recovery overwrite) and
-// Erwin-st mode (unordered puts, metadata binding, no-op timeout, late-put rejection,
-// position map, backup repair).
+// replication, stable-gp gating, slow-path wakeup, trim), Erwin-st mode (unordered
+// puts, metadata binding, no-op timeout, late-put rejection, position map, backup
+// repair), and the ordering-window pipeline in both modes (span-order parking,
+// retransmit re-acks, the parked-window bound, seal, recovery overwrite).
 #include <gtest/gtest.h>
+
+#include <ostream>
 
 #include "src/storage/shard_server.h"
 #include "tests/test_util.h"
 
 namespace lazylog {
+
+// Names the mode in parameterized test names.
+void PrintTo(ShardMode mode, std::ostream* os) {
+  *os << (mode == ShardMode::kBlackBox ? "BlackBox" : "St");
+}
+
 namespace {
+
+std::string Payload(uint64_t rid) { return "r" + std::to_string(rid); }
 
 class ShardHarness {
  public:
-  ShardHarness(ShardMode mode, uint32_t replicas = 2) : net_(&loop_, params_.net, 1) {
+  ShardHarness(ShardMode mode, uint32_t replicas = 2)
+      : mode_(mode), net_(&loop_, params_.net, 1) {
     for (uint32_t r = 0; r < replicas; ++r) {
       servers_.push_back(
           std::make_unique<ShardServer>(&net_, params_, mode, /*shard_id=*/0,
@@ -25,42 +37,117 @@ class ShardHarness {
     client_ = std::make_unique<RpcEndpoint>(&net_);
   }
 
+  // The shard's reply to one ordering window.
+  struct WindowAck {
+    bool done = false;
+    Status status = Status::Internal("pending");
+    LogPos watermark = 0;  // ShardOrderAckResp::applied_upto carried on the reply
+  };
+
+  // Sends an ordering window to the primary without waiting; the ack fills in when the
+  // shard replies. A window with range_hi == 0 carries no span and is never parked.
+  template <typename Req>
+  std::shared_ptr<WindowAck> SendWindow(MethodId method, Req& req, ViewId view,
+                                        bool overwrite, LogPos truncate_from,
+                                        LogPos range_lo, LogPos range_hi) {
+    req.view = view;
+    req.overwrite = overwrite;
+    req.truncate_from = truncate_from;
+    req.range_lo = range_lo;
+    req.range_hi = range_hi;
+    auto ack = std::make_shared<WindowAck>();
+    client_->CallMsg(ids_[0], method, req,
+                     [ack](Status s, Decoder d) {
+                       ShardOrderAckResp resp;
+                       if (d.Remaining() > 0 && resp.Decode(d)) {
+                         ack->watermark = resp.applied_upto;
+                       }
+                       ack->status = std::move(s);
+                       ack->done = true;
+                     },
+                     30 * kSec);
+    return ack;
+  }
+
+  std::shared_ptr<WindowAck> Wait(std::shared_ptr<WindowAck> ack,
+                                  uint64_t budget_ns = 10 * kSec) {
+    RunUntilDone(loop_, ack->done, budget_ns);
+    return ack;
+  }
+
   // Sends an ordered batch to the primary and waits for the ack.
   Status AppendBatch(ViewId view, std::vector<PositionedRecord> records,
                      bool overwrite = false, LogPos truncate_from = 0) {
     ShardAppendBatchReq req;
-    req.view = view;
-    req.overwrite = overwrite;
-    req.truncate_from = truncate_from;
     req.records = std::move(records);
-    Status out = Status::Internal("pending");
-    bool done = false;
-    client_->CallMsg(ids_[0], kShardAppendBatch, req,
-                     [&](Status s, Decoder) {
-                       out = std::move(s);
-                       done = true;
-                     },
-                     10 * kSec);
-    RunUntilDone(loop_, done, 10 * kSec);
-    return out;
+    return Wait(SendWindow(kShardAppendBatch, req, view, overwrite, truncate_from, 0, 0))
+        ->status;
   }
 
   Status OrderMeta(ViewId view, std::vector<MetaEntry> entries, bool overwrite = false,
                    LogPos truncate_from = 0, uint64_t budget_ns = 10 * kSec) {
     ShardOrderMetaReq req;
-    req.view = view;
-    req.overwrite = overwrite;
-    req.truncate_from = truncate_from;
     req.entries = std::move(entries);
+    return Wait(SendWindow(kShardOrderMeta, req, view, overwrite, truncate_from, 0, 0),
+                budget_ns)
+        ->status;
+  }
+
+  // Mode-generic window: record `rid` (payload Payload(rid)) at each (pos, rid) pair —
+  // the record itself on an Erwin-m shard, its metadata on an Erwin-st shard.
+  std::shared_ptr<WindowAck> SendPlaced(ViewId view,
+                                        const std::vector<std::pair<LogPos, uint64_t>>& placed,
+                                        LogPos range_lo, LogPos range_hi,
+                                        bool overwrite = false, LogPos truncate_from = 0) {
+    if (mode_ == ShardMode::kBlackBox) {
+      ShardAppendBatchReq req;
+      for (const auto& [pos, rid] : placed) {
+        req.records.push_back(PositionedRecord{pos, Record{RecordId{1, rid}, Payload(rid), false}});
+      }
+      return SendWindow(kShardAppendBatch, req, view, overwrite, truncate_from, range_lo,
+                        range_hi);
+    }
+    ShardOrderMetaReq req;
+    for (const auto& [pos, rid] : placed) {
+      req.entries.push_back(MetaEntry{pos, RecordId{1, rid}, 0});
+    }
+    return SendWindow(kShardOrderMeta, req, view, overwrite, truncate_from, range_lo,
+                      range_hi);
+  }
+
+  // Window covering [lo, hi) with record p + 1 at each position p.
+  std::shared_ptr<WindowAck> SendSpan(ViewId view, LogPos lo, LogPos hi) {
+    std::vector<std::pair<LogPos, uint64_t>> placed;
+    for (LogPos p = lo; p < hi; ++p) {
+      placed.emplace_back(p, p + 1);
+    }
+    return SendPlaced(view, placed, lo, hi);
+  }
+
+  // Erwin-st: writes the data of records lo + 1 .. hi (SendSpan's records for [lo, hi))
+  // to every replica, as a client append does. Erwin-m data rides in the window.
+  void PutSpan(LogPos lo, LogPos hi) {
+    if (mode_ == ShardMode::kBlackBox) {
+      return;
+    }
+    for (LogPos p = lo; p < hi; ++p) {
+      for (size_t r = 0; r < ids_.size(); ++r) {
+        ASSERT_TRUE(PutData(RecordId{1, p + 1}, Payload(p + 1), r).ok());
+      }
+    }
+  }
+
+  Status Seal(ViewId new_view) {
+    ShardSealReq seal{new_view};
     Status out = Status::Internal("pending");
     bool done = false;
-    client_->CallMsg(ids_[0], kShardOrderMeta, req,
+    client_->CallMsg(ids_[0], kShardSeal, seal,
                      [&](Status s, Decoder) {
                        out = std::move(s);
                        done = true;
                      },
-                     30 * kSec);
-    RunUntilDone(loop_, done, budget_ns);
+                     kSec);
+    RunUntilDone(loop_, done);
     return out;
   }
 
@@ -110,6 +197,7 @@ class ShardHarness {
     return out;
   }
 
+  ShardMode mode_;
   EventLoop loop_;
   SimParams params_;
   Network net_;
@@ -199,17 +287,7 @@ TEST(ShardBlackBox, SealFencesOldViewUntilRecoveryFlush) {
 
   // The controller seals the shard into view 2: the old leader's pushes must bounce
   // with STALE_VIEW even though nothing in view 2 has arrived yet.
-  ShardSealReq seal{2};
-  Status sealed = Status::Internal("pending");
-  bool done = false;
-  h.client_->CallMsg(h.ids_[0], kShardSeal, seal,
-                     [&](Status s, Decoder) {
-                       sealed = std::move(s);
-                       done = true;
-                     },
-                     kSec);
-  RunUntilDone(h.loop_, done);
-  ASSERT_TRUE(sealed.ok());
+  ASSERT_TRUE(h.Seal(2).ok());
   EXPECT_EQ(h.AppendBatch(1, {PR(1, 2, "b")}).code(), StatusCode::kStaleView);
 
   // The new view's recovery flush passes the fence and serves reads.
@@ -218,24 +296,6 @@ TEST(ShardBlackBox, SealFencesOldViewUntilRecoveryFlush) {
   auto r = h.Read(0, 2, true);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->size(), 2u);
-}
-
-TEST(ShardBlackBox, RecoveryOverwriteRewritesTail) {
-  ShardHarness h(ShardMode::kBlackBox);
-  ASSERT_TRUE(h.AppendBatch(1, {PR(0, 1, "a"), PR(1, 2, "b"), PR(2, 3, "c")}).ok());
-  // Recovery flush in view 2 rewrites positions >= 1 with a different order.
-  ASSERT_TRUE(h.AppendBatch(2, {PR(1, 3, "c2"), PR(2, 2, "b2")}, /*overwrite=*/true,
-                            /*truncate_from=*/1)
-                  .ok());
-  h.SetStable(2, 3);
-  auto r = h.Read(0, 3, true);
-  ASSERT_TRUE(r.has_value());
-  ASSERT_EQ(r->size(), 3u);
-  EXPECT_EQ((*r)[0].record.payload, "a");
-  EXPECT_EQ((*r)[1].record.payload, "c2");
-  EXPECT_EQ((*r)[2].record.payload, "b2");
-  // Backup converged too.
-  EXPECT_EQ(h.servers_[1]->RecordAt(1)->payload, "c2");
 }
 
 TEST(ShardBlackBox, TrimMakesPrefixUnreadable) {
@@ -381,6 +441,124 @@ TEST(ShardSt, OrphanedDataScrubbedEventually) {
   h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_orphan_scrub_age_ns + 200 * kMs);
   EXPECT_EQ(h.servers_[0]->unordered_pool_size(), 0u);
 }
+
+// --- the ordering-window pipeline, both modes ------------------------------------------
+
+class ShardWindow : public ::testing::TestWithParam<ShardMode> {};
+
+TEST_P(ShardWindow, AheadOfGapWindowParksThenAppliesInSpanOrder) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 8);
+  auto later = h.SendSpan(1, 4, 8);
+  h.loop_.RunUntil(h.loop_.Now() + 10 * kMs);
+  EXPECT_FALSE(later->done);  // waits for the gap at [0, 4)
+  EXPECT_EQ(h.servers_[0]->StatsSnapshot().parked_windows, 1u);
+  EXPECT_EQ(h.servers_[0]->stats().windows_parked, 1u);
+  EXPECT_EQ(h.servers_[0]->ordered_records(), 0u);
+
+  auto first = h.SendSpan(1, 0, 4);
+  h.Wait(first);
+  h.Wait(later);
+  ASSERT_TRUE(first->status.ok());
+  ASSERT_TRUE(later->status.ok());
+  EXPECT_EQ(std::max(first->watermark, later->watermark), 8u);
+  for (const auto& server : h.servers_) {
+    EXPECT_EQ(server->stats().windows_applied, 2u);
+    EXPECT_EQ(server->order_durable(), 8u);
+    for (LogPos p = 0; p < 8; ++p) {
+      ASSERT_NE(server->RecordAt(p), nullptr);
+      EXPECT_EQ(server->RecordAt(p)->payload, Payload(p + 1));
+    }
+  }
+  EXPECT_EQ(h.servers_[0]->StatsSnapshot().parked_windows, 0u);
+}
+
+TEST_P(ShardWindow, DurableRetransmitIsReackedWithWatermark) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 4);
+  auto first = h.Wait(h.SendSpan(1, 0, 4));
+  ASSERT_TRUE(first->status.ok());
+  EXPECT_EQ(first->watermark, 4u);
+  // A lost ack makes the cursor resend a window the shard already holds durably.
+  auto again = h.Wait(h.SendSpan(1, 0, 4));
+  ASSERT_TRUE(again->status.ok());
+  EXPECT_EQ(again->watermark, 4u);
+  EXPECT_EQ(h.servers_[0]->stats().windows_retransmitted, 1u);
+  EXPECT_EQ(h.servers_[0]->stats().windows_applied, 1u);
+  EXPECT_EQ(h.servers_[0]->ordered_records(), 4u);
+}
+
+TEST_P(ShardWindow, ParkedWindowBoundRefusesWithWatermark) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 66);
+  ASSERT_TRUE(h.Wait(h.SendSpan(1, 0, 1))->status.ok());
+  // 64 one-position windows ahead of the gap at [1, 2) fill the parking bound.
+  std::vector<std::shared_ptr<ShardHarness::WindowAck>> parked;
+  for (LogPos p = 2; p < 66; ++p) {
+    parked.push_back(h.SendSpan(1, p, p + 1));
+  }
+  h.loop_.RunUntil(h.loop_.Now() + 10 * kMs);
+  ASSERT_EQ(h.servers_[0]->StatsSnapshot().parked_windows, 64u);
+  auto refused = h.Wait(h.SendSpan(1, 66, 67));
+  EXPECT_EQ(refused->status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(refused->watermark, 1u);
+  EXPECT_EQ(h.servers_[0]->StatsSnapshot().parked_windows, 64u);
+
+  // Filling the gap drains every parked window in span order.
+  ASSERT_TRUE(h.Wait(h.SendSpan(1, 1, 2))->status.ok());
+  for (const auto& ack : parked) {
+    h.Wait(ack);
+    EXPECT_TRUE(ack->status.ok());
+  }
+  EXPECT_EQ(h.servers_[0]->order_durable(), 66u);
+  EXPECT_EQ(h.servers_[1]->order_durable(), 66u);
+}
+
+TEST_P(ShardWindow, SealRejectsParkedOldViewWindow) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 8);
+  auto parked = h.SendSpan(1, 4, 8);
+  h.loop_.RunUntil(h.loop_.Now() + 10 * kMs);
+  ASSERT_FALSE(parked->done);
+  // The seal answers the deposed orderer's parked window at once, so its cursor
+  // self-seals instead of waiting out a timeout.
+  ASSERT_TRUE(h.Seal(2).ok());
+  h.Wait(parked);
+  ASSERT_TRUE(parked->done);
+  EXPECT_EQ(parked->status.code(), StatusCode::kStaleView);
+  EXPECT_EQ(parked->watermark, 0u);
+  EXPECT_EQ(h.servers_[0]->StatsSnapshot().parked_windows, 0u);
+}
+
+TEST_P(ShardWindow, RecoveryOverwriteRewritesTail) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 3);
+  ASSERT_TRUE(h.Wait(h.SendSpan(1, 0, 3))->status.ok());
+  // Recovery flush in view 2 rewrites positions >= 1 with records 2 and 3 swapped. On
+  // an Erwin-st shard the truncation puts the bound data back in the pool, so the
+  // rebind finds it without another data write.
+  ASSERT_TRUE(h.Wait(h.SendPlaced(2, {{1, 3}, {2, 2}}, 1, 3, /*overwrite=*/true,
+                                  /*truncate_from=*/1))
+                  ->status.ok());
+  h.SetStable(2, 3);
+  auto r = h.Read(0, 3, true);
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->size(), 3u);
+  EXPECT_EQ((*r)[0].record.payload, Payload(1));
+  EXPECT_EQ((*r)[1].record.payload, Payload(3));
+  EXPECT_EQ((*r)[2].record.payload, Payload(2));
+  // Backup converged too.
+  ASSERT_NE(h.servers_[1]->RecordAt(1), nullptr);
+  EXPECT_EQ(h.servers_[1]->RecordAt(1)->payload, Payload(3));
+  EXPECT_EQ(h.servers_[1]->RecordAt(2)->payload, Payload(2));
+  for (const auto& server : h.servers_) {
+    EXPECT_EQ(server->stats().noops_created, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ShardWindow,
+                         ::testing::Values(ShardMode::kBlackBox, ShardMode::kStModified),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace lazylog
