@@ -22,7 +22,7 @@ void BM_CodecEncodeRecord(benchmark::State& state) {
   Record rec{RecordId{1, 2}, std::string(static_cast<size_t>(state.range(0)), 'x'), false};
   for (auto _ : state) {
     Encoder e;
-    EncodeRecord(e, rec);
+    WireEncode(e, rec);
     benchmark::DoNotOptimize(e.data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
@@ -32,12 +32,12 @@ BENCHMARK(BM_CodecEncodeRecord)->Arg(100)->Arg(4096);
 void BM_CodecDecodeRecord(benchmark::State& state) {
   Record rec{RecordId{1, 2}, std::string(static_cast<size_t>(state.range(0)), 'x'), false};
   Encoder e;
-  EncodeRecord(e, rec);
+  WireEncode(e, rec);
   const std::string buf = e.data();
   for (auto _ : state) {
     Decoder d(buf);
     Record out;
-    DecodeRecord(d, &out);
+    WireDecode(d, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
@@ -55,10 +55,10 @@ void BM_CodecRoundTripRecord(benchmark::State& state) {
                    false};
   for (auto _ : state) {
     Encoder e;
-    EncodeRecord(e, rec);
+    WireEncode(e, rec);
     Decoder d(e.TakeBuf(), e.TakeAtts());
     Record out;
-    DecodeRecord(d, &out);
+    WireDecode(d, out);
     benchmark::DoNotOptimize(out);
   }
   const BufStats& bs = GlobalBufStats();
@@ -154,10 +154,10 @@ int RunCodecSmoke() {
       const auto t0 = std::chrono::steady_clock::now();
       for (uint64_t i = 0; i < iters; ++i) {
         Encoder e;
-        EncodeRecord(e, rec);
+        WireEncode(e, rec);
         Decoder d(e.TakeBuf(), e.TakeAtts());
         Record out;
-        if (!DecodeRecord(d, &out) || out.payload.size() != size) {
+        if (!WireDecode(d, out) || out.payload.size() != size) {
           std::fprintf(stderr, "codec smoke: round trip failed at %zu bytes\n", size);
           return 1;
         }

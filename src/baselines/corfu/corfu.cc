@@ -46,7 +46,7 @@ CorfuStorageUnit::CorfuStorageUnit(Network* net, const SimParams& params, ShardI
 void CorfuStorageUnit::HandleWrite(Decoder d, Responder r) {
   uint64_t pos = 0;
   Record rec;
-  if (!d.GetU64(&pos) || !DecodeRecord(d, &rec)) {
+  if (!d.GetU64(&pos) || !WireDecode(d, rec)) {
     r.Send(Status::InvalidArgument("bad corfu write"));
     return;
   }
@@ -75,9 +75,7 @@ void CorfuStorageUnit::HandleWrite(Decoder d, Responder r) {
       std::vector<ReadWaiter> rest;
       for (auto& w : waiters_) {
         if (w.pos == pos) {
-          Encoder e;
-          EncodeRecord(e, store_[pos]);
-          w.responder.Ok(e);
+          w.responder.Ok(store_[pos]);
         } else {
           rest.push_back(std::move(w));
         }
@@ -109,9 +107,7 @@ void CorfuStorageUnit::HandleRead(Decoder d, Responder r) {
     return;
   }
   cpu_.ExecuteFor(it->second.payload.size(), [this, pos, r]() mutable {
-    Encoder e;
-    EncodeRecord(e, store_[pos]);
-    r.Ok(e);
+    r.Ok(store_[pos]);
   });
 }
 
@@ -167,7 +163,7 @@ void CorfuClient::ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t 
   }
   Encoder e;
   e.PutU64(pos);
-  EncodeRecord(e, *record);
+  WireEncode(e, *record);
   std::vector<Buf> atts = e.TakeAtts();
   endpoint_.Call(chain[hop], kCorfuWrite, e.TakeBuf(),
                  [this, pos, record, hop, cb](Status s, Decoder) {
@@ -192,7 +188,7 @@ void CorfuClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecor
                    PositionedRecord pr;
                    pr.pos = pos;
                    if (s.ok()) {
-                     if (!DecodeRecord(d, &pr.record)) {
+                     if (!WireDecode(d, pr.record)) {
                        s = Status::Internal("bad corfu read response");
                      }
                    }

@@ -36,14 +36,14 @@ KafkaBroker::KafkaBroker(Network* net, const SimParams& params, uint32_t partiti
 }
 
 void KafkaBroker::HandleProduce(Decoder d, Responder r) {
-  std::vector<WireRecord> batch;
-  if (!d.GetVector(&batch)) {
+  std::vector<Record> batch;
+  if (!WireDecode(d, batch)) {
     r.Send(Status::InvalidArgument("bad produce"));
     return;
   }
   uint64_t bytes = 0;
-  for (const WireRecord& w : batch) {
-    bytes += w.rec.payload.size();
+  for (const Record& rec : batch) {
+    bytes += rec.payload.size();
   }
   cpu_.ExecuteFor(bytes, [this, batch = std::move(batch), bytes, r]() mutable {
     // Build the replication frame before the records are moved into the local log.
@@ -52,15 +52,12 @@ void KafkaBroker::HandleProduce(Decoder d, Responder r) {
     std::vector<Buf> replicate_atts;
     if (!followers_.empty()) {
       Encoder e;
-      e.PutU32(static_cast<uint32_t>(batch.size()));
-      for (const WireRecord& w : batch) {
-        EncodeRecord(e, w.rec);
-      }
+      WireEncode(e, batch);
       replicate_atts = e.TakeAtts();
       replicate_body = e.TakeBuf();
     }
-    for (WireRecord& w : batch) {
-      log_.Append(std::move(w.rec));
+    for (Record& rec : batch) {
+      log_.Append(std::move(rec));
     }
     // acks=all: respond only after every follower persisted and our own disk write
     // completed.
@@ -91,22 +88,14 @@ void KafkaBroker::HandleProduce(Decoder d, Responder r) {
 }
 
 void KafkaBroker::HandleReplicate(Decoder d, Responder r) {
-  uint32_t n = 0;
-  if (!d.GetU32(&n)) {
+  std::vector<Record> batch;
+  if (!WireDecode(d, batch)) {
     r.Send(Status::InvalidArgument("bad replicate"));
     return;
   }
   uint64_t bytes = 0;
-  std::vector<Record> batch;
-  batch.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Record rec;
-    if (!DecodeRecord(d, &rec)) {
-      r.Send(Status::InvalidArgument("bad replicate record"));
-      return;
-    }
+  for (const Record& rec : batch) {
     bytes += rec.payload.size();
-    batch.push_back(std::move(rec));
   }
   cpu_.ExecuteFor(bytes, [this, batch = std::move(batch), bytes, r]() mutable {
     for (Record& rec : batch) {
@@ -126,19 +115,19 @@ void KafkaBroker::HandleFetch(Decoder d, Responder r) {
   Encoder e;
   uint32_t count = 0;
   uint64_t bytes = 0;
-  std::vector<WireRecord> out;
+  std::vector<Record> out;
   for (uint64_t o = offset; o < log_.end_index() && count < max_records; ++o, ++count) {
     const Record* rec = log_.Get(o);
     if (rec == nullptr) {
       break;
     }
-    out.push_back(WireRecord{*rec});
+    out.push_back(*rec);
     bytes += rec->payload.size();
   }
   const uint64_t leo = log_.end_index();
   cpu_.ExecuteFor(bytes, [out = std::move(out), leo, r]() mutable {
     Encoder e2;
-    e2.PutVector(out);
+    WireEncode(e2, out);
     // Trailing log-end-offset piggyback: lets pollers learn the tail without a
     // separate metadata round trip. Decoders that stop after the vector still parse.
     e2.PutU64(leo);
@@ -209,12 +198,7 @@ void KafkaProducer::FlushLocked() {
     return;
   }
   Encoder e;
-  std::vector<WireRecord> wire;
-  wire.reserve(buffer_.size());
-  for (Record& rec : buffer_) {
-    wire.push_back(WireRecord{std::move(rec)});
-  }
-  e.PutVector(wire);
+  WireEncode(e, buffer_);
   auto cbs = std::make_shared<std::vector<ProduceCallback>>(std::move(callbacks_));
   buffer_.clear();
   callbacks_.clear();
@@ -244,11 +228,9 @@ void KafkaConsumer::Fetch(uint64_t offset, uint32_t max_records, FetchCallback c
                  [this, cb](Status s, Decoder d) {
                    std::vector<Record> records;
                    if (s.ok()) {
-                     std::vector<WireRecord> wire;
-                     if (d.GetVector(&wire)) {
-                       for (WireRecord& w : wire) {
-                         records.push_back(std::move(w.rec));
-                       }
+                     std::vector<Record> wire;
+                     if (WireDecode(d, wire)) {
+                       records = std::move(wire);
                        uint64_t leo = 0;
                        if (d.GetU64(&leo)) {
                          last_known_leo_ = std::max(last_known_leo_, leo);
@@ -350,7 +332,7 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
   auto r = std::move(w.responder);
   auto produce = [this, req, r]() mutable {
     // Drop duplicates from orderer retries, then produce the rest to Kafka.
-    std::vector<WireRecord> wire;
+    std::vector<Record> wire;
     for (auto& pr : req->records) {
       if (pos_to_offset_.count(pr.pos) > 0) {
         continue;
@@ -358,7 +340,7 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
       const uint64_t offset = offset_base_ + offset_pos_.size();
       pos_to_offset_[pr.pos] = offset;
       offset_pos_.push_back(pr.pos);
-      wire.push_back(WireRecord{std::move(pr.record)});
+      wire.push_back(std::move(pr.record));
     }
     auto complete = [this, req, r](Status s) mutable {
       if (s.ok()) {
@@ -376,7 +358,7 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
       return;
     }
     Encoder e;
-    e.PutVector(wire);
+    WireEncode(e, wire);
     produce_inflight_ = true;
     std::vector<Buf> atts = e.TakeAtts();
     endpoint_.Call(kafka_leader_, kKafkaProduce, e.TakeBuf(),
@@ -445,8 +427,8 @@ void KafkaShardAdapter::ServeRead(const ShardReadReq& req, Responder r) {
                      r.Send(std::move(s));
                      return;
                    }
-                   std::vector<WireRecord> wire;
-                   if (!d.GetVector(&wire)) {
+                   std::vector<Record> wire;
+                   if (!WireDecode(d, wire)) {
                      r.Send(Status::Internal("bad fetch"));
                      return;
                    }
@@ -460,13 +442,11 @@ void KafkaShardAdapter::ServeRead(const ShardReadReq& req, Responder r) {
                      if (pos >= stable) {
                        break;
                      }
-                     resp.records.push_back(PositionedRecord{pos, std::move(wire[i].rec)});
+                     resp.records.push_back(PositionedRecord{pos, std::move(wire[i])});
                    }
                    resp.stable_gp = stable_gp_;
                    resp.durable_tail = std::max(durable_hint_, stable_gp_);
-                   Encoder e2;
-                   resp.Encode(e2);
-                   r.Ok(e2);
+                   r.Ok(resp);
                  },
                  params_.rpc_timeout_ns);
 }
@@ -495,9 +475,7 @@ void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> r
   if (i == req->ranges.size()) {
     resp->stable_gp = stable_gp_;
     resp->durable_tail = std::max(durable_hint_, stable_gp_);
-    Encoder e;
-    resp->Encode(e);
-    r.Ok(e);
+    r.Ok(*resp);
     return;
   }
   const ReadRange range = req->ranges[i];
@@ -510,8 +488,8 @@ void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> r
                  [this, req = std::move(req), i, resp, offset, stable, r](Status s,
                                                                           Decoder d) mutable {
                    uint32_t served = 0;
-                   std::vector<WireRecord> wire;
-                   if (s.ok() && d.GetVector(&wire)) {
+                   std::vector<Record> wire;
+                   if (s.ok() && WireDecode(d, wire)) {
                      for (size_t k = 0; k < wire.size(); ++k) {
                        const uint64_t o = offset + k;
                        if (o - offset_base_ >= offset_pos_.size()) {
@@ -521,7 +499,7 @@ void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> r
                        if (pos >= stable) {
                          break;
                        }
-                       resp->records.push_back(PositionedRecord{pos, std::move(wire[k].rec)});
+                       resp->records.push_back(PositionedRecord{pos, std::move(wire[k])});
                        ++served;
                      }
                    }

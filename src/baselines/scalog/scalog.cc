@@ -11,21 +11,11 @@ namespace {
 
 // Cut assignment entry disseminated with each committed cut.
 struct CutRange {
-  static constexpr size_t kMinEncodedSize = 32;  // four u64 fields
   uint64_t shard = 0;
   uint64_t global_start = 0;
   uint64_t local_start = 0;
   uint64_t count = 0;
-  void Encode(Encoder& e) const {
-    e.PutU64(shard);
-    e.PutU64(global_start);
-    e.PutU64(local_start);
-    e.PutU64(count);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&shard) && d.GetU64(&global_start) && d.GetU64(&local_start) &&
-           d.GetU64(&count);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(shard, global_start, local_start, count); }
 };
 
 }  // namespace
@@ -59,7 +49,7 @@ void ScalogShardServer::Start(NodeId backup, NodeId ordering_leader, uint32_t se
 
 void ScalogShardServer::HandleAppend(Decoder d, Responder r) {
   Record rec;
-  if (!DecodeRecord(d, &rec)) {
+  if (!WireDecode(d, rec)) {
     r.Send(Status::InvalidArgument("bad append"));
     return;
   }
@@ -79,7 +69,7 @@ void ScalogShardServer::HandleAppend(Decoder d, Responder r) {
       if (backup_ != kInvalidNode) {
         Encoder e;
         e.PutU64(local);
-        EncodeRecord(e, rec);
+        WireEncode(e, rec);
         std::vector<Buf> atts = e.TakeAtts();
         endpoint_.Call(backup_, kScalogReplicate, e.TakeBuf(), nullptr, 0, std::move(atts));
       }
@@ -90,7 +80,7 @@ void ScalogShardServer::HandleAppend(Decoder d, Responder r) {
 void ScalogShardServer::HandleReplicate(Decoder d, Responder r) {
   uint64_t local = 0;
   Record rec;
-  if (!d.GetU64(&local) || !DecodeRecord(d, &rec)) {
+  if (!d.GetU64(&local) || !WireDecode(d, rec)) {
     r.Send(Status::InvalidArgument("bad replicate"));
     return;
   }
@@ -124,7 +114,7 @@ void ScalogShardServer::ReportLoop() {
 
 void ScalogShardServer::HandleCommitCut(Decoder d, Responder r) {
   std::vector<CutRange> ranges;
-  if (!d.GetVector(&ranges)) {
+  if (!WireDecode(d, ranges)) {
     r.Send(Status::InvalidArgument("bad cut"));
     return;
   }
@@ -157,10 +147,7 @@ void ScalogShardServer::HandleRead(Decoder d, Responder r) {
     return;
   }
   cpu_.ExecuteFor(rec->payload.size(), [this, global, rec, r]() mutable {
-    Encoder e;
-    PositionedRecord pr{global, *rec};
-    pr.Encode(e);
-    r.Ok(e);
+    r.Ok(PositionedRecord{global, *rec});
   });
 }
 
@@ -233,7 +220,7 @@ void ScalogOrderingLayer::CutLoop() {
 
 void ScalogOrderingLayer::CommitCut(std::vector<uint64_t> cut) {
   Encoder value;
-  value.PutU64Vector(cut);
+  WireEncode(value, cut);
   proposer_->Propose(next_slot_, value.Take(), [this, cut = std::move(cut)](Status s) {
     cut_in_flight_ = false;
     if (!s.ok()) {
@@ -255,7 +242,7 @@ void ScalogOrderingLayer::CommitCut(std::vector<uint64_t> cut) {
       committed_cut_[sh] = cut[sh];
     }
     Encoder e;
-    e.PutVector(ranges);
+    WireEncode(e, ranges);
     const std::string body = e.Take();
     for (NodeId n : servers_) {
       endpoint_.Call(n, kScalogCommitCut, body, nullptr, 0);
@@ -295,7 +282,7 @@ void ScalogClient::Append(const AppendOptions& options, Buf payload, AppendCallb
   rec.tag = options.tag;
   rec.log = options.log;
   Encoder e;
-  EncodeRecord(e, rec);
+  WireEncode(e, rec);
   std::vector<Buf> atts = e.TakeAtts();
   const NodeId target = shard_primaries_[rr_cursor_++ % shard_primaries_.size()];
   // Statuses pass through unmapped (kOverloaded included, if a shard ever sheds load):

@@ -1,7 +1,15 @@
 // Wire codec used by the RPC layer. Little-endian fixed-width scalars plus
-// length-prefixed strings and vectors. Every RPC message type implements
-// Encode(Encoder&) / Decode(Decoder&); Decode returns false on malformed input
-// instead of aborting so fuzz-style tests can exercise it.
+// length-prefixed strings and vectors.
+//
+// Every message lists its fields once, in wire order, as a member
+//   template <class Ar> void Wire(Ar& ar) { ar(view, overwrite, truncate_from); }
+// Two archives walk that list: WireWriter appends each field to an Encoder, and
+// WireReader reads it back from a Decoder, stopping at the first malformed field
+// (decoding returns false instead of aborting, so fuzz-style tests can exercise it).
+// A derived message walks its base's Wire first. The messages' Encode/Decode members
+// forward to WireEncode/WireDecode, and a vector's minimum element size (the clamp on
+// its reserve) is the encoded size of a default-constructed element. The Record,
+// SeqAppendReq and ShardPutDataReq flags byte is one field adapter, TagLogFlags.
 //
 // Record payloads travel as *attachments* (eRPC/RDMA-style scatter-gather segments):
 // PutAttached writes only the 4-byte length marker inline and hands the Buf to the
@@ -14,9 +22,11 @@
 #ifndef SRC_COMMON_CODEC_H_
 #define SRC_COMMON_CODEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,26 +75,11 @@ class Encoder {
     }
   }
 
-  template <typename T>
-  void PutVector(const std::vector<T>& v) {
-    PutU32(static_cast<uint32_t>(v.size()));
-    for (const T& e : v) {
-      e.Encode(*this);
-    }
-  }
-  void PutU64Vector(const std::vector<uint64_t>& v) {
-    PutU32(static_cast<uint32_t>(v.size()));
-    for (uint64_t e : v) {
-      PutU64(e);
-    }
-  }
-
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
   // Moves the frame bytes into a Buf backing (no byte copy) for zero-copy delivery.
   Buf TakeBuf() { return Buf::FromString(std::move(buf_)); }
   std::vector<Buf> TakeAtts() { return std::move(atts_); }
-  bool has_atts() const { return !atts_.empty(); }
   size_t size() const { return buf_.size(); }
   // Total attachment bytes. size() + atts_size() equals the old inline encoding size,
   // so CPU/disk charges based on encoded size stay byte-identical.
@@ -188,48 +183,12 @@ class Decoder {
     return true;
   }
 
-  template <typename T>
-  bool GetVector(std::vector<T>* v) {
-    uint32_t n = 0;
-    if (!GetU32(&n)) {
-      return false;
-    }
-    v->clear();
-    // Clamp the reserve by the smallest possible element encoding so a malformed
-    // length prefix cannot force an over-reservation (n is still trusted for the
-    // loop; Decode fails fast when the bytes run out).
-    v->reserve(std::min<size_t>(n, Remaining() / T::kMinEncodedSize));
-    for (uint32_t i = 0; i < n; ++i) {
-      T e;
-      if (!e.Decode(*this)) {
-        return false;
-      }
-      v->push_back(std::move(e));
-    }
-    return true;
-  }
-  bool GetU64Vector(std::vector<uint64_t>* v) {
-    uint32_t n = 0;
-    if (!GetU32(&n) || static_cast<size_t>(n) * sizeof(uint64_t) > Remaining()) {
-      return false;
-    }
-    v->resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (!GetU64(&(*v)[i])) {
-        v->clear();
-        return false;
-      }
-    }
-    return true;
-  }
-
   size_t Remaining() const { return size_ - pos_; }
   // Raw remaining bytes, copied out as a string (opaque passthrough / tests).
   std::string RemainingString() const {
     return Remaining() ? std::string(data_ + pos_, Remaining()) : std::string();
   }
   bool Done() const { return pos_ == size_; }
-  size_t remaining_atts() const { return atts_.size() - att_pos_; }
 
  private:
   bool GetFixed(void* p, size_t n) {
@@ -249,69 +208,201 @@ class Decoder {
   size_t pos_ = 0;
 };
 
-// Codec helpers for the shared record types.
-
-inline void EncodeRecordId(Encoder& e, const RecordId& id) {
-  e.PutU64(id.client_id);
-  e.PutU64(id.request_id);
-}
-inline bool DecodeRecordId(Decoder& d, RecordId* id) {
-  return d.GetU64(&id->client_id) && d.GetU64(&id->request_id);
-}
-
-// Record flags byte. Bit 0 is the no_op marker (so a legacy encoder's trailing
-// PutBool(no_op) byte decodes unchanged, with tag = kNoTag); bit 1 says a u64 stream
-// tag follows; bit 2 says a u64 phylog id follows. Untagged default-log records
-// therefore stay byte-identical to the pre-tag, pre-virtual-log format.
+// Record flags byte, shared by Record, SeqAppendReq and ShardPutDataReq. Bit 0 is the
+// struct's own boolean (Record::no_op, SeqAppendReq::is_meta; ShardPutDataReq has none,
+// so there it must be zero), which keeps a legacy encoder's trailing PutBool byte
+// decoding unchanged; bit 1 says a u64 stream tag follows; bit 2 says a u64 phylog id
+// follows. Untagged default-log frames therefore stay byte-identical to the pre-tag,
+// pre-virtual-log format. Unknown bits are malformed input.
 inline constexpr uint8_t kRecordFlagNoOp = 0x1;
 inline constexpr uint8_t kRecordFlagHasTag = 0x2;
 inline constexpr uint8_t kRecordFlagHasLog = 0x4;
 
-inline void EncodeRecord(Encoder& e, const Record& r) {
-  EncodeRecordId(e, r.id);
-  e.PutAttached(r.payload);
-  uint8_t flags = (r.no_op ? kRecordFlagNoOp : 0) |
-                  (r.tag != kNoTag ? kRecordFlagHasTag : 0) |
-                  (r.log != kDefaultLog ? kRecordFlagHasLog : 0);
-  e.PutU8(flags);
-  if (r.tag != kNoTag) {
-    e.PutU64(r.tag);
-  }
-  if (r.log != kDefaultLog) {
-    e.PutU64(r.log);
-  }
+// Field adapter for that byte and the optional u64s behind it.
+struct TagLogFlags {
+  bool* bit0;  // nullptr: the struct has no bit-0 flag
+  StreamTag& tag;
+  LogId& log;
+};
+
+// A u8 whose bit 0 is the flag; decoding ignores the other bits.
+struct LowBit {
+  bool& v;
+};
+
+// Field lists of the shared record types, which live in types.h without a Wire member.
+template <class Ar>
+inline void WireFields(Ar& ar, RecordId& id) {
+  ar(id.client_id, id.request_id);
 }
-inline bool DecodeRecord(Decoder& d, Record* r) {
-  if (!DecodeRecordId(d, &r->id) || !d.GetAttached(&r->payload)) {
-    return false;
-  }
-  uint8_t flags = 0;
-  if (!d.GetU8(&flags) ||
-      (flags & ~(kRecordFlagNoOp | kRecordFlagHasTag | kRecordFlagHasLog)) != 0) {
-    return false;  // unknown flag bits: malformed, bail like GetU64Vector does
-  }
-  r->no_op = (flags & kRecordFlagNoOp) != 0;
-  r->tag = kNoTag;
-  if ((flags & kRecordFlagHasTag) != 0 && !d.GetU64(&r->tag)) {
-    return false;
-  }
-  r->log = kDefaultLog;
-  if ((flags & kRecordFlagHasLog) != 0 && !d.GetU64(&r->log)) {
-    return false;
-  }
-  return true;
+template <class Ar>
+inline void WireFields(Ar& ar, Record& r) {
+  ar(r.id, r.payload, TagLogFlags{&r.no_op, r.tag, r.log});
 }
 
-// A record wrapper with member Encode/Decode so PutVector/GetVector apply.
-struct WireRecord {
-  // id (16) + payload length marker (4) + flags (1); the payload bytes ride as an
-  // attachment and the u64 tag only appears when tagged, so the smallest inline
-  // footprint is fixed.
-  static constexpr size_t kMinEncodedSize = 21;
-  Record rec;
-  void Encode(Encoder& e) const { EncodeRecord(e, rec); }
-  bool Decode(Decoder& d) { return DecodeRecord(d, &rec); }
+template <class Ar, class T>
+inline void WireOf(Ar& ar, T& m) {
+  if constexpr (requires { m.Wire(ar); }) {
+    m.Wire(ar);
+  } else {
+    WireFields(ar, m);
+  }
+}
+
+// Encoder archive: appends each field in list order.
+class WireWriter {
+ public:
+  explicit WireWriter(Encoder& e) : e_(e) {}
+
+  template <class... Fs>
+  void operator()(const Fs&... fs) {
+    (Put(fs), ...);
+  }
+
+ private:
+  void Put(uint32_t v) { e_.PutU32(v); }
+  void Put(uint64_t v) { e_.PutU64(v); }
+  void Put(bool v) { e_.PutBool(v); }
+  void Put(const std::string& s) { e_.PutBytes(s); }
+  void Put(const Buf& b) { e_.PutAttached(b); }
+  void Put(const LowBit& f) { e_.PutU8(f.v ? 1 : 0); }
+  void Put(const TagLogFlags& f) {
+    const bool has_tag = f.tag != kNoTag;
+    const bool has_log = f.log != kDefaultLog;
+    e_.PutU8((f.bit0 != nullptr && *f.bit0 ? kRecordFlagNoOp : 0) |
+             (has_tag ? kRecordFlagHasTag : 0) | (has_log ? kRecordFlagHasLog : 0));
+    if (has_tag) {
+      e_.PutU64(f.tag);
+    }
+    if (has_log) {
+      e_.PutU64(f.log);
+    }
+  }
+  template <class T>
+  void Put(const std::vector<T>& v) {
+    e_.PutU32(static_cast<uint32_t>(v.size()));
+    for (const T& x : v) {
+      Put(x);
+    }
+  }
+  // A struct: walk its field list. The archive only reads through the reference.
+  template <class T>
+  void Put(const T& m) {
+    WireOf(*this, const_cast<T&>(m));
+  }
+
+  Encoder& e_;
 };
+
+template <class T>
+inline void WireEncode(Encoder& e, const T& v) {
+  WireWriter ar(e);
+  ar(v);
+}
+
+// Smallest inline encoding of a T: every variable-length part of a default-constructed
+// value is empty and every optional part absent. Computed once per type.
+template <class T>
+size_t MinEncodedSize() {
+  static const size_t n = [] {
+    Encoder e;
+    WireEncode(e, T{});
+    return e.size();
+  }();
+  return n;
+}
+
+// Decoder archive: reads each field in list order; after the first failure it reads
+// nothing more and ok() stays false.
+class WireReader {
+ public:
+  explicit WireReader(Decoder& d) : d_(d) {}
+
+  template <class... Fs>
+  void operator()(Fs&&... fs) {
+    ((ok_ = ok_ && Get(fs)), ...);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  bool Get(uint32_t& v) { return d_.GetU32(&v); }
+  bool Get(uint64_t& v) { return d_.GetU64(&v); }
+  bool Get(bool& v) { return d_.GetBool(&v); }
+  bool Get(std::string& s) { return d_.GetBytes(&s); }
+  bool Get(Buf& b) { return d_.GetAttached(&b); }
+  bool Get(LowBit& f) {
+    uint8_t b = 0;
+    if (!d_.GetU8(&b)) {
+      return false;
+    }
+    f.v = (b & 1) != 0;
+    return true;
+  }
+  bool Get(TagLogFlags& f) {
+    const uint8_t allowed =
+        (f.bit0 != nullptr ? kRecordFlagNoOp : 0) | kRecordFlagHasTag | kRecordFlagHasLog;
+    uint8_t flags = 0;
+    if (!d_.GetU8(&flags) || (flags & ~allowed) != 0) {
+      return false;
+    }
+    if (f.bit0 != nullptr) {
+      *f.bit0 = (flags & kRecordFlagNoOp) != 0;
+    }
+    f.tag = kNoTag;
+    if ((flags & kRecordFlagHasTag) != 0 && !d_.GetU64(&f.tag)) {
+      return false;
+    }
+    f.log = kDefaultLog;
+    return (flags & kRecordFlagHasLog) == 0 || d_.GetU64(&f.log);
+  }
+  // Scalar elements are fixed-width, so a count the remaining bytes cannot hold fails
+  // before allocating. Struct elements clamp the reserve by their smallest encoding (n
+  // is still trusted for the loop; decoding fails fast when the bytes run out).
+  template <class T>
+  bool Get(std::vector<T>& v) {
+    uint32_t n = 0;
+    if (!d_.GetU32(&n)) {
+      return false;
+    }
+    v.clear();
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (static_cast<size_t>(n) * sizeof(T) > d_.Remaining()) {
+        return false;
+      }
+      v.resize(n);
+      for (T& x : v) {
+        if (!Get(x)) {
+          return false;
+        }
+      }
+    } else {
+      v.reserve(std::min<size_t>(n, d_.Remaining() / MinEncodedSize<T>()));
+      for (uint32_t i = 0; i < n; ++i) {
+        T x;
+        if (!Get(x)) {
+          return false;
+        }
+        v.push_back(std::move(x));
+      }
+    }
+    return true;
+  }
+  template <class T>
+  bool Get(T& m) {
+    WireOf(*this, m);
+    return ok_;
+  }
+
+  Decoder& d_;
+  bool ok_ = true;
+};
+
+template <class T>
+inline bool WireDecode(Decoder& d, T& v) {
+  WireReader ar(d);
+  ar(v);
+  return ar.ok();
+}
 
 }  // namespace lazylog
 

@@ -10,12 +10,7 @@ struct ZkPathData {
   std::string path;
   std::string data;
   uint64_t arg = 0;  // ephemeral session / expected version
-  void Encode(Encoder& e) const {
-    e.PutBytes(path);
-    e.PutBytes(data);
-    e.PutU64(arg);
-  }
-  bool Decode(Decoder& d) { return d.GetBytes(&path) && d.GetBytes(&data) && d.GetU64(&arg); }
+  template <class Ar> void Wire(Ar& ar) { ar(path, data, arg); }
 };
 }  // namespace
 
@@ -81,7 +76,7 @@ void ZooKeeperLite::HandleHeartbeat(NodeId caller, Decoder d, Responder r) {
 
 void ZooKeeperLite::HandleCreate(NodeId caller, Decoder d, Responder r) {
   ZkPathData req;
-  if (!req.Decode(d)) {
+  if (!WireDecode(d, req)) {
     r.Send(Status::InvalidArgument("bad create"));
     return;
   }
@@ -106,7 +101,7 @@ void ZooKeeperLite::HandleCreate(NodeId caller, Decoder d, Responder r) {
 
 void ZooKeeperLite::HandleSetData(NodeId caller, Decoder d, Responder r) {
   ZkPathData req;
-  if (!req.Decode(d)) {
+  if (!WireDecode(d, req)) {
     r.Send(Status::InvalidArgument("bad setData"));
     return;
   }
@@ -265,9 +260,7 @@ void ZkSession::Start(const std::string& ephemeral_path, std::function<void()> o
           return;
         }
         Encoder e;
-        e.PutBytes(ephemeral_path);
-        e.PutBytes("");
-        e.PutU64(session_id_);
+        WireEncode(e, ZkPathData{ephemeral_path, "", session_id_});
         endpoint_->Call(zk_node_, kZkCreate, e.Take(),
                         [this, ephemeral_path, on_ready](Status s2, Decoder) {
                           if (s2.ok()) {
@@ -316,32 +309,24 @@ void ZkSession::HeartbeatLoop() {
 
 void ZkClient::Create(const std::string& path, const std::string& data,
                       uint64_t ephemeral_session, DoneCallback cb, uint64_t timeout_ns) {
-  Encoder e;
-  e.PutBytes(path);
-  e.PutBytes(data);
-  e.PutU64(ephemeral_session);
-  endpoint_->Call(zk_node_, kZkCreate, e.Take(),
-                  [cb](Status s, Decoder) {
-                    if (cb) {
-                      cb(std::move(s));
-                    }
-                  },
-                  timeout_ns);
+  endpoint_->CallMsg(zk_node_, kZkCreate, ZkPathData{path, data, ephemeral_session},
+                     [cb](Status s, Decoder) {
+                       if (cb) {
+                         cb(std::move(s));
+                       }
+                     },
+                     timeout_ns);
 }
 
 void ZkClient::SetData(const std::string& path, const std::string& data,
                        uint64_t expected_version, DoneCallback cb, uint64_t timeout_ns) {
-  Encoder e;
-  e.PutBytes(path);
-  e.PutBytes(data);
-  e.PutU64(expected_version);
-  endpoint_->Call(zk_node_, kZkSetData, e.Take(),
-                  [cb](Status s, Decoder) {
-                    if (cb) {
-                      cb(std::move(s));
-                    }
-                  },
-                  timeout_ns);
+  endpoint_->CallMsg(zk_node_, kZkSetData, ZkPathData{path, data, expected_version},
+                     [cb](Status s, Decoder) {
+                       if (cb) {
+                         cb(std::move(s));
+                       }
+                     },
+                     timeout_ns);
 }
 
 void ZkClient::GetData(const std::string& path, DataCallback cb, uint64_t timeout_ns) {

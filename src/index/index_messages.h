@@ -22,17 +22,9 @@ struct IndexReadNextReq {
   LogId log = kDefaultLog;
   bool by_rank = false;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(tag);
-    e.PutU64(from);
-    e.PutU32(max);
-    e.PutU64(log);
-    e.PutBool(by_rank);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&tag) && d.GetU64(&from) && d.GetU32(&max) && d.GetU64(&log) &&
-           d.GetBool(&by_rank);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(tag, from, max, log, by_rank); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Index node -> client. `positions`/`shard_ids` are parallel vectors: positions[i]
@@ -46,14 +38,10 @@ struct IndexReadNextResp {
   std::vector<uint64_t> shard_ids;
   LogPos indexed_upto = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU64Vector(positions);
-    e.PutU64Vector(shard_ids);
-    e.PutU64(indexed_upto);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(positions, shard_ids, indexed_upto); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
   bool Decode(Decoder& d) {
-    return d.GetU64Vector(&positions) && d.GetU64Vector(&shard_ids) &&
-           d.GetU64(&indexed_upto) && positions.size() == shard_ids.size();
+    return WireDecode(d, *this) && positions.size() == shard_ids.size();
   }
 };
 

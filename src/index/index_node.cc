@@ -233,9 +233,7 @@ void IndexNode::HandleReadNext(Decoder d, Responder r) {
   stats_.served_positions += resp.positions.size();
   const uint64_t cost_bytes = resp.positions.size() * kEntryBytes;
   cpu_.ExecuteFor(cost_bytes, [resp = std::move(resp), r = std::move(r)]() mutable {
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
+    r.Ok(resp);
   });
 }
 

@@ -2,10 +2,8 @@
 #ifndef SRC_LAZYLOG_CLUSTER_VIEW_H_
 #define SRC_LAZYLOG_CLUSTER_VIEW_H_
 
-#include <string>
 #include <vector>
 
-#include "src/common/codec.h"
 #include "src/common/types.h"
 #include "src/seq/seq_messages.h"
 
@@ -34,60 +32,6 @@ struct ClusterView {
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards.size()); }
 };
-
-// Parses the controller's "/shards/config" znode: epoch, then the replica matrix. Each
-// shard's replica list is followed by its promotion epoch (bumped on every primary
-// failover). Returns false on a malformed blob.
-inline bool DecodeShardConfig(const std::string& blob, uint64_t* epoch,
-                              std::vector<std::vector<NodeId>>* shards,
-                              std::vector<uint64_t>* promo_epochs = nullptr) {
-  Decoder d(blob);
-  uint32_t num_shards = 0;
-  if (!d.GetU64(epoch) || !d.GetU32(&num_shards)) {
-    return false;
-  }
-  shards->clear();
-  if (promo_epochs != nullptr) {
-    promo_epochs->clear();
-  }
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    uint32_t count = 0;
-    if (!d.GetU32(&count)) {
-      return false;
-    }
-    std::vector<NodeId> replicas;
-    for (uint32_t r = 0; r < count; ++r) {
-      NodeId n = kInvalidNode;
-      if (!d.GetU32(&n)) {
-        return false;
-      }
-      replicas.push_back(n);
-    }
-    uint64_t promo_epoch = 0;
-    if (!d.GetU64(&promo_epoch)) {
-      return false;
-    }
-    if (promo_epochs != nullptr) {
-      promo_epochs->push_back(promo_epoch);
-    }
-    shards->push_back(std::move(replicas));
-  }
-  return true;
-}
-
-// Parses the controller's "/logs/config" znode (the SeqUpdateLogsReq wire format):
-// registry epoch, then the full entry list including deletion tombstones.
-inline bool DecodeLogConfig(const std::string& blob, uint64_t* epoch,
-                            std::vector<LogRegistryEntry>* entries) {
-  Decoder d(blob);
-  SeqUpdateLogsReq req;
-  if (!req.Decode(d)) {
-    return false;
-  }
-  *epoch = req.epoch;
-  *entries = std::move(req.entries);
-  return true;
-}
 
 }  // namespace lazylog
 

@@ -214,16 +214,18 @@ void ErwinClient::RefreshShardConfig(std::function<void()> then) {
   zk.GetData(
       "/shards/config",
       [this, then = std::move(then)](Status s, std::string data, uint64_t) mutable {
-        if (s.ok()) {
-          uint64_t epoch = 0;
+        Decoder d(data);
+        ShardConfig config;
+        if (s.ok() && WireDecode(d, config) && config.epoch > view_.shard_epoch) {
+          view_.shard_epoch = config.epoch;
           std::vector<std::vector<NodeId>> shards;
-          if (DecodeShardConfig(data, &epoch, &shards) && epoch > view_.shard_epoch) {
-            view_.shard_epoch = epoch;
-            for (size_t s2 = shards.size(); s2 < view_.shards.size(); ++s2) {
-              shards.push_back(view_.shards[s2]);
-            }
-            view_.shards = std::move(shards);
+          for (ShardConfig::Shard& shard : config.shards) {
+            shards.push_back(std::move(shard.replicas));
           }
+          for (size_t s2 = shards.size(); s2 < view_.shards.size(); ++s2) {
+            shards.push_back(view_.shards[s2]);
+          }
+          view_.shards = std::move(shards);
         }
         then();
       },
@@ -465,14 +467,12 @@ void ErwinClient::ResolveLog(const std::string& name,
   ZkClient zk(&endpoint_, view_.zk);
   zk.GetData("/logs/config",
              [this, name, cb = std::move(cb)](Status s, std::string data, uint64_t) mutable {
-               if (s.ok()) {
-                 uint64_t epoch = 0;
-                 std::vector<LogRegistryEntry> entries;
-                 if (DecodeLogConfig(data, &epoch, &entries) && epoch > view_.log_epoch) {
-                   view_.log_epoch = epoch;
-                   view_.logs = entries;
-                   InstallLogRegistry(std::move(entries));
-                 }
+               Decoder d(data);
+               SeqUpdateLogsReq config;
+               if (s.ok() && config.Decode(d) && config.epoch > view_.log_epoch) {
+                 view_.log_epoch = config.epoch;
+                 view_.logs = config.entries;
+                 InstallLogRegistry(std::move(config.entries));
                }
                for (const LogRegistryEntry& entry : log_registry()) {
                  if (entry.name == name && !entry.deleted) {

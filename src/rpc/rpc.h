@@ -38,6 +38,13 @@ class Responder {
     auto atts = enc.TakeAtts();
     Send(Status::Ok(), enc.TakeBuf(), std::move(atts));
   }
+  // OK + `msg` (a struct with a Wire field list) as the body; mirrors CallMsg.
+  template <typename Msg>
+  void Ok(const Msg& msg) {
+    Encoder enc;
+    WireEncode(enc, msg);
+    Ok(enc);
+  }
 
   bool valid() const { return inner_ != nullptr && inner_->endpoint != nullptr; }
   NodeId caller() const { return inner_ ? inner_->caller : kInvalidNode; }
@@ -90,12 +97,12 @@ class RpcEndpoint {
   void Call(NodeId dest, MethodId method, Buf body, ResponseCallback cb,
             uint64_t timeout_ns, std::vector<Buf> atts = {});
 
-  // Encodes `req` (must provide Encode(Encoder&)) and issues the call.
+  // Encodes `req` (a struct with a Wire field list) and issues the call.
   template <typename Req>
   void CallMsg(NodeId dest, MethodId method, const Req& req, ResponseCallback cb,
                uint64_t timeout_ns) {
     Encoder enc;
-    req.Encode(enc);
+    WireEncode(enc, req);
     auto atts = enc.TakeAtts();
     Call(dest, method, enc.TakeBuf(), std::move(cb), timeout_ns, std::move(atts));
   }

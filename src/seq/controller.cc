@@ -400,18 +400,13 @@ void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
 // --- shard membership ------------------------------------------------------------------
 
 std::string Controller::EncodeShardConfig() const {
-  Encoder e;
-  e.PutU64(shard_epoch_);
-  e.PutU32(static_cast<uint32_t>(shards_.size()));
+  ShardConfig config{shard_epoch_, {}};
   for (size_t s = 0; s < shards_.size(); ++s) {
-    e.PutU32(static_cast<uint32_t>(shards_[s].size()));
-    for (NodeId n : shards_[s]) {
-      e.PutU32(n);
-    }
-    // Per-shard promotion epoch: bumped on every primary failover so clients and the
-    // oracle can tell a reordered replica list from a mere backup replacement.
-    e.PutU64(s < shard_promo_epochs_.size() ? shard_promo_epochs_[s] : 0);
+    config.shards.push_back(
+        {shards_[s], s < shard_promo_epochs_.size() ? shard_promo_epochs_[s] : 0});
   }
+  Encoder e;
+  WireEncode(e, config);
   return e.Take();
 }
 

@@ -11,12 +11,12 @@
 
 namespace lazylog {
 
-// Wire-encodable RecordId wrapper (for PutVector/GetVector).
+// RecordId as a message struct (the element type of id lists).
 struct WireRecordId {
-  static constexpr size_t kMinEncodedSize = 16;  // client_id + request_id
   RecordId id;
-  void Encode(Encoder& e) const { EncodeRecordId(e, id); }
-  bool Decode(Decoder& d) { return DecodeRecordId(d, &id); }
+  template <class Ar> void Wire(Ar& ar) { ar(id); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Client -> every sequencing replica, in parallel, no coordination (§4.1 / §5.1).
@@ -27,47 +27,14 @@ struct SeqAppendReq {
   RecordId id;
   Buf payload;  // rides as an attachment; the replica's ring buffer aliases it
   ShardId target_shard = 0;
-  bool is_meta = false;
+  bool is_meta = false;  // bit 0 of the record flags byte (the legacy PutBool byte)
   StreamTag tag = kNoTag;  // logical stream this record belongs to (index tier)
   LogId log = kDefaultLog;  // phylog this record belongs to (virtual-log layer)
 
-  // The old trailing PutBool(is_meta) byte is reinterpreted as a flags byte: bit 0 is
-  // is_meta (so untagged legacy frames decode unchanged), bit 1 says a u64 tag
-  // follows, bit 2 says a u64 phylog id follows.
-  static constexpr uint8_t kFlagIsMeta = 0x1;
-  static constexpr uint8_t kFlagHasTag = 0x2;
-  static constexpr uint8_t kFlagHasLog = 0x4;
-
-  void Encode(Encoder& e) const {
-    e.PutU64(view);
-    EncodeRecordId(e, id);
-    e.PutAttached(payload);
-    e.PutU32(target_shard);
-    uint8_t flags = (is_meta ? kFlagIsMeta : 0) | (tag != kNoTag ? kFlagHasTag : 0) |
-                    (log != kDefaultLog ? kFlagHasLog : 0);
-    e.PutU8(flags);
-    if (tag != kNoTag) {
-      e.PutU64(tag);
-    }
-    if (log != kDefaultLog) {
-      e.PutU64(log);
-    }
-  }
-  bool Decode(Decoder& d) {
-    uint8_t flags = 0;
-    if (!d.GetU64(&view) || !DecodeRecordId(d, &id) || !d.GetAttached(&payload) ||
-        !d.GetU32(&target_shard) || !d.GetU8(&flags) ||
-        (flags & ~(kFlagIsMeta | kFlagHasTag | kFlagHasLog)) != 0) {
-      return false;
-    }
-    is_meta = (flags & kFlagIsMeta) != 0;
-    tag = kNoTag;
-    if ((flags & kFlagHasTag) != 0 && !d.GetU64(&tag)) {
-      return false;
-    }
-    log = kDefaultLog;
-    return (flags & kFlagHasLog) == 0 || d.GetU64(&log);
-  }
+  template <class Ar>
+  void Wire(Ar& ar) { ar(view, id, payload, target_shard, TagLogFlags{&is_meta, tag, log}); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Leader -> follower: garbage-collect the listed (now ordered) entries and advance
@@ -78,33 +45,27 @@ struct SeqGcReq {
   LogPos new_ordered_gp = 0;
   std::vector<WireRecordId> ids;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(view);
-    e.PutU64(new_ordered_gp);
-    e.PutVector(ids);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&view) && d.GetU64(&new_ordered_gp) && d.GetVector(&ids);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(view, new_ordered_gp, ids); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> replica: seal the view; the replica rejects all later appends in it.
 struct SeqSealReq {
   ViewId view = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(view); }
-  bool Decode(Decoder& d) { return d.GetU64(&view); }
+  template <class Ar> void Wire(Ar& ar) { ar(view); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 struct SeqSealResp {
   LogPos ordered_gp = 0;
   uint64_t unordered = 0;  // entries still in the local log
 
-  void Encode(Encoder& e) const {
-    e.PutU64(ordered_gp);
-    e.PutU64(unordered);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&ordered_gp) && d.GetU64(&unordered); }
+  template <class Ar> void Wire(Ar& ar) { ar(ordered_gp, unordered); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> recovery replica: flush your unordered log to the shards, assigning
@@ -112,19 +73,18 @@ struct SeqSealResp {
 struct SeqFlushReq {
   ViewId new_view = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(new_view); }
-  bool Decode(Decoder& d) { return d.GetU64(&new_view); }
+  template <class Ar> void Wire(Ar& ar) { ar(new_view); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 struct SeqFlushResp {
   LogPos new_ordered_gp = 0;
   std::vector<WireRecordId> flushed_ids;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(new_ordered_gp);
-    e.PutVector(flushed_ids);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&new_ordered_gp) && d.GetVector(&flushed_ids); }
+  template <class Ar> void Wire(Ar& ar) { ar(new_ordered_gp, flushed_ids); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> replicas of the new configuration: adopt the new view. Flushed ids seed
@@ -136,17 +96,9 @@ struct SeqStartViewReq {
   LogPos stable_gp = 0;
   std::vector<WireRecordId> flushed_ids;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(view);
-    e.PutU64Vector(config);
-    e.PutU64(ordered_gp);
-    e.PutU64(stable_gp);
-    e.PutVector(flushed_ids);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&view) && d.GetU64Vector(&config) && d.GetU64(&ordered_gp) &&
-           d.GetU64(&stable_gp) && d.GetVector(&flushed_ids);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(view, config, ordered_gp, stable_gp, flushed_ids); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 struct SeqCheckTailResp {
@@ -154,14 +106,9 @@ struct SeqCheckTailResp {
   LogPos stable = 0;   // number of stable (readable) records
   ViewId view = 0;     // view that served the tail (durable may shrink across views)
 
-  void Encode(Encoder& e) const {
-    e.PutU64(durable);
-    e.PutU64(stable);
-    e.PutU64(view);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&durable) && d.GetU64(&stable) && d.GetU64(&view);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(durable, stable, view); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> sequencing replica: a shard replica was replaced; rewire orderer pushes
@@ -170,11 +117,9 @@ struct SeqUpdateShardsReq {
   NodeId old_node = kInvalidNode;
   NodeId new_node = kInvalidNode;
 
-  void Encode(Encoder& e) const {
-    e.PutU32(old_node);
-    e.PutU32(new_node);
-  }
-  bool Decode(Decoder& d) { return d.GetU32(&old_node) && d.GetU32(&new_node); }
+  template <class Ar> void Wire(Ar& ar) { ar(old_node, new_node); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> sequencing replica: a shard backup was promoted to primary. Beyond the
@@ -190,16 +135,9 @@ struct SeqShardFailoverReq {
   NodeId new_primary = kInvalidNode;
   LogPos reset_upto = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU32(shard);
-    e.PutU32(old_primary);
-    e.PutU32(new_primary);
-    e.PutU64(reset_upto);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU32(&shard) && d.GetU32(&old_primary) && d.GetU32(&new_primary) &&
-           d.GetU64(&reset_upto);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(shard, old_primary, new_primary, reset_upto); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // One named virtual log ("phylog") in the cluster's log registry. The registry is
@@ -208,27 +146,14 @@ struct SeqShardFailoverReq {
 // leader can enforce per-tenant quotas. Deleted logs stay as tombstones: the id is
 // never reused and the leader refuses new appends to it.
 struct LogRegistryEntry {
-  static constexpr size_t kMinEncodedSize = 8 + 4 + 8 + 1;  // id + name marker + quota + flags
   LogId id = kDefaultLog;
   std::string name;
   uint64_t quota_per_sec = 0;  // admitted appends/s for this phylog; 0 = unlimited
   bool deleted = false;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(id);
-    e.PutBytes(name);
-    e.PutU64(quota_per_sec);
-    e.PutU8(deleted ? 1 : 0);
-  }
-  bool Decode(Decoder& d) {
-    uint8_t flags = 0;
-    if (!d.GetU64(&id) || !d.GetBytes(&name) || !d.GetU64(&quota_per_sec) ||
-        !d.GetU8(&flags)) {
-      return false;
-    }
-    deleted = (flags & 1) != 0;
-    return true;
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(id, name, quota_per_sec, LowBit{deleted}); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> sequencing replica: install the current log registry (quota table +
@@ -237,11 +162,24 @@ struct SeqUpdateLogsReq {
   uint64_t epoch = 0;
   std::vector<LogRegistryEntry> entries;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(epoch);
-    e.PutVector(entries);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&epoch) && d.GetVector(&entries); }
+  template <class Ar> void Wire(Ar& ar) { ar(epoch, entries); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
+};
+
+// The controller's "/shards/config" znode: the membership epoch, then each shard's
+// replica list (primary first) and promotion epoch (bumped on every primary failover,
+// so a reordered replica list is told apart from a mere backup replacement).
+struct ShardConfig {
+  struct Shard {
+    std::vector<NodeId> replicas;
+    uint64_t promo_epoch = 0;
+    template <class Ar> void Wire(Ar& ar) { ar(replicas, promo_epoch); }
+  };
+  uint64_t epoch = 0;
+  std::vector<Shard> shards;
+
+  template <class Ar> void Wire(Ar& ar) { ar(epoch, shards); }
 };
 
 // Client -> leader: per-phylog tail query. The physical-log CheckTail keeps its
@@ -250,8 +188,9 @@ struct SeqUpdateLogsReq {
 struct SeqCheckTailReq {
   LogId log = kDefaultLog;
 
-  void Encode(Encoder& e) const { e.PutU64(log); }
-  bool Decode(Decoder& d) { return d.GetU64(&log); }
+  template <class Ar> void Wire(Ar& ar) { ar(log); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Any replica -> client: current sequencing configuration (clients probe this after
@@ -261,14 +200,9 @@ struct SeqConfigResp {
   bool sealed = false;
   std::vector<uint64_t> config;  // config[0] is the leader
 
-  void Encode(Encoder& e) const {
-    e.PutU64(view);
-    e.PutBool(sealed);
-    e.PutU64Vector(config);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&view) && d.GetBool(&sealed) && d.GetU64Vector(&config);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(view, sealed, config); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 }  // namespace lazylog

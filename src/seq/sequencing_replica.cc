@@ -882,9 +882,7 @@ void SequencingReplica::HandleSeal(Decoder d, Responder r) {
   }
   sealed_ = true;
   SeqSealResp resp{ordered_gp_, log_.size()};
-  Encoder e;
-  resp.Encode(e);
-  r.Ok(e);
+  r.Ok(resp);
 }
 
 void SequencingReplica::HandleFlush(Decoder d, Responder r) {
@@ -1038,9 +1036,7 @@ void SequencingReplica::HandleCheckTail(Decoder d, Responder r) {
       resp.durable = it == log_cursors_.end() ? 0 : it->second.ordered + it->second.unordered;
       resp.stable = it == log_cursors_.end() ? 0 : it->second.stable;
     }
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
+    r.Ok(resp);
   });
 }
 
@@ -1049,9 +1045,7 @@ void SequencingReplica::HandleGetConfig(Decoder d, Responder r) {
   resp.view = view_;
   resp.sealed = sealed_;
   resp.config.assign(config_.begin(), config_.end());
-  Encoder e;
-  resp.Encode(e);
-  r.Ok(e);
+  r.Ok(resp);
 }
 
 void SequencingReplica::HandleUpdateShards(Decoder d, Responder r) {

@@ -14,15 +14,12 @@ namespace lazylog {
 // One globally positioned record, as pushed by the background orderer (Erwin-m) or
 // replicated primary->backup.
 struct PositionedRecord {
-  static constexpr size_t kMinEncodedSize = 8 + WireRecord::kMinEncodedSize;
   LogPos pos = 0;
   Record record;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(pos);
-    EncodeRecord(e, record);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&pos) && DecodeRecord(d, &record); }
+  template <class Ar> void Wire(Ar& ar) { ar(pos, record); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Header shared by both ordering-window kinds (ShardAppendBatchReq, ShardOrderMetaReq).
@@ -39,17 +36,9 @@ struct OrderWindow {
   LogPos range_lo = 0;       // first global position covered by this window
   LogPos range_hi = 0;       // one past the last global position covered
 
-  void Encode(Encoder& e) const {
-    e.PutU64(view);
-    e.PutBool(overwrite);
-    e.PutU64(truncate_from);
-    e.PutU64(range_lo);
-    e.PutU64(range_hi);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&view) && d.GetBool(&overwrite) && d.GetU64(&truncate_from) &&
-           d.GetU64(&range_lo) && d.GetU64(&range_hi);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(view, overwrite, truncate_from, range_lo, range_hi); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Orderer -> shard primary, and primary -> backup: one ordering window of ordered
@@ -57,11 +46,9 @@ struct OrderWindow {
 struct ShardAppendBatchReq : OrderWindow {
   std::vector<PositionedRecord> records;
 
-  void Encode(Encoder& e) const {
-    OrderWindow::Encode(e);
-    e.PutVector(records);
-  }
-  bool Decode(Decoder& d) { return OrderWindow::Decode(d) && d.GetVector(&records); }
+  template <class Ar> void Wire(Ar& ar) { OrderWindow::Wire(ar); ar(records); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Shard -> orderer: ack body for an ordering window (append batch or order meta).
@@ -71,8 +58,9 @@ struct ShardAppendBatchReq : OrderWindow {
 struct ShardOrderAckResp {
   LogPos applied_upto = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(applied_upto); }
-  bool Decode(Decoder& d) { return d.GetU64(&applied_upto); }
+  template <class Ar> void Wire(Ar& ar) { ar(applied_upto); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Client read request. `pos` is a global log position; the shard gates the response on
@@ -83,12 +71,9 @@ struct ShardReadReq {
   uint32_t len = 1;  // max records to return (all on this shard, ascending positions)
   bool nowait = false;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(pos);
-    e.PutU32(len);
-    e.PutBool(nowait);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&pos) && d.GetU32(&len) && d.GetBool(&nowait); }
+  template <class Ar> void Wire(Ar& ar) { ar(pos, len, nowait); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Read reply. Besides the records, every reply piggybacks the serving replica's view
@@ -102,30 +87,20 @@ struct ShardReadResp {
   LogPos durable_tail = 0;   // serving replica's last-heard durable tail (may lag)
   uint64_t queue_ns = 0;     // serving replica's CPU backlog when the request was handled
 
-  void Encode(Encoder& e) const {
-    e.PutVector(records);
-    e.PutU64(stable_gp);
-    e.PutU64(durable_tail);
-    e.PutU64(queue_ns);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetVector(&records) && d.GetU64(&stable_gp) && d.GetU64(&durable_tail) &&
-           d.GetU64(&queue_ns);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(records, stable_gp, durable_tail, queue_ns); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // One contiguous read sub-range: up to `len` consecutive records *local to the target
 // shard* starting at global position `pos` (same walk the server does for ShardReadReq).
 struct ReadRange {
-  static constexpr size_t kMinEncodedSize = 12;  // pos + len
   LogPos pos = 0;
   uint32_t len = 1;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(pos);
-    e.PutU32(len);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&pos) && d.GetU32(&len); }
+  template <class Ar> void Wire(Ar& ar) { ar(pos, len); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Client -> shard server: coalesced multi-range read. Serves every range in one
@@ -136,8 +111,9 @@ struct ReadRange {
 struct ShardMultiRangeReadReq {
   std::vector<ReadRange> ranges;
 
-  void Encode(Encoder& e) const { e.PutVector(ranges); }
-  bool Decode(Decoder& d) { return d.GetVector(&ranges); }
+  template <class Ar> void Wire(Ar& ar) { ar(ranges); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Reply to a multi-range read: `records` is the concatenation of the per-range record
@@ -151,30 +127,9 @@ struct ShardMultiRangeReadResp {
   LogPos durable_tail = 0;
   uint64_t queue_ns = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU32(static_cast<uint32_t>(counts.size()));
-    for (uint32_t c : counts) {
-      e.PutU32(c);
-    }
-    e.PutVector(records);
-    e.PutU64(stable_gp);
-    e.PutU64(durable_tail);
-    e.PutU64(queue_ns);
-  }
-  bool Decode(Decoder& d) {
-    uint32_t n = 0;
-    if (!d.GetU32(&n)) {
-      return false;
-    }
-    counts.assign(n, 0);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (!d.GetU32(&counts[i])) {
-        return false;
-      }
-    }
-    return d.GetVector(&records) && d.GetU64(&stable_gp) && d.GetU64(&durable_tail) &&
-           d.GetU64(&queue_ns);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(counts, records, stable_gp, durable_tail, queue_ns); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Erwin-st client data write: durable-on-arrival record data, not yet ordered. The
@@ -186,53 +141,22 @@ struct ShardPutDataReq {
   StreamTag tag = kNoTag;  // carried with the data so the bound record keeps its stream
   LogId log = kDefaultLog;  // carried with the data so the bound record keeps its phylog
 
-  // Trailing flags byte mirroring the record codec: bit 1 says a u64 tag follows, bit 2
-  // a u64 phylog id. Untagged default-log frames stay byte-identical to the pre-tag
-  // format plus one zero byte.
-  static constexpr uint8_t kFlagHasTag = 0x2;
-  static constexpr uint8_t kFlagHasLog = 0x4;
-
-  void Encode(Encoder& e) const {
-    EncodeRecordId(e, id);
-    e.PutAttached(payload);
-    e.PutU8((tag != kNoTag ? kFlagHasTag : 0) | (log != kDefaultLog ? kFlagHasLog : 0));
-    if (tag != kNoTag) {
-      e.PutU64(tag);
-    }
-    if (log != kDefaultLog) {
-      e.PutU64(log);
-    }
-  }
-  bool Decode(Decoder& d) {
-    uint8_t flags = 0;
-    if (!DecodeRecordId(d, &id) || !d.GetAttached(&payload) || !d.GetU8(&flags) ||
-        (flags & ~(kFlagHasTag | kFlagHasLog)) != 0) {
-      return false;
-    }
-    tag = kNoTag;
-    if ((flags & kFlagHasTag) != 0 && !d.GetU64(&tag)) {
-      return false;
-    }
-    log = kDefaultLog;
-    return (flags & kFlagHasLog) == 0 || d.GetU64(&log);
-  }
+  // The record flags byte without a bit 0: untagged default-log frames are the
+  // pre-tag format plus one zero byte.
+  template <class Ar> void Wire(Ar& ar) { ar(id, payload, TagLogFlags{nullptr, tag, log}); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // One metadata entry: global position -> (record id, shard that holds the data).
 struct MetaEntry {
-  static constexpr size_t kMinEncodedSize = 28;  // pos + record id + shard
   LogPos pos = 0;
   RecordId id;
   ShardId shard = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(pos);
-    EncodeRecordId(e, id);
-    e.PutU32(shard);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&pos) && DecodeRecordId(d, &id) && d.GetU32(&shard);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(pos, id, shard); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Orderer -> every shard primary, and primary -> backup (Erwin-st): one ordering
@@ -241,11 +165,9 @@ struct MetaEntry {
 struct ShardOrderMetaReq : OrderWindow {
   std::vector<MetaEntry> entries;
 
-  void Encode(Encoder& e) const {
-    OrderWindow::Encode(e);
-    e.PutVector(entries);
-  }
-  bool Decode(Decoder& d) { return OrderWindow::Decode(d) && d.GetVector(&entries); }
+  template <class Ar> void Wire(Ar& ar) { OrderWindow::Wire(ar); ar(entries); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Client -> any shard server (Erwin-st): fetch position->shard mappings for caching.
@@ -253,22 +175,18 @@ struct ShardPosMapReq {
   LogPos from = 0;
   uint32_t len = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(from);
-    e.PutU32(len);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&from) && d.GetU32(&len); }
+  template <class Ar> void Wire(Ar& ar) { ar(from, len); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 struct ShardPosMapResp {
   LogPos from = 0;
   std::vector<uint64_t> shard_ids;  // shard id per position, dense from `from`
 
-  void Encode(Encoder& e) const {
-    e.PutU64(from);
-    e.PutU64Vector(shard_ids);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&from) && d.GetU64Vector(&shard_ids); }
+  template <class Ar> void Wire(Ar& ar) { ar(from, shard_ids); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // One (log, tag, global position) entry exported by a shard's stream/phylog index
@@ -278,17 +196,13 @@ struct ShardPosMapResp {
 // records are never journaled, so single-log untagged runs export nothing, exactly as
 // before the virtual-log layer.
 struct TagIndexEntry {
-  static constexpr size_t kMinEncodedSize = 24;  // log + tag + pos
   LogId log = kDefaultLog;
   StreamTag tag = kNoTag;
   LogPos pos = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(log);
-    e.PutU64(tag);
-    e.PutU64(pos);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&log) && d.GetU64(&tag) && d.GetU64(&pos); }
+  template <class Ar> void Wire(Ar& ar) { ar(log, tag, pos); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Index node -> shard primary: pull tag-index entries starting at shard-local export
@@ -298,11 +212,9 @@ struct ShardIndexDeltaReq {
   uint64_t from_seq = 0;
   uint32_t max_entries = 4096;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(from_seq);
-    e.PutU32(max_entries);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&from_seq) && d.GetU32(&max_entries); }
+  template <class Ar> void Wire(Ar& ar) { ar(from_seq, max_entries); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 struct ShardIndexDeltaResp {
@@ -313,17 +225,10 @@ struct ShardIndexDeltaResp {
                               // the returned prefix (journal entries ascend in pos)
   std::vector<TagIndexEntry> entries;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(from_seq);
-    e.PutU64(next_seq);
-    e.PutU64(stable_gp);
-    e.PutU64(exported_below);
-    e.PutVector(entries);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&from_seq) && d.GetU64(&next_seq) && d.GetU64(&stable_gp) &&
-           d.GetU64(&exported_below) && d.GetVector(&entries);
-  }
+  template <class Ar>
+  void Wire(Ar& ar) { ar(from_seq, next_seq, stable_gp, exported_below, entries); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Client -> shard server: read a sparse batch of global positions (all owned by this
@@ -332,8 +237,9 @@ struct ShardIndexDeltaResp {
 struct ShardMultiReadReq {
   std::vector<uint64_t> positions;
 
-  void Encode(Encoder& e) const { e.PutU64Vector(positions); }
-  bool Decode(Decoder& d) { return d.GetU64Vector(&positions); }
+  template <class Ar> void Wire(Ar& ar) { ar(positions); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Orderer/controller -> shard server: advance the stable global position. `stable_gp`
@@ -345,14 +251,9 @@ struct StableGpMsg {
   LogPos stable_gp = 0;
   LogPos durable_tail = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(view);
-    e.PutU64(stable_gp);
-    e.PutU64(durable_tail);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&view) && d.GetU64(&stable_gp) && d.GetU64(&durable_tail);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(view, stable_gp, durable_tail); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> shard server: fence the epoch. After this, any orderer/data-path message
@@ -361,8 +262,9 @@ struct StableGpMsg {
 struct ShardSealReq {
   ViewId new_view = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(new_view); }
-  bool Decode(Decoder& d) { return d.GetU64(&new_view); }
+  template <class Ar> void Wire(Ar& ar) { ar(new_view); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> replacement shard replica: pull ordered + unordered state from `source`
@@ -370,16 +272,18 @@ struct ShardSealReq {
 struct ShardCopyStateReq {
   NodeId source = kInvalidNode;
 
-  void Encode(Encoder& e) const { e.PutU32(source); }
-  bool Decode(Decoder& d) { return d.GetU32(&source); }
+  template <class Ar> void Wire(Ar& ar) { ar(source); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Client -> shard: garbage-collect positions < up_to.
 struct TrimMsg {
   LogPos up_to = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(up_to); }
-  bool Decode(Decoder& d) { return d.GetU64(&up_to); }
+  template <class Ar> void Wire(Ar& ar) { ar(up_to); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> surviving shard replica: fence the shard for primary promotion under a
@@ -390,8 +294,9 @@ struct TrimMsg {
 struct ShardPromoSealReq {
   uint64_t promo_epoch = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(promo_epoch); }
-  bool Decode(Decoder& d) { return d.GetU64(&promo_epoch); }
+  template <class Ar> void Wire(Ar& ar) { ar(promo_epoch); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Replica -> controller: how complete this replica's Erwin-st state is. `order_applied`
@@ -405,17 +310,10 @@ struct ShardCompletenessResp {
   uint64_t meta_size = 0;
   uint64_t pending = 0;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(promo_epoch);
-    e.PutU64(order_applied);
-    e.PutU64(order_durable);
-    e.PutU64(meta_size);
-    e.PutU64(pending);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&promo_epoch) && d.GetU64(&order_applied) && d.GetU64(&order_durable) &&
-           d.GetU64(&meta_size) && d.GetU64(&pending);
-  }
+  template <class Ar>
+  void Wire(Ar& ar) { ar(promo_epoch, order_applied, order_durable, meta_size, pending); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Controller -> surviving shard replica: adopt the promoted replica order (order[0] is
@@ -429,14 +327,9 @@ struct ShardPromoteReq {
   std::vector<uint64_t> order;         // replica node ids, order[0] = new primary
   std::vector<uint64_t> peer_applied;  // parallel to order: each replica's order_applied
 
-  void Encode(Encoder& e) const {
-    e.PutU64(promo_epoch);
-    e.PutU64Vector(order);
-    e.PutU64Vector(peer_applied);
-  }
-  bool Decode(Decoder& d) {
-    return d.GetU64(&promo_epoch) && d.GetU64Vector(&order) && d.GetU64Vector(&peer_applied);
-  }
+  template <class Ar> void Wire(Ar& ar) { ar(promo_epoch, order, peer_applied); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // New primary -> peer backup (promotion handoff): fetch whatever the peer has bound at
@@ -446,8 +339,9 @@ struct ShardPromoteReq {
 struct ShardBackfillReq {
   LogPos pos = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(pos); }
-  bool Decode(Decoder& d) { return d.GetU64(&pos); }
+  template <class Ar> void Wire(Ar& ar) { ar(pos); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Backup -> primary (Erwin-st): fetch the resolved record bound at `pos` (repairs a
@@ -455,8 +349,9 @@ struct ShardBackfillReq {
 struct FetchRecordReq {
   LogPos pos = 0;
 
-  void Encode(Encoder& e) const { e.PutU64(pos); }
-  bool Decode(Decoder& d) { return d.GetU64(&pos); }
+  template <class Ar> void Wire(Ar& ar) { ar(pos); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 // Primary -> backup (Erwin-st): position `pos` resolved as a no-op for record `id`.
@@ -464,11 +359,9 @@ struct NoOpMsg {
   LogPos pos = 0;
   RecordId id;
 
-  void Encode(Encoder& e) const {
-    e.PutU64(pos);
-    EncodeRecordId(e, id);
-  }
-  bool Decode(Decoder& d) { return d.GetU64(&pos) && DecodeRecordId(d, &id); }
+  template <class Ar> void Wire(Ar& ar) { ar(pos, id); }
+  void Encode(Encoder& e) const { WireEncode(e, *this); }
+  bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
 }  // namespace lazylog

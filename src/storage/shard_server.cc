@@ -16,6 +16,37 @@ constexpr uint64_t kScrubIntervalNs = 50 * kMs;
 // windows in flight, so anything beyond a small multiple means the orderer is
 // misbehaving; overflow is refused (with the watermark) and the cursor retries.
 constexpr size_t kMaxParkedWindows = 64;
+
+// kShardFetchState reply: everything a replacement replica needs from a live one.
+struct ShardStateSnapshot {
+  struct PooledRecord {  // an unordered-pool entry
+    RecordId id;
+    Buf payload;
+    StreamTag tag = kNoTag;  // both always on the wire (no flags byte)
+    LogId log = kDefaultLog;
+    template <class Ar> void Wire(Ar& ar) { ar(id, payload, tag, log); }
+  };
+
+  ViewId view = 0;
+  LogPos stable_gp = 0;
+  LogPos trimmed_below = 0;
+  LogPos meta_base = 0;
+  // Ordering frontiers: a replacement that starts at zero would park every window the
+  // cursor sends it (range_lo far ahead of an empty stream). completed_spans_ is not
+  // shipped — the orderer re-sends anything above order_durable_ after a retry anyway.
+  LogPos order_applied = 0;
+  LogPos order_durable = 0;
+  std::vector<PositionedRecord> ordered;  // in local order
+  std::vector<PooledRecord> pool;
+  std::vector<RecordId> rejected;  // no-op decisions: late data writes stay rejected
+  std::vector<uint64_t> meta_log;
+
+  template <class Ar>
+  void Wire(Ar& ar) {
+    ar(view, stable_gp, trimmed_below, meta_base, order_applied, order_durable, ordered, pool,
+       rejected, meta_log);
+  }
+};
 }  // namespace
 
 void ShardServer::BatchAck::Complete(const Status& s) {
@@ -148,9 +179,7 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
     }
     const Record* rec = log_.Get(local);
     LL_CHECK(rec != nullptr, "bound position missing from log");
-    Encoder e;
-    EncodeRecord(e, *rec);
-    r.Ok(e);
+    r.Ok(*rec);
   });
   if (mode_ == ShardMode::kStModified) {
     endpoint_.loop()->Schedule(kScrubIntervalNs, [this]() { ScrubOrphans(); });
@@ -565,7 +594,7 @@ void ShardServer::ApplyFetchedRecord(const RecordId& id, const Status& s, Decode
     return;
   }
   Record rec;
-  if (!DecodeRecord(d, &rec)) {
+  if (!WireDecode(d, rec)) {
     return;
   }
   if (rec.no_op) {
@@ -729,9 +758,7 @@ void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
   }
   FillReadPiggyback(&resp);
   cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
+    r.Ok(resp);
   });
 }
 
@@ -798,9 +825,7 @@ void ShardServer::HandlePosMap(Decoder d, Responder r) {
     resp.shard_ids.push_back(meta_log_[p - meta_base_]);
   }
   cpu_.ExecuteFor(resp.shard_ids.size() * 8, [resp = std::move(resp), r]() mutable {
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
+    r.Ok(resp);
   });
 }
 
@@ -857,9 +882,7 @@ void ShardServer::HandleIndexDelta(Decoder d, Responder r) {
                                                     : index_pos_frontier_;
   cpu_.ExecuteFor(resp.entries.size() * sizeof(TagIndexEntry),
                   [resp = std::move(resp), r]() mutable {
-                    Encoder e;
-                    resp.Encode(e);
-                    r.Ok(e);
+                    r.Ok(resp);
                   });
 }
 
@@ -894,9 +917,7 @@ void ShardServer::HandleMultiRead(Decoder d, Responder r) {
   }
   FillReadPiggyback(&resp);
   cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
+    r.Ok(resp);
   });
 }
 
@@ -950,9 +971,7 @@ void ShardServer::HandleMultiRangeRead(Decoder d, Responder r) {
   resp.durable_tail = piggy.durable_tail;
   resp.queue_ns = piggy.queue_ns;
   cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
-    Encoder e;
-    resp.Encode(e);
-    r.Ok(e);
+    r.Ok(resp);
   });
 }
 
@@ -1010,42 +1029,25 @@ void ShardServer::HandleCopyState(Decoder d, Responder r) {
 }
 
 void ShardServer::HandleFetchState(Decoder d, Responder r) {
-  // Serialize everything a replacement replica needs: the ordered log with positions,
-  // the unordered pool, the metadata log, no-op decisions, and the counters.
-  Encoder e;
-  e.PutU64(view_);
-  e.PutU64(stable_gp_);
-  e.PutU64(trimmed_below_);
-  e.PutU64(meta_base_);
-  // Ordering frontiers: a replacement that starts at zero would park every window the
-  // cursor sends it (range_lo far ahead of an empty stream). completed_spans_ is not
-  // shipped — the orderer re-sends anything above order_durable_ after a retry anyway.
-  e.PutU64(order_applied_);
-  e.PutU64(order_durable_);
-  // Ordered records in local order.
-  e.PutU32(static_cast<uint32_t>(local_pos_.size()));
+  ShardStateSnapshot snap;
+  snap.view = view_;
+  snap.stable_gp = stable_gp_;
+  snap.trimmed_below = trimmed_below_;
+  snap.meta_base = meta_base_;
+  snap.order_applied = order_applied_;
+  snap.order_durable = order_durable_;
   for (size_t i = 0; i < local_pos_.size(); ++i) {
     const Record* rec = log_.Get(local_pos_base_ + i);
     LL_CHECK(rec != nullptr, "state copy: missing log entry");
-    PositionedRecord pr{local_pos_[i], *rec};
-    pr.Encode(e);
+    snap.ordered.push_back(PositionedRecord{local_pos_[i], *rec});
   }
-  // Unordered pool (payload handle + stream tag + phylog).
-  e.PutU32(static_cast<uint32_t>(pool_.size()));
   for (const auto& [id, entry] : pool_) {
-    EncodeRecordId(e, id);
-    e.PutAttached(entry.payload);
-    e.PutU64(entry.tag);
-    e.PutU64(entry.log);
+    snap.pool.push_back({id, entry.payload, entry.tag, entry.log});
   }
-  // No-op decisions (so late data writes stay rejected on the new replica).
-  e.PutU32(static_cast<uint32_t>(rejected_.size()));
-  for (const RecordId& id : rejected_) {
-    EncodeRecordId(e, id);
-  }
-  // Metadata log.
-  std::vector<uint64_t> meta(meta_log_.begin(), meta_log_.end());
-  e.PutU64Vector(meta);
+  snap.rejected.assign(rejected_.begin(), rejected_.end());
+  snap.meta_log = meta_log_;
+  Encoder e;
+  WireEncode(e, snap);
   // Charge for the full snapshot including attachment bytes, matching the old
   // inline encoding size.
   const uint64_t bytes = e.size() + e.atts_size();
@@ -1063,75 +1065,37 @@ void ShardServer::CopyStateFrom(NodeId live_replica, std::function<void(Status)>
           done(std::move(s));
           return;
         }
-        uint32_t n_ordered = 0;
-        uint64_t view = 0, stable = 0, trimmed = 0, meta_base = 0;
-        uint64_t order_applied = 0, order_durable = 0;
-        if (!d.GetU64(&view) || !d.GetU64(&stable) || !d.GetU64(&trimmed) ||
-            !d.GetU64(&meta_base) || !d.GetU64(&order_applied) ||
-            !d.GetU64(&order_durable) || !d.GetU32(&n_ordered)) {
+        ShardStateSnapshot snap;
+        if (!WireDecode(d, snap)) {
           done(Status::Internal("bad state snapshot"));
           return;
         }
         // Stable-gp broadcasts keep arriving while the snapshot is in flight, so the
         // snapshot's values may already be stale; both are monotone, take the max.
-        view_ = std::max(view_, view);
-        stable_gp_ = std::max(stable_gp_, stable);
-        trimmed_below_ = trimmed;
-        meta_base_ = meta_base;
-        order_applied_ = std::max(order_applied_, order_applied);
-        order_durable_ = std::max(order_durable_, order_durable);
+        view_ = std::max(view_, snap.view);
+        stable_gp_ = std::max(stable_gp_, snap.stable_gp);
+        trimmed_below_ = snap.trimmed_below;
+        meta_base_ = snap.meta_base;
+        order_applied_ = std::max(order_applied_, snap.order_applied);
+        order_durable_ = std::max(order_durable_, snap.order_durable);
         completed_spans_.clear();
         if (stable_gp_observer_) {
           stable_gp_observer_(view_, stable_gp_);
         }
         uint64_t bytes = 0;
-        for (uint32_t i = 0; i < n_ordered; ++i) {
-          PositionedRecord pr;
-          if (!pr.Decode(d)) {
-            done(Status::Internal("bad state snapshot record"));
-            return;
-          }
+        for (PositionedRecord& pr : snap.ordered) {
           bytes += pr.record.payload.size();
           StoreOrdered(pr.pos, std::move(pr.record), false);
         }
-        uint32_t n_pool = 0;
-        if (!d.GetU32(&n_pool)) {
-          done(Status::Internal("bad state snapshot pool"));
-          return;
+        for (ShardStateSnapshot::PooledRecord& p : snap.pool) {
+          bytes += p.payload.size();
+          pool_.emplace(p.id, PoolEntry{std::move(p.payload), p.tag, p.log});
+          pool_arrival_[p.id] = endpoint_.loop()->Now();
         }
-        for (uint32_t i = 0; i < n_pool; ++i) {
-          RecordId id;
-          Buf payload;
-          StreamTag tag = kNoTag;
-          LogId log = kDefaultLog;
-          if (!DecodeRecordId(d, &id) || !d.GetAttached(&payload) || !d.GetU64(&tag) ||
-              !d.GetU64(&log)) {
-            done(Status::Internal("bad state snapshot pool entry"));
-            return;
-          }
-          bytes += payload.size();
-          pool_.emplace(id, PoolEntry{std::move(payload), tag, log});
-          pool_arrival_[id] = endpoint_.loop()->Now();
-        }
-        uint32_t n_rejected = 0;
-        if (!d.GetU32(&n_rejected)) {
-          done(Status::Internal("bad state snapshot rejects"));
-          return;
-        }
-        for (uint32_t i = 0; i < n_rejected; ++i) {
-          RecordId id;
-          if (!DecodeRecordId(d, &id)) {
-            done(Status::Internal("bad state snapshot reject entry"));
-            return;
-          }
+        for (const RecordId& id : snap.rejected) {
           rejected_.insert(id);
         }
-        std::vector<uint64_t> meta;
-        if (!d.GetU64Vector(&meta)) {
-          done(Status::Internal("bad state snapshot meta log"));
-          return;
-        }
-        meta_log_.assign(meta.begin(), meta.end());
+        meta_log_ = std::move(snap.meta_log);
         loading_ = false;
         AdvanceTagIndex();  // rebuild the tag journal over the copied stable prefix
         // Persist the copied state; completion waits for the disk like any bulk load.
@@ -1191,9 +1155,7 @@ void ShardServer::HandlePromoSeal(Decoder d, Responder r) {
   resp.order_durable = order_durable_;
   resp.meta_size = meta_log_.size();
   resp.pending = pending_.size();
-  Encoder e;
-  resp.Encode(e);
-  r.Ok(e);
+  r.Ok(resp);
 }
 
 void ShardServer::HandlePromote(Decoder d, Responder r) {
@@ -1223,9 +1185,7 @@ void ShardServer::HandlePromote(Decoder d, Responder r) {
   }
   // The ack carries our contiguous applied frontier: the controller resets the
   // orderer's cursor here, so the leader re-pushes everything we never saw.
-  Encoder e;
-  ShardOrderAckResp{order_applied_}.Encode(e);
-  r.Ok(e);
+  r.Ok(ShardOrderAckResp{order_applied_});
 }
 
 void ShardServer::PromoteToPrimary(const ShardPromoteReq& req) {
@@ -1359,7 +1319,7 @@ void ShardServer::BackfillPending(RecordId id, size_t peer_index) {
                      return;
                    }
                    Record rec;
-                   if (!s.ok() || !DecodeRecord(body, &rec)) {
+                   if (!s.ok() || !WireDecode(body, rec)) {
                      BackfillPending(id, peer_index + 1);
                      return;
                    }
@@ -1392,9 +1352,7 @@ void ShardServer::HandleBackfill(Decoder d, Responder r) {
   }
   const Record* rec = log_.Get(local);
   LL_CHECK(rec != nullptr, "bound position missing from log");
-  Encoder e;
-  EncodeRecord(e, *rec);
-  r.Ok(e);
+  r.Ok(*rec);
 }
 
 // --- stats surface --------------------------------------------------------------------

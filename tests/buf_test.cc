@@ -130,9 +130,9 @@ TEST_F(BufTest, DecodedRecordOutlivesMessage) {
   Record out;
   {
     Encoder e;
-    EncodeRecord(e, in);
+    WireEncode(e, in);
     Decoder d(e.TakeBuf(), e.TakeAtts());
-    ASSERT_TRUE(DecodeRecord(d, &out));
+    ASSERT_TRUE(WireDecode(d, out));
   }  // encoder and decoder gone
   EXPECT_EQ(out.payload.size(), 128u);
   EXPECT_TRUE(out.payload.SharesBackingWith(in.payload));
@@ -206,7 +206,7 @@ TEST_F(BufTest, TruncatedAttachmentMarkerFailsCleanly) {
 TEST_F(BufTest, MalformedRecordDecodeNeverReadsPastEnd) {
   Record in{RecordId{1, 2}, Buf::FromString(std::string(64, 'z')), false};
   Encoder e;
-  EncodeRecord(e, in);
+  WireEncode(e, in);
   const Buf wire = e.TakeBuf();
   const std::vector<Buf> atts = e.TakeAtts();
   // Every truncation of the inline part must fail cleanly (never crash, never succeed
@@ -214,7 +214,7 @@ TEST_F(BufTest, MalformedRecordDecodeNeverReadsPastEnd) {
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     Decoder d(wire.Slice(0, cut), atts);
     Record out;
-    EXPECT_FALSE(DecodeRecord(d, &out)) << "cut=" << cut;
+    EXPECT_FALSE(WireDecode(d, out)) << "cut=" << cut;
   }
 }
 
