@@ -7,19 +7,28 @@ namespace lazylog {
 
 std::string EncodeKvUpdate(const std::string& key, const std::string& value) {
   Encoder e;
-  e.PutBytes(key);
-  e.PutBytes(value);
+  WireEncode(e, KvPutReq{key, value});
   return e.Take();
 }
 
+namespace {
+bool DecodeKvUpdate(Decoder d, std::string* key, std::string* value) {
+  KvPutReq update;
+  if (!WireDecode(d, update)) {
+    return false;
+  }
+  *key = std::move(update.key);
+  *value = std::move(update.value);
+  return true;
+}
+}  // namespace
+
 bool DecodeKvUpdate(const std::string& record, std::string* key, std::string* value) {
-  Decoder d(record);
-  return d.GetBytes(key) && d.GetBytes(value);
+  return DecodeKvUpdate(Decoder(record), key, value);
 }
 
 bool DecodeKvUpdate(const Buf& record, std::string* key, std::string* value) {
-  Decoder d(record.data(), record.size());
-  return d.GetBytes(key) && d.GetBytes(value);
+  return DecodeKvUpdate(Decoder(record.data(), record.size()), key, value);
 }
 
 // --- write server ---------------------------------------------------------------------
@@ -30,16 +39,12 @@ KvWriteServer::KvWriteServer(Network* net, const SimParams& params,
       cpu_(net->loop(), CpuParams{.fixed_ns = 500, .copy_bandwidth_bytes_per_sec = 4e9}),
       client_(std::move(log)),
       handle_(client_->handle(log_id)) {
-  endpoint_.Register(kKvPut, [this](NodeId, Decoder d, Responder r) {
-    std::string key, value;
-    if (!d.GetBytes(&key) || !d.GetBytes(&value)) {
-      r.Send(Status::InvalidArgument("bad put"));
-      return;
-    }
+  endpoint_.Handle<KvPutReq>(kKvPut, [this](NodeId, KvPutReq req, Responder r) {
     // Validate + serialize, then append; the ack waits only for log durability — the
     // dominant cost of a put in this application (§6.11).
-    cpu_.ExecuteFor(key.size() + value.size(), [this, key, value, r]() mutable {
-      handle_.Append(EncodeKvUpdate(key, value), [this, r](Status s) mutable {
+    const size_t bytes = req.key.size() + req.value.size();
+    cpu_.ExecuteFor(bytes, [this, req = std::move(req), r]() mutable {
+      handle_.Append(EncodeKvUpdate(req.key, req.value), [this, r](Status s) mutable {
         puts_++;
         r.Send(s.ok() ? Status::Ok() : Status::Unavailable("log append failed"));
       });
@@ -57,17 +62,11 @@ KvReadServer::KvReadServer(Network* net, const SimParams& params,
       client_(std::move(log)),
       handle_(client_->handle(log_id)),
       poll_interval_ns_(poll_interval_ns) {
-  endpoint_.Register(kKvGet, [this](NodeId, Decoder d, Responder r) {
-    std::string key;
-    if (!d.GetBytes(&key)) {
-      r.Send(Status::InvalidArgument("bad get"));
-      return;
-    }
-    cpu_.ExecuteFor(key.size(), [this, key, r]() mutable {
+  endpoint_.Handle<std::string>(kKvGet, [this](NodeId, std::string key, Responder r) {
+    const size_t bytes = key.size();
+    cpu_.ExecuteFor(bytes, [this, key = std::move(key), r]() mutable {
       auto it = state_.find(key);
-      Encoder e;
-      e.PutBytes(it == state_.end() ? std::string() : it->second);
-      r.Ok(e);
+      r.Ok(it == state_.end() ? std::string() : it->second);
     });
   });
   PollLoop();
@@ -116,30 +115,17 @@ KvClient::KvClient(Network* net, const SimParams& params, NodeId write_server,
     : endpoint_(net), params_(params), write_server_(write_server), read_server_(read_server) {}
 
 void KvClient::Put(const std::string& key, const std::string& value, PutCallback cb) {
-  Encoder e;
-  e.PutBytes(key);
-  e.PutBytes(value);
-  endpoint_.Call(write_server_, kKvPut, e.Take(),
-                 [cb](Status s, Decoder) {
-                   if (cb) {
-                     cb(s.ok());
-                   }
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg(write_server_, kKvPut, KvPutReq{key, value},
+                    [cb](Status s, Decoder) {
+                      if (cb) {
+                        cb(s.ok());
+                      }
+                    },
+                    params_.rpc_timeout_ns);
 }
 
 void KvClient::Get(const std::string& key, GetCallback cb) {
-  Encoder e;
-  e.PutBytes(key);
-  endpoint_.Call(read_server_, kKvGet, e.Take(),
-                 [cb](Status s, Decoder d) {
-                   std::string value;
-                   if (s.ok()) {
-                     d.GetBytes(&value);
-                   }
-                   cb(std::move(s), std::move(value));
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<std::string>(read_server_, kKvGet, key, cb, params_.rpc_timeout_ns);
 }
 
 }  // namespace lazylog

@@ -17,6 +17,13 @@
 
 namespace lazylog {
 
+// A put request; its bytes are also the log record of the update.
+struct KvPutReq {
+  std::string key;
+  std::string value;
+  template <class Ar> void Wire(Ar& ar) { ar(key, value); }
+};
+
 // Serialization of one KV update as a log record.
 std::string EncodeKvUpdate(const std::string& key, const std::string& value);
 bool DecodeKvUpdate(const std::string& record, std::string* key, std::string* value);

@@ -15,21 +15,13 @@ TxnServer::TxnServer(Network* net, const SimParams& params,
       client_(std::move(audit_log)),
       audit_log_(client_->handle(log_id)),
       costs_(costs) {
-  endpoint_.Register(kTxnExecute, [this](NodeId, Decoder d, Responder r) {
-    HandleTxn(d, std::move(r));
-  });
+  endpoint_.Handle(kTxnExecute, this, &TxnServer::HandleTxn);
 }
 
-void TxnServer::HandleTxn(Decoder d, Responder r) {
-  uint8_t type_raw = 0;
-  uint64_t account = 0;
-  uint64_t amount_raw = 0;
-  if (!d.GetU8(&type_raw) || !d.GetU64(&account) || !d.GetU64(&amount_raw)) {
-    r.Send(Status::InvalidArgument("bad txn"));
-    return;
-  }
-  const TxnType type = static_cast<TxnType>(type_raw);
-  const int64_t amount = static_cast<int64_t>(amount_raw);
+void TxnServer::HandleTxn(const TxnReq& req, Responder r) {
+  const TxnType type = static_cast<TxnType>(req.type);
+  const uint64_t account = req.account;
+  const int64_t amount = static_cast<int64_t>(req.amount);
   const uint64_t exec_ns = TxnIsWrite(type) ? costs_.write_exec_ns : costs_.read_exec_ns;
   // Execute against the local database, then synchronously log the audit record (§6.11:
   // "since audits are critical, logging happens synchronously").
@@ -54,9 +46,7 @@ void TxnServer::HandleTxn(Decoder d, Responder r) {
         break;
     }
     Encoder audit;
-    audit.PutU8(static_cast<uint8_t>(type));
-    audit.PutU64(account);
-    audit.PutU64(static_cast<uint64_t>(amount));
+    WireEncode(audit, TxnReq{static_cast<uint8_t>(type), account, static_cast<uint64_t>(amount)});
     std::string record = audit.Take();
     record.resize(128, 'a');  // audit records carry context; ~128 B on the wire
     audit_log_.Append(std::move(record), [this, r](Status s) mutable {
@@ -70,12 +60,9 @@ TxnClient::TxnClient(Network* net, const SimParams& params, NodeId server)
     : endpoint_(net), params_(params), server_(server) {}
 
 void TxnClient::Execute(TxnType type, uint64_t account, int64_t amount, TxnCallback cb) {
-  Encoder e;
-  e.PutU8(static_cast<uint8_t>(type));
-  e.PutU64(account);
-  e.PutU64(static_cast<uint64_t>(amount));
-  endpoint_.Call(server_, kTxnExecute, e.Take(),
-                 [cb](Status s, Decoder) { cb(s.ok()); }, params_.rpc_timeout_ns);
+  endpoint_.CallMsg(server_, kTxnExecute,
+                    TxnReq{static_cast<uint8_t>(type), account, static_cast<uint64_t>(amount)},
+                    [cb](Status s, Decoder) { cb(s.ok()); }, params_.rpc_timeout_ns);
 }
 
 }  // namespace lazylog

@@ -26,6 +26,14 @@ enum class TxnType : uint8_t {
   kStatusQuery = 5,
 };
 
+// A transaction request; its bytes also open the transaction's audit record.
+struct TxnReq {
+  uint8_t type = 0;  // a TxnType
+  uint64_t account = 0;
+  uint64_t amount = 0;  // int64_t, two's complement
+  template <class Ar> void Wire(Ar& ar) { ar(type, account, amount); }
+};
+
 inline bool TxnIsWrite(TxnType t) {
   return t == TxnType::kCreateAccount || t == TxnType::kDeposit || t == TxnType::kWithdraw ||
          t == TxnType::kTransfer;
@@ -50,7 +58,7 @@ class TxnServer {
   uint64_t committed() const { return committed_; }
 
  private:
-  void HandleTxn(Decoder d, Responder r);
+  void HandleTxn(const TxnReq& req, Responder r);
 
   RpcEndpoint endpoint_;
   ServerCpu cpu_;

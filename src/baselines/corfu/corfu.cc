@@ -9,24 +9,15 @@ namespace lazylog {
 CorfuSequencer::CorfuSequencer(Network* net, const SimParams& params)
     : endpoint_(net),
       cpu_(net->loop(), CpuParams{.fixed_ns = 300, .copy_bandwidth_bytes_per_sec = 10e9}) {
-  endpoint_.Register(kCorfuNextPos, [this](NodeId, Decoder d, Responder r) {
-    cpu_.Execute(cpu_.CostFor(0), [this, r]() mutable {
-      Encoder e;
-      e.PutU64(next_pos_++);
-      r.Ok(e);
-    });
+  endpoint_.Handle<NoBody>(kCorfuNextPos, [this](NodeId, NoBody, Responder r) {
+    cpu_.Execute(cpu_.CostFor(0), [this, r]() mutable { r.Ok(next_pos_++); });
   });
-  endpoint_.Register(kCorfuTail, [this](NodeId, Decoder d, Responder r) {
-    uint64_t completed = 0;
-    const bool report = d.GetU64(&completed);
-    cpu_.Execute(cpu_.CostFor(0), [this, r, report, completed]() mutable {
-      if (report && completed > committed_) {
-        committed_ = completed;
+  endpoint_.Handle<CorfuTailReq>(kCorfuTail, [this](NodeId, CorfuTailReq req, Responder r) {
+    cpu_.Execute(cpu_.CostFor(0), [this, r, req]() mutable {
+      if (req.report && req.completed > committed_) {
+        committed_ = req.completed;
       }
-      Encoder e;
-      e.PutU64(next_pos_);
-      e.PutU64(committed_);
-      r.Ok(e);
+      r.Ok(CorfuTailResp{next_pos_, committed_});
     });
   });
 }
@@ -35,26 +26,16 @@ CorfuSequencer::CorfuSequencer(Network* net, const SimParams& params)
 
 CorfuStorageUnit::CorfuStorageUnit(Network* net, const SimParams& params, ShardId shard_id)
     : endpoint_(net), cpu_(net->loop(), params.shard_cpu), disk_(net->loop(), params.disk) {
-  endpoint_.Register(kCorfuWrite, [this](NodeId, Decoder d, Responder r) {
-    HandleWrite(d, std::move(r));
-  });
-  endpoint_.Register(kCorfuRead, [this](NodeId, Decoder d, Responder r) {
-    HandleRead(d, std::move(r));
-  });
+  endpoint_.Handle(kCorfuWrite, this, &CorfuStorageUnit::HandleWrite);
+  endpoint_.Handle(kCorfuRead, this, &CorfuStorageUnit::HandleRead);
 }
 
-void CorfuStorageUnit::HandleWrite(Decoder d, Responder r) {
-  uint64_t pos = 0;
-  Record rec;
-  if (!d.GetU64(&pos) || !WireDecode(d, rec)) {
-    r.Send(Status::InvalidArgument("bad corfu write"));
-    return;
-  }
+void CorfuStorageUnit::HandleWrite(CorfuWriteReq req, Responder r) {
   // Admission charges the fixed per-request CPU cost only; the payload's transfer cost
   // is charged once, at the disk write below (the unit acks from memory/NVRAM). Keeping
   // the byte count out of the ExecuteFor argument also avoids reading `rec` in the same
   // call that moves it into the capture (unspecified evaluation order).
-  cpu_.ExecuteFor(0, [this, pos, rec = std::move(rec), r]() mutable {
+  cpu_.ExecuteFor(0, [this, pos = req.pos, rec = std::move(req.record), r]() mutable {
     auto it = store_.find(pos);
     if (it != store_.end()) {
       // Write-once: a duplicate identical write (client retry) is fine; a conflicting
@@ -90,16 +71,11 @@ void CorfuStorageUnit::HandleWrite(Decoder d, Responder r) {
   });
 }
 
-void CorfuStorageUnit::HandleRead(Decoder d, Responder r) {
-  uint64_t pos = 0;
-  bool nowait = false;
-  if (!d.GetU64(&pos) || !d.GetBool(&nowait)) {
-    r.Send(Status::InvalidArgument("bad corfu read"));
-    return;
-  }
+void CorfuStorageUnit::HandleRead(const CorfuReadReq& req, Responder r) {
+  const uint64_t pos = req.pos;
   auto it = store_.find(pos);
   if (it == store_.end()) {
-    if (nowait) {
+    if (req.nowait) {
       r.Send(Status::OutOfRange("position unwritten"));
     } else {
       waiters_.push_back(ReadWaiter{pos, std::move(r)});
@@ -135,18 +111,16 @@ void CorfuClient::AppendAt(const AppendOptions& options, Buf payload, AppendPosC
   record->payload = std::move(payload);
   record->tag = options.tag;
   record->log = options.log;
-  endpoint_.Call(sequencer_, kCorfuNextPos, "",
-                 [this, record, cb](Status s, Decoder d) {
-                   if (!s.ok()) {
-                     cb(std::move(s), kInvalidLogPos);
-                     return;
-                   }
-                   uint64_t pos = 0;
-                   d.GetU64(&pos);
-                   // RTTs 2..1+k: client-driven chain write binds the record.
-                   ChainWrite(pos, record, 0, std::move(cb));
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<uint64_t>(sequencer_, kCorfuNextPos, NoBody{},
+                              [this, record, cb](Status s, uint64_t pos) {
+                                if (!s.ok()) {
+                                  cb(std::move(s), kInvalidLogPos);
+                                  return;
+                                }
+                                // RTTs 2..1+k: client-driven chain write binds the record.
+                                ChainWrite(pos, record, 0, std::move(cb));
+                              },
+                              params_.rpc_timeout_ns);
 }
 
 void CorfuClient::ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t hop,
@@ -155,46 +129,30 @@ void CorfuClient::ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t 
   if (hop == chain.size()) {
     // Written at the chain tail: durable and bound. Report the completed write so the
     // sequencer's committed tail advances.
-    Encoder e;
-    e.PutU64(pos + 1);
-    endpoint_.Call(sequencer_, kCorfuTail, e.Take(), nullptr, 0);
+    endpoint_.CallMsg(sequencer_, kCorfuTail, CorfuTailReq{true, pos + 1}, nullptr, 0);
     cb(Status::Ok(), pos);
     return;
   }
-  Encoder e;
-  e.PutU64(pos);
-  WireEncode(e, *record);
-  std::vector<Buf> atts = e.TakeAtts();
-  endpoint_.Call(chain[hop], kCorfuWrite, e.TakeBuf(),
-                 [this, pos, record, hop, cb](Status s, Decoder) {
-                   if (!s.ok()) {
-                     cb(std::move(s), kInvalidLogPos);
-                     return;
-                   }
-                   ChainWrite(pos, record, hop + 1, cb);
-                 },
-                 params_.rpc_timeout_ns, std::move(atts));
+  endpoint_.CallMsg(chain[hop], kCorfuWrite, CorfuWriteReq{pos, *record},
+                    [this, pos, record, hop, cb](Status s, Decoder) {
+                      if (!s.ok()) {
+                        cb(std::move(s), kInvalidLogPos);
+                        return;
+                      }
+                      ChainWrite(pos, record, hop + 1, cb);
+                    },
+                    params_.rpc_timeout_ns);
 }
 
 void CorfuClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb) {
   // Committed data is read from the chain tail.
   read_stats_.primary_reads++;
   const auto& chain = chains_[pos % chains_.size()];
-  Encoder e;
-  e.PutU64(pos);
-  e.PutBool(false);
-  endpoint_.Call(chain.back(), kCorfuRead, e.Take(),
-                 [pos, cb](Status s, Decoder d) {
-                   PositionedRecord pr;
-                   pr.pos = pos;
-                   if (s.ok()) {
-                     if (!WireDecode(d, pr.record)) {
-                       s = Status::Internal("bad corfu read response");
-                     }
-                   }
-                   cb(std::move(s), std::move(pr));
-                 },
-                 0);
+  endpoint_.CallMsg<Record>(chain.back(), kCorfuRead, CorfuReadReq{pos, false},
+                            [pos, cb](Status s, Record rec) {
+                              cb(std::move(s), PositionedRecord{pos, std::move(rec)});
+                            },
+                            0);
 }
 
 void CorfuClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
@@ -230,20 +188,18 @@ void CorfuClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
 }
 
 void CorfuClient::CheckTail(TailCallback cb) {
-  endpoint_.Call(sequencer_, kCorfuTail, "",
-                 [this, cb](Status s, Decoder d) {
-                   if (!s.ok()) {
-                     cb(std::move(s), 0, 0);
-                     return;
-                   }
-                   uint64_t next = 0, committed = 0;
-                   d.GetU64(&next);
-                   d.GetU64(&committed);
-                   // Corfu binds eagerly: every committed record is stable.
-                   tails_.Note(endpoint_.loop()->Now(), committed, committed);
-                   cb(Status::Ok(), committed, committed);
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<CorfuTailResp>(
+      sequencer_, kCorfuTail, CorfuTailReq{},
+      [this, cb](Status s, CorfuTailResp resp) {
+        if (!s.ok()) {
+          cb(std::move(s), 0, 0);
+          return;
+        }
+        // Corfu binds eagerly: every committed record is stable.
+        tails_.Note(endpoint_.loop()->Now(), resp.committed, resp.committed);
+        cb(Status::Ok(), resp.committed, resp.committed);
+      },
+      params_.rpc_timeout_ns);
 }
 
 bool CorfuClient::CachedTail(LogPos* durable, LogPos* stable) {

@@ -20,6 +20,31 @@
 
 namespace lazylog {
 
+// kCorfuTail request: empty for a tail query; a client that finished a chain write
+// reports the completed position count, which advances the committed tail.
+struct CorfuTailReq {
+  bool report = false;
+  uint64_t completed = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(TrailingU64{report, completed}); }
+};
+struct CorfuTailResp {
+  uint64_t next_pos = 0;
+  uint64_t committed = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(next_pos, committed); }
+};
+// Chain write of `record` at `pos` (write-once).
+struct CorfuWriteReq {
+  uint64_t pos = 0;
+  Record record;
+  template <class Ar> void Wire(Ar& ar) { ar(pos, record); }
+};
+// Read of `pos`; without `nowait` an unwritten position holds the reply until written.
+struct CorfuReadReq {
+  uint64_t pos = 0;
+  bool nowait = false;
+  template <class Ar> void Wire(Ar& ar) { ar(pos, nowait); }
+};
+
 // Hands out monotonically increasing log positions; also tracks the committed tail
 // (clients report completed chain writes so checkTail can answer).
 class CorfuSequencer {
@@ -46,8 +71,8 @@ class CorfuStorageUnit {
   uint64_t stored() const { return static_cast<uint64_t>(store_.size()); }
 
  private:
-  void HandleWrite(Decoder d, Responder r);
-  void HandleRead(Decoder d, Responder r);
+  void HandleWrite(CorfuWriteReq req, Responder r);
+  void HandleRead(const CorfuReadReq& req, Responder r);
 
   RpcEndpoint endpoint_;
   ServerCpu cpu_;

@@ -16,31 +16,16 @@ KafkaBroker::KafkaBroker(Network* net, const SimParams& params, uint32_t partiti
       params_(params),
       partition_(partition),
       leader_(leader) {
-  endpoint_.Register(kKafkaProduce, [this](NodeId, Decoder d, Responder r) {
-    HandleProduce(d, std::move(r));
-  });
-  endpoint_.Register(kKafkaReplicate, [this](NodeId, Decoder d, Responder r) {
-    HandleReplicate(d, std::move(r));
-  });
-  endpoint_.Register(kKafkaFetch, [this](NodeId, Decoder d, Responder r) {
-    HandleFetch(d, std::move(r));
-  });
-  endpoint_.Register(kKafkaTruncate, [this](NodeId, Decoder d, Responder r) {
-    HandleTruncate(d, std::move(r));
-  });
-  endpoint_.Register(kKafkaMeta, [this](NodeId, Decoder d, Responder r) {
-    Encoder e;
-    e.PutU64(log_.end_index());
-    r.Ok(e);
+  endpoint_.Handle(kKafkaProduce, this, &KafkaBroker::HandleProduce);
+  endpoint_.Handle(kKafkaReplicate, this, &KafkaBroker::HandleReplicate);
+  endpoint_.Handle(kKafkaFetch, this, &KafkaBroker::HandleFetch);
+  endpoint_.Handle(kKafkaTruncate, this, &KafkaBroker::HandleTruncate);
+  endpoint_.Handle<NoBody>(kKafkaMeta, [this](NodeId, NoBody, Responder r) {
+    r.Ok(log_.end_index());
   });
 }
 
-void KafkaBroker::HandleProduce(Decoder d, Responder r) {
-  std::vector<Record> batch;
-  if (!WireDecode(d, batch)) {
-    r.Send(Status::InvalidArgument("bad produce"));
-    return;
-  }
+void KafkaBroker::HandleProduce(std::vector<Record> batch, Responder r) {
   uint64_t bytes = 0;
   for (const Record& rec : batch) {
     bytes += rec.payload.size();
@@ -48,13 +33,9 @@ void KafkaBroker::HandleProduce(Decoder d, Responder r) {
   cpu_.ExecuteFor(bytes, [this, batch = std::move(batch), bytes, r]() mutable {
     // Build the replication frame before the records are moved into the local log.
     // Payloads ride as attachments, so followers share the producer's backing.
-    Buf replicate_body;
-    std::vector<Buf> replicate_atts;
+    EncodedMsg replicate;
     if (!followers_.empty()) {
-      Encoder e;
-      WireEncode(e, batch);
-      replicate_atts = e.TakeAtts();
-      replicate_body = e.TakeBuf();
+      replicate = EncodeMsg(batch);
     }
     for (Record& rec : batch) {
       log_.Append(std::move(rec));
@@ -78,21 +59,15 @@ void KafkaBroker::HandleProduce(Decoder d, Responder r) {
     ack->r = std::move(r);
     ack->waits = static_cast<int>(followers_.size()) + 2;  // followers + own disk + guard
     for (NodeId f : followers_) {
-      endpoint_.Call(f, kKafkaReplicate, replicate_body,
-                     [ack](Status s, Decoder) { ack->Done(s); },
-                     params_.rpc_timeout_ns, replicate_atts);
+      endpoint_.CallMsg(f, kKafkaReplicate, replicate,
+                        [ack](Status s, Decoder) { ack->Done(s); }, params_.rpc_timeout_ns);
     }
     disk_.Write(bytes, [ack]() { ack->Done(Status::Ok()); });
     ack->Done(Status::Ok());  // guard release
   });
 }
 
-void KafkaBroker::HandleReplicate(Decoder d, Responder r) {
-  std::vector<Record> batch;
-  if (!WireDecode(d, batch)) {
-    r.Send(Status::InvalidArgument("bad replicate"));
-    return;
-  }
+void KafkaBroker::HandleReplicate(std::vector<Record> batch, Responder r) {
   uint64_t bytes = 0;
   for (const Record& rec : batch) {
     bytes += rec.payload.size();
@@ -105,47 +80,26 @@ void KafkaBroker::HandleReplicate(Decoder d, Responder r) {
   });
 }
 
-void KafkaBroker::HandleFetch(Decoder d, Responder r) {
-  uint64_t offset = 0;
-  uint32_t max_records = 0;
-  if (!d.GetU64(&offset) || !d.GetU32(&max_records)) {
-    r.Send(Status::InvalidArgument("bad fetch"));
-    return;
-  }
-  Encoder e;
+void KafkaBroker::HandleFetch(const KafkaFetchReq& req, Responder r) {
   uint32_t count = 0;
   uint64_t bytes = 0;
-  std::vector<Record> out;
-  for (uint64_t o = offset; o < log_.end_index() && count < max_records; ++o, ++count) {
+  KafkaFetchResp resp;
+  for (uint64_t o = req.offset; o < log_.end_index() && count < req.max_records;
+       ++o, ++count) {
     const Record* rec = log_.Get(o);
     if (rec == nullptr) {
       break;
     }
-    out.push_back(*rec);
+    resp.records.push_back(*rec);
     bytes += rec->payload.size();
   }
-  const uint64_t leo = log_.end_index();
-  cpu_.ExecuteFor(bytes, [out = std::move(out), leo, r]() mutable {
-    Encoder e2;
-    WireEncode(e2, out);
-    // Trailing log-end-offset piggyback: lets pollers learn the tail without a
-    // separate metadata round trip. Decoders that stop after the vector still parse.
-    e2.PutU64(leo);
-    r.Ok(e2);
-  });
+  resp.log_end_offset = log_.end_index();
+  cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable { r.Ok(resp); });
 }
 
-void KafkaBroker::HandleTruncate(Decoder d, Responder r) {
-  uint64_t from = 0;
-  if (!d.GetU64(&from)) {
-    r.Send(Status::InvalidArgument("bad truncate"));
-    return;
-  }
+void KafkaBroker::HandleTruncate(uint64_t from, Responder r) {
   log_.TruncateFrom(from);
   if (leader_) {
-    Encoder e;
-    e.PutU64(from);
-    const std::string body = e.Take();
     auto gather = Gather::Create(followers_.size(), [r](const std::vector<Status>&) mutable {
       r.Send(Status::Ok());
     });
@@ -154,8 +108,8 @@ void KafkaBroker::HandleTruncate(Decoder d, Responder r) {
       return;
     }
     for (size_t i = 0; i < followers_.size(); ++i) {
-      endpoint_.Call(followers_[i], kKafkaTruncate, body, gather->Slot(i),
-                     params_.rpc_timeout_ns);
+      endpoint_.CallMsg(followers_[i], kKafkaTruncate, from, gather->Slot(i),
+                        params_.rpc_timeout_ns);
     }
     return;
   }
@@ -197,22 +151,19 @@ void KafkaProducer::FlushLocked() {
   if (buffer_.empty()) {
     return;
   }
-  Encoder e;
-  WireEncode(e, buffer_);
   auto cbs = std::make_shared<std::vector<ProduceCallback>>(std::move(callbacks_));
+  endpoint_.CallMsg(leader_, kKafkaProduce, buffer_,
+                    [cbs](Status s, Decoder) {
+                      for (auto& cb : *cbs) {
+                        if (cb) {
+                          cb(s);
+                        }
+                      }
+                    },
+                    params_.rpc_timeout_ns);
   buffer_.clear();
   callbacks_.clear();
   buffered_bytes_ = 0;
-  std::vector<Buf> atts = e.TakeAtts();
-  endpoint_.Call(leader_, kKafkaProduce, e.TakeBuf(),
-                 [cbs](Status s, Decoder) {
-                   for (auto& cb : *cbs) {
-                     if (cb) {
-                       cb(s);
-                     }
-                   }
-                 },
-                 params_.rpc_timeout_ns, std::move(atts));
 }
 
 // --- consumer -------------------------------------------------------------------------------
@@ -221,27 +172,15 @@ KafkaConsumer::KafkaConsumer(Network* net, const SimParams& params, NodeId leade
     : endpoint_(net), params_(params), leader_(leader) {}
 
 void KafkaConsumer::Fetch(uint64_t offset, uint32_t max_records, FetchCallback cb) {
-  Encoder e;
-  e.PutU64(offset);
-  e.PutU32(max_records);
-  endpoint_.Call(leader_, kKafkaFetch, e.Take(),
-                 [this, cb](Status s, Decoder d) {
-                   std::vector<Record> records;
-                   if (s.ok()) {
-                     std::vector<Record> wire;
-                     if (WireDecode(d, wire)) {
-                       records = std::move(wire);
-                       uint64_t leo = 0;
-                       if (d.GetU64(&leo)) {
-                         last_known_leo_ = std::max(last_known_leo_, leo);
-                       }
-                     } else {
-                       s = Status::Internal("bad fetch response");
-                     }
-                   }
-                   cb(std::move(s), std::move(records));
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<KafkaFetchResp>(
+      leader_, kKafkaFetch, KafkaFetchReq{offset, max_records},
+      [this, cb](Status s, KafkaFetchResp resp) {
+        if (s.ok()) {
+          last_known_leo_ = std::max(last_known_leo_, resp.log_end_offset);
+        }
+        cb(std::move(s), std::move(resp.records));
+      },
+      params_.rpc_timeout_ns);
 }
 
 // --- Erwin-m shard adapter --------------------------------------------------------------------
@@ -251,21 +190,11 @@ KafkaShardAdapter::KafkaShardAdapter(Network* net, const SimParams& params, Shar
     : endpoint_(net),
       cpu_(net->loop(), CpuParams{.fixed_ns = 500, .copy_bandwidth_bytes_per_sec = 4e9}),
       params_(params), shard_id_(shard_id), kafka_leader_(kafka_leader) {
-  endpoint_.Register(kShardAppendBatch, [this](NodeId, Decoder d, Responder r) {
-    HandleAppendBatch(d, std::move(r));
-  });
-  endpoint_.Register(kShardRead, [this](NodeId, Decoder d, Responder r) {
-    HandleRead(d, std::move(r));
-  });
-  endpoint_.Register(kShardMultiRangeRead, [this](NodeId, Decoder d, Responder r) {
-    HandleMultiRangeRead(d, std::move(r));
-  });
-  endpoint_.Register(kShardSetStableGp, [this](NodeId, Decoder d, Responder r) {
-    HandleSetStableGp(d, std::move(r));
-  });
-  endpoint_.Register(kShardTrim, [this](NodeId, Decoder d, Responder r) {
-    HandleTrim(d, std::move(r));
-  });
+  endpoint_.Handle(kShardAppendBatch, this, &KafkaShardAdapter::HandleAppendBatch);
+  endpoint_.Handle(kShardRead, this, &KafkaShardAdapter::HandleRead);
+  endpoint_.Handle(kShardMultiRangeRead, this, &KafkaShardAdapter::HandleMultiRangeRead);
+  endpoint_.Handle(kShardSetStableGp, this, &KafkaShardAdapter::HandleSetStableGp);
+  endpoint_.Handle(kShardTrim, this, &KafkaShardAdapter::HandleTrim);
 }
 
 void KafkaShardAdapter::SendWatermarkAck(Responder& r, const Status& s) {
@@ -275,12 +204,8 @@ void KafkaShardAdapter::SendWatermarkAck(Responder& r, const Status& s) {
   r.Send(s, e.Take());
 }
 
-void KafkaShardAdapter::HandleAppendBatch(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardAppendBatchReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad append batch"));
-    return;
-  }
+void KafkaShardAdapter::HandleAppendBatch(ShardAppendBatchReq window, Responder r) {
+  auto req = std::make_shared<ShardAppendBatchReq>(std::move(window));
   if (req->view < view_) {
     SendWatermarkAck(r, Status::WrongView());
     return;
@@ -357,15 +282,10 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
       complete(Status::Ok());
       return;
     }
-    Encoder e;
-    WireEncode(e, wire);
     produce_inflight_ = true;
-    std::vector<Buf> atts = e.TakeAtts();
-    endpoint_.Call(kafka_leader_, kKafkaProduce, e.TakeBuf(),
-                   [complete](Status s, Decoder) mutable {
-                     complete(std::move(s));
-                   },
-                   params_.rpc_timeout_ns, std::move(atts));
+    endpoint_.CallMsg(kafka_leader_, kKafkaProduce, wire,
+                      [complete](Status s, Decoder) mutable { complete(std::move(s)); },
+                      params_.rpc_timeout_ns);
   };
   if (req->overwrite) {
     // Recovery rewrite: "delete tail records and then append new entries" (§4.1).
@@ -377,27 +297,21 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
       ++dropped;
     }
     if (dropped > 0) {
-      Encoder e;
-      e.PutU64(offset_base_ + offset_pos_.size());
       produce_inflight_ = true;
-      endpoint_.Call(kafka_leader_, kKafkaTruncate, e.Take(),
-                     [this, produce](Status, Decoder) mutable {
-                       produce_inflight_ = false;
-                       produce();
-                     },
-                     params_.rpc_timeout_ns);
+      endpoint_.CallMsg(kafka_leader_, kKafkaTruncate,
+                        static_cast<uint64_t>(offset_base_ + offset_pos_.size()),
+                        [this, produce](Status, Decoder) mutable {
+                          produce_inflight_ = false;
+                          produce();
+                        },
+                        params_.rpc_timeout_ns);
       return;
     }
   }
   produce();
 }
 
-void KafkaShardAdapter::HandleRead(Decoder d, Responder r) {
-  ShardReadReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad read"));
-    return;
-  }
+void KafkaShardAdapter::HandleRead(const ShardReadReq& req, Responder r) {
   if (req.pos >= stable_gp_) {
     if (req.nowait) {
       r.Send(Status::OutOfRange("not stable"));
@@ -417,47 +331,35 @@ void KafkaShardAdapter::ServeRead(const ShardReadReq& req, Responder r) {
     return;
   }
   const uint64_t offset = it->second;
-  Encoder e;
-  e.PutU64(offset);
-  e.PutU32(req.len);
   const LogPos stable = stable_gp_;
-  endpoint_.Call(kafka_leader_, kKafkaFetch, e.Take(),
-                 [this, offset, stable, r](Status s, Decoder d) mutable {
-                   if (!s.ok()) {
-                     r.Send(std::move(s));
-                     return;
-                   }
-                   std::vector<Record> wire;
-                   if (!WireDecode(d, wire)) {
-                     r.Send(Status::Internal("bad fetch"));
-                     return;
-                   }
-                   ShardReadResp resp;
-                   for (size_t i = 0; i < wire.size(); ++i) {
-                     const uint64_t o = offset + i;
-                     if (o - offset_base_ >= offset_pos_.size()) {
-                       break;
-                     }
-                     const LogPos pos = offset_pos_[o - offset_base_];
-                     if (pos >= stable) {
-                       break;
-                     }
-                     resp.records.push_back(PositionedRecord{pos, std::move(wire[i])});
-                   }
-                   resp.stable_gp = stable_gp_;
-                   resp.durable_tail = std::max(durable_hint_, stable_gp_);
-                   r.Ok(resp);
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<KafkaFetchResp>(
+      kafka_leader_, kKafkaFetch, KafkaFetchReq{offset, req.len},
+      [this, offset, stable, r](Status s, KafkaFetchResp fetched) mutable {
+        if (!s.ok()) {
+          r.Send(std::move(s));
+          return;
+        }
+        ShardReadResp resp;
+        for (size_t i = 0; i < fetched.records.size(); ++i) {
+          const uint64_t o = offset + i;
+          if (o - offset_base_ >= offset_pos_.size()) {
+            break;
+          }
+          const LogPos pos = offset_pos_[o - offset_base_];
+          if (pos >= stable) {
+            break;
+          }
+          resp.records.push_back(PositionedRecord{pos, std::move(fetched.records[i])});
+        }
+        resp.stable_gp = stable_gp_;
+        resp.durable_tail = std::max(durable_hint_, stable_gp_);
+        r.Ok(resp);
+      },
+      params_.rpc_timeout_ns);
 }
 
-void KafkaShardAdapter::HandleMultiRangeRead(Decoder d, Responder r) {
-  auto req = std::make_shared<ShardMultiRangeReadReq>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad multi-range read"));
-    return;
-  }
-  ServeNextRange(std::move(req), 0, std::make_shared<ShardMultiRangeReadResp>(),
+void KafkaShardAdapter::HandleMultiRangeRead(ShardMultiRangeReadReq req, Responder r) {
+  ServeNextRange(std::make_shared<ShardMultiRangeReadReq>(std::move(req)), 0, std::make_shared<ShardMultiRangeReadResp>(),
                  std::move(r));
 }
 
@@ -480,41 +382,33 @@ void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> r
   }
   const ReadRange range = req->ranges[i];
   const uint64_t offset = pos_to_offset_[range.pos];
-  Encoder e;
-  e.PutU64(offset);
-  e.PutU32(range.len);
   const LogPos stable = stable_gp_;
-  endpoint_.Call(kafka_leader_, kKafkaFetch, e.Take(),
-                 [this, req = std::move(req), i, resp, offset, stable, r](Status s,
-                                                                          Decoder d) mutable {
-                   uint32_t served = 0;
-                   std::vector<Record> wire;
-                   if (s.ok() && WireDecode(d, wire)) {
-                     for (size_t k = 0; k < wire.size(); ++k) {
-                       const uint64_t o = offset + k;
-                       if (o - offset_base_ >= offset_pos_.size()) {
-                         break;
-                       }
-                       const LogPos pos = offset_pos_[o - offset_base_];
-                       if (pos >= stable) {
-                         break;
-                       }
-                       resp->records.push_back(PositionedRecord{pos, std::move(wire[k])});
-                       ++served;
-                     }
-                   }
-                   resp->counts.push_back(served);
-                   ServeNextRange(std::move(req), i + 1, std::move(resp), std::move(r));
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<KafkaFetchResp>(
+      kafka_leader_, kKafkaFetch, KafkaFetchReq{offset, range.len},
+      [this, req = std::move(req), i, resp, offset, stable, r](Status s,
+                                                               KafkaFetchResp fetched) mutable {
+        uint32_t served = 0;
+        if (s.ok()) {
+          for (size_t k = 0; k < fetched.records.size(); ++k) {
+            const uint64_t o = offset + k;
+            if (o - offset_base_ >= offset_pos_.size()) {
+              break;
+            }
+            const LogPos pos = offset_pos_[o - offset_base_];
+            if (pos >= stable) {
+              break;
+            }
+            resp->records.push_back(PositionedRecord{pos, std::move(fetched.records[k])});
+            ++served;
+          }
+        }
+        resp->counts.push_back(served);
+        ServeNextRange(std::move(req), i + 1, std::move(resp), std::move(r));
+      },
+      params_.rpc_timeout_ns);
 }
 
-void KafkaShardAdapter::HandleSetStableGp(Decoder d, Responder r) {
-  StableGpMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad stable-gp"));
-    return;
-  }
+void KafkaShardAdapter::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
   if (msg.view >= view_) {
     view_ = msg.view;
     stable_gp_ = std::max(stable_gp_, msg.stable_gp);
@@ -536,13 +430,8 @@ void KafkaShardAdapter::WakeWaiters() {
   }
 }
 
-void KafkaShardAdapter::HandleTrim(Decoder d, Responder r) {
+void KafkaShardAdapter::HandleTrim(const TrimMsg& msg, Responder r) {
   // Kafka prefix deletion is retention-based; the adapter only forgets its mapping.
-  TrimMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad trim"));
-    return;
-  }
   while (!offset_pos_.empty() && offset_pos_.front() < msg.up_to) {
     pos_to_offset_.erase(offset_pos_.front());
     offset_pos_.pop_front();

@@ -23,6 +23,20 @@
 
 namespace lazylog {
 
+// Consumer fetch of up to `max_records` records starting at `offset`.
+struct KafkaFetchReq {
+  uint64_t offset = 0;
+  uint32_t max_records = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(offset, max_records); }
+};
+// Fetch reply; the trailing log-end offset lets pollers learn the tail without a
+// separate metadata round trip.
+struct KafkaFetchResp {
+  std::vector<Record> records;
+  uint64_t log_end_offset = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(records, log_end_offset); }
+};
+
 // One replica of a Kafka partition.
 class KafkaBroker {
  public:
@@ -35,10 +49,10 @@ class KafkaBroker {
   const Record* At(uint64_t offset) const { return log_.Get(offset); }
 
  private:
-  void HandleProduce(Decoder d, Responder r);
-  void HandleReplicate(Decoder d, Responder r);
-  void HandleFetch(Decoder d, Responder r);
-  void HandleTruncate(Decoder d, Responder r);
+  void HandleProduce(std::vector<Record> batch, Responder r);
+  void HandleReplicate(std::vector<Record> batch, Responder r);
+  void HandleFetch(const KafkaFetchReq& req, Responder r);
+  void HandleTruncate(uint64_t from, Responder r);
 
   RpcEndpoint endpoint_;
   ServerCpu cpu_;
@@ -124,11 +138,11 @@ class KafkaShardAdapter {
     Responder responder;
   };
 
-  void HandleAppendBatch(Decoder d, Responder r);
-  void HandleRead(Decoder d, Responder r);
-  void HandleMultiRangeRead(Decoder d, Responder r);
-  void HandleSetStableGp(Decoder d, Responder r);
-  void HandleTrim(Decoder d, Responder r);
+  void HandleAppendBatch(ShardAppendBatchReq window, Responder r);
+  void HandleRead(const ShardReadReq& req, Responder r);
+  void HandleMultiRangeRead(ShardMultiRangeReadReq req, Responder r);
+  void HandleSetStableGp(const StableGpMsg& msg, Responder r);
+  void HandleTrim(const TrimMsg& msg, Responder r);
   void ServeRead(const ShardReadReq& req, Responder r);
   // Serves ranges[i..] of a multi-range read one Kafka fetch at a time, accumulating
   // into `resp`; unstable/unknown ranges are skipped (the client re-issues them).

@@ -7,54 +7,37 @@ namespace lazylog {
 PaxosAcceptor::PaxosAcceptor(Network* net)
     : endpoint_(net),
       cpu_(net->loop(), CpuParams{.fixed_ns = 800, .copy_bandwidth_bytes_per_sec = 5e9}) {
-  endpoint_.Register(kPaxosPrepare, [this](NodeId, Decoder d, Responder r) {
-    uint64_t ballot = 0, slot = 0;
-    if (!d.GetU64(&ballot) || !d.GetU64(&slot)) {
-      r.Send(Status::InvalidArgument("bad prepare"));
-      return;
-    }
-    cpu_.Execute(cpu_.CostFor(0), [this, ballot, slot, r]() mutable {
-      SlotState& s = slots_[slot];
-      if (ballot <= s.promised) {
+  endpoint_.Handle<PaxosPrepareReq>(kPaxosPrepare, [this](NodeId, PaxosPrepareReq req,
+                                                           Responder r) {
+    cpu_.Execute(cpu_.CostFor(0), [this, req, r]() mutable {
+      SlotState& s = slots_[req.slot];
+      if (req.ballot <= s.promised) {
         r.Send(Status::Rejected("ballot too low"));
         return;
       }
-      s.promised = ballot;
-      Encoder e;
-      e.PutU64(s.accepted_ballot);
-      e.PutBytes(s.accepted_value);
-      r.Ok(e);
+      s.promised = req.ballot;
+      r.Ok(PaxosPromise{s.accepted_ballot, s.accepted_value});
     });
   });
-  endpoint_.Register(kPaxosAccept, [this](NodeId, Decoder d, Responder r) {
-    uint64_t ballot = 0, slot = 0;
-    std::string value;
-    if (!d.GetU64(&ballot) || !d.GetU64(&slot) || !d.GetBytes(&value)) {
-      r.Send(Status::InvalidArgument("bad accept"));
-      return;
-    }
-    // Fixed admission cost only (the accepted value lands in memory); also avoids
-    // reading `value` in the same call that moves it into the capture.
-    cpu_.ExecuteFor(0, [this, ballot, slot, value = std::move(value), r]() mutable {
-      SlotState& s = slots_[slot];
-      if (ballot < s.promised) {
+  endpoint_.Handle<PaxosAcceptReq>(kPaxosAccept, [this](NodeId, PaxosAcceptReq req,
+                                                         Responder r) {
+    // Fixed admission cost only (the accepted value lands in memory).
+    cpu_.ExecuteFor(0, [this, req = std::move(req), r]() mutable {
+      SlotState& s = slots_[req.slot];
+      if (req.ballot < s.promised) {
         r.Send(Status::Rejected("ballot too low"));
         return;
       }
-      s.promised = ballot;
-      s.accepted_ballot = ballot;
-      s.accepted_value = std::move(value);
+      s.promised = req.ballot;
+      s.accepted_ballot = req.ballot;
+      s.accepted_value = std::move(req.value);
       r.Send(Status::Ok());
     });
   });
 }
 
 void PaxosProposer::Propose(uint64_t slot, std::string value, CommitCallback cb) {
-  Encoder e;
-  e.PutU64(ballot_);
-  e.PutU64(slot);
-  e.PutBytes(value);
-  const std::string body = e.Take();
+  const PaxosAcceptReq req{ballot_, slot, std::move(value)};
   const size_t n = acceptors_.size();
   const size_t majority = n / 2 + 1;
   struct State {
@@ -64,30 +47,27 @@ void PaxosProposer::Propose(uint64_t slot, std::string value, CommitCallback cb)
   };
   auto state = std::make_shared<State>();
   for (size_t i = 0; i < n; ++i) {
-    endpoint_->Call(acceptors_[i], kPaxosAccept, body,
-                    [state, majority, n, cb](Status s, Decoder) {
-                      state->done++;
-                      if (s.ok()) {
-                        state->acks++;
-                      }
-                      if (!state->fired && state->acks >= majority) {
-                        state->fired = true;
-                        cb(Status::Ok());
-                      } else if (!state->fired && state->done == n &&
-                                 state->acks < majority) {
-                        state->fired = true;
-                        cb(Status::Unavailable("no majority"));
-                      }
-                    },
-                    rpc_timeout_ns_);
+    endpoint_->CallMsg(acceptors_[i], kPaxosAccept, req,
+                       [state, majority, n, cb](Status s, Decoder) {
+                         state->done++;
+                         if (s.ok()) {
+                           state->acks++;
+                         }
+                         if (!state->fired && state->acks >= majority) {
+                           state->fired = true;
+                           cb(Status::Ok());
+                         } else if (!state->fired && state->done == n &&
+                                    state->acks < majority) {
+                           state->fired = true;
+                           cb(Status::Unavailable("no majority"));
+                         }
+                       },
+                       rpc_timeout_ns_);
   }
 }
 
 void PaxosProposer::Prepare(uint64_t slot, RecoverCallback cb) {
-  Encoder e;
-  e.PutU64(ballot_);
-  e.PutU64(slot);
-  const std::string body = e.Take();
+  const PaxosPrepareReq req{ballot_, slot};
   const size_t n = acceptors_.size();
   const size_t majority = n / 2 + 1;
   struct State {
@@ -100,30 +80,29 @@ void PaxosProposer::Prepare(uint64_t slot, RecoverCallback cb) {
   };
   auto state = std::make_shared<State>();
   for (size_t i = 0; i < n; ++i) {
-    endpoint_->Call(acceptors_[i], kPaxosPrepare, body,
-                    [state, majority, n, cb](Status s, Decoder d) {
-                      state->done++;
-                      if (s.ok()) {
-                        state->acks++;
-                        uint64_t ab = 0;
-                        std::string av;
-                        if (d.GetU64(&ab) && d.GetBytes(&av) && ab > 0 &&
-                            ab >= state->best_ballot) {
-                          state->best_ballot = ab;
-                          state->best_value = std::move(av);
-                          state->has_value = true;
-                        }
-                      }
-                      if (!state->fired && state->acks >= majority) {
-                        state->fired = true;
-                        cb(Status::Ok(), state->has_value, state->best_value);
-                      } else if (!state->fired && state->done == n &&
-                                 state->acks < majority) {
-                        state->fired = true;
-                        cb(Status::Unavailable("no majority"), false, "");
-                      }
-                    },
-                    rpc_timeout_ns_);
+    endpoint_->CallMsg<PaxosPromise>(
+        acceptors_[i], kPaxosPrepare, req,
+        [state, majority, n, cb](Status s, PaxosPromise promise) {
+          state->done++;
+          if (s.ok()) {
+            state->acks++;
+            if (promise.accepted_ballot > 0 &&
+                promise.accepted_ballot >= state->best_ballot) {
+              state->best_ballot = promise.accepted_ballot;
+              state->best_value = std::move(promise.accepted_value);
+              state->has_value = true;
+            }
+          }
+          if (!state->fired && state->acks >= majority) {
+            state->fired = true;
+            cb(Status::Ok(), state->has_value, state->best_value);
+          } else if (!state->fired && state->done == n &&
+                     state->acks < majority) {
+            state->fired = true;
+            cb(Status::Unavailable("no majority"), false, "");
+          }
+        },
+        rpc_timeout_ns_);
   }
 }
 

@@ -19,6 +19,26 @@
 
 namespace lazylog {
 
+// Phase 1 request: promise `ballot` for `slot`.
+struct PaxosPrepareReq {
+  uint64_t ballot = 0;
+  uint64_t slot = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(ballot, slot); }
+};
+// Phase 1 reply: the value accepted at the slot so far (ballot 0 = none).
+struct PaxosPromise {
+  uint64_t accepted_ballot = 0;
+  std::string accepted_value;
+  template <class Ar> void Wire(Ar& ar) { ar(accepted_ballot, accepted_value); }
+};
+// Phase 2 request: accept `value` for `slot` under `ballot`.
+struct PaxosAcceptReq {
+  uint64_t ballot = 0;
+  uint64_t slot = 0;
+  std::string value;
+  template <class Ar> void Wire(Ar& ar) { ar(ballot, slot, value); }
+};
+
 // One Paxos acceptor node.
 class PaxosAcceptor {
  public:

@@ -7,37 +7,16 @@
 
 namespace lazylog {
 
-namespace {
-
-// Cut assignment entry disseminated with each committed cut.
-struct CutRange {
-  uint64_t shard = 0;
-  uint64_t global_start = 0;
-  uint64_t local_start = 0;
-  uint64_t count = 0;
-  template <class Ar> void Wire(Ar& ar) { ar(shard, global_start, local_start, count); }
-};
-
-}  // namespace
-
 // --- shard server -----------------------------------------------------------------------
 
 ScalogShardServer::ScalogShardServer(Network* net, const SimParams& params, ShardId shard_id,
                                      bool primary)
     : endpoint_(net), cpu_(net->loop(), params.shard_cpu), disk_(net->loop(), params.disk),
       params_(params), shard_id_(shard_id), primary_(primary) {
-  endpoint_.Register(kScalogAppend, [this](NodeId, Decoder d, Responder r) {
-    HandleAppend(d, std::move(r));
-  });
-  endpoint_.Register(kScalogReplicate, [this](NodeId, Decoder d, Responder r) {
-    HandleReplicate(d, std::move(r));
-  });
-  endpoint_.Register(kScalogCommitCut, [this](NodeId, Decoder d, Responder r) {
-    HandleCommitCut(d, std::move(r));
-  });
-  endpoint_.Register(kScalogRead, [this](NodeId, Decoder d, Responder r) {
-    HandleRead(d, std::move(r));
-  });
+  endpoint_.Handle(kScalogAppend, this, &ScalogShardServer::HandleAppend);
+  endpoint_.Handle(kScalogReplicate, this, &ScalogShardServer::HandleReplicate);
+  endpoint_.Handle(kScalogCommitCut, this, &ScalogShardServer::HandleCommitCut);
+  endpoint_.Handle(kScalogRead, this, &ScalogShardServer::HandleRead);
 }
 
 void ScalogShardServer::Start(NodeId backup, NodeId ordering_leader, uint32_t server_index) {
@@ -47,12 +26,7 @@ void ScalogShardServer::Start(NodeId backup, NodeId ordering_leader, uint32_t se
   ReportLoop();
 }
 
-void ScalogShardServer::HandleAppend(Decoder d, Responder r) {
-  Record rec;
-  if (!WireDecode(d, rec)) {
-    r.Send(Status::InvalidArgument("bad append"));
-    return;
-  }
+void ScalogShardServer::HandleAppend(Record rec, Responder r) {
   // The gRPC handling penalty models the artifact's stack (§6.1 discussion); the shape
   // of Scalog's latency comes from the disk + batching + cut pipeline below.
   const uint64_t cost = params_.scalog.grpc_overhead_ns + cpu_.CostFor(rec.payload.size());
@@ -67,26 +41,16 @@ void ScalogShardServer::HandleAppend(Decoder d, Responder r) {
     disk_.Write(bytes, [this, local, rec = std::move(rec)]() mutable {
       durable_len_++;
       if (backup_ != kInvalidNode) {
-        Encoder e;
-        e.PutU64(local);
-        WireEncode(e, rec);
-        std::vector<Buf> atts = e.TakeAtts();
-        endpoint_.Call(backup_, kScalogReplicate, e.TakeBuf(), nullptr, 0, std::move(atts));
+        endpoint_.CallMsg(backup_, kScalogReplicate, ScalogReplicateReq{local, std::move(rec)},
+                          nullptr, 0);
       }
     });
   });
 }
 
-void ScalogShardServer::HandleReplicate(Decoder d, Responder r) {
-  uint64_t local = 0;
-  Record rec;
-  if (!d.GetU64(&local) || !WireDecode(d, rec)) {
-    r.Send(Status::InvalidArgument("bad replicate"));
-    return;
-  }
-  // Fixed admission cost only; the payload is charged at the disk write below. Also
-  // avoids reading `rec` in the same call that moves it into the capture.
-  cpu_.ExecuteFor(0, [this, local, rec = std::move(rec), r]() mutable {
+void ScalogShardServer::HandleReplicate(ScalogReplicateReq req, Responder r) {
+  // Fixed admission cost only; the payload is charged at the disk write below.
+  cpu_.ExecuteFor(0, [this, local = req.local, rec = std::move(req.record), r]() mutable {
     // Jitter can reorder wire deliveries; restore FIFO by buffering and applying the
     // contiguous prefix.
     reorder_buf_.emplace(local, std::move(rec));
@@ -103,21 +67,13 @@ void ScalogShardServer::HandleReplicate(Decoder d, Responder r) {
 
 void ScalogShardServer::ReportLoop() {
   if (ordering_leader_ != kInvalidNode) {
-    Encoder e;
-    e.PutU32(shard_id_);
-    e.PutU32(server_index_);
-    e.PutU64(durable_len_);
-    endpoint_.Call(ordering_leader_, kScalogReportCut, e.Take(), nullptr, 0);
+    endpoint_.CallMsg(ordering_leader_, kScalogReportCut,
+                      ScalogReportCutReq{shard_id_, server_index_, durable_len_}, nullptr, 0);
   }
   endpoint_.loop()->Schedule(params_.scalog.interleave_interval_ns, [this]() { ReportLoop(); });
 }
 
-void ScalogShardServer::HandleCommitCut(Decoder d, Responder r) {
-  std::vector<CutRange> ranges;
-  if (!WireDecode(d, ranges)) {
-    r.Send(Status::InvalidArgument("bad cut"));
-    return;
-  }
+void ScalogShardServer::HandleCommitCut(const std::vector<CutRange>& ranges, Responder r) {
   for (const CutRange& range : ranges) {
     if (range.shard != shard_id_ || range.count == 0) {
       continue;
@@ -134,13 +90,9 @@ void ScalogShardServer::HandleCommitCut(Decoder d, Responder r) {
   r.Send(Status::Ok());
 }
 
-void ScalogShardServer::HandleRead(Decoder d, Responder r) {
-  uint64_t local = 0;
-  uint64_t global = 0;
-  if (!d.GetU64(&local) || !d.GetU64(&global)) {
-    r.Send(Status::InvalidArgument("bad read"));
-    return;
-  }
+void ScalogShardServer::HandleRead(const ScalogReadReq& req, Responder r) {
+  const uint64_t local = req.local;
+  const uint64_t global = req.global;
   const Record* rec = log_.Get(local);
   if (rec == nullptr || local >= acked_len_) {
     r.Send(Status::OutOfRange("not ordered yet"));
@@ -161,37 +113,24 @@ ScalogOrderingLayer::ScalogOrderingLayer(Network* net, const SimParams& params,
   reported_.assign(num_shards_, std::vector<uint64_t>(2, 0));
   committed_cut_.assign(num_shards_, 0);
   history_.resize(num_shards_);
-  endpoint_.Register(kScalogReportCut, [this](NodeId, Decoder d, Responder r) {
-    uint32_t shard = 0, server = 0;
-    uint64_t len = 0;
-    if (d.GetU32(&shard) && d.GetU32(&server) && d.GetU64(&len) && shard < num_shards_ &&
-        server < 2) {
-      reported_[shard][server] = std::max(reported_[shard][server], len);
-    }
-    r.Send(Status::Ok());
-  });
-  endpoint_.Register(kScalogLocate, [this](NodeId, Decoder d, Responder r) {
-    uint64_t pos = 0;
-    if (!d.GetU64(&pos)) {
-      r.Send(Status::InvalidArgument("bad locate"));
-      return;
-    }
-    ShardId shard = 0;
-    uint64_t local = 0;
-    if (!Locate(pos, &shard, &local)) {
+  endpoint_.Handle<ScalogReportCutReq>(
+      kScalogReportCut, [this](NodeId, const ScalogReportCutReq& req, Responder r) {
+        if (req.shard >= num_shards_ || req.server >= 2) {
+          r.Send(Status::InvalidArgument("unknown shard server"));
+          return;
+        }
+        reported_[req.shard][req.server] = std::max(reported_[req.shard][req.server], req.len);
+        r.Send(Status::Ok());
+      });
+  endpoint_.Handle<uint64_t>(kScalogLocate, [this](NodeId, uint64_t pos, Responder r) {
+    ScalogLocateResp resp;
+    if (!Locate(pos, &resp.shard, &resp.local)) {
       r.Send(Status::OutOfRange("not ordered"));
       return;
     }
-    Encoder e;
-    e.PutU32(shard);
-    e.PutU64(local);
-    r.Ok(e);
+    r.Ok(resp);
   });
-  endpoint_.Register(kScalogTail, [this](NodeId, Decoder d, Responder r) {
-    Encoder e;
-    e.PutU64(total_);
-    r.Ok(e);
-  });
+  endpoint_.Handle<NoBody>(kScalogTail, [this](NodeId, NoBody, Responder r) { r.Ok(total_); });
 }
 
 void ScalogOrderingLayer::Start(std::vector<NodeId> acceptors, std::vector<NodeId> servers) {
@@ -241,11 +180,8 @@ void ScalogOrderingLayer::CommitCut(std::vector<uint64_t> cut) {
       total_ += delta;
       committed_cut_[sh] = cut[sh];
     }
-    Encoder e;
-    WireEncode(e, ranges);
-    const std::string body = e.Take();
     for (NodeId n : servers_) {
-      endpoint_.Call(n, kScalogCommitCut, body, nullptr, 0);
+      endpoint_.CallMsg(n, kScalogCommitCut, ranges, nullptr, 0);
     }
   });
 }
@@ -281,47 +217,27 @@ void ScalogClient::Append(const AppendOptions& options, Buf payload, AppendCallb
   rec.payload = std::move(payload);
   rec.tag = options.tag;
   rec.log = options.log;
-  Encoder e;
-  WireEncode(e, rec);
-  std::vector<Buf> atts = e.TakeAtts();
   const NodeId target = shard_primaries_[rr_cursor_++ % shard_primaries_.size()];
   // Statuses pass through unmapped (kOverloaded included, if a shard ever sheds load):
   // the Scalog baseline models no admission control or client-side overload retry.
-  endpoint_.Call(target, kScalogAppend, e.TakeBuf(),
-                 [cb](Status s, Decoder) { cb(std::move(s)); }, params_.rpc_timeout_ns,
-                 std::move(atts));
+  endpoint_.CallMsg(target, kScalogAppend, rec, [cb](Status s, Decoder) { cb(std::move(s)); },
+                    params_.rpc_timeout_ns);
 }
 
 void ScalogClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb) {
   read_stats_.primary_reads++;
-  Encoder e;
-  e.PutU64(pos);
-  endpoint_.Call(ordering_leader_, kScalogLocate, e.Take(),
-                 [this, pos, cb](Status s, Decoder d) {
-                   if (!s.ok()) {
-                     cb(std::move(s), {});
-                     return;
-                   }
-                   uint32_t shard = 0;
-                   uint64_t local = 0;
-                   d.GetU32(&shard);
-                   d.GetU64(&local);
-                   Encoder re;
-                   re.PutU64(local);
-                   re.PutU64(pos);
-                   endpoint_.Call(shard_primaries_[shard], kScalogRead, re.Take(),
-                                  [cb](Status s2, Decoder rd) {
-                                    PositionedRecord pr;
-                                    if (s2.ok()) {
-                                      if (!pr.Decode(rd)) {
-                                        s2 = Status::Internal("bad read response");
-                                      }
-                                    }
-                                    cb(std::move(s2), std::move(pr));
-                                  },
-                                  params_.rpc_timeout_ns);
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<ScalogLocateResp>(
+      ordering_leader_, kScalogLocate, pos,
+      [this, pos, cb](Status s, ScalogLocateResp loc) {
+        if (!s.ok()) {
+          cb(std::move(s), {});
+          return;
+        }
+        endpoint_.CallMsg<PositionedRecord>(shard_primaries_[loc.shard], kScalogRead,
+                                            ScalogReadReq{loc.local, pos}, cb,
+                                            params_.rpc_timeout_ns);
+      },
+      params_.rpc_timeout_ns);
 }
 
 void ScalogClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
@@ -356,18 +272,16 @@ void ScalogClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
 }
 
 void ScalogClient::CheckTail(TailCallback cb) {
-  endpoint_.Call(ordering_leader_, kScalogTail, "",
-                 [this, cb](Status s, Decoder d) {
-                   if (!s.ok()) {
-                     cb(std::move(s), 0, 0);
-                     return;
-                   }
-                   uint64_t total = 0;
-                   d.GetU64(&total);
-                   tails_.Note(endpoint_.loop()->Now(), total, total);
-                   cb(Status::Ok(), total, total);
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<uint64_t>(ordering_leader_, kScalogTail, NoBody{},
+                              [this, cb](Status s, uint64_t total) {
+                                if (!s.ok()) {
+                                  cb(std::move(s), 0, 0);
+                                  return;
+                                }
+                                tails_.Note(endpoint_.loop()->Now(), total, total);
+                                cb(Status::Ok(), total, total);
+                              },
+                              params_.rpc_timeout_ns);
 }
 
 bool ScalogClient::CachedTail(LogPos* durable, LogPos* stable) {

@@ -22,6 +22,41 @@
 
 namespace lazylog {
 
+// Primary -> backup FIFO replication of the record at local index `local`.
+struct ScalogReplicateReq {
+  uint64_t local = 0;
+  Record record;
+  template <class Ar> void Wire(Ar& ar) { ar(local, record); }
+};
+// Shard server -> ordering leader: its durable log length.
+struct ScalogReportCutReq {
+  uint32_t shard = 0;
+  uint32_t server = 0;  // 0 = primary, 1 = backup
+  uint64_t len = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(shard, server, len); }
+};
+// Ordering leader -> shard servers: one shard's share of a committed cut.
+struct CutRange {
+  uint64_t shard = 0;
+  uint64_t global_start = 0;
+  uint64_t local_start = 0;
+  uint64_t count = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(shard, global_start, local_start, count); }
+};
+// Client -> shard: read local index `local`, labelled with global position `global`.
+struct ScalogReadReq {
+  uint64_t local = 0;
+  uint64_t global = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(local, global); }
+};
+// Ordering leader -> client: where a global position lives (the request is the bare
+// u64 position).
+struct ScalogLocateResp {
+  uint32_t shard = 0;
+  uint64_t local = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(shard, local); }
+};
+
 // One Scalog shard server (primary or backup).
 class ScalogShardServer {
  public:
@@ -35,10 +70,10 @@ class ScalogShardServer {
   uint64_t acked_appends() const { return acked_appends_; }
 
  private:
-  void HandleAppend(Decoder d, Responder r);
-  void HandleReplicate(Decoder d, Responder r);
-  void HandleCommitCut(Decoder d, Responder r);
-  void HandleRead(Decoder d, Responder r);
+  void HandleAppend(Record rec, Responder r);
+  void HandleReplicate(ScalogReplicateReq req, Responder r);
+  void HandleCommitCut(const std::vector<CutRange>& ranges, Responder r);
+  void HandleRead(const ScalogReadReq& req, Responder r);
   void ReportLoop();
 
   RpcEndpoint endpoint_;

@@ -230,6 +230,13 @@ struct LowBit {
   bool& v;
 };
 
+// A u64 that may end the body: written only when `present`, and read as absent when
+// the body ends before it.
+struct TrailingU64 {
+  bool& present;
+  uint64_t& v;
+};
+
 // Field lists of the shared record types, which live in types.h without a Wire member.
 template <class Ar>
 inline void WireFields(Ar& ar, RecordId& id) {
@@ -260,12 +267,18 @@ class WireWriter {
   }
 
  private:
+  void Put(uint8_t v) { e_.PutU8(v); }
   void Put(uint32_t v) { e_.PutU32(v); }
   void Put(uint64_t v) { e_.PutU64(v); }
   void Put(bool v) { e_.PutBool(v); }
   void Put(const std::string& s) { e_.PutBytes(s); }
   void Put(const Buf& b) { e_.PutAttached(b); }
   void Put(const LowBit& f) { e_.PutU8(f.v ? 1 : 0); }
+  void Put(const TrailingU64& f) {
+    if (f.present) {
+      e_.PutU64(f.v);
+    }
+  }
   void Put(const TagLogFlags& f) {
     const bool has_tag = f.tag != kNoTag;
     const bool has_log = f.log != kDefaultLog;
@@ -325,6 +338,7 @@ class WireReader {
   bool ok() const { return ok_; }
 
  private:
+  bool Get(uint8_t& v) { return d_.GetU8(&v); }
   bool Get(uint32_t& v) { return d_.GetU32(&v); }
   bool Get(uint64_t& v) { return d_.GetU64(&v); }
   bool Get(bool& v) { return d_.GetBool(&v); }
@@ -337,6 +351,10 @@ class WireReader {
     }
     f.v = (b & 1) != 0;
     return true;
+  }
+  bool Get(TrailingU64& f) {
+    f.present = d_.Remaining() > 0;
+    return !f.present || d_.GetU64(&f.v);
   }
   bool Get(TagLogFlags& f) {
     const uint8_t allowed =

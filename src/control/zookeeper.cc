@@ -4,44 +4,18 @@
 
 namespace lazylog {
 
-namespace {
-// Wire helpers local to the ZK protocol.
-struct ZkPathData {
-  std::string path;
-  std::string data;
-  uint64_t arg = 0;  // ephemeral session / expected version
-  template <class Ar> void Wire(Ar& ar) { ar(path, data, arg); }
-};
-}  // namespace
-
 ZooKeeperLite::ZooKeeperLite(Network* net, const ControlParams& params)
     : endpoint_(net),
       cpu_(net->loop(), CpuParams{.fixed_ns = 1'000, .copy_bandwidth_bytes_per_sec = 5e9}),
       params_(params) {
-  endpoint_.Register(kZkCreateSession, [this](NodeId c, Decoder d, Responder r) {
-    HandleCreateSession(c, d, std::move(r));
-  });
-  endpoint_.Register(kZkHeartbeat, [this](NodeId c, Decoder d, Responder r) {
-    HandleHeartbeat(c, d, std::move(r));
-  });
-  endpoint_.Register(kZkCreate, [this](NodeId c, Decoder d, Responder r) {
-    HandleCreate(c, d, std::move(r));
-  });
-  endpoint_.Register(kZkSetData, [this](NodeId c, Decoder d, Responder r) {
-    HandleSetData(c, d, std::move(r));
-  });
-  endpoint_.Register(kZkGetData, [this](NodeId c, Decoder d, Responder r) {
-    HandleGetData(c, d, std::move(r));
-  });
-  endpoint_.Register(kZkDelete, [this](NodeId c, Decoder d, Responder r) {
-    HandleDelete(c, d, std::move(r));
-  });
-  endpoint_.Register(kZkList, [this](NodeId c, Decoder d, Responder r) {
-    HandleList(c, d, std::move(r));
-  });
-  endpoint_.Register(kZkWatch, [this](NodeId c, Decoder d, Responder r) {
-    HandleWatch(c, d, std::move(r));
-  });
+  endpoint_.Handle(kZkCreateSession, this, &ZooKeeperLite::HandleCreateSession);
+  endpoint_.Handle(kZkHeartbeat, this, &ZooKeeperLite::HandleHeartbeat);
+  endpoint_.Handle(kZkCreate, this, &ZooKeeperLite::HandleCreate);
+  endpoint_.Handle(kZkSetData, this, &ZooKeeperLite::HandleSetData);
+  endpoint_.Handle(kZkGetData, this, &ZooKeeperLite::HandleGetData);
+  endpoint_.Handle(kZkDelete, this, &ZooKeeperLite::HandleDelete);
+  endpoint_.Handle(kZkList, this, &ZooKeeperLite::HandleList);
+  endpoint_.Handle(kZkWatch, this, &ZooKeeperLite::HandleWatch);
   // Session expiry scan.
   endpoint_.loop()->Schedule(params_.session_heartbeat_ns, [this]() { CheckSessions(); });
 }
@@ -51,20 +25,13 @@ std::string ZooKeeperLite::DataOf(const std::string& path) const {
   return it == znodes_.end() ? std::string() : it->second.data;
 }
 
-void ZooKeeperLite::HandleCreateSession(NodeId caller, Decoder d, Responder r) {
+void ZooKeeperLite::HandleCreateSession(NodeId caller, NoBody, Responder r) {
   const uint64_t id = next_session_id_++;
   sessions_[id] = Session{id, caller, endpoint_.loop()->Now()};
-  Encoder e;
-  e.PutU64(id);
-  r.Ok(e);
+  r.Ok(id);
 }
 
-void ZooKeeperLite::HandleHeartbeat(NodeId caller, Decoder d, Responder r) {
-  uint64_t id = 0;
-  if (!d.GetU64(&id)) {
-    r.Send(Status::InvalidArgument("bad heartbeat"));
-    return;
-  }
+void ZooKeeperLite::HandleHeartbeat(uint64_t id, Responder r) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
     r.Send(Status::Unavailable("session expired"));
@@ -74,12 +41,7 @@ void ZooKeeperLite::HandleHeartbeat(NodeId caller, Decoder d, Responder r) {
   r.Send(Status::Ok());
 }
 
-void ZooKeeperLite::HandleCreate(NodeId caller, Decoder d, Responder r) {
-  ZkPathData req;
-  if (!WireDecode(d, req)) {
-    r.Send(Status::InvalidArgument("bad create"));
-    return;
-  }
+void ZooKeeperLite::HandleCreate(ZkPathData req, Responder r) {
   cpu_.Execute(params_.zk_write_latency_ns, [this, req = std::move(req), r = std::move(r)]() mutable {
     if (znodes_.count(req.path) > 0) {
       r.Send(Status::Duplicate("znode exists"));
@@ -99,21 +61,14 @@ void ZooKeeperLite::HandleCreate(NodeId caller, Decoder d, Responder r) {
   });
 }
 
-void ZooKeeperLite::HandleSetData(NodeId caller, Decoder d, Responder r) {
-  ZkPathData req;
-  if (!WireDecode(d, req)) {
-    r.Send(Status::InvalidArgument("bad setData"));
-    return;
-  }
+void ZooKeeperLite::HandleSetData(ZkPathData req, Responder r) {
   cpu_.Execute(params_.zk_write_latency_ns, [this, req = std::move(req), r = std::move(r)]() mutable {
     auto it = znodes_.find(req.path);
     if (it == znodes_.end()) {
       // ZooKeeper would fail; we upsert for convenience of config paths.
       znodes_[req.path] = Znode{req.data, 0, 0};
       FireWatches(req.path, ZkEvent::kCreated);
-      Encoder e;
-      e.PutU64(0);
-      r.Ok(e);
+      r.Ok(uint64_t{0});
       return;
     }
     if (req.arg != UINT64_MAX && req.arg != it->second.version) {
@@ -123,37 +78,22 @@ void ZooKeeperLite::HandleSetData(NodeId caller, Decoder d, Responder r) {
     it->second.data = req.data;
     it->second.version++;
     FireWatches(req.path, ZkEvent::kDataChanged);
-    Encoder e;
-    e.PutU64(it->second.version);
-    r.Ok(e);
+    r.Ok(it->second.version);
   });
 }
 
-void ZooKeeperLite::HandleGetData(NodeId caller, Decoder d, Responder r) {
-  std::string path;
-  if (!d.GetBytes(&path)) {
-    r.Send(Status::InvalidArgument("bad getData"));
-    return;
-  }
+void ZooKeeperLite::HandleGetData(std::string path, Responder r) {
   cpu_.Execute(params_.zk_read_latency_ns, [this, path, r = std::move(r)]() mutable {
     auto it = znodes_.find(path);
     if (it == znodes_.end()) {
       r.Send(Status::OutOfRange("no such znode"));
       return;
     }
-    Encoder e;
-    e.PutBytes(it->second.data);
-    e.PutU64(it->second.version);
-    r.Ok(e);
+    r.Ok(ZkDataResp{it->second.data, it->second.version});
   });
 }
 
-void ZooKeeperLite::HandleDelete(NodeId caller, Decoder d, Responder r) {
-  std::string path;
-  if (!d.GetBytes(&path)) {
-    r.Send(Status::InvalidArgument("bad delete"));
-    return;
-  }
+void ZooKeeperLite::HandleDelete(std::string path, Responder r) {
   cpu_.Execute(params_.zk_write_latency_ns, [this, path, r = std::move(r)]() mutable {
     if (znodes_.erase(path) == 0) {
       r.Send(Status::OutOfRange("no such znode"));
@@ -164,14 +104,8 @@ void ZooKeeperLite::HandleDelete(NodeId caller, Decoder d, Responder r) {
   });
 }
 
-void ZooKeeperLite::HandleList(NodeId caller, Decoder d, Responder r) {
-  std::string prefix;
-  if (!d.GetBytes(&prefix)) {
-    r.Send(Status::InvalidArgument("bad list"));
-    return;
-  }
+void ZooKeeperLite::HandleList(std::string prefix, Responder r) {
   cpu_.Execute(params_.zk_read_latency_ns, [this, prefix, r = std::move(r)]() mutable {
-    Encoder e;
     std::vector<std::string> paths;
     for (auto it = znodes_.lower_bound(prefix); it != znodes_.end(); ++it) {
       if (it->first.compare(0, prefix.size(), prefix) != 0) {
@@ -179,20 +113,11 @@ void ZooKeeperLite::HandleList(NodeId caller, Decoder d, Responder r) {
       }
       paths.push_back(it->first);
     }
-    e.PutU32(static_cast<uint32_t>(paths.size()));
-    for (const auto& p : paths) {
-      e.PutBytes(p);
-    }
-    r.Ok(e);
+    r.Ok(paths);
   });
 }
 
-void ZooKeeperLite::HandleWatch(NodeId caller, Decoder d, Responder r) {
-  std::string prefix;
-  if (!d.GetBytes(&prefix)) {
-    r.Send(Status::InvalidArgument("bad watch"));
-    return;
-  }
+void ZooKeeperLite::HandleWatch(NodeId caller, std::string prefix, Responder r) {
   watches_.push_back(Watch{caller, prefix});
   r.Send(Status::Ok());
 }
@@ -229,11 +154,9 @@ void ZooKeeperLite::ExpireSession(uint64_t session_id) {
 void ZooKeeperLite::FireWatches(const std::string& path, ZkEvent event) {
   for (const Watch& w : watches_) {
     if (path.compare(0, w.prefix.size(), w.prefix) == 0) {
-      Encoder e;
-      e.PutBytes(path);
-      e.PutU8(static_cast<uint8_t>(event));
       // Fire-and-forget notification; the watcher's handler responds OK and we ignore it.
-      endpoint_.Call(w.watcher, kZkWatchFire, e.Take(), nullptr, 0);
+      endpoint_.CallMsg(w.watcher, kZkWatchFire,
+                        ZkWatchEvent{path, static_cast<uint8_t>(event)}, nullptr, 0);
     }
   }
 }
@@ -244,14 +167,14 @@ ZkSession::ZkSession(RpcEndpoint* endpoint, NodeId zk_node, const ControlParams&
     : endpoint_(endpoint), zk_node_(zk_node), params_(params) {}
 
 void ZkSession::Start(const std::string& ephemeral_path, std::function<void()> on_ready) {
-  endpoint_->Call(
-      zk_node_, kZkCreateSession, "",
-      [this, ephemeral_path, on_ready](Status s, Decoder d) {
+  endpoint_->CallMsg<uint64_t>(
+      zk_node_, kZkCreateSession, NoBody{},
+      [this, ephemeral_path, on_ready](Status s, uint64_t session_id) {
         if (!s.ok()) {
           LLOG(kWarn) << "zk session create failed: " << s.ToString();
           return;
         }
-        d.GetU64(&session_id_);
+        session_id_ = session_id;
         HeartbeatLoop();
         if (ephemeral_path.empty()) {
           if (on_ready) {
@@ -259,32 +182,30 @@ void ZkSession::Start(const std::string& ephemeral_path, std::function<void()> o
           }
           return;
         }
-        Encoder e;
-        WireEncode(e, ZkPathData{ephemeral_path, "", session_id_});
-        endpoint_->Call(zk_node_, kZkCreate, e.Take(),
-                        [this, ephemeral_path, on_ready](Status s2, Decoder) {
-                          if (s2.ok()) {
-                            if (on_ready) {
-                              on_ready();
-                            }
-                            return;
-                          }
-                          // The session can expire under ZK's write queue before the
-                          // ephemeral lands (the create is then refused). Start over
-                          // with a fresh session so liveness registration eventually
-                          // sticks.
-                          LLOG(kWarn) << "zk ephemeral create failed (" << s2.ToString()
-                                      << "); re-establishing session";
-                          heartbeat_event_.Cancel();
-                          endpoint_->loop()->Schedule(
-                              params_.session_heartbeat_ns,
-                              [this, ephemeral_path, on_ready]() {
-                                if (!stopped_) {
-                                  Start(ephemeral_path, on_ready);
-                                }
-                              });
-                        },
-                        0);
+        endpoint_->CallMsg(zk_node_, kZkCreate, ZkPathData{ephemeral_path, "", session_id_},
+                           [this, ephemeral_path, on_ready](Status s2, Decoder) {
+                             if (s2.ok()) {
+                               if (on_ready) {
+                                 on_ready();
+                               }
+                               return;
+                             }
+                             // The session can expire under ZK's write queue before the
+                             // ephemeral lands (the create is then refused). Start over
+                             // with a fresh session so liveness registration eventually
+                             // sticks.
+                             LLOG(kWarn) << "zk ephemeral create failed (" << s2.ToString()
+                                         << "); re-establishing session";
+                             heartbeat_event_.Cancel();
+                             endpoint_->loop()->Schedule(
+                                 params_.session_heartbeat_ns,
+                                 [this, ephemeral_path, on_ready]() {
+                                   if (!stopped_) {
+                                     Start(ephemeral_path, on_ready);
+                                   }
+                                 });
+                           },
+                           0);
       },
       0);
 }
@@ -298,9 +219,7 @@ void ZkSession::HeartbeatLoop() {
   if (stopped_) {
     return;
   }
-  Encoder e;
-  e.PutU64(session_id_);
-  endpoint_->Call(zk_node_, kZkHeartbeat, e.Take(), nullptr, 0);
+  endpoint_->CallMsg(zk_node_, kZkHeartbeat, session_id_, nullptr, 0);
   heartbeat_event_ =
       endpoint_->loop()->Schedule(params_.session_heartbeat_ns, [this]() { HeartbeatLoop(); });
 }
@@ -330,68 +249,38 @@ void ZkClient::SetData(const std::string& path, const std::string& data,
 }
 
 void ZkClient::GetData(const std::string& path, DataCallback cb, uint64_t timeout_ns) {
-  Encoder e;
-  e.PutBytes(path);
-  endpoint_->Call(zk_node_, kZkGetData, e.Take(),
-                  [cb](Status s, Decoder d) {
-                    std::string data;
-                    uint64_t version = 0;
-                    if (s.ok()) {
-                      d.GetBytes(&data);
-                      d.GetU64(&version);
-                    }
-                    cb(std::move(s), std::move(data), version);
-                  },
-                  timeout_ns);
+  endpoint_->CallMsg<ZkDataResp>(zk_node_, kZkGetData, path,
+                                 [cb](Status s, ZkDataResp resp) {
+                                   cb(std::move(s), std::move(resp.data), resp.version);
+                                 },
+                                 timeout_ns);
 }
 
 void ZkClient::Delete(const std::string& path, DoneCallback cb, uint64_t timeout_ns) {
-  Encoder e;
-  e.PutBytes(path);
-  endpoint_->Call(zk_node_, kZkDelete, e.Take(),
-                  [cb](Status s, Decoder) {
-                    if (cb) {
-                      cb(std::move(s));
-                    }
-                  },
-                  timeout_ns);
+  endpoint_->CallMsg(zk_node_, kZkDelete, path,
+                     [cb](Status s, Decoder) {
+                       if (cb) {
+                         cb(std::move(s));
+                       }
+                     },
+                     timeout_ns);
 }
 
 void ZkClient::List(const std::string& prefix, ListCallback cb, uint64_t timeout_ns) {
-  Encoder e;
-  e.PutBytes(prefix);
-  endpoint_->Call(zk_node_, kZkList, e.Take(),
-                  [cb](Status s, Decoder d) {
-                    std::vector<std::string> paths;
-                    if (s.ok()) {
-                      uint32_t n = 0;
-                      d.GetU32(&n);
-                      for (uint32_t i = 0; i < n; ++i) {
-                        std::string p;
-                        if (!d.GetBytes(&p)) {
-                          break;
-                        }
-                        paths.push_back(std::move(p));
-                      }
-                    }
-                    cb(std::move(s), std::move(paths));
-                  },
-                  timeout_ns);
+  endpoint_->CallMsg<std::vector<std::string>>(zk_node_, kZkList, prefix, std::move(cb),
+                                               timeout_ns);
 }
 
 void ZkClient::Watch(const std::string& prefix, WatchCallback cb) {
   watch_cb_ = std::move(cb);
-  endpoint_->Register(kZkWatchFire, [this](NodeId, Decoder d, Responder r) {
-    std::string path;
-    uint8_t event = 0;
-    if (d.GetBytes(&path) && d.GetU8(&event) && watch_cb_) {
-      watch_cb_(path, static_cast<ZkEvent>(event));
-    }
-    r.Send(Status::Ok());
-  });
-  Encoder e;
-  e.PutBytes(prefix);
-  endpoint_->Call(zk_node_, kZkWatch, e.Take(), nullptr, 0);
+  endpoint_->Handle<ZkWatchEvent>(kZkWatchFire,
+                                  [this](NodeId, const ZkWatchEvent& ev, Responder r) {
+                                    if (watch_cb_) {
+                                      watch_cb_(ev.path, static_cast<ZkEvent>(ev.event));
+                                    }
+                                    r.Send(Status::Ok());
+                                  });
+  endpoint_->CallMsg(zk_node_, kZkWatch, prefix, nullptr, 0);
 }
 
 }  // namespace lazylog

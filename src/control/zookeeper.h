@@ -25,6 +25,28 @@ namespace lazylog {
 // Watch event types delivered to watchers.
 enum class ZkEvent : uint8_t { kCreated = 0, kDeleted = 1, kDataChanged = 2 };
 
+// Bodies of the ZK protocol. A path-only request (getData, delete, list, watch) is a
+// bare string, a heartbeat the bare session id, and the list reply a vector of paths.
+// create / setData.
+struct ZkPathData {
+  std::string path;
+  std::string data;
+  uint64_t arg = 0;  // ephemeral session / expected version
+  template <class Ar> void Wire(Ar& ar) { ar(path, data, arg); }
+};
+// getData reply.
+struct ZkDataResp {
+  std::string data;
+  uint64_t version = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(data, version); }
+};
+// Server -> watcher notification; `event` is a ZkEvent.
+struct ZkWatchEvent {
+  std::string path;
+  uint8_t event = 0;
+  template <class Ar> void Wire(Ar& ar) { ar(path, event); }
+};
+
 // The ZooKeeperLite server. One sim node; internally charges quorum-commit latency per
 // mutation, standing in for a 3-node ZK ensemble.
 class ZooKeeperLite {
@@ -54,14 +76,14 @@ class ZooKeeperLite {
     std::string prefix;
   };
 
-  void HandleCreateSession(NodeId caller, Decoder d, Responder r);
-  void HandleHeartbeat(NodeId caller, Decoder d, Responder r);
-  void HandleCreate(NodeId caller, Decoder d, Responder r);
-  void HandleSetData(NodeId caller, Decoder d, Responder r);
-  void HandleGetData(NodeId caller, Decoder d, Responder r);
-  void HandleDelete(NodeId caller, Decoder d, Responder r);
-  void HandleList(NodeId caller, Decoder d, Responder r);
-  void HandleWatch(NodeId caller, Decoder d, Responder r);
+  void HandleCreateSession(NodeId caller, NoBody, Responder r);
+  void HandleHeartbeat(uint64_t session_id, Responder r);
+  void HandleCreate(ZkPathData req, Responder r);
+  void HandleSetData(ZkPathData req, Responder r);
+  void HandleGetData(std::string path, Responder r);
+  void HandleDelete(std::string path, Responder r);
+  void HandleList(std::string prefix, Responder r);
+  void HandleWatch(NodeId caller, std::string prefix, Responder r);
 
   void CheckSessions();
   void ExpireSession(uint64_t session_id);

@@ -18,31 +18,19 @@ IndexNode::IndexNode(Network* net, const SimParams& params, uint32_t index, Node
       params_(params),
       index_(index),
       zk_node_(zk) {
-  endpoint_.Register(kIndexReadNext, [this](NodeId, Decoder d, Responder r) {
-    HandleReadNext(d, std::move(r));
-  });
+  endpoint_.Handle(kIndexReadNext, this, &IndexNode::HandleReadNext);
   // The control plane treats index nodes as members of the storage fan-out lists, so
   // they receive the same stable-gp broadcasts, epoch fences, and trims as the shards.
-  endpoint_.Register(kShardSetStableGp, [this](NodeId, Decoder d, Responder r) {
-    HandleSetStableGp(d, std::move(r));
-  });
-  endpoint_.Register(kShardSeal, [this](NodeId, Decoder d, Responder r) {
-    HandleSeal(d, std::move(r));
-  });
-  endpoint_.Register(kShardTrim, [this](NodeId, Decoder d, Responder r) {
-    HandleTrim(d, std::move(r));
-  });
+  endpoint_.Handle(kShardSetStableGp, this, &IndexNode::HandleSetStableGp);
+  endpoint_.Handle(kShardSeal, this, &IndexNode::HandleSeal);
+  endpoint_.Handle(kShardTrim, this, &IndexNode::HandleTrim);
   // Controller -> index: a shard's serving node changed (backup replacement or primary
   // promotion); re-point the delta feed at the new node and re-pull from scratch.
-  endpoint_.Register(kSeqUpdateShards, [this](NodeId, Decoder d, Responder r) {
-    SeqUpdateShardsReq req;
-    if (!req.Decode(d)) {
-      r.Send(Status::InvalidArgument("bad shard update"));
-      return;
-    }
-    ReplaceShardServer(req.old_node, req.new_node);
-    r.Send(Status::Ok());
-  });
+  endpoint_.Handle<SeqUpdateShardsReq>(
+      kSeqUpdateShards, [this](NodeId, const SeqUpdateShardsReq& req, Responder r) {
+        ReplaceShardServer(req.old_node, req.new_node);
+        r.Send(Status::Ok());
+      });
 }
 
 void IndexNode::Start(std::vector<NodeId> shard_primaries) {
@@ -107,19 +95,19 @@ void IndexNode::PullShard(size_t s) {
   ShardIndexDeltaReq req;
   req.from_seq = feed.next_seq;
   req.max_entries = params_.index.max_delta_entries;
-  endpoint_.CallMsg(feed.primary, kShardIndexDelta, req,
-                    [this, s](Status st, Decoder body) { OnDelta(s, st, std::move(body)); },
-                    params_.rpc_timeout_ns);
+  endpoint_.CallMsg<ShardIndexDeltaResp>(
+      feed.primary, kShardIndexDelta, req,
+      [this, s](Status st, ShardIndexDeltaResp resp) { OnDelta(s, st, std::move(resp)); },
+      params_.rpc_timeout_ns);
 }
 
-void IndexNode::OnDelta(size_t s, const Status& status, Decoder body) {
+void IndexNode::OnDelta(size_t s, const Status& status, ShardIndexDeltaResp resp) {
   if (s >= feeds_.size()) {
     return;
   }
   ShardFeed& feed = feeds_[s];
   feed.inflight = false;
-  ShardIndexDeltaResp resp;
-  if (!status.ok() || !resp.Decode(body)) {
+  if (!status.ok()) {
     ++stats_.failed_pulls;
     return;  // next tick retries from the same cursor
   }
@@ -187,12 +175,7 @@ void IndexNode::AdvanceFrontier() {
   indexed_upto_ = std::max(indexed_upto_, frontier);
 }
 
-void IndexNode::HandleReadNext(Decoder d, Responder r) {
-  IndexReadNextReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad index read-next"));
-    return;
-  }
+void IndexNode::HandleReadNext(const IndexReadNextReq& req, Responder r) {
   if (req.tag == kNoTag && req.log == kDefaultLog) {
     // The physical log has no rank list; untagged default-log reads go through the
     // shards' ordered stores directly.
@@ -237,12 +220,7 @@ void IndexNode::HandleReadNext(Decoder d, Responder r) {
   });
 }
 
-void IndexNode::HandleSetStableGp(Decoder d, Responder r) {
-  StableGpMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad stable-gp"));
-    return;
-  }
+void IndexNode::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
   if (FencedOff(msg.view)) {
     r.Send(Status::StaleView("fenced: stale stable-gp"));
     return;
@@ -252,24 +230,14 @@ void IndexNode::HandleSetStableGp(Decoder d, Responder r) {
   r.Send(Status::Ok());
 }
 
-void IndexNode::HandleSeal(Decoder d, Responder r) {
-  ShardSealReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad index seal"));
-    return;
-  }
+void IndexNode::HandleSeal(const ShardSealReq& req, Responder r) {
   // Raise the fence: stable-gp advances stamped by the deposed leader are rejected
   // from here on, so this node's frontier can only move under the new epoch.
   view_ = std::max(view_, req.new_view);
   r.Send(Status::Ok());
 }
 
-void IndexNode::HandleTrim(Decoder d, Responder r) {
-  TrimMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad trim"));
-    return;
-  }
+void IndexNode::HandleTrim(const TrimMsg& msg, Responder r) {
   trimmed_below_ = std::max(trimmed_below_, msg.up_to);
   for (auto it = tags_.begin(); it != tags_.end();) {
     auto& list = it->second;

@@ -97,17 +97,17 @@ class IndexNode {
     bool inflight = false;
   };
 
-  void HandleReadNext(Decoder d, Responder r);
-  void HandleSetStableGp(Decoder d, Responder r);
-  void HandleSeal(Decoder d, Responder r);
-  void HandleTrim(Decoder d, Responder r);
+  void HandleReadNext(const IndexReadNextReq& req, Responder r);
+  void HandleSetStableGp(const StableGpMsg& msg, Responder r);
+  void HandleSeal(const ShardSealReq& req, Responder r);
+  void HandleTrim(const TrimMsg& msg, Responder r);
 
   bool FencedOff(ViewId view) const { return view < view_; }
 
   void SchedulePullTick();
   void PullTick();
   void PullShard(size_t s);
-  void OnDelta(size_t s, const Status& status, Decoder body);
+  void OnDelta(size_t s, const Status& status, ShardIndexDeltaResp resp);
   // Recomputes indexed_upto_ = min over feeds of covered_below (monotone).
   void AdvanceFrontier();
 

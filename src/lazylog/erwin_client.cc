@@ -176,17 +176,13 @@ void ErwinClient::ProbeThen(std::function<void()> then, int attempt) {
     return;
   }
   const NodeId target = view_.seq_config[probe_cursor_++ % view_.seq_config.size()];
-  endpoint_.Call(
-      target, kSeqGetConfig, "",
-      [this, then = std::move(then), attempt](Status s, Decoder d) mutable {
-        SeqConfigResp resp;
-        bool usable = false;
-        if (s.ok()) {
-          // Only adopt views at least as new as ours: a partitioned straggler still in
-          // an older (fenced-off) view must not drag the client backwards.
-          usable = resp.Decode(d) && !resp.sealed && !resp.config.empty() &&
-                   resp.view >= view_.view;
-        }
+  endpoint_.CallMsg<SeqConfigResp>(
+      target, kSeqGetConfig, NoBody{},
+      [this, then = std::move(then), attempt](Status s, SeqConfigResp resp) mutable {
+        // Only adopt views at least as new as ours: a partitioned straggler still in an
+        // older (fenced-off) view must not drag the client backwards.
+        const bool usable =
+            s.ok() && !resp.sealed && !resp.config.empty() && resp.view >= view_.view;
         if (!usable) {
           endpoint_.loop()->Schedule(
               RetryBackoffNs(static_cast<uint32_t>(attempt), rng_.NextDouble()),
@@ -392,30 +388,37 @@ void ErwinClient::ReadLogViaIndex(LogId log, LogPos from, uint64_t len, ReadCall
 
 // --- tail / trim ---------------------------------------------------------------------------
 
-void ErwinClient::CheckTail(TailCallback cb) { CheckTailAttempt(std::move(cb), 0); }
+void ErwinClient::CheckTail(TailCallback cb) { CheckTailAttempt(kDefaultLog, std::move(cb), 0); }
 
-void ErwinClient::CheckTailAttempt(TailCallback cb, int attempt) {
-  endpoint_.Call(view_.seq_config[0], kSeqCheckTail, "",
-                 [this, cb, attempt](Status s, Decoder d) {
-                   if (!s.ok()) {
-                     if (attempt >= 20) {
-                       cb(std::move(s), 0, 0);
-                       return;
-                     }
-                     // Leader unreachable / changed: re-resolve and retry.
-                     ProbeThen([this, cb, attempt]() { CheckTailAttempt(cb, attempt + 1); });
-                     return;
-                   }
-                   SeqCheckTailResp resp;
-                   if (!resp.Decode(d)) {
-                     cb(Status::Internal("bad tail response"), 0, 0);
-                     return;
-                   }
-                   last_tail_view_ = resp.view;
-                   tails_.Note(endpoint_.loop()->Now(), resp.durable, resp.stable);
-                   cb(Status::Ok(), resp.durable, resp.stable);
-                 },
-                 5 * kMs);
+void ErwinClient::CheckTailOfLog(LogId log, TailCallback cb) {
+  CheckTailAttempt(log, std::move(cb), 0);
+}
+
+void ErwinClient::CheckTailAttempt(LogId log, TailCallback cb, int attempt) {
+  // The default log keeps the legacy empty body; a named log names itself.
+  SeqCheckTailReq req;
+  req.log = log;
+  const EncodedMsg body = log == kDefaultLog ? EncodedMsg{} : EncodeMsg(req);
+  endpoint_.CallMsg<SeqCheckTailResp>(
+      view_.seq_config[0], kSeqCheckTail, body,
+      [this, log, cb, attempt](Status s, SeqCheckTailResp resp) {
+        if (!s.ok()) {
+          if (attempt >= 20) {
+            cb(std::move(s), 0, 0);
+            return;
+          }
+          // Leader unreachable / changed: re-resolve and retry.
+          ProbeThen([this, log, cb, attempt]() { CheckTailAttempt(log, cb, attempt + 1); });
+          return;
+        }
+        if (log == kDefaultLog) {
+          // Physical-log counts: the view that served them and the tail cache.
+          last_tail_view_ = resp.view;
+          tails_.Note(endpoint_.loop()->Now(), resp.durable, resp.stable);
+        }
+        cb(Status::Ok(), resp.durable, resp.stable);
+      },
+      5 * kMs);
 }
 
 bool ErwinClient::CachedTail(LogPos* durable, LogPos* stable) {
@@ -425,35 +428,6 @@ bool ErwinClient::CachedTail(LogPos* durable, LogPos* stable) {
   }
   read_stats_.tail_cache_hits++;
   return true;
-}
-
-void ErwinClient::CheckTailOfLog(LogId log, TailCallback cb) {
-  CheckTailOfLogAttempt(log, std::move(cb), 0);
-}
-
-void ErwinClient::CheckTailOfLogAttempt(LogId log, TailCallback cb, int attempt) {
-  SeqCheckTailReq req;
-  req.log = log;
-  endpoint_.CallMsg(view_.seq_config[0], kSeqCheckTail, req,
-                    [this, log, cb, attempt](Status s, Decoder d) {
-                      if (!s.ok()) {
-                        if (attempt >= 20) {
-                          cb(std::move(s), 0, 0);
-                          return;
-                        }
-                        ProbeThen([this, log, cb, attempt]() {
-                          CheckTailOfLogAttempt(log, cb, attempt + 1);
-                        });
-                        return;
-                      }
-                      SeqCheckTailResp resp;
-                      if (!resp.Decode(d)) {
-                        cb(Status::Internal("bad tail response"), 0, 0);
-                        return;
-                      }
-                      cb(Status::Ok(), resp.durable, resp.stable);
-                    },
-                    5 * kMs);
 }
 
 void ErwinClient::ResolveLog(const std::string& name,

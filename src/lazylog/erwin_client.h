@@ -141,8 +141,8 @@ class ErwinClient : public SharedLogClient {
   // then runs `then`. Retries use jittered exponential backoff (RetryBackoffNs) so a
   // herd of clients deposed by the same view change does not probe in lockstep.
   void ProbeThen(std::function<void()> then, int attempt = 0);
-  void CheckTailAttempt(TailCallback cb, int attempt);
-  void CheckTailOfLogAttempt(LogId log, TailCallback cb, int attempt);
+  // One check-tail attempt for `log`; only the default log's counts feed the tail cache.
+  void CheckTailAttempt(LogId log, TailCallback cb, int attempt);
   void TrimAttempt(LogPos index, TrimCallback cb, int attempt);
   // Index-path ReadNext with re-resolution: a failed index pull or shard fetch (e.g. a
   // promoted shard primary the cached view predates) refreshes "/shards/config" and

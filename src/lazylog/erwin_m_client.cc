@@ -17,17 +17,14 @@ void ErwinMClient::SendAppend(std::shared_ptr<PendingAppend> p) {
   req.log = p->log;
   // Encoded once; every sequencing replica shares the frame and the payload
   // attachment, so an n-way append fans out refcounts rather than bytes.
-  Encoder enc;
-  req.Encode(enc);
-  const std::vector<Buf> atts = enc.TakeAtts();
-  const Buf body = enc.TakeBuf();
+  const EncodedMsg body = EncodeMsg(req);
   const size_t n = view_.seq_config.size();
   // Slot 0 is the leader (seq_config[0]).
   auto gather = Gather::Create(
       n, [this, p](const std::vector<Status>& ss) { OnAppendReplies(p, ss, /*leader=*/0); });
   for (size_t i = 0; i < n; ++i) {
-    endpoint_.Call(view_.seq_config[i], kSeqAppend, body, gather->Slot(i),
-                   params_.client_append_timeout_ns, atts);
+    endpoint_.CallMsg(view_.seq_config[i], kSeqAppend, body, gather->Slot(i),
+                      params_.client_append_timeout_ns);
   }
 }
 

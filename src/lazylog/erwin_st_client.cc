@@ -41,14 +41,10 @@ void ErwinStClient::SendAppend(std::shared_ptr<PendingAppend> p) {
   // Data writes to every replica of the chosen shard (no coordination, §5.1). The
   // request is encoded once; replicas share the frame and the payload attachment.
   if (n_data > 0) {
-    ShardPutDataReq data{p->id, p->payload, p->tag, p->log};
-    Encoder denc;
-    data.Encode(denc);
-    const std::vector<Buf> datts = denc.TakeAtts();
-    const Buf dbody = denc.TakeBuf();
+    const EncodedMsg data = EncodeMsg(ShardPutDataReq{p->id, p->payload, p->tag, p->log});
     for (size_t i = 0; i < n_data; ++i) {
-      endpoint_.Call(shard_replicas[i], kShardPutData, dbody, gather->Slot(i),
-                     params_.client_append_timeout_ns, datts);
+      endpoint_.CallMsg(shard_replicas[i], kShardPutData, data, gather->Slot(i),
+                        params_.client_append_timeout_ns);
     }
   }
   // Metadata to every sequencing replica, same RTT.
@@ -60,12 +56,10 @@ void ErwinStClient::SendAppend(std::shared_ptr<PendingAppend> p) {
   // The record's tag rides the data write; the log id must also reach the sequencing
   // leader (quota gate + per-log cursors). Flag-gated: default-log frames unchanged.
   meta.log = p->log;
-  Encoder menc;
-  meta.Encode(menc);
-  const Buf mbody = menc.TakeBuf();
+  const EncodedMsg mbody = EncodeMsg(meta);
   for (size_t i = 0; i < n_meta; ++i) {
-    endpoint_.Call(view_.seq_config[i], kSeqAppendMeta, mbody, gather->Slot(n_data + i),
-                   params_.client_append_timeout_ns);
+    endpoint_.CallMsg(view_.seq_config[i], kSeqAppendMeta, mbody, gather->Slot(n_data + i),
+                      params_.client_append_timeout_ns);
   }
 }
 
@@ -105,27 +99,26 @@ void ErwinStClient::FetchPosMap(LogPos needed_end, std::function<void()> then) {
   // rotate across shard 0's replicas instead of pinning one.
   const auto& replicas = view_.shards[0];
   const NodeId target = replicas[(client_id_ + posmap_fetches_) % replicas.size()];
-  endpoint_.CallMsg(target, kShardPosMap, req,
-                    [this, then = std::move(then)](Status s, Decoder d) mutable {
-                      if (s.ok()) {
-                        ShardPosMapResp resp;
-                        if (resp.Decode(d) && resp.from == posmap_.size()) {
-                          for (uint64_t sid : resp.shard_ids) {
-                            posmap_.push_back(static_cast<uint32_t>(sid));
-                          }
-                          // Every mapped position was stable at the serving replica, so
-                          // the map length is a conservative tail sample.
-                          tails_.Note(endpoint_.loop()->Now(), posmap_.size(),
-                                      posmap_.size());
-                        }
-                        then();
-                        return;
-                      }
-                      // The mapping server may have been replaced out from under us;
-                      // refresh the shard membership before the caller's retry.
-                      RefreshShardConfig(std::move(then));
-                    },
-                    params_.rpc_timeout_ns);
+  endpoint_.CallMsg<ShardPosMapResp>(
+      target, kShardPosMap, req,
+      [this, then = std::move(then)](Status s, ShardPosMapResp resp) mutable {
+        if (s.ok()) {
+          if (resp.from == posmap_.size()) {
+            for (uint64_t sid : resp.shard_ids) {
+              posmap_.push_back(static_cast<uint32_t>(sid));
+            }
+            // Every mapped position was stable at the serving replica, so the map length
+            // is a conservative tail sample.
+            tails_.Note(endpoint_.loop()->Now(), posmap_.size(), posmap_.size());
+          }
+          then();
+          return;
+        }
+        // The mapping server may have been replaced out from under us; refresh the shard
+        // membership before the caller's retry.
+        RefreshShardConfig(std::move(then));
+      },
+      params_.rpc_timeout_ns);
 }
 
 void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
@@ -213,9 +206,7 @@ void ErwinStClient::AppendMetadataOnly(ShardId shard, AppendCallback cb) {
   meta.id = id;
   meta.target_shard = shard;
   meta.is_meta = true;
-  Encoder enc;
-  meta.Encode(enc);
-  const Buf body = enc.TakeBuf();
+  const EncodedMsg body = EncodeMsg(meta);
   const size_t n = view_.seq_config.size();
   auto gather = Gather::Create(n, [cb](const std::vector<Status>& ss) {
     for (const Status& s : ss) {
@@ -227,8 +218,8 @@ void ErwinStClient::AppendMetadataOnly(ShardId shard, AppendCallback cb) {
     cb(Status::Ok());
   });
   for (size_t i = 0; i < n; ++i) {
-    endpoint_.Call(view_.seq_config[i], kSeqAppendMeta, body, gather->Slot(i),
-                   params_.client_append_timeout_ns);
+    endpoint_.CallMsg(view_.seq_config[i], kSeqAppendMeta, body, gather->Slot(i),
+                      params_.client_append_timeout_ns);
   }
 }
 
@@ -236,11 +227,7 @@ void ErwinStClient::AppendDataOnly(ShardId shard, Buf payload, AppendCallback cb
   // Simulates a crash after the data write but before the metadata write: the data is
   // orphaned on the shard and must be garbage-collected by scrubbing.
   const RecordId id{client_id_, next_request_id_++};
-  ShardPutDataReq data{id, std::move(payload)};
-  Encoder enc;
-  data.Encode(enc);
-  const std::vector<Buf> atts = enc.TakeAtts();
-  const Buf body = enc.TakeBuf();
+  const EncodedMsg body = EncodeMsg(ShardPutDataReq{id, std::move(payload)});
   const auto& replicas = view_.shards[shard];
   auto gather = Gather::Create(replicas.size(), [cb](const std::vector<Status>& ss) {
     for (const Status& s : ss) {
@@ -252,8 +239,8 @@ void ErwinStClient::AppendDataOnly(ShardId shard, Buf payload, AppendCallback cb
     cb(Status::Ok());
   });
   for (size_t i = 0; i < replicas.size(); ++i) {
-    endpoint_.Call(replicas[i], kShardPutData, body, gather->Slot(i),
-                   params_.client_append_timeout_ns, atts);
+    endpoint_.CallMsg(replicas[i], kShardPutData, body, gather->Slot(i),
+                      params_.client_append_timeout_ns);
   }
 }
 

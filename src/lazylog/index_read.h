@@ -50,16 +50,16 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
   req.max = max;
   req.log = log;
   req.by_rank = by_rank;
-  endpoint->CallMsg(
+  endpoint->CallMsg<IndexReadNextResp>(
       index_node, kIndexReadNext, req,
       [endpoint, params, view, client_id, from, max, by_rank, router, tails,
-       cb = std::move(cb), fallback = std::move(fallback)](Status s, Decoder d) mutable {
+       cb = std::move(cb),
+       fallback = std::move(fallback)](Status s, IndexReadNextResp resp) mutable {
         if (s.code() == StatusCode::kInvalidArgument) {
           cb(std::move(s), {}, from);
           return;
         }
-        IndexReadNextResp resp;
-        if (!s.ok() || !resp.Decode(d)) {
+        if (!s.ok()) {
           fallback();
           return;
         }
@@ -82,11 +82,7 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
           }
           per_shard[resp.shard_ids[i]].positions.push_back(resp.positions[i]);
         }
-        struct FetchState {
-          std::unordered_map<uint64_t, Record> by_pos;
-          bool decode_failed = false;
-        };
-        auto state = std::make_shared<FetchState>();
+        auto by_pos = std::make_shared<std::unordered_map<uint64_t, Record>>();
         std::vector<std::pair<NodeId, ShardMultiReadReq>> subs;
         for (auto& [shard, sreq] : per_shard) {
           const auto& replicas = view->shards[shard];
@@ -95,7 +91,7 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
           subs.emplace_back(target, std::move(sreq));
         }
         auto gather = Gather::Create(
-            subs.size(), [state, resp = std::move(resp), from, max, by_rank,
+            subs.size(), [by_pos, resp = std::move(resp), from, max, by_rank,
                           cb = std::move(cb),
                           fallback = std::move(fallback)](const std::vector<Status>& ss) {
               for (const Status& st : ss) {
@@ -103,10 +99,6 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
                   fallback();
                   return;
                 }
-              }
-              if (state->decode_failed) {
-                fallback();
-                return;
               }
               // Assemble the stream window in index order, stopping at the first
               // position a replica could not serve yet (its stable frontier may trail
@@ -116,8 +108,8 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
               LogPos next_from = resp.indexed_upto;
               bool clipped = false;
               for (uint64_t p : resp.positions) {
-                auto it = state->by_pos.find(p);
-                if (it == state->by_pos.end()) {
+                auto it = by_pos->find(p);
+                if (it == by_pos->end()) {
                   next_from = p;
                   clipped = true;
                   break;
@@ -149,36 +141,26 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
             router->OnIssue(target);
           }
           const SimTime t0 = endpoint->loop()->Now();
-          endpoint->CallMsg(subs[i].first, kShardMultiRead, subs[i].second,
-                            [endpoint, router, tails, target, t0, state,
-                             slot](Status st, Decoder rd) {
-                              bool observed = false;
-                              if (st.ok()) {
-                                ShardReadResp rresp;
-                                if (rresp.Decode(rd)) {
-                                  if (router) {
-                                    router->OnReply(target,
-                                                    endpoint->loop()->Now() - t0,
-                                                    rresp.queue_ns);
-                                    observed = true;
-                                  }
-                                  if (tails) {
-                                    tails->Note(endpoint->loop()->Now(),
-                                                rresp.durable_tail, rresp.stable_gp);
-                                  }
-                                  for (auto& pr : rresp.records) {
-                                    state->by_pos.emplace(pr.pos, std::move(pr.record));
-                                  }
-                                } else {
-                                  state->decode_failed = true;
-                                }
-                              }
-                              if (router && !observed) {
-                                router->OnReply(target, endpoint->loop()->Now() - t0, 0);
-                              }
-                              slot(std::move(st), Decoder());
-                            },
-                            params->rpc_timeout_ns);
+          endpoint->CallMsg<ShardReadResp>(
+              subs[i].first, kShardMultiRead, subs[i].second,
+              [endpoint, router, tails, target, t0, by_pos, slot](Status st,
+                                                                  ShardReadResp rresp) {
+                if (router) {
+                  router->OnReply(target, endpoint->loop()->Now() - t0,
+                                  st.ok() ? rresp.queue_ns : 0);
+                }
+                if (st.ok()) {
+                  if (tails) {
+                    tails->Note(endpoint->loop()->Now(), rresp.durable_tail,
+                                rresp.stable_gp);
+                  }
+                  for (auto& pr : rresp.records) {
+                    by_pos->emplace(pr.pos, std::move(pr.record));
+                  }
+                }
+                slot(std::move(st), Decoder());
+              },
+              params->rpc_timeout_ns);
         }
       },
       params->rpc_timeout_ns);

@@ -224,25 +224,18 @@ class ReadCoalescer {
     stats_->primary_reads++;
     router_->OnIssue(target);
     const SimTime t0 = ep_->loop()->Now();
-    ep_->CallMsg(target, kShardRead, req,
-                 [this, target, t0, cb = std::move(cb)](Status s, Decoder d) {
-                   std::vector<PositionedRecord> recs;
-                   if (s.ok()) {
-                     ShardReadResp resp;
-                     if (resp.Decode(d)) {
-                       NoteReply(target, t0, resp.stable_gp, resp.durable_tail,
-                                 resp.queue_ns, resp.records);
-                       recs = std::move(resp.records);
-                     } else {
-                       s = Status::Internal("bad read response");
-                       router_->OnReply(target, ep_->loop()->Now() - t0, 0);
-                     }
-                   } else {
-                     router_->OnReply(target, ep_->loop()->Now() - t0, 0);
-                   }
-                   cb(std::move(s), std::move(recs));
-                 },
-                 params_->rpc_timeout_ns);
+    ep_->CallMsg<ShardReadResp>(
+        target, kShardRead, req,
+        [this, target, t0, cb = std::move(cb)](Status s, ShardReadResp resp) {
+          if (s.ok()) {
+            NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
+                      resp.records);
+          } else {
+            router_->OnReply(target, ep_->loop()->Now() - t0, 0);
+          }
+          cb(std::move(s), std::move(resp.records));
+        },
+        params_->rpc_timeout_ns);
   }
 
  private:
@@ -302,11 +295,11 @@ class ReadCoalescer {
     }
     router_->OnIssue(target);
     const SimTime t0 = ep_->loop()->Now();
-    ep_->CallMsg(
+    ep_->CallMsg<ShardMultiRangeReadResp>(
         target, kShardMultiRangeRead, req,
-        [this, target, t0, pieces = std::move(pieces)](Status s, Decoder d) mutable {
-          ShardMultiRangeReadResp resp;
-          const bool ok = s.ok() && resp.Decode(d) && resp.counts.size() == pieces.size();
+        [this, target, t0, pieces = std::move(pieces)](Status s,
+                                                       ShardMultiRangeReadResp resp) mutable {
+          const bool ok = s.ok() && resp.counts.size() == pieces.size();
           if (ok) {
             NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
                       resp.records);

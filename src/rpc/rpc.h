@@ -5,9 +5,11 @@
 #ifndef SRC_RPC_RPC_H_
 #define SRC_RPC_RPC_H_
 
+#include <concepts>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "src/common/codec.h"
@@ -21,6 +23,28 @@ namespace lazylog {
 using MethodId = uint16_t;
 
 class RpcEndpoint;
+
+// Body of a request that carries nothing (a probe or a state pull): encodes to zero
+// bytes, and decodes from any body because the handler reads none of it.
+struct NoBody {
+  template <class Ar>
+  void Wire(Ar&) {}
+};
+
+// A request encoded once for a fan-out: every destination's call shares the frame body
+// and the payload attachments (refcount bumps, not bytes).
+struct EncodedMsg {
+  Buf body;
+  std::vector<Buf> atts;
+};
+
+template <typename Msg>
+EncodedMsg EncodeMsg(const Msg& msg) {
+  Encoder enc;
+  WireEncode(enc, msg);
+  auto atts = enc.TakeAtts();
+  return EncodedMsg{enc.TakeBuf(), std::move(atts)};
+}
 
 // Capability to answer one inbound request. Copies share one send-once token (handlers
 // routinely capture responders into deferred std::function work); responding twice is a
@@ -71,7 +95,9 @@ struct RpcStats {
   uint64_t cancelled = 0;
 };
 
-// One endpoint == one simulated node. Servers register handlers; clients Call().
+// One endpoint == one simulated node. Servers bind each method to its request type with
+// Handle(); clients CallMsg() with a request struct, and name the reply type to get it
+// decoded. Register()/Call() are the raw byte-level forms underneath.
 class RpcEndpoint {
  public:
   // Handler receives the caller id, a decoder over the request body, and the responder.
@@ -91,6 +117,37 @@ class RpcEndpoint {
   // Registers the handler for `method` (replacing any existing one).
   void Register(MethodId method, Handler handler);
 
+  // Typed registration: the endpoint decodes each request body into a `Req` (a struct
+  // with a Wire field list, or one scalar or string) and calls fn(caller, req,
+  // responder). A body that fails to decode is answered InvalidArgument here and never
+  // reaches `fn`, so the registration site is the method's request type.
+  template <typename Req, typename Fn>
+  void Handle(MethodId method, Fn fn) {
+    Register(method, [fn = std::move(fn)](NodeId caller, Decoder body, Responder r) {
+      Req req{};
+      if (!WireDecode(body, req)) {
+        r.Send(Status::InvalidArgument("malformed request"));
+        return;
+      }
+      fn(caller, std::move(req), std::move(r));
+    });
+  }
+  // Member handlers `void T::f(Req, Responder)` or `void T::f(NodeId caller, Req,
+  // Responder)`; Req (by value or const&) is deduced from the signature.
+  template <typename T, typename Arg>
+  void Handle(MethodId method, T* self, void (T::*f)(Arg, Responder)) {
+    Handle<std::decay_t<Arg>>(method, [self, f](NodeId, std::decay_t<Arg> req, Responder r) {
+      (self->*f)(std::move(req), std::move(r));
+    });
+  }
+  template <typename T, typename Arg>
+  void Handle(MethodId method, T* self, void (T::*f)(NodeId, Arg, Responder)) {
+    Handle<std::decay_t<Arg>>(method, [self, f](NodeId caller, std::decay_t<Arg> req,
+                                                Responder r) {
+      (self->*f)(caller, std::move(req), std::move(r));
+    });
+  }
+
   // Issues a call. `timeout_ns` == 0 means no timeout (the callback may never fire if
   // the destination is down — callers that pass 0 must handle that themselves).
   // `atts` are zero-copy payload segments referenced by length markers in `body`.
@@ -105,6 +162,28 @@ class RpcEndpoint {
     WireEncode(enc, req);
     auto atts = enc.TakeAtts();
     Call(dest, method, enc.TakeBuf(), std::move(cb), timeout_ns, std::move(atts));
+  }
+  // Sends a request already encoded for a fan-out (see EncodedMsg).
+  void CallMsg(NodeId dest, MethodId method, const EncodedMsg& msg, ResponseCallback cb,
+               uint64_t timeout_ns) {
+    Call(dest, method, msg.body, std::move(cb), timeout_ns, msg.atts);
+  }
+
+  // Typed reply: an OK reply's body is decoded into a `Resp` and the callback gets
+  // (status, resp). An OK reply that fails to decode arrives as Status::Internal; on
+  // any other status `resp` is default-constructed.
+  template <typename Resp, typename Req, typename Fn>
+    requires std::invocable<Fn&, Status, Resp>
+  void CallMsg(NodeId dest, MethodId method, const Req& req, Fn cb, uint64_t timeout_ns) {
+    CallMsg(dest, method, req,
+            [cb = std::move(cb)](Status s, Decoder body) mutable {
+              Resp resp{};
+              if (s.ok() && !WireDecode(body, resp)) {
+                s = Status::Internal("malformed reply");
+              }
+              cb(std::move(s), std::move(resp));
+            },
+            timeout_ns);
   }
 
   // Cancels all outstanding calls with Status::Unavailable (client teardown).

@@ -22,13 +22,6 @@ constexpr uint64_t kResealIntervalNs = 2 * kMs;
 // before the controller declares it failed. Polls run every 2 session heartbeats, so
 // this is a multi-timeout grace window for slow registrations under queued ZK writes.
 constexpr uint32_t kUnregisteredPollLimit = 4;
-
-template <typename Req>
-std::string EncodeBody(const Req& req) {
-  Encoder enc;
-  req.Encode(enc);
-  return enc.Take();
-}
 }  // namespace
 
 Controller::Controller(Network* net, const SimParams& params, NodeId zk_node)
@@ -144,9 +137,9 @@ void Controller::SealAll(uint32_t attempt) {
   // worst accept a deposed leader's stable-gp stat update — its served coverage comes
   // from the (acked-fenced) shards' exports, so consistency never depends on this.
   if (!index_nodes_.empty()) {
-    const Buf ibody = EncodeBody(ShardSealReq{fence_view});
+    const EncodedMsg ibody = EncodeMsg(ShardSealReq{fence_view});
     for (NodeId n : index_nodes_) {
-      endpoint_.Call(n, kShardSeal, ibody, nullptr, 0);
+      endpoint_.CallMsg(n, kShardSeal, ibody, nullptr, 0);
     }
   }
 
@@ -155,7 +148,6 @@ void Controller::SealAll(uint32_t attempt) {
     proceed();
     return;
   }
-  const std::string body = EncodeBody(SeqSealReq{view_});
   const ViewId sealed_view = view_;
   auto gather = Gather::Create(
       targets.size(),
@@ -175,7 +167,7 @@ void Controller::SealAll(uint32_t attempt) {
         proceed();
       });
   for (size_t i = 0; i < targets.size(); ++i) {
-    endpoint_.Call(targets[i], kSeqSeal, body, gather->Slot(i), 5 * kMs);
+    endpoint_.CallMsg(targets[i], kSeqSeal, SeqSealReq{sealed_view}, gather->Slot(i), 5 * kMs);
   }
 }
 
@@ -198,7 +190,6 @@ void Controller::FenceShards(ViewId fence_view, std::shared_ptr<std::set<NodeId>
     done();
     return;
   }
-  const std::string body = EncodeBody(ShardSealReq{fence_view});
   const std::vector<NodeId> round(pending->begin(), pending->end());
   auto gather = Gather::Create(
       round.size(),
@@ -217,7 +208,8 @@ void Controller::FenceShards(ViewId fence_view, std::shared_ptr<std::set<NodeId>
         });
       });
   for (size_t i = 0; i < round.size(); ++i) {
-    endpoint_.Call(round[i], kShardSeal, body, gather->Slot(i), kFenceAttemptTimeoutNs);
+    endpoint_.CallMsg(round[i], kShardSeal, ShardSealReq{fence_view}, gather->Slot(i),
+                      kFenceAttemptTimeoutNs);
   }
 }
 
@@ -229,16 +221,16 @@ void Controller::ResealLoop() {
   endpoint_.loop()->Schedule(kResealIntervalNs, [this]() {
     reseal_armed_ = false;
     for (const auto& [node, sealed_view] : reseal_pending_) {
-      endpoint_.Call(node, kSeqSeal, EncodeBody(SeqSealReq{sealed_view}),
-                     [this, node](Status s, Decoder) {
-                       // WRONG_VIEW means the node already moved to a newer view (it was
-                       // started into the new config); either way it is no longer a
-                       // stale-serving risk.
-                       if (s.ok() || s.code() == StatusCode::kWrongView) {
-                         reseal_pending_.erase(node);
-                       }
-                     },
-                     kFenceAttemptTimeoutNs);
+      endpoint_.CallMsg(node, kSeqSeal, SeqSealReq{sealed_view},
+                        [this, node](Status s, Decoder) {
+                          // WRONG_VIEW means the node already moved to a newer view (it
+                          // was started into the new config); either way it is no longer
+                          // a stale-serving risk.
+                          if (s.ok() || s.code() == StatusCode::kWrongView) {
+                            reseal_pending_.erase(node);
+                          }
+                        },
+                        kFenceAttemptTimeoutNs);
     }
     ResealLoop();
   });
@@ -298,12 +290,10 @@ void Controller::FlushRecovery(const std::vector<NodeId>& live, NodeId recovery)
       new_config.push_back(n);
     }
   }
-  CallRetrying(
-      recovery, kSeqFetchLog, EncodeBody(SeqFlushReq{view_ + 1}),
-      {params_.rpc_timeout_ns, 1 * kMs, 3},
-      [this, new_config = std::move(new_config)](const Status& s, Decoder& d) mutable {
-        SeqFlushResp resp;
-        if (!s.ok() || !resp.Decode(d)) {
+  CallRetrying<SeqFlushResp>(
+      recovery, kSeqFetchLog, SeqFlushReq{view_ + 1}, {params_.rpc_timeout_ns, 1 * kMs, 3},
+      [this, new_config = std::move(new_config)](const Status& s, SeqFlushResp& resp) mutable {
+        if (!s.ok()) {
           LLOG(kError) << "controller: flush failed: " << s.ToString();
           return false;
         }
@@ -340,12 +330,12 @@ void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
         timing_.view_written_at = endpoint_.loop()->Now();
         // Advance stable-gp on the shards: everything flushed is now stable. Stamped
         // with the new view so it passes the fence raised in SealAll.
-        const std::string sbody = EncodeBody(StableGpMsg{new_view, ordered_gp});
+        const StableGpMsg stable{new_view, ordered_gp};
         for (NodeId n : AllShardServers()) {
-          endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
+          endpoint_.CallMsg(n, kShardSetStableGp, stable, nullptr, 0);
         }
         for (NodeId n : index_nodes_) {
-          endpoint_.Call(n, kShardSetStableGp, sbody, nullptr, 0);
+          endpoint_.CallMsg(n, kShardSetStableGp, stable, nullptr, 0);
         }
         SeqStartViewReq sv;
         sv.view = new_view;
@@ -353,7 +343,6 @@ void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
         sv.ordered_gp = ordered_gp;
         sv.stable_gp = ordered_gp;
         sv.flushed_ids = std::move(flushed_ids);
-        const std::string body = EncodeBody(sv);
         auto remaining = std::make_shared<size_t>(new_config.size());
         auto started = [this, remaining, new_config, new_view]() {
           if (--*remaining > 0) {
@@ -377,10 +366,10 @@ void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
         // Start the new view on every member, retrying each until it adopted the view (a
         // lost StartView would leave a member sealed forever).
         for (NodeId member : new_config) {
-          CallRetrying(
-              member, kSeqStartView, body,
+          CallRetrying<NoBody>(
+              member, kSeqStartView, sv,
               {kStartViewAttemptTimeoutNs, kStartViewRetryNs, RetryPolicy::kUnbounded},
-              [this, member, started](const Status& s, Decoder&) {
+              [this, member, started](const Status& s, NoBody&) {
                 if (s.ok() || s.code() == StatusCode::kWrongView) {
                   // Adopted (or already past) this view: no longer a reseal target.
                   reseal_pending_.erase(member);
@@ -457,10 +446,10 @@ void Controller::ReplaceShardReplica(uint32_t shard, uint32_t replica_index, Nod
 
 void Controller::DoReplaceShardReplica(uint32_t shard, NodeId old_node, NodeId new_node,
                                        std::function<void(Status)> done) {
-  CallRetrying(
-      new_node, kShardCopyState, EncodeBody(ShardCopyStateReq{shards_[shard][0]}),
+  CallRetrying<NoBody>(
+      new_node, kShardCopyState, ShardCopyStateReq{shards_[shard][0]},
       {params_.rpc_timeout_ns, 2 * kMs, 5},
-      [this, shard, old_node, new_node, done](const Status& s, Decoder&) {
+      [this, shard, old_node, new_node, done](const Status& s, NoBody&) {
         if (!s.ok()) {
           return false;
         }
@@ -475,8 +464,7 @@ void Controller::DoReplaceShardReplica(uint32_t shard, NodeId old_node, NodeId n
         *it = new_node;
         shard_epoch_++;
         WriteShardConfig([this, old_node, new_node, done]() {
-          FanOutToSeq(kSeqUpdateShards, EncodeBody(SeqUpdateShardsReq{old_node, new_node}),
-                      done);
+          FanOutToSeq(kSeqUpdateShards, SeqUpdateShardsReq{old_node, new_node}, done);
         });
         return true;
       },
@@ -535,7 +523,7 @@ void Controller::PublishLogRegistry(std::function<void(Status)> done) {
   // The ZK write re-encodes per attempt: a newer epoch may have superseded this one, and
   // persisting the latest table is always correct.
   ZkWriteUntilOk("/logs/config", encode, nullptr);
-  FanOutToSeq(kSeqUpdateLogs, encode(), std::move(done));
+  FanOutToSeq(kSeqUpdateLogs, SeqUpdateLogsReq{log_epoch_, log_registry_}, std::move(done));
 }
 
 // --- shard primary failover ------------------------------------------------------------
@@ -627,52 +615,49 @@ void Controller::PromoSealRound(std::shared_ptr<PromoState> st, uint32_t attempt
     SelectAndPromote(st);
     return;
   }
-  ShardPromoSealReq req{st->promo_epoch};
-  Encoder enc;
-  req.Encode(enc);
-  const std::string body = enc.Take();
+  const ShardPromoSealReq req{st->promo_epoch};
   const std::vector<NodeId> round(st->pending.begin(), st->pending.end());
   auto remaining = std::make_shared<size_t>(round.size());
   for (NodeId n : round) {
-    endpoint_.Call(n, kShardPromoSeal, body,
-                   [this, st, n, remaining, attempt](Status s, Decoder d) {
-                     ShardCompletenessResp resp;
-                     if (s.ok() && resp.Decode(d)) {
-                       st->reports[n] = resp;
-                       st->pending.erase(n);
-                     }
-                     if (--*remaining > 0) {
-                       return;
-                     }
-                     if (st->pending.empty()) {
-                       failover_timing_.sealed_at = endpoint_.loop()->Now();
-                       SelectAndPromote(st);
-                       return;
-                     }
-                     if (attempt + 1 >= kPromoRoundLimit) {
-                       // Non-responders are presumed dead too: drop them and promote
-                       // from the replicas that did seal — a failover cannot wait
-                       // forever on a second casualty.
-                       for (NodeId drop : st->pending) {
-                         LLOG(kWarn) << "controller: survivor " << drop
-                                     << " never promo-sealed; dropping from shard "
-                                     << st->shard;
-                         dead_shard_servers_.insert(drop);
-                       }
-                       st->pending.clear();
-                       if (st->reports.empty()) {
-                         st->done(Status::Unavailable("no survivor reachable for promotion"));
-                         return;
-                       }
-                       failover_timing_.sealed_at = endpoint_.loop()->Now();
-                       SelectAndPromote(st);
-                       return;
-                     }
-                     endpoint_.loop()->Schedule(kFenceRetryNs, [this, st, attempt]() {
-                       PromoSealRound(st, attempt + 1);
-                     });
-                   },
-                   kFenceAttemptTimeoutNs);
+    endpoint_.CallMsg<ShardCompletenessResp>(
+        n, kShardPromoSeal, req,
+        [this, st, n, remaining, attempt](Status s, ShardCompletenessResp resp) {
+          if (s.ok()) {
+            st->reports[n] = resp;
+            st->pending.erase(n);
+          }
+          if (--*remaining > 0) {
+            return;
+          }
+          if (st->pending.empty()) {
+            failover_timing_.sealed_at = endpoint_.loop()->Now();
+            SelectAndPromote(st);
+            return;
+          }
+          if (attempt + 1 >= kPromoRoundLimit) {
+            // Non-responders are presumed dead too: drop them and promote
+            // from the replicas that did seal — a failover cannot wait
+            // forever on a second casualty.
+            for (NodeId drop : st->pending) {
+              LLOG(kWarn) << "controller: survivor " << drop
+                          << " never promo-sealed; dropping from shard "
+                          << st->shard;
+              dead_shard_servers_.insert(drop);
+            }
+            st->pending.clear();
+            if (st->reports.empty()) {
+              st->done(Status::Unavailable("no survivor reachable for promotion"));
+              return;
+            }
+            failover_timing_.sealed_at = endpoint_.loop()->Now();
+            SelectAndPromote(st);
+            return;
+          }
+          endpoint_.loop()->Schedule(kFenceRetryNs, [this, st, attempt]() {
+            PromoSealRound(st, attempt + 1);
+          });
+        },
+        kFenceAttemptTimeoutNs);
   }
 }
 
@@ -772,18 +757,16 @@ void Controller::SendPromote(const PromoState& st, NodeId target,
     auto it = st.reports.find(n);
     req.peer_applied.push_back(it != st.reports.end() ? it->second.order_applied : 0);
   }
-  CallRetrying(
-      target, kShardPromote, EncodeBody(req),
-      {kFenceAttemptTimeoutNs, kFenceRetryNs, kPromoRoundLimit},
-      [cb](const Status& s, Decoder& d) {
-        ShardOrderAckResp resp;
-        if (!s.ok() || !resp.Decode(d)) {
+  CallRetrying<ShardOrderAckResp>(
+      target, kShardPromote, req, {kFenceAttemptTimeoutNs, kFenceRetryNs, kPromoRoundLimit},
+      [cb](const Status& s, ShardOrderAckResp& resp) {
+        if (!s.ok()) {
           return false;  // an undecodable ack is retried like a lost one
         }
         cb(Status::Ok(), resp.applied_upto);
         return true;
       },
-      [cb](Status s) { cb(s.ok() ? Status::Unavailable("bad promote ack") : std::move(s), 0); });
+      [cb](Status s) { cb(std::move(s), 0); });
 }
 
 void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
@@ -794,7 +777,7 @@ void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
   shards_[st->shard] = st->new_order;
   shard_epoch_++;
   SeqShardFailoverReq req{st->shard, st->old_primary, st->new_primary, st->reset_upto};
-  FanOutToSeq(kSeqShardFailover, EncodeBody(req), [this, st](Status) {
+  FanOutToSeq(kSeqShardFailover, req, [this, st](Status) {
     WriteShardConfig([this, st]() {
       UpdateIndexShards(st->old_primary, st->new_primary, 0);
       promotions_++;
@@ -815,19 +798,20 @@ void Controller::UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t at
   if (index_nodes_.empty()) {
     return;
   }
-  const std::string body = EncodeBody(SeqUpdateShardsReq{old_node, new_node});
+  const SeqUpdateShardsReq req{old_node, new_node};
   auto rearmed = std::make_shared<bool>(false);
   for (NodeId n : index_nodes_) {
-    endpoint_.Call(n, kSeqUpdateShards, body,
-                   [this, old_node, new_node, attempt, rearmed](Status s, Decoder) {
-                     if (!s.ok() && attempt + 1 < 5 && !*rearmed) {
-                       *rearmed = true;
-                       endpoint_.loop()->Schedule(2 * kMs, [this, old_node, new_node, attempt]() {
-                         UpdateIndexShards(old_node, new_node, attempt + 1);
-                       });
-                     }
-                   },
-                   kFenceAttemptTimeoutNs);
+    endpoint_.CallMsg(n, kSeqUpdateShards, req,
+                      [this, old_node, new_node, attempt, rearmed](Status s, Decoder) {
+                        if (!s.ok() && attempt + 1 < 5 && !*rearmed) {
+                          *rearmed = true;
+                          endpoint_.loop()->Schedule(
+                              2 * kMs, [this, old_node, new_node, attempt]() {
+                                UpdateIndexShards(old_node, new_node, attempt + 1);
+                              });
+                        }
+                      },
+                      kFenceAttemptTimeoutNs);
   }
 }
 
@@ -839,14 +823,15 @@ void Controller::UpdateIndexShards(NodeId old_node, NodeId new_node, uint32_t at
 // fences that re-derive their target *set* every round (SealAll, FenceShards,
 // PromoSealRound, UpdateIndexShards) stay round-based.
 
-void Controller::CallRetrying(NodeId target, MethodId method, std::string body, RetryPolicy policy,
-                              ReplyHandler on_reply, std::function<void(Status)> on_exhausted,
-                              uint32_t attempt) {
-  endpoint_.Call(
-      target, method, body,
-      [this, target, method, body, policy, on_reply = std::move(on_reply),
-       on_exhausted = std::move(on_exhausted), attempt](Status s, Decoder d) mutable {
-        if (on_reply(s, d)) {
+template <typename Resp, typename Req>
+void Controller::CallRetrying(NodeId target, MethodId method, Req req, RetryPolicy policy,
+                              ReplyHandler<Resp> on_reply,
+                              std::function<void(Status)> on_exhausted, uint32_t attempt) {
+  endpoint_.CallMsg<Resp>(
+      target, method, req,
+      [this, target, method, req, policy, on_reply = std::move(on_reply),
+       on_exhausted = std::move(on_exhausted), attempt](Status s, Resp resp) mutable {
+        if (on_reply(s, resp)) {
           return;
         }
         if (policy.max_attempts != RetryPolicy::kUnbounded &&
@@ -856,16 +841,17 @@ void Controller::CallRetrying(NodeId target, MethodId method, std::string body, 
         }
         endpoint_.loop()->Schedule(
             policy.backoff_ns,
-            [this, target, method, body = std::move(body), policy, on_reply = std::move(on_reply),
+            [this, target, method, req = std::move(req), policy, on_reply = std::move(on_reply),
              on_exhausted = std::move(on_exhausted), attempt]() mutable {
-              CallRetrying(target, method, std::move(body), policy, std::move(on_reply),
-                           std::move(on_exhausted), attempt + 1);
+              CallRetrying<Resp>(target, method, std::move(req), policy, std::move(on_reply),
+                                 std::move(on_exhausted), attempt + 1);
             });
       },
       policy.attempt_timeout_ns);
 }
 
-void Controller::FanOutToSeq(MethodId method, std::string body,
+template <typename Req>
+void Controller::FanOutToSeq(MethodId method, const Req& req,
                              std::function<void(Status)> done) {
   std::vector<NodeId> targets;
   for (NodeId n : seq_replicas_) {
@@ -886,9 +872,9 @@ void Controller::FanOutToSeq(MethodId method, std::string body,
     }
   };
   for (NodeId member : targets) {
-    CallRetrying(
-        member, method, body, {kStartViewAttemptTimeoutNs, 2 * kMs, 10},
-        [this, member, settled](const Status& s, Decoder&) {
+    CallRetrying<NoBody>(
+        member, method, req, {kStartViewAttemptTimeoutNs, 2 * kMs, 10},
+        [this, member, settled](const Status& s, NoBody&) {
           if (!s.ok() && known_dead_.count(member) == 0) {
             return false;
           }

@@ -193,19 +193,24 @@ class Controller {
     uint64_t backoff_ns;
     uint32_t max_attempts;
   };
-  // Judges one reply at reply time: true settles the call, false asks for a resend.
-  using ReplyHandler = std::function<bool(const Status&, Decoder&)>;
-  // Calls `method` on `target` until `on_reply` settles it, resending the same body
-  // `backoff_ns` after each unsettled reply. Once `max_attempts` replies went unsettled,
-  // `on_exhausted` gets the last status instead. Each resend re-enters this member
-  // function, so no closure ever holds a reference to itself.
-  void CallRetrying(NodeId target, MethodId method, std::string body, RetryPolicy policy,
-                    ReplyHandler on_reply, std::function<void(Status)> on_exhausted,
+  // Judges one reply (decoded as a `Resp`; NoBody for a status-only reply) at reply
+  // time: true settles the call, false asks for a resend. A reply that fails to decode
+  // arrives as a non-OK status.
+  template <typename Resp>
+  using ReplyHandler = std::function<bool(const Status&, Resp&)>;
+  // Calls `method` on `target` with `req` until `on_reply` settles it, resending the same
+  // request `backoff_ns` after each unsettled reply. Once `max_attempts` replies went
+  // unsettled, `on_exhausted` gets the last status instead. Each resend re-enters this
+  // member function, so no closure ever holds a reference to itself.
+  template <typename Resp, typename Req>
+  void CallRetrying(NodeId target, MethodId method, Req req, RetryPolicy policy,
+                    ReplyHandler<Resp> on_reply, std::function<void(Status)> on_exhausted,
                     uint32_t attempt = 0);
-  // Sends `body` to every sequencing replica not known dead, each with up to 10 attempts
+  // Sends `req` to every sequencing replica not known dead, each with up to 10 attempts
   // 2 ms apart; a member stops being retried once it is known dead. `done` fires once
   // every member settled.
-  void FanOutToSeq(MethodId method, std::string body, std::function<void(Status)> done);
+  template <typename Req>
+  void FanOutToSeq(MethodId method, const Req& req, std::function<void(Status)> done);
   // Unconditional ZK write of `path`, retried every kZkRetryNs until ZK acks it. `encode`
   // runs again on every attempt, so a retry persists the state current at that time.
   void ZkWriteUntilOk(const std::string& path, std::function<std::string()> encode,

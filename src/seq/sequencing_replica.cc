@@ -11,42 +11,27 @@ SequencingReplica::SequencingReplica(Network* net, const SimParams& params, Erwi
     : endpoint_(net), cpu_(net->loop(), params.seq_cpu), params_(params), mode_(mode),
       index_(index), zk_node_(zk), eff_interval_ns_(params.seq.ordering_interval_ns),
       eff_batch_(params.seq.max_order_batch), eff_depth_(params.seq.order_pipeline_depth) {
-  endpoint_.Register(kSeqAppend, [this](NodeId, Decoder d, Responder r) {
-    HandleAppend(d, std::move(r));
-  });
-  endpoint_.Register(kSeqAppendMeta, [this](NodeId, Decoder d, Responder r) {
-    HandleAppend(d, std::move(r));
-  });
-  endpoint_.Register(kSeqGc, [this](NodeId, Decoder d, Responder r) {
-    HandleGc(d, std::move(r));
-  });
-  endpoint_.Register(kSeqSeal, [this](NodeId, Decoder d, Responder r) {
-    HandleSeal(d, std::move(r));
-  });
-  endpoint_.Register(kSeqFetchLog, [this](NodeId, Decoder d, Responder r) {
-    HandleFlush(d, std::move(r));
-  });
-  endpoint_.Register(kSeqStartView, [this](NodeId, Decoder d, Responder r) {
-    HandleStartView(d, std::move(r));
-  });
+  endpoint_.Handle(kSeqAppend, this, &SequencingReplica::HandleAppend);
+  endpoint_.Handle(kSeqAppendMeta, this, &SequencingReplica::HandleAppend);
+  endpoint_.Handle(kSeqGc, this, &SequencingReplica::HandleGc);
+  endpoint_.Handle(kSeqSeal, this, &SequencingReplica::HandleSeal);
+  endpoint_.Handle(kSeqFetchLog, this, &SequencingReplica::HandleFlush);
+  endpoint_.Handle(kSeqStartView, this, &SequencingReplica::HandleStartView);
+  // The one raw registration: an empty check-tail body names the default log (the
+  // pre-virtual-log format, still sent for it), which a typed decode would refuse.
   endpoint_.Register(kSeqCheckTail, [this](NodeId, Decoder d, Responder r) {
-    HandleCheckTail(d, std::move(r));
+    SeqCheckTailReq req;
+    if (d.Remaining() > 0 && !req.Decode(d)) {
+      r.Send(Status::InvalidArgument("malformed request"));
+      return;
+    }
+    HandleCheckTail(req, std::move(r));
   });
-  endpoint_.Register(kSeqGetConfig, [this](NodeId, Decoder d, Responder r) {
-    HandleGetConfig(d, std::move(r));
-  });
-  endpoint_.Register(kSeqTrim, [this](NodeId, Decoder d, Responder r) {
-    HandleTrim(d, std::move(r));
-  });
-  endpoint_.Register(kSeqUpdateShards, [this](NodeId, Decoder d, Responder r) {
-    HandleUpdateShards(d, std::move(r));
-  });
-  endpoint_.Register(kSeqShardFailover, [this](NodeId, Decoder d, Responder r) {
-    HandleShardFailover(d, std::move(r));
-  });
-  endpoint_.Register(kSeqUpdateLogs, [this](NodeId, Decoder d, Responder r) {
-    HandleUpdateLogs(d, std::move(r));
-  });
+  endpoint_.Handle(kSeqGetConfig, this, &SequencingReplica::HandleGetConfig);
+  endpoint_.Handle(kSeqTrim, this, &SequencingReplica::HandleTrim);
+  endpoint_.Handle(kSeqUpdateShards, this, &SequencingReplica::HandleUpdateShards);
+  endpoint_.Handle(kSeqShardFailover, this, &SequencingReplica::HandleShardFailover);
+  endpoint_.Handle(kSeqUpdateLogs, this, &SequencingReplica::HandleUpdateLogs);
 }
 
 void SequencingReplica::Start(std::vector<NodeId> config, std::vector<NodeId> shard_primaries,
@@ -156,12 +141,7 @@ void SequencingReplica::InstallLogRegistry(uint64_t epoch, std::vector<LogRegist
   }
 }
 
-void SequencingReplica::HandleUpdateLogs(Decoder d, Responder r) {
-  SeqUpdateLogsReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad log update"));
-    return;
-  }
+void SequencingReplica::HandleUpdateLogs(SeqUpdateLogsReq req, Responder r) {
   InstallLogRegistry(req.epoch, std::move(req.entries));
   r.Send(Status::Ok());
 }
@@ -324,12 +304,7 @@ void SequencingReplica::PruneRejected() {
   }
 }
 
-void SequencingReplica::HandleAppend(Decoder d, Responder r) {
-  SeqAppendReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad append"));
-    return;
-  }
+void SequencingReplica::HandleAppend(SeqAppendReq req, Responder r) {
   if (sealed_) {
     r.Send(Status::Sealed());
     return;
@@ -515,8 +490,8 @@ void SequencingReplica::PlaceEntries(LogPos lo, LogPos hi) {
 
 SequencingReplica::EncodedWindow SequencingReplica::EncodeWindow(
     ShardId shard, const OrderWindow& header) const {
-  Encoder enc;
-  MethodId method;
+  // m-mode windows carry the record payloads as attachments: the push shares the ring
+  // buffer's backing, it does not re-copy record bytes.
   if (mode_ == ErwinMode::kM) {
     ShardAppendBatchReq req;
     static_cast<OrderWindow&>(req) = header;
@@ -526,24 +501,17 @@ SequencingReplica::EncodedWindow SequencingReplica::EncodeWindow(
         req.records.push_back(PositionedRecord{p, Record{e.id, e.payload, false, e.tag, e.log}});
       }
     }
-    req.Encode(enc);
-    method = kShardAppendBatch;
-  } else {
-    // Erwin-st: every shard primary stores the full metadata window (§5.2).
-    ShardOrderMetaReq req;
-    static_cast<OrderWindow&>(req) = header;
-    req.entries.reserve(header.range_hi - header.range_lo);
-    for (LogPos p = header.range_lo; p < header.range_hi; ++p) {
-      const Entry& e = log_[p - ordered_gp_];
-      req.entries.push_back(MetaEntry{p, e.id, e.shard});
-    }
-    req.Encode(enc);
-    method = kShardOrderMeta;
+    return EncodedWindow{kShardAppendBatch, EncodeMsg(req)};
   }
-  // m-mode windows carry the record payloads as attachments: the push shares the ring
-  // buffer's backing, it does not re-copy record bytes.
-  std::vector<Buf> atts = enc.TakeAtts();
-  return EncodedWindow{method, enc.TakeBuf(), std::move(atts)};
+  // Erwin-st: every shard primary stores the full metadata window (§5.2).
+  ShardOrderMetaReq req;
+  static_cast<OrderWindow&>(req) = header;
+  req.entries.reserve(header.range_hi - header.range_lo);
+  for (LogPos p = header.range_lo; p < header.range_hi; ++p) {
+    const Entry& e = log_[p - ordered_gp_];
+    req.entries.push_back(MetaEntry{p, e.id, e.shard});
+  }
+  return EncodedWindow{kShardOrderMeta, EncodeMsg(req)};
 }
 
 void SequencingReplica::ResetCursors(LogPos start) {
@@ -576,11 +544,11 @@ void SequencingReplica::PumpCursor(size_t s) {
     const uint64_t epoch = c.window_epoch;
     const ViewId window_view = view_;
     const SimTime sent_at = endpoint_.loop()->Now();
-    endpoint_.Call(shard_primaries_[s], w.method, std::move(w.body),
-                   [this, s, epoch, window_view, sent_at](Status st, Decoder body) {
-                     OnWindowAck(s, epoch, window_view, sent_at, st, std::move(body));
-                   },
-                   params_.seq.order_push_timeout_ns, std::move(w.atts));
+    endpoint_.CallMsg(shard_primaries_[s], w.method, w.msg,
+                      [this, s, epoch, window_view, sent_at](Status st, Decoder body) {
+                        OnWindowAck(s, epoch, window_view, sent_at, st, std::move(body));
+                      },
+                      params_.seq.order_push_timeout_ns);
   }
 }
 
@@ -725,13 +693,11 @@ void SequencingReplica::SendFollowerGc(NodeId follower) {
   const ViewId gc_view = view_;
   const LogPos sent_gp = ordered_gp_;
   const size_t sent = f.pending.size();
-  Encoder enc;
-  gc.Encode(enc);
-  endpoint_.Call(follower, kSeqGc, enc.Take(),
-                 [this, follower, gc_view, sent_gp, sent](Status s, Decoder) {
-                   OnFollowerGcDone(follower, gc_view, sent_gp, sent, s);
-                 },
-                 params_.seq.order_push_timeout_ns);
+  endpoint_.CallMsg(follower, kSeqGc, gc,
+                    [this, follower, gc_view, sent_gp, sent](Status s, Decoder) {
+                      OnFollowerGcDone(follower, gc_view, sent_gp, sent, s);
+                    },
+                    params_.seq.order_push_timeout_ns);
 }
 
 void SequencingReplica::OnFollowerGcDone(NodeId follower, ViewId gc_view, LogPos sent_gp,
@@ -809,25 +775,17 @@ void SequencingReplica::ArmGcRetry() {
 void SequencingReplica::BroadcastStableGp() {
   // Piggyback the durable frontier (same formula CheckTail answers with) so shard
   // replicas can advertise a recent durable tail on their read replies.
-  StableGpMsg msg{view_, stable_gp_, ordered_gp_ + log_.size()};
-  Encoder enc;
-  msg.Encode(enc);
-  // One backing shared across the broadcast; each Call copies a handle.
-  const Buf body = enc.TakeBuf();
+  // One backing shared across the broadcast; each call copies a handle.
+  const EncodedMsg body = EncodeMsg(StableGpMsg{view_, stable_gp_, ordered_gp_ + log_.size()});
   for (NodeId n : all_shard_servers_) {
-    endpoint_.Call(n, kShardSetStableGp, body, nullptr, 0);
+    endpoint_.CallMsg(n, kShardSetStableGp, body, nullptr, 0);
   }
   for (NodeId n : index_nodes_) {
-    endpoint_.Call(n, kShardSetStableGp, body, nullptr, 0);
+    endpoint_.CallMsg(n, kShardSetStableGp, body, nullptr, 0);
   }
 }
 
-void SequencingReplica::HandleGc(Decoder d, Responder r) {
-  SeqGcReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad gc"));
-    return;
-  }
+void SequencingReplica::HandleGc(SeqGcReq req, Responder r) {
   if (sealed_) {
     r.Send(Status::Sealed());
     return;
@@ -870,12 +828,7 @@ void SequencingReplica::HandleGc(Decoder d, Responder r) {
 
 // --- reconfiguration (§4.5) -------------------------------------------------------------
 
-void SequencingReplica::HandleSeal(Decoder d, Responder r) {
-  SeqSealReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad seal"));
-    return;
-  }
+void SequencingReplica::HandleSeal(SeqSealReq req, Responder r) {
   if (req.view < view_) {
     r.Send(Status::WrongView());
     return;
@@ -885,12 +838,7 @@ void SequencingReplica::HandleSeal(Decoder d, Responder r) {
   r.Ok(resp);
 }
 
-void SequencingReplica::HandleFlush(Decoder d, Responder r) {
-  SeqFlushReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad flush"));
-    return;
-  }
+void SequencingReplica::HandleFlush(SeqFlushReq req, Responder r) {
   if (last_flush_view_ == req.new_view && !last_flush_resp_.empty()) {
     // Retried flush (the controller's first response was lost). Return the cached
     // result: re-running would hand out fresh positions for an empty log and lose the
@@ -952,17 +900,12 @@ void SequencingReplica::HandleFlush(Decoder d, Responder r) {
     if (s == 0 || mode_ == ErwinMode::kM) {
       w = EncodeWindow(static_cast<ShardId>(s), header);
     }
-    endpoint_.Call(shard_primaries_[s], w.method, w.body, gather->Slot(s),
-                   params_.rpc_timeout_ns, w.atts);
+    endpoint_.CallMsg(shard_primaries_[s], w.method, w.msg, gather->Slot(s),
+                      params_.rpc_timeout_ns);
   }
 }
 
-void SequencingReplica::HandleStartView(Decoder d, Responder r) {
-  SeqStartViewReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad start view"));
-    return;
-  }
+void SequencingReplica::HandleStartView(SeqStartViewReq req, Responder r) {
   if (req.view <= view_ && view_ != 0) {
     r.Send(Status::WrongView("stale start view"));
     return;
@@ -1004,14 +947,9 @@ void SequencingReplica::HandleStartView(Decoder d, Responder r) {
 
 // --- misc client calls -------------------------------------------------------------------
 
-void SequencingReplica::HandleCheckTail(Decoder d, Responder r) {
+void SequencingReplica::HandleCheckTail(const SeqCheckTailReq& req, Responder r) {
   // Legacy empty body = physical tail (byte-identical for single-log deployments);
   // a non-empty body names the phylog whose record counts are wanted.
-  SeqCheckTailReq req;
-  if (d.Remaining() > 0 && !req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad check tail"));
-    return;
-  }
   if (!is_leader()) {
     r.Send(Status::NotLeader());
     return;
@@ -1040,7 +978,7 @@ void SequencingReplica::HandleCheckTail(Decoder d, Responder r) {
   });
 }
 
-void SequencingReplica::HandleGetConfig(Decoder d, Responder r) {
+void SequencingReplica::HandleGetConfig(NoBody, Responder r) {
   SeqConfigResp resp;
   resp.view = view_;
   resp.sealed = sealed_;
@@ -1048,20 +986,14 @@ void SequencingReplica::HandleGetConfig(Decoder d, Responder r) {
   r.Ok(resp);
 }
 
-void SequencingReplica::HandleUpdateShards(Decoder d, Responder r) {
-  SeqUpdateShardsReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad shard update"));
-    return;
-  }
+void SequencingReplica::HandleUpdateShards(SeqUpdateShardsReq req, Responder r) {
   ReplaceShardServer(req.old_node, req.new_node);
   r.Send(Status::Ok());
 }
 
-void SequencingReplica::HandleShardFailover(Decoder d, Responder r) {
-  SeqShardFailoverReq req;
-  if (!req.Decode(d) || req.shard >= shard_primaries_.size()) {
-    r.Send(Status::InvalidArgument("bad shard failover"));
+void SequencingReplica::HandleShardFailover(SeqShardFailoverReq req, Responder r) {
+  if (req.shard >= shard_primaries_.size()) {
+    r.Send(Status::InvalidArgument("unknown shard"));
     return;
   }
   // The membership swap applies on every replica — even sealed or non-leader ones — so
@@ -1098,21 +1030,14 @@ void SequencingReplica::HandleShardFailover(Decoder d, Responder r) {
   r.Send(Status::Ok());
 }
 
-void SequencingReplica::HandleTrim(Decoder d, Responder r) {
-  TrimMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad trim"));
-    return;
-  }
+void SequencingReplica::HandleTrim(TrimMsg msg, Responder r) {
   if (!is_leader()) {
     r.Send(Status::NotLeader());
     return;
   }
   // Positions below min(stable-gp, up_to) are safe to drop everywhere.
   msg.up_to = std::min<LogPos>(msg.up_to, stable_gp_);
-  Encoder enc;
-  msg.Encode(enc);
-  const Buf body = enc.TakeBuf();
+  const EncodedMsg body = EncodeMsg(msg);
   auto gather = Gather::Create(all_shard_servers_.size(),
                                [r](const std::vector<Status>& ss) mutable {
                                  const bool ok = std::all_of(
@@ -1120,13 +1045,13 @@ void SequencingReplica::HandleTrim(Decoder d, Responder r) {
                                  r.Send(ok ? Status::Ok() : Status::Internal("trim failed"));
                                });
   for (size_t i = 0; i < all_shard_servers_.size(); ++i) {
-    endpoint_.Call(all_shard_servers_[i], kShardTrim, body, gather->Slot(i),
-                   params_.rpc_timeout_ns);
+    endpoint_.CallMsg(all_shard_servers_[i], kShardTrim, body, gather->Slot(i),
+                      params_.rpc_timeout_ns);
   }
   // Index nodes drop their per-tag entries below up_to too, but fire-and-forget: the
   // index is advisory GC here, never part of the trim ack.
   for (NodeId n : index_nodes_) {
-    endpoint_.Call(n, kShardTrim, body, nullptr, 0);
+    endpoint_.CallMsg(n, kShardTrim, body, nullptr, 0);
   }
 }
 

@@ -205,21 +205,21 @@ class SequencingReplica {
   };
 
   // Handlers.
-  void HandleAppend(Decoder d, Responder r);
-  void HandleGc(Decoder d, Responder r);
-  void HandleSeal(Decoder d, Responder r);
-  void HandleFlush(Decoder d, Responder r);
-  void HandleStartView(Decoder d, Responder r);
-  void HandleCheckTail(Decoder d, Responder r);
-  void HandleGetConfig(Decoder d, Responder r);
-  void HandleTrim(Decoder d, Responder r);
-  void HandleUpdateShards(Decoder d, Responder r);
+  void HandleAppend(SeqAppendReq req, Responder r);
+  void HandleGc(SeqGcReq req, Responder r);
+  void HandleSeal(SeqSealReq req, Responder r);
+  void HandleFlush(SeqFlushReq req, Responder r);
+  void HandleStartView(SeqStartViewReq req, Responder r);
+  void HandleCheckTail(const SeqCheckTailReq& req, Responder r);
+  void HandleGetConfig(NoBody, Responder r);
+  void HandleTrim(TrimMsg msg, Responder r);
+  void HandleUpdateShards(SeqUpdateShardsReq req, Responder r);
   // Shard-primary failover (controller-driven promotion): beyond the node swap, the
-  // leader resets the shard's ordering cursor to the promoted backup's contiguous
-  // applied frontier and re-pushes from there — the reconciliation handoff that
-  // re-delivers acked-but-unordered metadata the new primary never saw.
-  void HandleShardFailover(Decoder d, Responder r);
-  void HandleUpdateLogs(Decoder d, Responder r);
+  // leader resets the shard's cursor to the promoted backup's contiguous applied
+  // frontier and re-pushes from there — the reconciliation handoff that re-delivers
+  // acked-but-unordered metadata the new primary never saw.
+  void HandleShardFailover(SeqShardFailoverReq req, Responder r);
+  void HandleUpdateLogs(SeqUpdateLogsReq req, Responder r);
 
   // One per-shard ordering pipeline (§4.3 cursor redesign). The cursor sends adjacent
   // position windows [next_pos, …) with up to seq.order_pipeline_depth outstanding,
@@ -278,12 +278,10 @@ class SequencingReplica {
   // Stamps shard placement on log entries at positions [lo, hi): Erwin-m places
   // position p on shard p mod n (§4.3); Erwin-st entries keep their data shard.
   void PlaceEntries(LogPos lo, LogPos hi);
-  // One encoded ordering window: the request body, its payload attachments, and the
-  // method it goes out on.
+  // One encoded ordering window and the method it goes out on.
   struct EncodedWindow {
     MethodId method = 0;
-    Buf body;
-    std::vector<Buf> atts;
+    EncodedMsg msg;
   };
   // Encodes the window `header` covers, read from log_, for `shard`: the shard's placed
   // records (Erwin-m) or the full metadata window (Erwin-st, the same for every shard).

@@ -112,57 +112,23 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
   } else {
     RegisterWindowMethods<ShardAppendBatchReq>(kShardAppendBatch);
   }
-  endpoint_.Register(kShardRead, [this](NodeId, Decoder d, Responder r) {
-    HandleRead(d, std::move(r));
-  });
-  endpoint_.Register(kShardSetStableGp, [this](NodeId, Decoder d, Responder r) {
-    HandleSetStableGp(d, std::move(r));
-  });
-  endpoint_.Register(kShardPutData, [this](NodeId, Decoder d, Responder r) {
-    HandlePutData(d, std::move(r));
-  });
-  endpoint_.Register(kShardReplicateNoOp, [this](NodeId from, Decoder d, Responder r) {
-    HandleReplicateNoOp(from, d, std::move(r));
-  });
-  endpoint_.Register(kShardPosMap, [this](NodeId, Decoder d, Responder r) {
-    HandlePosMap(d, std::move(r));
-  });
-  endpoint_.Register(kShardIndexDelta, [this](NodeId, Decoder d, Responder r) {
-    HandleIndexDelta(d, std::move(r));
-  });
-  endpoint_.Register(kShardMultiRead, [this](NodeId, Decoder d, Responder r) {
-    HandleMultiRead(d, std::move(r));
-  });
-  endpoint_.Register(kShardMultiRangeRead, [this](NodeId, Decoder d, Responder r) {
-    HandleMultiRangeRead(d, std::move(r));
-  });
-  endpoint_.Register(kShardTrim, [this](NodeId, Decoder d, Responder r) {
-    HandleTrim(d, std::move(r));
-  });
-  endpoint_.Register(kShardFetchState, [this](NodeId, Decoder d, Responder r) {
-    HandleFetchState(d, std::move(r));
-  });
-  endpoint_.Register(kShardSeal, [this](NodeId, Decoder d, Responder r) {
-    HandleSeal(d, std::move(r));
-  });
-  endpoint_.Register(kShardCopyState, [this](NodeId, Decoder d, Responder r) {
-    HandleCopyState(d, std::move(r));
-  });
-  endpoint_.Register(kShardPromoSeal, [this](NodeId, Decoder d, Responder r) {
-    HandlePromoSeal(d, std::move(r));
-  });
-  endpoint_.Register(kShardPromote, [this](NodeId, Decoder d, Responder r) {
-    HandlePromote(d, std::move(r));
-  });
-  endpoint_.Register(kShardBackfill, [this](NodeId, Decoder d, Responder r) {
-    HandleBackfill(d, std::move(r));
-  });
-  endpoint_.Register(kShardFetchRecord, [this](NodeId, Decoder d, Responder r) {
-    FetchRecordReq req;
-    if (!req.Decode(d)) {
-      r.Send(Status::InvalidArgument("bad fetch"));
-      return;
-    }
+  endpoint_.Handle(kShardRead, this, &ShardServer::HandleRead);
+  endpoint_.Handle(kShardSetStableGp, this, &ShardServer::HandleSetStableGp);
+  endpoint_.Handle(kShardPutData, this, &ShardServer::HandlePutData);
+  endpoint_.Handle(kShardReplicateNoOp, this, &ShardServer::HandleReplicateNoOp);
+  endpoint_.Handle(kShardPosMap, this, &ShardServer::HandlePosMap);
+  endpoint_.Handle(kShardIndexDelta, this, &ShardServer::HandleIndexDelta);
+  endpoint_.Handle(kShardMultiRead, this, &ShardServer::HandleMultiRead);
+  endpoint_.Handle(kShardMultiRangeRead, this, &ShardServer::HandleMultiRangeRead);
+  endpoint_.Handle(kShardTrim, this, &ShardServer::HandleTrim);
+  endpoint_.Handle(kShardFetchState, this, &ShardServer::HandleFetchState);
+  endpoint_.Handle(kShardSeal, this, &ShardServer::HandleSeal);
+  endpoint_.Handle(kShardCopyState, this, &ShardServer::HandleCopyState);
+  endpoint_.Handle(kShardPromoSeal, this, &ShardServer::HandlePromoSeal);
+  endpoint_.Handle(kShardPromote, this, &ShardServer::HandlePromote);
+  endpoint_.Handle(kShardBackfill, this, &ShardServer::HandleBackfill);
+  endpoint_.Handle<FetchRecordReq>(kShardFetchRecord, [this](NodeId, FetchRecordReq req,
+                                                              Responder r) {
     const uint64_t local = LocalIndexOf(req.pos);
     if (local == kNoLocal) {
       r.Send(Status::Unavailable("position not bound yet"));
@@ -292,11 +258,11 @@ void ShardServer::TruncateOrderedFrom(LogPos pos) {
 
 template <typename Req>
 void ShardServer::RegisterWindowMethods(MethodId from_orderer) {
-  endpoint_.Register(from_orderer, [this](NodeId from, Decoder d, Responder r) {
-    HandleWindow<Req>(from, /*from_orderer=*/true, d, std::move(r));
+  endpoint_.Handle<Req>(from_orderer, [this](NodeId from, Req req, Responder r) {
+    HandleWindow(from, /*from_orderer=*/true, std::move(req), std::move(r));
   });
-  endpoint_.Register(ReplicateMethod(), [this](NodeId from, Decoder d, Responder r) {
-    HandleWindow<Req>(from, /*from_orderer=*/false, d, std::move(r));
+  endpoint_.Handle<Req>(ReplicateMethod(), [this](NodeId from, Req req, Responder r) {
+    HandleWindow(from, /*from_orderer=*/false, std::move(req), std::move(r));
   });
 }
 
@@ -305,7 +271,7 @@ MethodId ShardServer::ReplicateMethod() const {
 }
 
 template <typename Req>
-void ShardServer::HandleWindow(NodeId from, bool from_orderer, Decoder d, Responder r) {
+void ShardServer::HandleWindow(NodeId from, bool from_orderer, Req window, Responder r) {
   if (!from_orderer) {
     if (loading_) {
       r.Send(Status::Unavailable("state copy in progress"));
@@ -316,11 +282,7 @@ void ShardServer::HandleWindow(NodeId from, bool from_orderer, Decoder d, Respon
       return;
     }
   }
-  auto req = std::make_shared<Req>();
-  if (!req->Decode(d)) {
-    r.Send(Status::InvalidArgument("bad ordering window"));
-    return;
-  }
+  auto req = std::make_shared<Req>(std::move(window));
   if (FencedOff(req->view)) {
     r.Send(Status::StaleView(from_orderer ? "fenced: stale orderer view" : "fenced: stale view"));
     return;
@@ -395,15 +357,12 @@ void ShardServer::ApplyWindow(std::shared_ptr<Req> req, Responder r) {
   if (is_primary()) {
     // Re-encoding for backups re-attaches the same payload handles the orderer sent;
     // replication fans out refcounts, not bytes.
-    Encoder enc;
-    req->Encode(enc);
-    const std::vector<Buf> atts = enc.TakeAtts();
-    const Buf body = enc.TakeBuf();
+    const EncodedMsg msg = EncodeMsg(*req);
     for (size_t i = 1; i < replicas_.size(); ++i) {
       batch->waits++;
-      endpoint_.Call(replicas_[i], ReplicateMethod(), body,
-                     [batch](Status s, Decoder) { batch->Complete(s); },
-                     params_.rpc_timeout_ns, atts);
+      endpoint_.CallMsg(replicas_[i], ReplicateMethod(), msg,
+                        [batch](Status s, Decoder) { batch->Complete(s); },
+                        params_.rpc_timeout_ns);
     }
   }
   // Shards are the long-term durable tier: the window ack (and hence GC of the
@@ -478,12 +437,7 @@ uint64_t ShardServer::ApplyEntries(const ShardOrderMetaReq& w,
 
 // --- Erwin-st: unordered data + ordered metadata --------------------------------------
 
-void ShardServer::HandlePutData(Decoder d, Responder r) {
-  ShardPutDataReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad put"));
-    return;
-  }
+void ShardServer::HandlePutData(ShardPutDataReq req, Responder r) {
   if (rejected_.count(req.id) > 0) {
     stats_.rejected_puts++;
     r.Send(Status::Rejected("record resolved as no-op"));
@@ -554,47 +508,40 @@ bool ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<Bat
     const LogPos pos = entry.pos;
     pb.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns, [this, id, pos]() {
       // Ask the primary for the resolved record (data it had, or a no-op decision).
-      FetchRecordReq freq{pos};
-      Encoder e;
-      freq.Encode(e);
-      endpoint_.Call(replicas_.empty() ? kInvalidNode : replicas_[0], kShardFetchRecord,
-                     e.Take(),
-                     [this, id](Status s, Decoder body) {
-                       auto it = pending_.find(id);
-                       if (it == pending_.end()) {
-                         return;  // resolved meanwhile
-                       }
-                       if (!s.ok()) {
-                         // Primary still undecided; retry after another timeout.
-                         const LogPos p2 = it->second.pos;
-                         it->second.timeout = endpoint_.loop()->Schedule(
-                             params_.seq.st_data_timeout_ns, [this, id, p2]() {
-                               Encoder e2;
-                               FetchRecordReq{p2}.Encode(e2);
-                               endpoint_.Call(replicas_[0], kShardFetchRecord, e2.Take(),
-                                              [this, id](Status s2, Decoder b2) {
-                                                ApplyFetchedRecord(id, s2, std::move(b2));
-                                              },
-                                              params_.rpc_timeout_ns);
-                             });
-                         return;
-                       }
-                       ApplyFetchedRecord(id, s, std::move(body));
-                     },
-                     params_.rpc_timeout_ns);
+      endpoint_.CallMsg<Record>(
+          replicas_.empty() ? kInvalidNode : replicas_[0], kShardFetchRecord,
+          FetchRecordReq{pos},
+          [this, id](Status s, Record rec) {
+            auto it = pending_.find(id);
+            if (it == pending_.end()) {
+              return;  // resolved meanwhile
+            }
+            if (!s.ok()) {
+              // Primary still undecided; retry after another timeout.
+              const LogPos p2 = it->second.pos;
+              it->second.timeout = endpoint_.loop()->Schedule(
+                  params_.seq.st_data_timeout_ns, [this, id, p2]() {
+                    endpoint_.CallMsg<Record>(
+                        replicas_[0], kShardFetchRecord, FetchRecordReq{p2},
+                        [this, id](Status s2, Record rec2) {
+                          ApplyFetchedRecord(id, s2, std::move(rec2));
+                        },
+                        params_.rpc_timeout_ns);
+                  });
+              return;
+            }
+            ApplyFetchedRecord(id, s, std::move(rec));
+          },
+          params_.rpc_timeout_ns);
     });
   }
   pending_.emplace(id, std::move(pb));
   return false;
 }
 
-void ShardServer::ApplyFetchedRecord(const RecordId& id, const Status& s, Decoder d) {
+void ShardServer::ApplyFetchedRecord(const RecordId& id, const Status& s, Record rec) {
   auto it = pending_.find(id);
   if (it == pending_.end() || !s.ok()) {
-    return;
-  }
-  Record rec;
-  if (!WireDecode(d, rec)) {
     return;
   }
   if (rec.no_op) {
@@ -641,42 +588,36 @@ void ShardServer::FinalizeNoOp(const RecordId& id) {
 }
 
 void ShardServer::SendReplicateNoOp(NodeId backup, NoOpMsg msg) {
-  Encoder e;
-  msg.Encode(e);
-  endpoint_.Call(backup, kShardReplicateNoOp, e.Take(),
-                 [this, backup, msg](Status s, Decoder) {
-                   if (s.ok()) {
-                     return;
-                   }
-                   // Lost or timed out. The backup may hold the record's data and have
-                   // bound it for real; keep retrying (the overwrite is idempotent)
-                   // until it confirms the primary's decision, for as long as this
-                   // replica remains the primary and the backup is still in the set.
-                   endpoint_.loop()->Schedule(
-                       params_.seq.order_retry_backoff_ns, [this, backup, msg]() {
-                         if (!is_primary() ||
-                             std::find(replicas_.begin(), replicas_.end(), backup) ==
-                                 replicas_.end()) {
-                           return;
-                         }
-                         SendReplicateNoOp(backup, msg);
-                       });
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg(backup, kShardReplicateNoOp, msg,
+                    [this, backup, msg](Status s, Decoder) {
+                      if (s.ok()) {
+                        return;
+                      }
+                      // Lost or timed out. The backup may hold the record's data and
+                      // have bound it for real; keep retrying (the overwrite is
+                      // idempotent) until it confirms the primary's decision, for as
+                      // long as this replica remains the primary and the backup is
+                      // still in the set.
+                      endpoint_.loop()->Schedule(
+                          params_.seq.order_retry_backoff_ns, [this, backup, msg]() {
+                            if (!is_primary() ||
+                                std::find(replicas_.begin(), replicas_.end(), backup) ==
+                                    replicas_.end()) {
+                              return;
+                            }
+                            SendReplicateNoOp(backup, msg);
+                          });
+                    },
+                    params_.rpc_timeout_ns);
 }
 
 // --- reads, stable-gp, trim -----------------------------------------------------------
 
-void ShardServer::HandleReplicateNoOp(NodeId from, Decoder d, Responder r) {
+void ShardServer::HandleReplicateNoOp(NodeId from, NoOpMsg msg, Responder r) {
   // Primary resolved `pos` as a no-op; mirror that decision (§5.4). The data may have
   // arrived here (and even been bound) meanwhile — the primary's decision wins.
   if (RejectPrimaryTraffic(from)) {
     r.Send(Status::StaleView("fenced: not my primary"));
-    return;
-  }
-  NoOpMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad no-op"));
     return;
   }
   rejected_.insert(msg.id);
@@ -706,12 +647,7 @@ void ShardServer::HandleReplicateNoOp(NodeId from, Decoder d, Responder r) {
   r.Send(Status::Ok());
 }
 
-void ShardServer::HandleRead(Decoder d, Responder r) {
-  ShardReadReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad read"));
-    return;
-  }
+void ShardServer::HandleRead(ShardReadReq req, Responder r) {
   if (req.pos < trimmed_below_) {
     r.Send(Status::OutOfRange("position trimmed"));
     return;
@@ -771,12 +707,7 @@ void ShardServer::FillReadPiggyback(ShardReadResp* resp) {
   resp->queue_ns = cpu_.busy_until() > now ? cpu_.busy_until() - now : 0;
 }
 
-void ShardServer::HandleSetStableGp(Decoder d, Responder r) {
-  StableGpMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad stable-gp"));
-    return;
-  }
+void ShardServer::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
   if (FencedOff(msg.view)) {
     r.Send(Status::StaleView("fenced: stale stable-gp"));
     return;
@@ -810,12 +741,7 @@ void ShardServer::WakeWaiters() {
   }
 }
 
-void ShardServer::HandlePosMap(Decoder d, Responder r) {
-  ShardPosMapReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad posmap"));
-    return;
-  }
+void ShardServer::HandlePosMap(const ShardPosMapReq& req, Responder r) {
   ShardPosMapResp resp;
   resp.from = std::max(req.from, meta_base_);
   const LogPos end =
@@ -860,12 +786,7 @@ void ShardServer::AdvanceTagIndex() {
   index_pos_frontier_ = target;
 }
 
-void ShardServer::HandleIndexDelta(Decoder d, Responder r) {
-  ShardIndexDeltaReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad index delta"));
-    return;
-  }
+void ShardServer::HandleIndexDelta(const ShardIndexDeltaReq& req, Responder r) {
   AdvanceTagIndex();
   ShardIndexDeltaResp resp;
   resp.from_seq = std::min<uint64_t>(req.from_seq, index_journal_.size());
@@ -886,12 +807,7 @@ void ShardServer::HandleIndexDelta(Decoder d, Responder r) {
                   });
 }
 
-void ShardServer::HandleMultiRead(Decoder d, Responder r) {
-  ShardMultiReadReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad multi read"));
-    return;
-  }
+void ShardServer::HandleMultiRead(const ShardMultiReadReq& req, Responder r) {
   // Never waits: unstable / trimmed / foreign positions are silently omitted, the
   // selective reader already knows what is stable from the index node's frontier.
   ShardReadResp resp;
@@ -921,12 +837,7 @@ void ShardServer::HandleMultiRead(Decoder d, Responder r) {
   });
 }
 
-void ShardServer::HandleMultiRangeRead(Decoder d, Responder r) {
-  ShardMultiRangeReadReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad multi-range read"));
-    return;
-  }
+void ShardServer::HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Responder r) {
   // Never waits: each range is walked exactly like ShardReadReq but clipped at this
   // replica's stable frontier (or a trimmed/foreign start position). The client detects
   // short ranges and re-issues the remainder to the primary via the classic waiting
@@ -975,12 +886,7 @@ void ShardServer::HandleMultiRangeRead(Decoder d, Responder r) {
   });
 }
 
-void ShardServer::HandleTrim(Decoder d, Responder r) {
-  TrimMsg msg;
-  if (!msg.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad trim"));
-    return;
-  }
+void ShardServer::HandleTrim(const TrimMsg& msg, Responder r) {
   trimmed_below_ = std::max(trimmed_below_, msg.up_to);
   const auto trimmed_end = std::lower_bound(local_pos_.begin(), local_pos_.end(), trimmed_below_);
   local_pos_base_ += static_cast<uint64_t>(trimmed_end - local_pos_.begin());
@@ -993,12 +899,7 @@ void ShardServer::HandleTrim(Decoder d, Responder r) {
 
 // --- epoch fencing (§4.5 seal) ---------------------------------------------------------
 
-void ShardServer::HandleSeal(Decoder d, Responder r) {
-  ShardSealReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad shard seal"));
-    return;
-  }
+void ShardServer::HandleSeal(const ShardSealReq& req, Responder r) {
   // Raise the fence to the new epoch: from now on any data-path message stamped with an
   // older view gets STALE_VIEW, so a deposed leader can neither bind positions nor move
   // stable-gp here. The recovery flush (stamped new_view) passes the fence.
@@ -1019,16 +920,15 @@ void ShardServer::HandleSeal(Decoder d, Responder r) {
 
 // --- shard-replica replacement (§5.4) --------------------------------------------------
 
-void ShardServer::HandleCopyState(Decoder d, Responder r) {
-  ShardCopyStateReq req;
-  if (!req.Decode(d) || req.source == kInvalidNode) {
-    r.Send(Status::InvalidArgument("bad copy state"));
+void ShardServer::HandleCopyState(const ShardCopyStateReq& req, Responder r) {
+  if (req.source == kInvalidNode) {
+    r.Send(Status::InvalidArgument("no copy source"));
     return;
   }
   CopyStateFrom(req.source, [r](Status s) mutable { r.Send(std::move(s)); });
 }
 
-void ShardServer::HandleFetchState(Decoder d, Responder r) {
+void ShardServer::HandleFetchState(NoBody, Responder r) {
   ShardStateSnapshot snap;
   snap.view = view_;
   snap.stable_gp = stable_gp_;
@@ -1058,16 +958,11 @@ void ShardServer::CopyStateFrom(NodeId live_replica, std::function<void(Status)>
   // Reject replication traffic until the snapshot is installed; the primary's batch
   // acks fail and the orderer retries (idempotently) once we are caught up.
   loading_ = true;
-  endpoint_.Call(
-      live_replica, kShardFetchState, "",
-      [this, done = std::move(done)](Status s, Decoder d) {
+  endpoint_.CallMsg<ShardStateSnapshot>(
+      live_replica, kShardFetchState, NoBody{},
+      [this, done = std::move(done)](Status s, ShardStateSnapshot snap) {
         if (!s.ok()) {
           done(std::move(s));
-          return;
-        }
-        ShardStateSnapshot snap;
-        if (!WireDecode(d, snap)) {
-          done(Status::Internal("bad state snapshot"));
           return;
         }
         // Stable-gp broadcasts keep arriving while the snapshot is in flight, so the
@@ -1136,12 +1031,7 @@ bool ShardServer::RejectPrimaryTraffic(NodeId from) const {
   return !replicas_.empty() && from != replicas_[0];
 }
 
-void ShardServer::HandlePromoSeal(Decoder d, Responder r) {
-  ShardPromoSealReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad promo seal"));
-    return;
-  }
+void ShardServer::HandlePromoSeal(const ShardPromoSealReq& req, Responder r) {
   if (req.promo_epoch > promo_epoch_) {
     promo_epoch_ = req.promo_epoch;
     promo_sealed_at_ = endpoint_.loop()->Now();
@@ -1158,11 +1048,9 @@ void ShardServer::HandlePromoSeal(Decoder d, Responder r) {
   r.Ok(resp);
 }
 
-void ShardServer::HandlePromote(Decoder d, Responder r) {
-  ShardPromoteReq req;
-  if (!req.Decode(d) || req.order.empty() ||
-      req.peer_applied.size() != req.order.size()) {
-    r.Send(Status::InvalidArgument("bad promote"));
+void ShardServer::HandlePromote(const ShardPromoteReq& req, Responder r) {
+  if (req.order.empty() || req.peer_applied.size() != req.order.size()) {
+    r.Send(Status::InvalidArgument("inconsistent promotion order"));
     return;
   }
   if (req.promo_epoch < promo_epoch_) {
@@ -1229,7 +1117,7 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
   if (from >= order_applied_) {
     return;
   }
-  Encoder e;
+  EncodedMsg msg;
   uint64_t entries = 0;
   if (mode_ == ShardMode::kStModified) {
     ShardOrderMetaReq w;
@@ -1264,7 +1152,7 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
       w.entries.push_back(entry);
     }
     entries = w.entries.size();
-    w.Encode(e);
+    msg = EncodeMsg(w);
   } else {
     ShardAppendBatchReq w;
     w.view = view_;
@@ -1280,24 +1168,22 @@ void ShardServer::CatchUpPeer(NodeId peer, LogPos from, uint32_t attempt) {
       }
     }
     entries = w.records.size();
-    w.Encode(e);
+    msg = EncodeMsg(w);
   }
   if (attempt == 0) {
     stats_.handoff_records_refetched += entries;
   }
-  const std::vector<Buf> atts = e.TakeAtts();
-  const Buf body = e.TakeBuf();
-  endpoint_.Call(peer, ReplicateMethod(), body,
-                 [this, peer, from, attempt](Status s, Decoder) {
-                   if (s.ok() || attempt >= 4) {
-                     return;  // a peer that stays unreachable gets its own replacement
-                   }
-                   endpoint_.loop()->Schedule(params_.seq.order_retry_backoff_ns,
-                                              [this, peer, from, attempt]() {
-                                                CatchUpPeer(peer, from, attempt + 1);
-                                              });
-                 },
-                 params_.rpc_timeout_ns, atts);
+  endpoint_.CallMsg(peer, ReplicateMethod(), msg,
+                    [this, peer, from, attempt](Status s, Decoder) {
+                      if (s.ok() || attempt >= 4) {
+                        return;  // a peer that stays unreachable gets its own replacement
+                      }
+                      endpoint_.loop()->Schedule(params_.seq.order_retry_backoff_ns,
+                                                 [this, peer, from, attempt]() {
+                                                   CatchUpPeer(peer, from, attempt + 1);
+                                                 });
+                    },
+                    params_.rpc_timeout_ns);
 }
 
 void ShardServer::BackfillPending(RecordId id, size_t peer_index) {
@@ -1311,34 +1197,27 @@ void ShardServer::BackfillPending(RecordId id, size_t peer_index) {
                                                     [this, id]() { FinalizeNoOp(id); });
     return;
   }
-  Encoder e;
-  ShardBackfillReq{it->second.pos}.Encode(e);
-  endpoint_.Call(replicas_[peer_index], kShardBackfill, e.Take(),
-                 [this, id, peer_index](Status s, Decoder body) {
-                   if (pending_.find(id) == pending_.end()) {
-                     return;
-                   }
-                   Record rec;
-                   if (!s.ok() || !WireDecode(body, rec)) {
-                     BackfillPending(id, peer_index + 1);
-                     return;
-                   }
-                   stats_.handoff_records_refetched++;
-                   if (rec.no_op) {
-                     FinalizeNoOp(id);  // adopt (and re-replicate) the peer's decision
-                   } else {
-                     ResolvePendingWithData(id, std::move(rec.payload), rec.tag, rec.log);
-                   }
-                 },
-                 params_.rpc_timeout_ns);
+  endpoint_.CallMsg<Record>(
+      replicas_[peer_index], kShardBackfill, ShardBackfillReq{it->second.pos},
+      [this, id, peer_index](Status s, Record rec) {
+        if (pending_.find(id) == pending_.end()) {
+          return;
+        }
+        if (!s.ok()) {
+          BackfillPending(id, peer_index + 1);
+          return;
+        }
+        stats_.handoff_records_refetched++;
+        if (rec.no_op) {
+          FinalizeNoOp(id);  // adopt (and re-replicate) the peer's decision
+        } else {
+          ResolvePendingWithData(id, std::move(rec.payload), rec.tag, rec.log);
+        }
+      },
+      params_.rpc_timeout_ns);
 }
 
-void ShardServer::HandleBackfill(Decoder d, Responder r) {
-  ShardBackfillReq req;
-  if (!req.Decode(d)) {
-    r.Send(Status::InvalidArgument("bad backfill"));
-    return;
-  }
+void ShardServer::HandleBackfill(const ShardBackfillReq& req, Responder r) {
   const uint64_t local = LocalIndexOf(req.pos);
   if (local == kNoLocal) {
     r.Send(Status::Unavailable("position not bound here"));

@@ -156,29 +156,33 @@ class ShardServer {
   };
 
   // Handlers.
-  void HandleRead(Decoder d, Responder r);
-  void HandleSetStableGp(Decoder d, Responder r);
-  void HandlePutData(Decoder d, Responder r);       // client -> replica (Erwin-st)
-  void HandleReplicateNoOp(NodeId from, Decoder d, Responder r);  // primary -> backup
-  void HandlePosMap(Decoder d, Responder r);
-  void HandleIndexDelta(Decoder d, Responder r);  // index node -> primary: tag index pull
-  void HandleMultiRead(Decoder d, Responder r);   // client sparse position batch read
-  void HandleMultiRangeRead(Decoder d, Responder r);  // coalesced multi-range read
-  void HandleTrim(Decoder d, Responder r);
-  void HandleFetchState(Decoder d, Responder r);
-  void HandleSeal(Decoder d, Responder r);        // controller -> shard: fence the epoch
-  void HandleCopyState(Decoder d, Responder r);   // controller -> replacement replica
+  void HandleRead(ShardReadReq req, Responder r);
+  void HandleSetStableGp(const StableGpMsg& msg, Responder r);
+  void HandlePutData(ShardPutDataReq req, Responder r);  // client -> replica (Erwin-st)
+  void HandleReplicateNoOp(NodeId from, NoOpMsg msg, Responder r);  // primary -> backup
+  void HandlePosMap(const ShardPosMapReq& req, Responder r);
+  // Index node -> primary: tag index pull.
+  void HandleIndexDelta(const ShardIndexDeltaReq& req, Responder r);
+  // Client sparse position batch read.
+  void HandleMultiRead(const ShardMultiReadReq& req, Responder r);
+  // Coalesced multi-range read.
+  void HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Responder r);
+  void HandleTrim(const TrimMsg& msg, Responder r);
+  void HandleFetchState(NoBody, Responder r);
+  void HandleSeal(const ShardSealReq& req, Responder r);  // controller: fence the epoch
+  // Controller -> replacement replica.
+  void HandleCopyState(const ShardCopyStateReq& req, Responder r);
 
   // --- primary promotion (controller-driven failover) ---
   // Seal-for-promotion: record the bumped promotion epoch, refuse primary-originated
   // replication traffic until the new order is installed, and answer with this
   // replica's completeness report (the controller's selection input).
-  void HandlePromoSeal(Decoder d, Responder r);
+  void HandlePromoSeal(const ShardPromoSealReq& req, Responder r);
   // Adopt the promoted replica order; a receiver that finds itself first runs the full
   // role flip (PromoteToPrimary), everyone else just re-points at the new primary.
-  void HandlePromote(Decoder d, Responder r);
+  void HandlePromote(const ShardPromoteReq& req, Responder r);
   // Peer back-fill: answer with whatever is bound at a position (record or no-op).
-  void HandleBackfill(Decoder d, Responder r);
+  void HandleBackfill(const ShardBackfillReq& req, Responder r);
   // The backup -> primary role flip: catch lagging peers up to our contiguous applied
   // frontier (metadata windows in st mode, record windows in m mode), convert our own
   // backup fetch timers into primary no-op timers (after trying peer back-fill), and
@@ -207,7 +211,7 @@ class ShardServer {
   template <typename Req>
   void RegisterWindowMethods(MethodId from_orderer);
   template <typename Req>
-  void HandleWindow(NodeId from, bool from_orderer, Decoder d, Responder r);
+  void HandleWindow(NodeId from, bool from_orderer, Req window, Responder r);
   // Windows cover adjacent global-position spans and must be applied in span order
   // (StoreOrdered requires ascending positions). Admission acks fully durable
   // retransmits immediately, parks ahead-of-gap arrivals, applies in-order windows,
@@ -257,7 +261,7 @@ class ShardServer {
   // replicas permanently disagreeing on the binding.
   void SendReplicateNoOp(NodeId backup, NoOpMsg msg);
   // Backup repair: applies a record fetched from the primary to a pending binding.
-  void ApplyFetchedRecord(const RecordId& id, const Status& s, Decoder d);
+  void ApplyFetchedRecord(const RecordId& id, const Status& s, Record rec);
 
   void ServeRead(const ShardReadReq& req, Responder r);
   // Stamps a read reply with this replica's stable/durable tails and current CPU

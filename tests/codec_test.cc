@@ -6,9 +6,16 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/apps/kvstore.h"
+#include "src/apps/logagg.h"
+#include "src/baselines/corfu/corfu.h"
+#include "src/baselines/kafkalite/kafkalite.h"
+#include "src/baselines/scalog/paxos.h"
+#include "src/baselines/scalog/scalog.h"
 #include "src/common/codec.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
+#include "src/control/zookeeper.h"
 #include "src/index/index_messages.h"
 #include "src/seq/seq_messages.h"
 #include "src/storage/shard_messages.h"
@@ -307,6 +314,69 @@ TEST(Codec, EveryMessageWireBytesPinned) {
     }
   });
   EXPECT_EQ(count, 48);  // 45 message structs, three of them twice for the flags byte
+}
+
+// The bodies the baselines, ZooKeeperLite and the apps used to encode inline with
+// Put* calls, now Wire structs (or one bare scalar, string or vector). Each hex is what
+// the hand-written encoder produced for the same values, so the struct must encode to
+// exactly it and decode it back.
+TEST(Codec, FormerlyInlineBodiesKeepTheirBytes) {
+  using Atts = std::vector<std::string>;
+  const Record rec{RecordId{2, 3}, "ab", false};
+  int count = 0;
+  auto pin = [&](const char* label, const auto& msg, const char* hex, const Atts& atts) {
+    using T = std::decay_t<decltype(msg)>;
+    SCOPED_TRACE(label);
+    ++count;
+    Encoder e;
+    WireEncode(e, msg);
+    const std::string body = e.data();
+    EXPECT_EQ(Hex(body), hex);
+    const std::vector<Buf> got = e.TakeAtts();
+    ASSERT_EQ(got.size(), atts.size());
+    for (size_t i = 0; i < atts.size(); ++i) {
+      EXPECT_EQ(got[i].ToString(), atts[i]);
+    }
+    Decoder d(Buf::Copy(body), got);
+    T out{};
+    ASSERT_TRUE(WireDecode(d, out));
+    EXPECT_TRUE(d.Done());
+    Encoder again;
+    WireEncode(again, out);
+    EXPECT_EQ(Hex(again.data()), hex);
+  };
+  pin("CorfuWriteReq", CorfuWriteReq{1, rec},
+      "0100000000000000020000000000000003000000000000000200000000", Atts{"ab"});
+  pin("CorfuReadReq", CorfuReadReq{4, true}, "040000000000000001", Atts{});
+  pin("CorfuTailReq report", CorfuTailReq{true, 5}, "0500000000000000", Atts{});
+  pin("CorfuTailReq query", CorfuTailReq{}, "", Atts{});
+  pin("CorfuTailResp", CorfuTailResp{6, 7}, "06000000000000000700000000000000", Atts{});
+  pin("ScalogReplicateReq", ScalogReplicateReq{9, rec},
+      "0900000000000000020000000000000003000000000000000200000000", Atts{"ab"});
+  pin("ScalogReportCutReq", ScalogReportCutReq{10, 11, 12}, "0a0000000b0000000c00000000000000",
+      Atts{});
+  pin("ScalogReadReq", ScalogReadReq{13, 14}, "0d000000000000000e00000000000000", Atts{});
+  pin("scalog locate", uint64_t{15}, "0f00000000000000", Atts{});
+  pin("ScalogLocateResp", ScalogLocateResp{16, 17}, "100000001100000000000000", Atts{});
+  pin("PaxosPrepareReq", PaxosPrepareReq{19, 20}, "13000000000000001400000000000000", Atts{});
+  pin("PaxosAcceptReq", PaxosAcceptReq{21, 22, "v"},
+      "150000000000000016000000000000000100000076", Atts{});
+  pin("PaxosPromise", PaxosPromise{23, "w"}, "17000000000000000100000077", Atts{});
+  pin("KafkaFetchReq", KafkaFetchReq{24, 25}, "180000000000000019000000", Atts{});
+  pin("KafkaFetchResp", KafkaFetchResp{{rec}, 26},
+      "010000000200000000000000030000000000000002000000001a00000000000000", Atts{"ab"});
+  pin("kafka truncate", uint64_t{27}, "1b00000000000000", Atts{});
+  pin("zk heartbeat", uint64_t{28}, "1c00000000000000", Atts{});
+  pin("zk path", std::string("/p"), "020000002f70", Atts{});
+  pin("ZkDataResp", ZkDataResp{"d", 29}, "01000000641d00000000000000", Atts{});
+  pin("zk list reply", std::vector<std::string>{"/a", "/b"},
+      "02000000020000002f61020000002f62", Atts{});
+  pin("ZkWatchEvent", ZkWatchEvent{"/w", static_cast<uint8_t>(ZkEvent::kDataChanged)},
+      "020000002f7702", Atts{});
+  pin("KvPutReq", KvPutReq{"k", "v"}, "010000006b0100000076", Atts{});
+  pin("TxnReq", TxnReq{3, 32, static_cast<uint64_t>(int64_t{-5})},
+      "032000000000000000fbffffffffffffff", Atts{});
+  EXPECT_EQ(count, 23);
 }
 
 TEST(Codec, RecordRoundTrip) {

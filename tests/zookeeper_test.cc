@@ -147,5 +147,67 @@ TEST_F(ZkTest, WriteLatencyIsCharged) {
   EXPECT_GE(done_at - start, params_.zk_write_latency_ns);
 }
 
+// A fake ZK endpoint answers OK with truncated bodies: the client must surface the
+// malformed reply as an error instead of handing the caller empty data, version 0 or a
+// partial list.
+TEST(ZkClientReplies, TruncatedRepliesAreErrors) {
+  EventLoop loop;
+  Network net(&loop, NetworkParams{}, 1);
+  RpcEndpoint fake_zk(&net);
+  RpcEndpoint client_ep(&net);
+  fake_zk.Register(kZkGetData, [](NodeId, Decoder, Responder r) {
+    Encoder e;
+    e.PutBytes("config");  // the u64 version is missing
+    r.Ok(e);
+  });
+  fake_zk.Register(kZkList, [](NodeId, Decoder, Responder r) {
+    Encoder e;
+    e.PutU32(3);  // claims three paths, carries one
+    e.PutBytes("/a");
+    r.Ok(e);
+  });
+  ZkClient client(&client_ep, fake_zk.node_id());
+
+  bool got_data = false;
+  Status data_status;
+  client.GetData("/cfg", [&](Status s, std::string, uint64_t) {
+    data_status = std::move(s);
+    got_data = true;
+  });
+  bool got_list = false;
+  Status list_status;
+  client.List("/", [&](Status s, std::vector<std::string>) {
+    list_status = std::move(s);
+    got_list = true;
+  });
+  loop.RunUntil(loop.Now() + 10 * kMs);
+  ASSERT_TRUE(got_data);
+  ASSERT_TRUE(got_list);
+  EXPECT_FALSE(data_status.ok());
+  EXPECT_FALSE(list_status.ok());
+}
+
+// A watcher answers a notification it cannot decode with an error, not OK.
+TEST(ZkClientReplies, MalformedWatchFireIsRejected) {
+  EventLoop loop;
+  Network net(&loop, NetworkParams{}, 1);
+  ControlParams params;
+  ZooKeeperLite zk(&net, params);
+  RpcEndpoint watcher_ep(&net);
+  RpcEndpoint sender(&net);
+  ZkClient client(&watcher_ep, zk.node_id());
+  int fired = 0;
+  client.Watch("/w/", [&](const std::string&, ZkEvent) { ++fired; });
+
+  Encoder e;
+  e.PutBytes("/w/x");  // the event byte is missing
+  Status status;
+  sender.Call(watcher_ep.node_id(), kZkWatchFire, e.Take(),
+              [&](Status s, Decoder) { status = std::move(s); }, kSec);
+  loop.RunUntil(loop.Now() + 10 * kMs);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(fired, 0);
+}
+
 }  // namespace
 }  // namespace lazylog
