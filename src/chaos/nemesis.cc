@@ -33,7 +33,7 @@ const char* KindName(FaultKind k) {
 }
 
 bool KindFromName(const std::string& name, FaultKind* out) {
-  for (uint8_t k = 0; k <= static_cast<uint8_t>(FaultKind::kPrimaryIsolation); ++k) {
+  for (size_t k = 0; k < kNumFaultKinds; ++k) {
     if (name == KindName(static_cast<FaultKind>(k))) {
       *out = static_cast<FaultKind>(k);
       return true;
@@ -45,87 +45,35 @@ bool KindFromName(const std::string& name, FaultKind* out) {
 }  // namespace
 
 std::string NemesisPolicy::ToFlag() const {
-  const NemesisPolicy all;
-  if (seq_crash && shard_replace && partition && loss && delay && disk_slow &&
-      client_crash && seq_zk_partition && ctrl_zk_partition && server_partition &&
-      overload_burst && index_crash && index_partition && shard_primary_crash &&
-      primary_isolation && max_seq_crashes == all.max_seq_crashes) {
+  if (kinds.all()) {
     return "all";
   }
   std::string out;
-  auto add = [&out](bool on, const char* name) {
-    if (on) {
+  for (size_t k = 0; k < kNumFaultKinds; ++k) {
+    if (kinds.test(k)) {
       out += out.empty() ? "" : ",";
-      out += name;
+      out += KindName(static_cast<FaultKind>(k));
     }
-  };
-  add(seq_crash, "seq-crash");
-  add(shard_replace, "shard-replace");
-  add(partition, "partition");
-  add(loss, "loss");
-  add(delay, "delay");
-  add(disk_slow, "disk-slow");
-  add(client_crash, "client-crash");
-  add(seq_zk_partition, "seq-zk-partition");
-  add(ctrl_zk_partition, "ctrl-zk-partition");
-  add(server_partition, "server-partition");
-  add(overload_burst, "overload-burst");
-  add(index_crash, "index-crash");
-  add(index_partition, "index-partition");
-  add(shard_primary_crash, "shard-primary-crash");
-  add(primary_isolation, "primary-isolation");
+  }
   return out.empty() ? "none" : out;
 }
 
 bool NemesisPolicy::FromFlag(const std::string& flag, NemesisPolicy* out) {
-  if (flag == "all") {
-    *out = NemesisPolicy{};
-    return true;
-  }
   NemesisPolicy p;
-  p.seq_crash = p.shard_replace = p.partition = p.loss = p.delay = p.disk_slow =
-      p.client_crash = p.seq_zk_partition = p.ctrl_zk_partition = p.server_partition =
-          p.overload_burst = p.index_crash = p.index_partition = p.shard_primary_crash =
-              p.primary_isolation = false;
-  if (flag != "none") {
+  if (flag != "all") {
+    p.kinds.reset();
+  }
+  if (flag != "all" && flag != "none") {
     size_t pos = 0;
     while (pos <= flag.size()) {
       const size_t comma = flag.find(',', pos);
-      const std::string name =
-          flag.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      if (name == "seq-crash") {
-        p.seq_crash = true;
-      } else if (name == "shard-replace") {
-        p.shard_replace = true;
-      } else if (name == "partition") {
-        p.partition = true;
-      } else if (name == "loss") {
-        p.loss = true;
-      } else if (name == "delay") {
-        p.delay = true;
-      } else if (name == "disk-slow") {
-        p.disk_slow = true;
-      } else if (name == "client-crash") {
-        p.client_crash = true;
-      } else if (name == "seq-zk-partition") {
-        p.seq_zk_partition = true;
-      } else if (name == "ctrl-zk-partition") {
-        p.ctrl_zk_partition = true;
-      } else if (name == "server-partition") {
-        p.server_partition = true;
-      } else if (name == "overload-burst") {
-        p.overload_burst = true;
-      } else if (name == "index-crash") {
-        p.index_crash = true;
-      } else if (name == "index-partition") {
-        p.index_partition = true;
-      } else if (name == "shard-primary-crash") {
-        p.shard_primary_crash = true;
-      } else if (name == "primary-isolation") {
-        p.primary_isolation = true;
-      } else {
+      FaultKind kind;
+      if (!KindFromName(flag.substr(pos, comma == std::string::npos ? std::string::npos
+                                                                    : comma - pos),
+                        &kind)) {
         return false;
       }
+      p.kinds.set(static_cast<size_t>(kind));
       if (comma == std::string::npos) {
         break;
       }
@@ -291,7 +239,7 @@ Nemesis::Nemesis(ErwinCluster* cluster, ChaosHistory* history, uint64_t seed,
   // just stays up to tempt clients, which is the case the fence exists for.
   const uint32_t f =
       cluster_->num_seq_replicas() > 0 ? cluster_->num_seq_replicas() - 1 : 0;
-  seq_crash_budget_ = std::min(policy_.max_seq_crashes, f);
+  seq_crash_budget_ = f;
 }
 
 std::vector<uint32_t> Nemesis::UncrashedIndexNodes() const {
@@ -373,57 +321,55 @@ NodeId Nemesis::ResolveServerSlot(uint32_t slot) const {
 }
 
 std::vector<FaultKind> Nemesis::DrawableKinds() const {
+  const bool has_controller = cluster_->controller() != nullptr;
+  const bool seq_budget_left = seq_crashes_planned_ < seq_crash_budget_ && has_controller;
   std::vector<FaultKind> kinds;
-  const bool seq_budget_left =
-      seq_crashes_planned_ < seq_crash_budget_ && cluster_->controller() != nullptr;
-  if (policy_.seq_crash && seq_budget_left) {
-    kinds.push_back(FaultKind::kCrashSeqReplica);
-  }
-  if (policy_.shard_replace && cluster_->shard_replication() > 1) {
-    kinds.push_back(FaultKind::kReplaceShardReplica);
-  }
-  if (policy_.partition && !client_nodes_.empty()) {
-    kinds.push_back(FaultKind::kClientPartition);
-  }
-  if (policy_.loss) {
-    kinds.push_back(FaultKind::kLossWindow);
-  }
-  if (policy_.delay) {
-    kinds.push_back(FaultKind::kDelaySpike);
-  }
-  if (policy_.disk_slow) {
-    kinds.push_back(FaultKind::kDiskSlowdown);
-  }
-  if (policy_.client_crash && cluster_->mode() == ErwinMode::kSt && client_crash_hook_) {
-    kinds.push_back(FaultKind::kClientCrashAppend);
-  }
-  if (policy_.seq_zk_partition && seq_budget_left) {
-    kinds.push_back(FaultKind::kSeqZkPartition);
-  }
-  if (policy_.ctrl_zk_partition && cluster_->controller() != nullptr) {
-    kinds.push_back(FaultKind::kCtrlZkPartition);
-  }
-  if (policy_.server_partition && cluster_->controller() != nullptr &&
-      NumServerSlots() >= 2) {
-    kinds.push_back(FaultKind::kServerPartition);
-  }
-  if (policy_.overload_burst && overload_hook_) {
-    kinds.push_back(FaultKind::kOverloadBurst);
-  }
-  // Keep at least one index aggregator alive so selective reads are exercised against
-  // the index tier (not only the scan fallback) for the whole run.
-  if (policy_.index_crash && UncrashedIndexNodes().size() >= 2) {
-    kinds.push_back(FaultKind::kCrashIndexNode);
-  }
-  if (policy_.index_partition && cluster_->num_index_nodes() > 0) {
-    kinds.push_back(FaultKind::kIndexPartition);
-  }
-  if (cluster_->controller() != nullptr && !PromotableShards().empty()) {
-    if (policy_.shard_primary_crash) {
-      kinds.push_back(FaultKind::kShardPrimaryCrash);
+  for (size_t k = 0; k < kNumFaultKinds; ++k) {
+    const FaultKind kind = static_cast<FaultKind>(k);
+    bool drawable = true;
+    switch (kind) {
+      case FaultKind::kCrashSeqReplica:
+      case FaultKind::kSeqZkPartition:
+        drawable = seq_budget_left;
+        break;
+      case FaultKind::kReplaceShardReplica:
+        drawable = cluster_->shard_replication() > 1;
+        break;
+      case FaultKind::kClientPartition:
+        drawable = !client_nodes_.empty();
+        break;
+      case FaultKind::kLossWindow:
+      case FaultKind::kDelaySpike:
+      case FaultKind::kDiskSlowdown:
+        break;
+      case FaultKind::kClientCrashAppend:  // Erwin-st half-appends
+        drawable = cluster_->mode() == ErwinMode::kSt && client_crash_hook_;
+        break;
+      case FaultKind::kCtrlZkPartition:
+        drawable = has_controller;
+        break;
+      case FaultKind::kServerPartition:
+        drawable = has_controller && NumServerSlots() >= 2;
+        break;
+      case FaultKind::kOverloadBurst:
+        drawable = static_cast<bool>(overload_hook_);
+        break;
+      case FaultKind::kCrashIndexNode:
+        // Keep at least one index aggregator alive so selective reads are exercised
+        // against the index tier (not only the scan fallback) for the whole run.
+        drawable = UncrashedIndexNodes().size() >= 2;
+        break;
+      case FaultKind::kIndexPartition:
+        drawable = cluster_->num_index_nodes() > 0;
+        break;
+      case FaultKind::kShardPrimaryCrash:
+      case FaultKind::kPrimaryIsolation:
+        // Only while the planned shard still has a backup left to promote.
+        drawable = has_controller && !PromotableShards().empty();
+        break;
     }
-    if (policy_.primary_isolation) {
-      kinds.push_back(FaultKind::kPrimaryIsolation);
+    if (policy_.allows(kind) && drawable) {
+      kinds.push_back(kind);
     }
   }
   return kinds;

@@ -13,6 +13,7 @@
 #ifndef SRC_CHAOS_NEMESIS_H_
 #define SRC_CHAOS_NEMESIS_H_
 
+#include <bitset>
 #include <functional>
 #include <string>
 #include <utility>
@@ -52,30 +53,15 @@ enum class FaultKind : uint8_t {
                        // which the promotion epoch + sender fence must render harmless
 };
 
-// Which fault kinds the nemesis may draw from. Serializes to/from the repro line's
-// --faults= flag ("all", "none", or a comma list of the names below).
+inline constexpr size_t kNumFaultKinds = static_cast<size_t>(FaultKind::kPrimaryIsolation) + 1;
+
+// Which fault kinds the nemesis may draw from (all by default). Serializes to/from the
+// repro line's --faults= flag: "all", "none", or a comma list of kind names in enum
+// order ("seq-crash", "shard-replace", ..., "primary-isolation").
 struct NemesisPolicy {
-  bool seq_crash = true;
-  bool shard_replace = true;
-  bool partition = true;
-  bool loss = true;
-  bool delay = true;
-  bool disk_slow = true;
-  bool client_crash = true;  // only drawn on Erwin-st clusters
-  bool seq_zk_partition = true;
-  bool ctrl_zk_partition = true;
-  bool server_partition = true;
-  bool overload_burst = true;
-  bool index_crash = true;      // only drawn with >= 2 index nodes still standing
-  bool index_partition = true;  // only drawn on clusters with index nodes
-  // Only drawn while the planned shard still has a backup left to promote.
-  bool shard_primary_crash = true;
-  bool primary_isolation = true;
+  std::bitset<kNumFaultKinds> kinds = std::bitset<kNumFaultKinds>().set();
 
-  // Upper bound on sequencing-replica depositions (crashes + ZK partitions); always
-  // additionally clamped to f.
-  uint32_t max_seq_crashes = UINT32_MAX;
-
+  bool allows(FaultKind k) const { return kinds.test(static_cast<size_t>(k)); }
   std::string ToFlag() const;
   // Parses "all" / "none" / "seq-crash,loss,...". Returns false on an unknown name.
   static bool FromFlag(const std::string& flag, NemesisPolicy* out);

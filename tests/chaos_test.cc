@@ -231,18 +231,18 @@ TEST(ChaosNemesis, FaultsFlagRoundTrips) {
   EXPECT_EQ(all.ToFlag(), "all");
   NemesisPolicy parsed;
   ASSERT_TRUE(NemesisPolicy::FromFlag("seq-crash,loss,delay", &parsed));
-  EXPECT_TRUE(parsed.seq_crash);
-  EXPECT_TRUE(parsed.loss);
-  EXPECT_TRUE(parsed.delay);
-  EXPECT_FALSE(parsed.shard_replace);
-  EXPECT_FALSE(parsed.partition);
-  EXPECT_FALSE(parsed.disk_slow);
-  EXPECT_FALSE(parsed.client_crash);
+  EXPECT_TRUE(parsed.allows(FaultKind::kCrashSeqReplica));
+  EXPECT_TRUE(parsed.allows(FaultKind::kLossWindow));
+  EXPECT_TRUE(parsed.allows(FaultKind::kDelaySpike));
+  EXPECT_FALSE(parsed.allows(FaultKind::kReplaceShardReplica));
+  EXPECT_FALSE(parsed.allows(FaultKind::kClientPartition));
+  EXPECT_FALSE(parsed.allows(FaultKind::kDiskSlowdown));
+  EXPECT_FALSE(parsed.allows(FaultKind::kClientCrashAppend));
   EXPECT_EQ(parsed.ToFlag(), "seq-crash,loss,delay");
   ASSERT_TRUE(NemesisPolicy::FromFlag("index-crash,index-partition", &parsed));
-  EXPECT_TRUE(parsed.index_crash);
-  EXPECT_TRUE(parsed.index_partition);
-  EXPECT_FALSE(parsed.seq_crash);
+  EXPECT_TRUE(parsed.allows(FaultKind::kCrashIndexNode));
+  EXPECT_TRUE(parsed.allows(FaultKind::kIndexPartition));
+  EXPECT_FALSE(parsed.allows(FaultKind::kCrashSeqReplica));
   EXPECT_EQ(parsed.ToFlag(), "index-crash,index-partition");
   ASSERT_TRUE(NemesisPolicy::FromFlag("none", &parsed));
   EXPECT_EQ(parsed.ToFlag(), "none");
