@@ -26,8 +26,10 @@
 
 namespace lazylog {
 
-// Identical to the alias in types.h (redeclaring an identical alias is legal); buf.h
-// cannot include types.h because types.h includes buf.h for Record::payload.
+// Flattened (name, value) pairs emitted by component stats snapshots and consumed by
+// the bench JSON dump helper (bench_util.h). Keeping the shape here lets every
+// component expose Fields() without depending on the bench code. Declared in this
+// lowest header (types.h includes it) so BufStats can emit them too.
 using StatsFields = std::vector<std::pair<std::string, double>>;
 
 // Global byte/allocation counters for the record path. The simulator is

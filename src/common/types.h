@@ -3,18 +3,10 @@
 #define SRC_COMMON_TYPES_H_
 
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "src/common/buf.h"
 
 namespace lazylog {
-
-// Flattened (name, value) pairs emitted by component stats snapshots and consumed by
-// the bench JSON dump helper (bench_util.h). Keeping the shape here lets every
-// component expose Fields() without depending on the bench code.
-using StatsFields = std::vector<std::pair<std::string, double>>;
 
 // Simulated-cluster node identifier. Node ids are dense small integers assigned by the
 // cluster assembly code; the special value kInvalidNode means "no node".
