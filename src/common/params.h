@@ -66,10 +66,10 @@ struct SeqParams {
   uint64_t st_orphan_scrub_age_ns = 400 * kMs;
 
   // --- Adaptive group commit (AIMD controller over the ordering cadence) ---
-  // When enabled, the leader scales the effective ordering interval, per-window batch
-  // size, and pipeline depth with backlog: coalescing grows proportionally to ring
-  // occupancy on the way up, and the interval halves back toward the floor once the
-  // ring drains. Disabled = the static knobs above are used verbatim.
+  // When enabled, the leader scales the effective ordering interval and per-window
+  // batch size with backlog: coalescing grows proportionally to ring occupancy on the
+  // way up, and the interval halves back toward the floor once the ring drains.
+  // Disabled = the static knobs above are used verbatim.
   bool adaptive_ordering = true;
   // Ceiling for the adaptive ordering interval. 16x the 30us floor: wide enough that
   // per-tick batches amortize orderer overhead deep into overload, narrow enough that
@@ -78,8 +78,6 @@ struct SeqParams {
   // Floor for the adaptive per-window batch size (ceiling is max_order_batch). Keeps
   // windows large enough that shard pushes stay amortized even when the ring is empty.
   uint64_t min_order_batch = 2048;
-  // Ceiling for the adaptive per-shard pipeline depth (floor is order_pipeline_depth).
-  uint32_t max_order_pipeline_depth = 8;
 
   // --- Admission control (bounded unordered ring) ---
   // When enabled, appends arriving while ring occupancy (unordered entries + appends
