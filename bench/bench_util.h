@@ -56,6 +56,13 @@ class AppenderFleet {
     }
     return h;
   }
+  uint64_t TotalIssued() const {
+    uint64_t n = 0;
+    for (const auto& a : appenders_) {
+      n += a->issued();
+    }
+    return n;
+  }
   uint64_t TotalAcked() const {
     uint64_t n = 0;
     for (const auto& a : appenders_) {

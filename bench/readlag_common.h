@@ -20,6 +20,8 @@ struct ReadLagResult {
   Histogram append;
   Histogram read;
   uint64_t slow_reads = 0;
+  uint64_t appends_issued = 0;  // whole run, warmup included
+  uint64_t appends_acked = 0;
 };
 
 ReadLagResult RunErwin(double rate, uint64_t lag_ns) {
@@ -47,6 +49,8 @@ ReadLagResult RunErwin(double rate, uint64_t lag_ns) {
   ReadLagResult res;
   res.append = fleet.MergedLatency();
   res.read = reader.latency();
+  res.appends_issued = fleet.TotalIssued();
+  res.appends_acked = fleet.TotalAcked();
   for (uint32_t r = 0; r < 3; ++r) {
     res.slow_reads += cluster.shard(0, r).StatsSnapshot().counters.slow_reads;
   }

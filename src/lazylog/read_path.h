@@ -340,13 +340,17 @@ class ReadCoalescer {
       return;
     }
     if (!sub->clipped) {
-      Deliver(sub);
+      SortUnique(sub->got);
+      sub->cb(Status::Ok(), std::move(sub->got));
       return;
     }
     // The serving replica clipped the run: its stable-gp trails what the client knows.
     // Re-issue the whole sub to the primary via the classic waiting read;
     // already-fetched records are deduped at merge. A failure here surfaces to the
-    // caller, whose retry ladder re-resolves the shard config.
+    // caller, whose retry ladder re-resolves the shard config. So does a primary that
+    // clips the run too: its stable-gp trails the client's, so it is a deposed primary
+    // that has not heard of the promotion, and its reply would leave a hole in the
+    // client's known-stable range.
     stats_->clipped_resends++;
     ClassicRead(sub->primary, sub->pos, sub->len, /*nowait=*/false,
                 [this, sub](Status s, std::vector<PositionedRecord> recs) {
@@ -357,21 +361,25 @@ class ReadCoalescer {
                   for (PositionedRecord& pr : recs) {
                     sub->got.push_back(std::move(pr));
                   }
-                  Deliver(sub);
+                  SortUnique(sub->got);
+                  if (sub->got.size() < sub->len) {
+                    sub->cb(Status::Unavailable("primary behind the known stable tail"), {});
+                    return;
+                  }
+                  sub->cb(Status::Ok(), std::move(sub->got));
                 });
   }
 
-  void Deliver(const std::shared_ptr<Sub>& sub) {
-    std::sort(sub->got.begin(), sub->got.end(),
+  static void SortUnique(std::vector<PositionedRecord>& records) {
+    std::sort(records.begin(), records.end(),
               [](const PositionedRecord& a, const PositionedRecord& b) {
                 return a.pos < b.pos;
               });
-    sub->got.erase(std::unique(sub->got.begin(), sub->got.end(),
-                               [](const PositionedRecord& a, const PositionedRecord& b) {
-                                 return a.pos == b.pos;
-                               }),
-                   sub->got.end());
-    sub->cb(Status::Ok(), std::move(sub->got));
+    records.erase(std::unique(records.begin(), records.end(),
+                              [](const PositionedRecord& a, const PositionedRecord& b) {
+                                return a.pos == b.pos;
+                              }),
+                  records.end());
   }
 
   void NoteReply(NodeId target, SimTime t0, LogPos stable, LogPos durable,

@@ -1,6 +1,7 @@
 #include "src/rpc/rpc.h"
 
 #include "src/common/logging.h"
+#include "src/rpc/rpc_methods.h"
 
 namespace lazylog {
 
@@ -56,7 +57,7 @@ void RpcEndpoint::Call(NodeId dest, MethodId method, Buf body, ResponseCallback 
     });
   }
   pending_.emplace(rpc_id, std::move(pending));
-  net_->Send(node_id_, dest, enc.TakeBuf(), 0, std::move(atts));
+  net_->Send(node_id_, dest, enc.TakeBuf(), 0, std::move(atts), IsOrderingWindowMethod(method));
 }
 
 void RpcEndpoint::CancelAll() {

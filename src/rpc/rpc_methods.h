@@ -62,6 +62,14 @@ inline constexpr MethodId kShardBackfill = 319;      // new primary -> peer back
 inline constexpr MethodId kShardMultiRangeRead = 320;  // client -> any replica: coalesced
                                                        // multi-range stable read (never waits)
 
+// The ordering windows (orderer -> primary, primary -> backup) are background traffic:
+// no client waits on one, so they serialize on the NIC's background lane at any size
+// and never head-of-line-block the appends and reads beside them.
+inline constexpr bool IsOrderingWindowMethod(MethodId method) {
+  return method == kShardAppendBatch || method == kShardOrderMeta ||
+         method == kShardReplicate || method == kShardReplicateMeta;
+}
+
 // --- index tier: 800 block ---
 inline constexpr MethodId kIndexReadNext = 800;      // client -> index node: tag position scan
 

@@ -9,7 +9,7 @@ NodeId Network::AddNode(Handler handler) {
   handlers_.push_back(std::move(handler));
   up_.push_back(true);
   nic_free_.push_back(0);
-  nic_bulk_free_.push_back(0);
+  nic_background_free_.push_back(0);
   return id;
 }
 
@@ -19,7 +19,7 @@ void Network::SetHandler(NodeId id, Handler handler) {
 }
 
 void Network::Send(NodeId from, NodeId to, Buf payload, uint64_t wire_bytes,
-                   std::vector<Buf> atts) {
+                   std::vector<Buf> atts, bool background) {
   LL_CHECK(from < handlers_.size() && to < handlers_.size(), "Send between unknown nodes");
   ++messages_sent_;
   if (!IsUp(from) || Partitioned(from, to)) {
@@ -37,11 +37,12 @@ void Network::Send(NodeId from, NodeId to, Buf payload, uint64_t wire_bytes,
   const uint64_t bytes = wire_bytes + params_.per_message_overhead_bytes;
   bytes_sent_ += bytes;
 
-  // Serialize on the sender NIC: back-to-back sends queue behind each other. Bulk
-  // transfers use a separate lane (see header comment).
+  // Serialize on the sender NIC: back-to-back sends queue behind each other. Background
+  // traffic and bulk transfers use a separate lane (see header comment).
   constexpr uint64_t kBulkThresholdBytes = 64 * 1024;
   const SimTime now = loop_->Now();
-  auto& lane = bytes >= kBulkThresholdBytes ? nic_bulk_free_ : nic_free_;
+  auto& lane =
+      background || bytes >= kBulkThresholdBytes ? nic_background_free_ : nic_free_;
   const SimTime start = std::max(now, lane[from]);
   const uint64_t ser_ns = static_cast<uint64_t>(
       static_cast<double>(bytes) / params_.bandwidth_bytes_per_sec * 1e9);
@@ -72,7 +73,7 @@ void Network::Restart(NodeId id) {
   LL_CHECK(id < up_.size(), "Restart on unknown node");
   up_[id] = true;
   nic_free_[id] = loop_->Now();
-  nic_bulk_free_[id] = loop_->Now();
+  nic_background_free_[id] = loop_->Now();
 }
 
 void Network::SetPartitioned(NodeId a, NodeId b, bool partitioned) {

@@ -50,9 +50,10 @@ class Network {
   // end is down at send or the destination is down/partitioned at delivery time
   // (messages in flight to a node that crashes are lost, as on a real network).
   // `wire_bytes` overrides the NIC-charged size (0 = frame + attachment bytes);
-  // Erwin-st uses it to model data scattered via RDMA.
+  // Erwin-st uses it to model data scattered via RDMA. `background` puts the message on
+  // the sender's background lane whatever its size (see nic_background_free_).
   void Send(NodeId from, NodeId to, Buf payload, uint64_t wire_bytes = 0,
-            std::vector<Buf> atts = {});
+            std::vector<Buf> atts = {}, bool background = false);
 
   // --- failure injection -----------------------------------------------------------
   // Crashing a node drops its queued deliveries and all future traffic to/from it.
@@ -93,12 +94,13 @@ class Network {
   Rng rng_;
   std::vector<Handler> handlers_;
   std::vector<bool> up_;
-  // Per-node NIC egress availability. Messages above the bulk threshold serialize on a
-  // separate lane so multi-MB background batches do not head-of-line-block
-  // latency-critical requests (real NICs interleave packets across flows; the paper's
-  // background orderer additionally offloads via RDMA).
+  // Per-node NIC egress availability. Background traffic (the ordering windows, by
+  // traffic class) and any message above the bulk threshold serialize on a separate
+  // lane, so background batches do not head-of-line-block latency-critical requests
+  // (real NICs interleave packets across flows; the paper's background orderer
+  // additionally offloads via RDMA).
   std::vector<SimTime> nic_free_;
-  std::vector<SimTime> nic_bulk_free_;
+  std::vector<SimTime> nic_background_free_;
   std::set<uint64_t> partitions_;
   double loss_probability_ = 0.0;
   uint64_t extra_delay_ns_ = 0;

@@ -41,7 +41,9 @@ struct ShardStats {
   uint64_t rejected_puts = 0;   // late data after no-op
   uint64_t windows_applied = 0; // ordering windows applied in span order
   uint64_t windows_parked = 0;  // windows that arrived ahead of a gap and waited
-  uint64_t windows_retransmitted = 0;  // fully durable windows re-acked immediately
+  // Retransmits of applied windows answered without re-applying: at once if durable,
+  // else once the pending windows that cover them are.
+  uint64_t windows_retransmitted = 0;
   // Primary-failover counters (promotion handoff).
   uint64_t promotions = 0;                  // times this replica was promoted to primary
   uint64_t handoff_records_refetched = 0;   // peer back-fills + catch-up entries shipped
@@ -214,8 +216,9 @@ class ShardServer {
   void HandleWindow(NodeId from, bool from_orderer, Req window, Responder r);
   // Windows cover adjacent global-position spans and must be applied in span order
   // (StoreOrdered requires ascending positions). Admission acks fully durable
-  // retransmits immediately, parks ahead-of-gap arrivals, applies in-order windows,
-  // and then drains any parked successors.
+  // retransmits immediately, joins applied retransmits to the pending acks that cover
+  // them, parks ahead-of-gap arrivals, applies in-order windows, and then drains any
+  // parked successors.
   template <typename Req>
   void AdmitWindow(std::shared_ptr<Req> req, Responder r);
   // Arms the ack, resets (overwrite) or tracks the span, runs the per-entry step,
@@ -234,14 +237,24 @@ class ShardServer {
   uint64_t ApplyEntries(const ShardOrderMetaReq& w, const std::shared_ptr<BatchAck>& batch);
   // Primary -> backup method for this mode's windows (apply fan-out and peer catch-up).
   MethodId ReplicateMethod() const;
-  // Folds a durably completed span into completed_spans_ and advances order_durable_
-  // over the contiguous prefix.
-  void OnWindowDurable(LogPos lo, LogPos hi);
+  // An applied window's ack completed. A durable span folds into completed_spans_,
+  // advances order_durable_ over the contiguous prefix and answers the joined
+  // retransmits it now covers; a failed one fails the joined retransmits above it.
+  void OnWindowDone(LogPos lo, LogPos hi, bool durable);
+  // True if every position in [order_durable_, hi) is durable ahead of the frontier or
+  // applied by a window whose ack is still pending, so the frontier reaches `hi`
+  // without re-applying anything.
+  bool DurableInFlight(LogPos hi) const;
+  // A replica-set change retargets replication. Windows applied before it replicated
+  // to the old set, possibly to a replica that is gone and will only time out, so
+  // later retransmits must re-apply rather than join them; joined ones fail now.
+  void ForgetPendingWindows();
   // Responds with `s` plus a ShardOrderAckResp carrying the durable watermark (error
   // responses deliver the body too, so the orderer resyncs even on failure).
   void SendWatermarkAck(Responder r, const Status& s);
   // Flush/overwrite windows reset the ordering frontiers: the unstable tail is being
-  // rewritten, so parked windows and completed spans from the old view are dropped.
+  // rewritten, so parked and joined windows, completed spans and pending-window
+  // coverage from the old view are dropped.
   void ResetOrderFrontiersForOverwrite(LogPos truncate_from, LogPos range_hi);
 
   // Stores one ordered record locally (append or recovery overwrite). Returns its local
@@ -258,8 +271,9 @@ class ShardServer {
   void FinalizeNoOp(const RecordId& id);
   // Replicates a primary no-op decision to one backup, retrying until acked: a backup
   // whose data copy arrived binds the real record, and a dropped no-op would leave the
-  // replicas permanently disagreeing on the binding.
-  void SendReplicateNoOp(NodeId backup, NoOpMsg msg);
+  // replicas permanently disagreeing on the binding. The confirmation releases one
+  // wait of `batch` (the window the position belongs to, if still tracked).
+  void SendReplicateNoOp(NodeId backup, NoOpMsg msg, std::shared_ptr<BatchAck> batch);
   // Backup repair: applies a record fetched from the primary to a pending binding.
   void ApplyFetchedRecord(const RecordId& id, const Status& s, Record rec);
 
@@ -297,6 +311,9 @@ class ShardServer {
   LogPos order_durable_ = 0;
   std::map<LogPos, LogPos> completed_spans_;  // durably completed spans ahead of the frontier
   std::map<LogPos, OrderedWindow> parked_;    // ahead-of-gap windows keyed by range_lo
+  std::multimap<LogPos, LogPos> pending_spans_;  // applied windows awaiting their acks
+  std::multimap<LogPos, Responder> joined_;      // retransmits waiting on the frontier,
+                                                 // keyed by range_hi
   bool loading_ = false;  // replacement replica: state copy still in flight
   // Primary-promotion fence (distinct from the ViewId fence: bumping view_ above the
   // live sequencing view would stale-view the healthy leader's pushes and self-seal

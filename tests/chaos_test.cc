@@ -51,9 +51,9 @@ TEST(ChaosDeterminism, GoldenDigests) {
     uint64_t digest;
   };
   const Golden kGolden[] = {
-      {ErwinMode::kM, 1, 0x6c6ad1725a1bb09cULL},  {ErwinMode::kM, 2, 0xebaa00060ffc95ecULL},
-      {ErwinMode::kM, 3, 0x946da2da050617ebULL},  {ErwinMode::kSt, 1, 0x591a60fe4e1b8d0aULL},
-      {ErwinMode::kSt, 2, 0xc43b4611c3a717eaULL}, {ErwinMode::kSt, 3, 0x6aed9f7fe99bf34aULL},
+      {ErwinMode::kM, 1, 0xd9a2137e25028c38ULL},  {ErwinMode::kM, 2, 0x3c4017b29cde6c06ULL},
+      {ErwinMode::kM, 3, 0xcb62f10a5b13ead8ULL},  {ErwinMode::kSt, 1, 0xa68220fcd67354eaULL},
+      {ErwinMode::kSt, 2, 0x875d761d64873953ULL}, {ErwinMode::kSt, 3, 0xe56fe67150425909ULL},
   };
   for (const Golden& g : kGolden) {
     ChaosOptions opts;

@@ -1,14 +1,18 @@
 // Per-shard ordering-cursor pipeline tests (§4.3 cursor redesign): a partitioned shard
 // must not stall the other shards' cursors, ordered-gp must track the minimum durable
 // watermark across cursors under message loss, a leader crash mid-pipeline must not
-// lose or duplicate acknowledged records, and a shard added mid-flight must bootstrap
-// its cursor at the assignment frontier.
+// lose or duplicate acknowledged records, a shard added mid-flight must bootstrap its
+// cursor at the assignment frontier, stable-gp must keep pace with a 45K x 4 KB append
+// load, and partial windows must be paced to the ack RTT while full windows go at once.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/lazylog/erwin_cluster.h"
+#include "src/seq/sequencing_replica.h"
+#include "src/workload/drivers.h"
 #include "tests/test_util.h"
 
 namespace lazylog {
@@ -187,6 +191,168 @@ TEST(OrdererPipeline, AddShardMidFlightBootstrapsCursorAtAssignedGp) {
   ASSERT_EQ(records->size(), 40u);
   // Both shards hold part of the post-add traffic (round-robin placement).
   EXPECT_GT(c.shard(1, 0).ordered_records(), 0u);
+}
+
+// The fig08/09/11 top-rate regime: 45K appends/s of 4 KB into one Erwin-m shard with
+// three replicas, where the shard disk runs at ~60% of its bandwidth. The orderer must
+// keep pace with no cursor retry: every append acks, and every acked record is stable
+// within 5 ms.
+TEST(OrdererPipeline, ErwinM45KKeepsStableGpWithin5MsOfAckedTail) {
+  ErwinClusterOptions opt;
+  opt.mode = ErwinMode::kM;
+  opt.num_shards = 1;
+  opt.shard_replication = 3;
+  ErwinCluster c(opt);
+  std::vector<std::unique_ptr<SharedLogClient>> clients;
+  std::vector<std::unique_ptr<OpenLoopAppender>> appenders;
+  for (uint64_t i = 0; i < 4; ++i) {
+    clients.push_back(c.MakeMClient());
+    OpenLoopAppender::Options aopt;
+    aopt.rate_per_sec = 45'000.0 / 4;
+    aopt.record_bytes = 4096;
+    appenders.push_back(
+        std::make_unique<OpenLoopAppender>(&c.loop(), clients.back()->log(), aopt, 100 + i));
+    appenders.back()->Start();
+  }
+  auto acked = [&]() {
+    uint64_t n = 0;
+    for (const auto& a : appenders) {
+      n += a->acked();
+    }
+    return n;
+  };
+  // acked_at[t] = appends acked by t ms; at t ms, stable-gp must cover acked_at[t - 5].
+  std::vector<uint64_t> acked_at;
+  constexpr uint64_t kRunMs = 250;
+  constexpr uint64_t kLagMs = 5;
+  for (uint64_t t = 0; t < kRunMs; ++t) {
+    c.RunFor(kMs);
+    acked_at.push_back(acked());
+    if (t >= kLagMs) {
+      ASSERT_GE(c.seq_replica(0).stable_gp(), acked_at[t - kLagMs]) << "at " << t + 1 << " ms";
+    }
+  }
+  for (auto& a : appenders) {
+    a->Stop();
+  }
+  c.RunFor(20 * kMs);
+  uint64_t issued = 0;
+  for (const auto& a : appenders) {
+    issued += a->issued();
+    EXPECT_EQ(a->failed(), 0u);
+  }
+  EXPECT_GT(issued, 11'000u);
+  EXPECT_EQ(acked(), issued);
+  auto snap = c.seq_replica(0).StatsSnapshot();
+  EXPECT_EQ(snap.stable_gp, issued);
+  for (const auto& ps : snap.shards) {
+    EXPECT_EQ(ps.retries, 0u) << "shard " << ps.shard;
+  }
+}
+
+// A scripted Erwin-m shard primary: logs each ordering window as it arrives and acks
+// it a fixed delay later with the window's end as the durable watermark (windows
+// arrive in span order: one NIC lane and no jitter).
+class ScriptedShard {
+ public:
+  struct Arrival {
+    SimTime at = 0;
+    LogPos lo = 0;
+    LogPos hi = 0;
+  };
+
+  ScriptedShard(Network* net, uint64_t ack_delay_ns) : endpoint_(net) {
+    endpoint_.Handle<ShardAppendBatchReq>(
+        kShardAppendBatch, [this, ack_delay_ns](NodeId, ShardAppendBatchReq w, Responder r) {
+          EXPECT_EQ(w.range_lo, arrivals_.empty() ? 0 : arrivals_.back().hi);
+          arrivals_.push_back(Arrival{endpoint_.loop()->Now(), w.range_lo, w.range_hi});
+          endpoint_.loop()->Schedule(ack_delay_ns, [r, hi = w.range_hi]() mutable {
+            r.Ok(ShardOrderAckResp{hi});
+          });
+        });
+    endpoint_.Register(kShardSetStableGp,
+                       [](NodeId, Decoder, Responder r) { r.Send(Status::Ok()); });
+  }
+
+  NodeId node_id() const { return endpoint_.node_id(); }
+  const std::vector<Arrival>& arrivals() const { return arrivals_; }
+
+ private:
+  RpcEndpoint endpoint_;
+  std::vector<Arrival> arrivals_;
+};
+
+TEST(OrdererPipeline, PartialWindowsArePacedFullWindowsAreNot) {
+  EventLoop loop;
+  SimParams params;
+  params.net.jitter_ns = 0;
+  params.seq.adaptive_ordering = false;  // fixed 30 us tick, fixed 64-record windows
+  params.seq.max_order_batch = 64;
+  Network net(&loop, params.net, 1);
+  ScriptedShard shard(&net, 400 * kUs);
+  SequencingReplica seq(&net, params, ErwinMode::kM, 0);
+  seq.Start({seq.node_id()}, {shard.node_id()}, {shard.node_id()});
+  RpcEndpoint client(&net);
+  uint64_t next_id = 0;
+  uint64_t acked = 0;
+  auto append = [&]() {
+    SeqAppendReq req;
+    req.id = RecordId{1, ++next_id};
+    req.payload = "x";
+    client.CallMsg(seq.node_id(), kSeqAppend, req,
+                   [&acked](Status s, Decoder) { acked += s.ok() ? 1 : 0; }, kSec);
+  };
+
+  // A trickle of one append per 20 us fills far less than a 64-record window per
+  // round trip, so every window is partial and the cursor always has one in flight.
+  for (int i = 0; i < 1000; ++i) {
+    append();
+    loop.RunUntil(loop.Now() + 20 * kUs);
+  }
+  loop.RunUntil(loop.Now() + 5 * kMs);
+  ASSERT_EQ(acked, 1000u);
+  const auto trickle = shard.arrivals();
+  const double rtt_ns = seq.StatsSnapshot().ack_rtt_ewma_ns;
+  ASSERT_GT(rtt_ns, 400.0 * kUs);
+  const double pace_ns = 2.0 * rtt_ns / params.seq.order_pipeline_depth;
+  const SimTime first_ack = trickle.front().at + static_cast<SimTime>(rtt_ns);
+  size_t paced = 0;
+  for (size_t i = 1; i < trickle.size(); ++i) {
+    EXPECT_LT(trickle[i].hi - trickle[i].lo, params.seq.max_order_batch);
+    if (trickle[i - 1].at < first_ack || trickle[i].hi == next_id) {
+      continue;  // no RTT sample yet, or the drain's last window
+    }
+    // Partial windows leave at least 2 * RTT / depth apart, and a held window goes on
+    // the next tick.
+    const double gap = static_cast<double>(trickle[i].at - trickle[i - 1].at);
+    EXPECT_GE(gap, 0.99 * pace_ns) << "window " << i;
+    EXPECT_LE(gap, pace_ns + 2.0 * params.seq.ordering_interval_ns) << "window " << i;
+    paced++;
+  }
+  EXPECT_GT(paced, 50u);
+
+  // A burst fills windows faster than the pace. A full window goes at once, even while
+  // the partial window before it left less than 2 * RTT / depth ago.
+  for (int i = 0; i < 512; ++i) {
+    append();
+  }
+  loop.RunUntil(loop.Now() + 20 * kMs);
+  ASSERT_EQ(acked, 1512u);
+  const auto& all = shard.arrivals();
+  size_t full = 0;
+  size_t full_unpaced = 0;
+  for (size_t i = trickle.size(); i < all.size(); ++i) {
+    if (all[i].hi - all[i].lo < params.seq.max_order_batch) {
+      continue;
+    }
+    full++;
+    if (static_cast<double>(all[i].at - all[i - 1].at) < pace_ns) {
+      full_unpaced++;
+    }
+  }
+  EXPECT_GE(full, 4u);
+  EXPECT_GE(full_unpaced, 3u);
+  EXPECT_EQ(all.back().hi, 1512u);
 }
 
 }  // namespace

@@ -207,6 +207,38 @@ TEST(PrimaryFailover, IsolatedZombiePrimaryIsFencedOut) {
   EXPECT_EQ(ReadAll(cluster, 14).size(), 14u);
 }
 
+TEST(PrimaryFailover, StaleClientReadsNoHoleFromZombiePrimary) {
+  ErwinClusterOptions opt = Options(ErwinMode::kM);
+  opt.params.client_read.read_routing_mode = 0;  // every stable read goes to the primary
+  ErwinCluster cluster(opt);
+  auto writer = cluster.MakeMClient();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(AppendSyncly(cluster.loop(), *writer, "pre-" + std::to_string(i)));
+  }
+  cluster.RunFor(20 * kMs);
+  // This reader keeps the pre-promotion shard config: shard 0's primary is the zombie.
+  auto reader = cluster.MakeMClient();
+  ASSERT_EQ(ReadSyncly(cluster.loop(), *reader, 0, 10, kSec)->size(), 10u);
+  cluster.IsolateShardPrimary(0);
+  cluster.RunFor(500 * kMs);
+  ASSERT_EQ(cluster.controller()->shard_promotions(), 1u);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(AppendSyncly(cluster.loop(), *writer, "post-" + std::to_string(i)));
+  }
+  cluster.RunFor(100 * kMs);
+  // The reader learns the new stable tail, then reads a range whose shard-0 half the
+  // zombie (still reachable from clients, stable-gp frozen at 10) can only clip.
+  const TailResult tail = TailSyncly(cluster.loop(), *reader);
+  ASSERT_TRUE(tail.status.ok());
+  ASSERT_EQ(tail.stable, 20u);
+  auto records = ReadSyncly(cluster.loop(), *reader, 0, 20, 10 * kSec);
+  ASSERT_TRUE(records.has_value());
+  ASSERT_EQ(records->size(), 20u);
+  for (LogPos p = 0; p < 20; ++p) {
+    EXPECT_EQ((*records)[p].pos, p);
+  }
+}
+
 TEST(PrimaryFailover, MModePromotionKeepsLogAvailable) {
   ErwinCluster cluster(Options(ErwinMode::kM));
   auto client = cluster.MakeMClient();

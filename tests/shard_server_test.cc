@@ -1,8 +1,8 @@
 // ShardServer tests, driven over the wire: black-box mode (ordered batches,
 // replication, stable-gp gating, slow-path wakeup, trim), Erwin-st mode (unordered
-// puts, metadata binding, no-op timeout, late-put rejection, position map, backup
-// repair), and the ordering-window pipeline in both modes (span-order parking,
-// retransmit re-acks, the parked-window bound, seal, recovery overwrite).
+// puts, metadata binding, no-op timeout and its replication, late-put rejection,
+// position map, backup repair), and the ordering-window pipeline in both modes (span-order parking,
+// retransmit re-acks and joins, the parked-window bound, seal, recovery overwrite).
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -363,6 +363,29 @@ TEST(ShardSt, MissingDataBecomesNoOpAfterTimeout) {
   EXPECT_TRUE(h.servers_[1]->RecordAt(0)->no_op);
 }
 
+TEST(ShardSt, NoOpWindowAckWaitsForBackupsToConfirm) {
+  ShardHarness h(ShardMode::kStModified);
+  // The data reaches only the backup, which binds the real record; the primary will
+  // decide no-op. Its no-op to the backup is lost while the two are cut off.
+  ASSERT_TRUE(h.PutData(RecordId{13, 1}, "only-backup", 1).ok());
+  ShardOrderMetaReq req;
+  req.entries = {MetaEntry{0, RecordId{13, 1}, 0}};
+  auto ack = h.SendWindow(kShardOrderMeta, req, 1, false, 0, 0, 1);
+  h.loop_.RunUntil(h.loop_.Now() + 1 * kMs);
+  ASSERT_NE(h.servers_[1]->RecordAt(0), nullptr);
+  EXPECT_FALSE(h.servers_[1]->RecordAt(0)->no_op);
+  h.net_.SetPartitioned(h.ids_[0], h.ids_[1], true);
+  h.loop_.RunUntil(h.loop_.Now() + 10 * kMs);
+  EXPECT_EQ(h.servers_[0]->stats().noops_created, 1u);
+  // Acking now would let stable-gp pass a position the backup still serves as real.
+  EXPECT_FALSE(ack->done);
+  h.net_.SetPartitioned(h.ids_[0], h.ids_[1], false);
+  h.Wait(ack);
+  ASSERT_TRUE(ack->status.ok());
+  EXPECT_EQ(ack->watermark, 1u);
+  EXPECT_TRUE(h.servers_[1]->RecordAt(0)->no_op);
+}
+
 TEST(ShardSt, DataArrivingBeforeTimeoutResolvesBinding) {
   ShardHarness h(ShardMode::kStModified);
   // Order metadata first; data arrives shortly after (network race, §5.4).
@@ -486,6 +509,70 @@ TEST_P(ShardWindow, DurableRetransmitIsReackedWithWatermark) {
   EXPECT_EQ(h.servers_[0]->stats().windows_retransmitted, 1u);
   EXPECT_EQ(h.servers_[0]->stats().windows_applied, 1u);
   EXPECT_EQ(h.servers_[0]->ordered_records(), 4u);
+}
+
+TEST_P(ShardWindow, AppliedRetransmitJoinsPendingAck) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 4);
+  // A cursor retry resends a window the shard has applied but not yet made durable:
+  // its backup replicate and disk write are still in flight when the copy arrives.
+  auto first = h.SendSpan(1, 0, 4);
+  auto again = h.SendSpan(1, 0, 4);
+  h.Wait(first);
+  h.Wait(again);
+  ASSERT_TRUE(first->status.ok());
+  ASSERT_TRUE(again->status.ok());
+  EXPECT_EQ(again->watermark, 4u);
+  // The copy joined the pending ack: applied, replicated and written once.
+  EXPECT_EQ(h.servers_[0]->stats().windows_retransmitted, 1u);
+  for (const auto& server : h.servers_) {
+    EXPECT_EQ(server->stats().windows_applied, 1u);
+    EXPECT_EQ(server->order_durable(), 4u);
+  }
+}
+
+TEST_P(ShardWindow, JoinedRetransmitFailsWithItsWindowThenReapplies) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 4);
+  // The backup is unreachable, so the window's replicate times out and its ack fails;
+  // the copy that joined it fails too rather than wait on a frontier that cannot move.
+  h.net_.Crash(h.ids_[1]);
+  auto first = h.SendSpan(1, 0, 4);
+  auto again = h.SendSpan(1, 0, 4);
+  h.Wait(first, 2 * h.params_.rpc_timeout_ns);
+  h.Wait(again, kMs);
+  EXPECT_EQ(first->status.code(), StatusCode::kInternal);
+  EXPECT_EQ(again->status.code(), StatusCode::kInternal);
+  EXPECT_EQ(again->watermark, 0u);
+  // No pending window covers the span any more, so the next retry re-applies it.
+  h.net_.Restart(h.ids_[1]);
+  auto retry = h.Wait(h.SendSpan(1, 0, 4));
+  ASSERT_TRUE(retry->status.ok());
+  EXPECT_EQ(retry->watermark, 4u);
+  EXPECT_EQ(h.servers_[0]->stats().windows_applied, 2u);
+  EXPECT_EQ(h.servers_[1]->order_durable(), 4u);
+}
+
+TEST_P(ShardWindow, ReplicaSetChangeFailsJoinedRetransmits) {
+  ShardHarness h(GetParam());
+  h.PutSpan(0, 4);
+  auto first = h.SendSpan(1, 0, 4);
+  h.loop_.RunUntil(h.loop_.Now() + 50 * kUs);
+  auto again = h.SendSpan(1, 0, 4);
+  h.loop_.RunUntil(h.loop_.Now() + 50 * kUs);
+  ASSERT_EQ(h.servers_[0]->stats().windows_retransmitted, 1u);  // joined, still pending
+  ASSERT_FALSE(again->done);
+  // The window replicated to the old replica set, which may hold a replica that is
+  // gone; the joined copy fails at once, and the next copy applies afresh.
+  h.servers_[0]->SetReplicaSet(h.ids_);
+  h.Wait(again, kMs);
+  EXPECT_EQ(again->status.code(), StatusCode::kUnavailable);
+  auto retry = h.Wait(h.SendSpan(1, 0, 4));
+  h.Wait(first);
+  ASSERT_TRUE(first->status.ok());
+  ASSERT_TRUE(retry->status.ok());
+  EXPECT_EQ(retry->watermark, 4u);
+  EXPECT_EQ(h.servers_[0]->stats().windows_applied, 2u);
 }
 
 TEST_P(ShardWindow, ParkedWindowBoundRefusesWithWatermark) {
