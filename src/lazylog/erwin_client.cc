@@ -253,6 +253,10 @@ void ErwinClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
     cb(Status::Ok(), {});
     return;
   }
+  // Only a read that starts where the previous one ended prefetches: a reader at random
+  // offsets would fetch readahead_records per read and use almost none of them.
+  const bool sequential = from == next_sequential_;
+  next_sequential_ = from + len;
   // Serve whatever contiguous prefix the readahead cache holds, fetch the rest.
   auto cached = std::make_shared<std::vector<PositionedRecord>>();
   const uint64_t hit = readahead_.TakePrefix(from, len, cached.get());
@@ -261,10 +265,12 @@ void ErwinClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
     endpoint_.loop()->Schedule(0, [cached, cb = std::move(cb)]() {
       cb(Status::Ok(), std::move(*cached));
     });
-    MaybePrefetch(from + len);
+    if (sequential) {
+      MaybePrefetch(from + len);
+    }
     return;
   }
-  ReadCallback wrapped = [this, from, len, cached, cb = std::move(cb)](
+  ReadCallback wrapped = [this, from, len, sequential, cached, cb = std::move(cb)](
                              Status s, std::vector<PositionedRecord> recs) {
     if (!s.ok()) {
       cb(std::move(s), {});
@@ -277,7 +283,9 @@ void ErwinClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
         cached->push_back(std::move(pr));
       }
     }
-    MaybePrefetch(from + len);
+    if (sequential) {
+      MaybePrefetch(from + len);
+    }
     cb(Status::Ok(), std::move(*cached));
   };
   FetchRange(from + hit, len - hit, std::move(wrapped));

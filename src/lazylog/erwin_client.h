@@ -155,6 +155,7 @@ class ErwinClient : public SharedLogClient {
                        int attempt);
   void PollStable(LogPos target, AppendCallback cb);
   // Prefetches the stable region past a sequential reader's cursor (one in flight).
+  // Read calls it only when `from` equals next_sequential_.
   void MaybePrefetch(LogPos next);
 
   bool resolving_config_ = false;
@@ -165,6 +166,7 @@ class ErwinClient : public SharedLogClient {
   // Per-log client-side quota mute (see SimParams::client_quota_mute_ns).
   std::map<LogId, SimTime> quota_muted_until_;
   bool readahead_inflight_ = false;
+  LogPos next_sequential_ = 0;  // where the previous Read ended
 };
 
 }  // namespace lazylog

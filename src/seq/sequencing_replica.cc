@@ -1015,6 +1015,8 @@ void SequencingReplica::HandleShardFailover(SeqShardFailoverReq req, Responder r
   // acked but the promoted backup missed is still in the ring — a window is acked only
   // once every backup replicated it, so ordered_gp <= reset_upto and the span is
   // re-sendable. Re-delivered windows the backup did apply are deduplicated on receipt.
+  // The reset can raise the shard's watermark with nothing left to send, so ordering
+  // advances here: no window ack may ever arrive to advance it.
   if (is_leader() && !sealed_ && req.shard < cursors_.size()) {
     ShardCursor& c = cursors_[req.shard];
     const LogPos resume = std::max(req.reset_upto, ordered_gp_);
@@ -1027,6 +1029,7 @@ void SequencingReplica::HandleShardFailover(SeqShardFailoverReq req, Responder r
     c.retry_attempts = 0;
     c.next_pos = resume;
     c.acked_watermark = resume;
+    AdvanceOrderedFromCursors();
     PumpCursor(req.shard);
   }
   r.Send(Status::Ok());

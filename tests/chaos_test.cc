@@ -51,9 +51,9 @@ TEST(ChaosDeterminism, GoldenDigests) {
     uint64_t digest;
   };
   const Golden kGolden[] = {
-      {ErwinMode::kM, 1, 0xd9a2137e25028c38ULL},  {ErwinMode::kM, 2, 0x3c4017b29cde6c06ULL},
-      {ErwinMode::kM, 3, 0xcb62f10a5b13ead8ULL},  {ErwinMode::kSt, 1, 0xa68220fcd67354eaULL},
-      {ErwinMode::kSt, 2, 0x875d761d64873953ULL}, {ErwinMode::kSt, 3, 0xe56fe67150425909ULL},
+      {ErwinMode::kM, 1, 0x334dee84c57ff583ULL},  {ErwinMode::kM, 2, 0x3c629115871f04edULL},
+      {ErwinMode::kM, 3, 0xbf14047f61f757f7ULL},  {ErwinMode::kSt, 1, 0xf1b00ca7f4704cfeULL},
+      {ErwinMode::kSt, 2, 0xebf67a5728b2cbc8ULL}, {ErwinMode::kSt, 3, 0x3c63486d39e078e1ULL},
   };
   for (const Golden& g : kGolden) {
     ChaosOptions opts;

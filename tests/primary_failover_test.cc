@@ -259,6 +259,29 @@ TEST(PrimaryFailover, MModePromotionKeepsLogAvailable) {
   EXPECT_EQ(ReadAll(cluster, 14).size(), 14u);
 }
 
+TEST(PrimaryFailover, PromotionAloneAdvancesOrderingToTheResetPoint) {
+  ErwinCluster cluster(Options(ErwinMode::kM));
+  auto client = cluster.MakeMClient();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "m-" + std::to_string(i)));
+  }
+  cluster.RunFor(20 * kMs);
+  // Position 10 lands on shard 0. Its primary applies the window and replicates it,
+  // then crashes before its disk write lets it ack the orderer. The promoted backup
+  // holds the window, so the orderer's cursor resets past it and has nothing left to
+  // send. With no later append, no window ack would ever advance ordering, so the
+  // failover itself must.
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "m-10"));
+  cluster.RunFor(300 * kUs);
+  cluster.CrashShardPrimary(0);
+  cluster.RunFor(500 * kMs);
+  ASSERT_EQ(cluster.controller()->shard_promotions(), 1u);
+  const TailResult tail = TailSyncly(cluster.loop(), *client);
+  ASSERT_TRUE(tail.status.ok());
+  EXPECT_EQ(tail.stable, 11u);
+  EXPECT_EQ(ReadAll(cluster, 11).size(), 11u);
+}
+
 TEST(PrimaryFailover, RoutedReadsSurviveBackupPromotionMidFlight) {
   // Load-aware routing sends stable reads to backups; here the backup serving them is
   // promoted mid-stream. Reads issued across the whole failover window — before the
