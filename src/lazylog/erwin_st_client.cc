@@ -122,9 +122,6 @@ void ErwinStClient::FetchPosMap(LogPos needed_end, std::function<void()> then) {
 }
 
 void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
-  struct MergeState {
-    std::vector<PositionedRecord> all;
-  };
   // Group the positions into per-shard runs in ONE pass. Each shard's positions within
   // the window form one contiguous run of its local log, so per shard we keep the run's
   // chunk-granular split points (the coalescer's ReadRanges); a shard-indexed slot table
@@ -153,25 +150,10 @@ void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
       run.ranges.back().len++;
     }
   }
-  auto state = std::make_shared<MergeState>();
-  auto gather = Gather::Create(runs.size(), [this, state, rd](const std::vector<Status>& ss) {
-    for (const Status& s : ss) {
-      if (!s.ok()) {
-        if (rd->attempts >= 10) {
-          rd->cb(s, {});
-          return;
-        }
-        // Target unreachable (possibly a replaced replica) or a slow-path wait outlived
-        // the attempt timeout: refresh the shard membership and retry with backoff.
-        rd->attempts++;
-        RefreshThenRetry(rd->attempts, [this, rd]() { TryRead(rd); });
-        return;
-      }
-    }
-    std::sort(state->all.begin(), state->all.end(),
-              [](const PositionedRecord& a, const PositionedRecord& b) { return a.pos < b.pos; });
-    rd->cb(Status::Ok(), std::move(state->all));
-  });
+  auto merge = std::make_shared<ReadMerge>();
+  merge->rd = std::move(rd);
+  merge->remaining = runs.size();
+  merge->all.reserve(merge->rd->len);
   // Every position here has a posmap entry, and the map server gates on stable-gp — so
   // every sub is a known-stable read and any replica may serve it. The router picks the
   // least-loaded of two random replicas; the coalescer batches same-target subs and
@@ -180,19 +162,41 @@ void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
     const auto& replicas = view_.shards[runs[i].shard];
     const NodeId primary = replicas[0];
     const NodeId target = router_.PickStable(replicas);
-    auto slot = gather->Slot(i);
     coalescer_.Add(target, primary, std::move(runs[i].ranges),
-                   [state, slot](Status s, std::vector<PositionedRecord> recs) {
+                   [this, merge, i](Status s, std::vector<PositionedRecord> recs) {
                      if (s.ok()) {
                        // Record payloads alias the reply's attachments: they stay
-                       // valid in state->all after the decoder is gone.
+                       // valid in merge->all after the decoder is gone.
                        for (PositionedRecord& pr : recs) {
-                         state->all.push_back(std::move(pr));
+                         merge->all.push_back(std::move(pr));
                        }
+                     } else if (i < merge->failed_run) {
+                       merge->failed_run = i;
+                       merge->failure = std::move(s);
                      }
-                     slot(std::move(s), Decoder());
+                     if (--merge->remaining == 0) {
+                       FinishRead(*merge);
+                     }
                    });
   }
+}
+
+void ErwinStClient::FinishRead(ReadMerge& m) {
+  std::shared_ptr<PendingRead> rd = m.rd;
+  if (m.failed_run != SIZE_MAX) {
+    if (rd->attempts >= 10) {
+      rd->cb(std::move(m.failure), {});
+      return;
+    }
+    // Target unreachable (possibly a replaced replica) or a slow-path wait outlived the
+    // attempt timeout: refresh the shard membership and retry with backoff.
+    rd->attempts++;
+    RefreshThenRetry(rd->attempts, [this, rd]() { TryRead(rd); });
+    return;
+  }
+  std::sort(m.all.begin(), m.all.end(),
+            [](const PositionedRecord& a, const PositionedRecord& b) { return a.pos < b.pos; });
+  rd->cb(Status::Ok(), std::move(m.all));
 }
 
 // --- test hooks (§5.4) -----------------------------------------------------------------------

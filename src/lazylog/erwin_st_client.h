@@ -47,8 +47,20 @@ class ErwinStClient : public ErwinClient {
     int attempts = 0;
   };
 
+  // One DoRead attempt: the per-shard runs' records, and the first failed run in run
+  // order (its status is what a read that exhausts its retries reports).
+  struct ReadMerge {
+    std::shared_ptr<PendingRead> rd;
+    size_t remaining = 0;
+    size_t failed_run = SIZE_MAX;
+    Status failure;
+    std::vector<PositionedRecord> all;
+  };
+
   void TryRead(std::shared_ptr<PendingRead> rd);
   void DoRead(std::shared_ptr<PendingRead> rd);
+  // Runs once every run of `m` has replied: delivers the sorted records, or retries.
+  void FinishRead(ReadMerge& m);
   void FetchPosMap(LogPos needed_end, std::function<void()> then);
 
   uint64_t rr_cursor_;  // round-robin shard choice

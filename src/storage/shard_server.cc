@@ -925,6 +925,13 @@ void ShardServer::HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Respon
   // short ranges and re-issues the remainder to the primary via the classic waiting
   // read, so wait semantics live entirely at the primary.
   ShardMultiRangeReadResp resp;
+  uint64_t want = 0;
+  for (const ReadRange& range : req.ranges) {
+    want += range.len;
+  }
+  // Wire lengths are untrusted: never reserve past what this replica stores.
+  resp.records.reserve(std::min<uint64_t>(want, local_pos_.size()));
+  resp.counts.reserve(req.ranges.size());
   uint64_t bytes = 0;
   for (const ReadRange& range : req.ranges) {
     uint32_t served = 0;
