@@ -3,7 +3,12 @@
 // take the slow path; even with no lag very few do, so the three cases are close. A
 // second table repeats the single-record no-lag read with and without the client's
 // position-map cache (§6.7: with caching, Erwin-st read latency matches Erwin-m).
+//
+// --smoke runs the two lagged rows and both cache rows, and exits nonzero unless the
+// lagged 25-record reads average at most 15us (the sequential reader is served by
+// client readahead) and cache-on single-record reads beat cache-off.
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_util.h"
 #include "src/lazylog/erwin_cluster.h"
@@ -59,11 +64,42 @@ StReadResult Run(uint64_t lag_ns, uint64_t batch, bool cache_enabled, double rat
   return res;
 }
 
+int Smoke() {
+  int rc = 0;
+  auto expect = [&rc](bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+      rc = 1;
+    }
+  };
+  const StReadResult lag1s = Run(kSec, /*batch=*/25, /*cache=*/true, 200'000);
+  const StReadResult lag3ms = Run(3 * kMs, /*batch=*/25, /*cache=*/true, 200'000);
+  const StReadResult cache_on = Run(0, 1, true, 100'000);
+  const StReadResult cache_off = Run(0, 1, false, 100'000);
+  constexpr double kLaggedMeanCeilingNs = 15'000.0;
+  expect(lag1s.read.count() > 0 && lag3ms.read.count() > 0, "a lagged row served no reads");
+  expect(lag1s.read.Mean() <= kLaggedMeanCeilingNs, "lag-1s read mean above 15us");
+  expect(lag3ms.read.Mean() <= kLaggedMeanCeilingNs, "lag-3ms read mean above 15us");
+  expect(cache_on.read.count() > 0 && cache_off.read.count() > 0, "a cache row served no reads");
+  expect(cache_on.read.Mean() < cache_off.read.Mean(),
+         "cache-on single-record reads not faster than cache-off");
+  if (rc == 0) {
+    std::printf("fig14 smoke OK: lagged read mean %s (1s) %s (3ms); cache on %s vs off %s\n",
+                FormatNanos(lag1s.read.Mean()).c_str(), FormatNanos(lag3ms.read.Mean()).c_str(),
+                FormatNanos(cache_on.read.Mean()).c_str(),
+                FormatNanos(cache_off.read.Mean()).c_str());
+  }
+  return rc;
+}
+
 }  // namespace
 }  // namespace lazylog
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazylog;
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
+    return Smoke();
+  }
   PrintHeader("Figure 14: Erwin-st reads at ~200K ops/s, 25 records per read");
   struct Case {
     const char* label;
