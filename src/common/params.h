@@ -152,8 +152,10 @@ struct ClientReadParams {
   // chunks issued as independent pipelined RPCs so shard-side response serialization
   // CPU overlaps NIC transmission of earlier chunks.
   uint32_t read_chunk_records = 256;
-  // Sequential-reader speculative prefetch: on a fully-served read, fetch up to this
-  // many records of the stable region past the cursor into a client cache. 0 = off.
+  // Sequential-reader speculative prefetch: after a read that starts where the
+  // client's previous read ended (the first read counts if it starts at 0), fetch up
+  // to this many records of the stable region past it into a client cache. Reads at
+  // any other offset never prefetch. 0 = off.
   uint32_t readahead_records = 64;
   // How long a piggybacked/CheckTail-learned tail stays fresh enough for
   // CachedTail() to satisfy a poll without an RPC.
