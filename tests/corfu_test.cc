@@ -52,6 +52,56 @@ TEST(Corfu, CheckTailTracksCompletedWrites) {
   EXPECT_EQ(tail.stable, 4u);  // eager ordering: stable == durable
 }
 
+// CheckTail fills the tail cache: CachedTail answers (and counts a hit) until
+// tail_cache_ttl_ns has passed, then refuses.
+TEST(Corfu, CachedTailHitsAfterCheckTailUntilTtl) {
+  SimParams params;
+  CorfuCluster cluster(1, 2, params);
+  auto client = cluster.MakeClient();
+  LogPos durable = 0, stable = 0;
+  EXPECT_FALSE(client->CachedTail(&durable, &stable));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "x"));
+  }
+  cluster.RunFor(1 * kMs);  // tail report is async
+  ASSERT_TRUE(TailSyncly(cluster.loop(), *client).status.ok());
+  ASSERT_TRUE(client->CachedTail(&durable, &stable));
+  EXPECT_EQ(durable, 2u);
+  EXPECT_EQ(stable, 2u);
+  EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
+  cluster.RunFor(params.client_read.tail_cache_ttl_ns + 1 * kUs);
+  EXPECT_FALSE(client->CachedTail(&durable, &stable));
+  EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
+}
+
+// Corfu has no index tier, so a named log is served by the scan fallbacks:
+// CheckTailOfLog counts the log's stable records, ReadLog labels them with ranks.
+TEST(Corfu, NamedLogScanCountsAndRanksRecords) {
+  SimParams params;
+  CorfuCluster cluster(2, 2, params);
+  auto client = cluster.MakeClient();
+  LogHandle named = client->handle(7, "seven");
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), client->log(), "d0"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), named, "n0"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), client->log(), "d1"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), named, "n1"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), named, "n2"));
+  cluster.RunFor(1 * kMs);
+
+  TailResult tail = TailSyncly(cluster.loop(), named);
+  ASSERT_TRUE(tail.status.ok()) << tail.status.ToString();
+  EXPECT_EQ(tail.durable, 3u);
+  EXPECT_EQ(tail.stable, 3u);
+
+  auto recs = ReadSyncly(cluster.loop(), named, 1, 5);
+  ASSERT_TRUE(recs.has_value());
+  ASSERT_EQ(recs->size(), 2u);
+  EXPECT_EQ((*recs)[0].pos, 1u);
+  EXPECT_EQ((*recs)[0].record.payload, "n1");
+  EXPECT_EQ((*recs)[1].pos, 2u);
+  EXPECT_EQ((*recs)[1].record.payload, "n2");
+}
+
 TEST(Corfu, ReadOfUnwrittenPositionWaitsForWrite) {
   SimParams params;
   CorfuCluster cluster(1, 2, params);

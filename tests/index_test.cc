@@ -166,6 +166,76 @@ TEST(IndexTier, ScanFallbackWithoutIndexNodes) {
   }
 }
 
+// A scan ReadNext that fills `max` mid-chunk resumes just after the last position it
+// consumed, never after the whole chunk it fetched.
+TEST(IndexTier, ScanReadNextStoppedByMaxResumesAfterLastConsumed) {
+  ErwinClusterOptions opt;
+  opt.mode = ErwinMode::kM;
+  opt.num_shards = 2;
+  opt.shard_replication = 2;
+  opt.num_index_nodes = 0;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeMClient();
+
+  const std::vector<StreamTag> tags = {4, 5};
+  auto payloads = AppendStreams(cluster, *client, tags, 4);
+  cluster.RunFor(50 * kMs);
+
+  ReadNextResult r = ReadNextSyncly(cluster.loop(), *client, 4, 0, 2);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_EQ(r.records.size(), 2u);
+  EXPECT_EQ(r.next_from, r.records.back().pos + 1);
+  EXPECT_LT(r.next_from, 8u) << "the scan claimed the whole chunk as covered";
+
+  // Resuming there yields the rest of the stream.
+  ReadNextResult rest = ReadNextSyncly(cluster.loop(), *client, 4, r.next_from, 16);
+  ASSERT_TRUE(rest.status.ok()) << rest.status.ToString();
+  for (auto& pr : rest.records) {
+    r.records.push_back(std::move(pr));
+  }
+  ExpectStreamEquals(r.records, payloads[0], 4);
+}
+
+// Without an index node a named log's reads scan the stable prefix: ReadLog labels
+// each record of the log with its rank in that log.
+TEST(IndexTier, ScanFallbackRanksNamedLogReads) {
+  ErwinClusterOptions opt;
+  opt.mode = ErwinMode::kM;
+  opt.num_shards = 2;
+  opt.shard_replication = 2;
+  opt.num_index_nodes = 0;
+  ErwinCluster cluster(opt);
+  const LogId alpha_id = cluster.CreateLog("alpha");
+  cluster.RunFor(5 * kMs);
+  auto client = cluster.MakeMClient();
+  LogHandle alpha = client->handle(alpha_id, "alpha");
+
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), client->log(), "d0"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), alpha, "a0"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), client->log(), "d1"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), alpha, "a1"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), alpha, "a2"));
+  ASSERT_TRUE(AppendSyncly(cluster.loop(), client->log(), "d2"));
+  cluster.RunFor(50 * kMs);
+
+  auto recs = ReadSyncly(cluster.loop(), alpha, 1, 2);
+  ASSERT_TRUE(recs.has_value());
+  ASSERT_EQ(recs->size(), 2u);
+  EXPECT_EQ((*recs)[0].pos, 1u);
+  EXPECT_EQ((*recs)[0].record.payload.ToString(), "a1");
+  EXPECT_EQ((*recs)[1].pos, 2u);
+  EXPECT_EQ((*recs)[1].record.payload.ToString(), "a2");
+
+  // A window past the log's end returns the ranks that exist.
+  auto all = ReadSyncly(cluster.loop(), alpha, 0, 10);
+  ASSERT_TRUE(all.has_value());
+  ASSERT_EQ(all->size(), 3u);
+  for (size_t i = 0; i < all->size(); ++i) {
+    EXPECT_EQ((*all)[i].pos, i);
+    EXPECT_EQ((*all)[i].record.log, alpha_id);
+  }
+}
+
 // A client whose view still lists a since-crashed index node must complete ReadNext
 // via the scan fallback (after the index RPC times out) with identical results.
 TEST(IndexTier, ScanFallbackOnIndexNodeCrash) {

@@ -189,5 +189,96 @@ TEST(ErwinOnKafkaTest, AdapterGatesReadsOnStableGp) {
   EXPECT_GE(h.adapters_[0]->slow_reads(), 1u);
 }
 
+// The adapter's reads, driven over the wire: every range is served from Kafka up to
+// stable-gp. A multi-range read gives count 0 to a range starting at or above
+// stable-gp and to a range starting at a position the adapter does not hold; a
+// single read of an unknown stable position fails.
+TEST(ErwinOnKafkaTest, AdapterReadsServeOnlyStableKnownRanges) {
+  EventLoop loop;
+  SimParams params;
+  Network net(&loop, params.net, 1);
+  KafkaBroker leader(&net, params, 0, true);
+  KafkaBroker follower(&net, params, 0, false);
+  leader.SetFollowers({follower.node_id()});
+  KafkaShardAdapter adapter(&net, params, 0, leader.node_id());
+  RpcEndpoint probe(&net);
+
+  // The adapter holds the even positions; the odd ones belong to another shard.
+  ShardAppendBatchReq window;
+  window.view = 1;
+  window.range_hi = 7;
+  for (LogPos p : {0, 2, 4, 6}) {
+    window.records.push_back(
+        PositionedRecord{p, Record{RecordId{1, p + 1}, "k" + std::to_string(p), false}});
+  }
+  bool applied = false;
+  probe.CallMsg(adapter.node_id(), kShardAppendBatch, window,
+                [&](Status s, Decoder) {
+                  EXPECT_TRUE(s.ok()) << s.ToString();
+                  applied = true;
+                },
+                kSec);
+  RunUntilDone(loop, applied);
+  ASSERT_TRUE(applied);
+  bool stabilized = false;
+  probe.CallMsg(adapter.node_id(), kShardSetStableGp, StableGpMsg{1, 5, 7},
+                [&](Status s, Decoder) {
+                  EXPECT_TRUE(s.ok());
+                  stabilized = true;
+                },
+                kSec);
+  RunUntilDone(loop, stabilized);
+  ASSERT_EQ(adapter.stable_gp(), 5u);
+
+  ShardMultiRangeReadReq req;
+  req.ranges = {ReadRange{0, 4}, ReadRange{6, 1}, ReadRange{1, 1}, ReadRange{2, 1}};
+  ShardMultiRangeReadResp resp;
+  bool done = false;
+  probe.CallMsg<ShardMultiRangeReadResp>(adapter.node_id(), kShardMultiRangeRead, req,
+                                         [&](Status s, ShardMultiRangeReadResp r) {
+                                           EXPECT_TRUE(s.ok()) << s.ToString();
+                                           resp = std::move(r);
+                                           done = true;
+                                         },
+                                         kSec);
+  RunUntilDone(loop, done);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(resp.counts, (std::vector<uint32_t>{3, 0, 0, 1}));
+  std::vector<LogPos> positions;
+  for (const PositionedRecord& pr : resp.records) {
+    EXPECT_EQ(pr.record.payload, "k" + std::to_string(pr.pos));
+    positions.push_back(pr.pos);
+  }
+  EXPECT_EQ(positions, (std::vector<LogPos>{0, 2, 4, 2}));
+  EXPECT_EQ(resp.stable_gp, 5u);
+  EXPECT_EQ(resp.durable_tail, 7u);
+
+  // The single read clips at stable-gp the same way.
+  ShardReadResp single;
+  done = false;
+  probe.CallMsg<ShardReadResp>(adapter.node_id(), kShardRead, ShardReadReq{2, 4, true},
+                               [&](Status s, ShardReadResp r) {
+                                 EXPECT_TRUE(s.ok()) << s.ToString();
+                                 single = std::move(r);
+                                 done = true;
+                               },
+                               kSec);
+  RunUntilDone(loop, done);
+  ASSERT_EQ(single.records.size(), 2u);
+  EXPECT_EQ(single.records[0].pos, 2u);
+  EXPECT_EQ(single.records[1].pos, 4u);
+
+  Status unknown = Status::Ok();
+  done = false;
+  probe.CallMsg(adapter.node_id(), kShardRead, ShardReadReq{1, 1, true},
+                [&](Status s, Decoder) {
+                  unknown = std::move(s);
+                  done = true;
+                },
+                kSec);
+  RunUntilDone(loop, done);
+  EXPECT_EQ(unknown.code(), StatusCode::kInternal);
+}
+
 }  // namespace
 }  // namespace lazylog

@@ -170,6 +170,27 @@ TEST(Scalog, CheckTailCountsOrdered) {
   EXPECT_EQ(tail.durable, 5u);
 }
 
+// CheckTail fills the tail cache: CachedTail answers (and counts a hit) until
+// tail_cache_ttl_ns has passed, then refuses.
+TEST(Scalog, CachedTailHitsAfterCheckTailUntilTtl) {
+  SimParams params;
+  ScalogCluster cluster(1, params);
+  auto client = cluster.MakeClient();
+  LogPos durable = 0, stable = 0;
+  EXPECT_FALSE(client->CachedTail(&durable, &stable));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "x"));
+  }
+  ASSERT_TRUE(TailSyncly(cluster.loop(), *client).status.ok());
+  ASSERT_TRUE(client->CachedTail(&durable, &stable));
+  EXPECT_EQ(durable, 3u);
+  EXPECT_EQ(stable, 3u);
+  EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
+  cluster.RunFor(params.client_read.tail_cache_ttl_ns + 1 * kUs);
+  EXPECT_FALSE(client->CachedTail(&durable, &stable));
+  EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
+}
+
 TEST(Scalog, CutsRespectSlowestReplica) {
   // The global cut uses the min across a shard's replicas: until the backup persists,
   // the record is not ordered and the append not acknowledged.

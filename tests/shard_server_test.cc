@@ -323,6 +323,47 @@ TEST(ShardBlackBox, TrimMakesPrefixUnreadable) {
   EXPECT_EQ((*r)[0].record.payload, "r5");
 }
 
+// The sparse multi-read never waits: it serves the stable, untrimmed positions this
+// replica stores, in request order, and silently omits every other position.
+TEST(ShardBlackBox, MultiReadOmitsUnstableTrimmedAndForeignPositions) {
+  ShardHarness h(ShardMode::kBlackBox);
+  // Position 3 belongs to another shard.
+  ASSERT_TRUE(
+      h.AppendBatch(1, {PR(0, 1, "a"), PR(1, 2, "b"), PR(2, 3, "c"), PR(4, 5, "e"),
+                        PR(5, 6, "f")})
+          .ok());
+  h.SetStable(1, 5);
+  bool trimmed = false;
+  h.client_->CallMsg(h.ids_[0], kShardTrim, TrimMsg{1},
+                     [&](Status s, Decoder) {
+                       EXPECT_TRUE(s.ok());
+                       trimmed = true;
+                     },
+                     kSec);
+  RunUntilDone(h.loop_, trimmed);
+
+  ShardMultiReadReq req{{5, 2, 0, 3, 4, 1, 9}};
+  ShardReadResp resp;
+  bool done = false;
+  h.client_->CallMsg<ShardReadResp>(h.ids_[0], kShardMultiRead, req,
+                                    [&](Status s, ShardReadResp r) {
+                                      EXPECT_TRUE(s.ok()) << s.ToString();
+                                      resp = std::move(r);
+                                      done = true;
+                                    },
+                                    kSec);
+  RunUntilDone(h.loop_, done);
+  ASSERT_TRUE(done);
+  ASSERT_EQ(resp.records.size(), 3u);
+  EXPECT_EQ(resp.records[0].pos, 2u);
+  EXPECT_EQ(resp.records[0].record.payload, "c");
+  EXPECT_EQ(resp.records[1].pos, 4u);
+  EXPECT_EQ(resp.records[1].record.payload, "e");
+  EXPECT_EQ(resp.records[2].pos, 1u);
+  EXPECT_EQ(resp.records[2].record.payload, "b");
+  EXPECT_EQ(resp.stable_gp, 5u);
+}
+
 // --- Erwin-st mode -----------------------------------------------------------------------
 
 TEST(ShardSt, PutThenBindServesRead) {
