@@ -280,6 +280,60 @@ TEST(ReadCoalescer, OneFlushSendsEveryTargetInFirstAddOrder) {
   EXPECT_EQ(stats.coalesced_batches, 2u);
 }
 
+// A reply whose counts give a range more records than it asked for, or do not add up
+// to the records it carries, is malformed. The coalescer fails the RPC's subs rather
+// than handing one sub's records to another, and ignores the reply's tail piggyback.
+TEST(ReadCoalescer, ReplyCountsOutsideTheirRangesFailTheRpc) {
+  EventLoop loop;
+  NetworkParams np;
+  Network net(&loop, np, 1);
+  RpcEndpoint client(&net);
+  RpcEndpoint server(&net);
+  // Scripted replies, one per RPC: {2, 0} hands the second range's record to the
+  // first range; {1, 1} claims two records but carries one.
+  const std::vector<std::vector<uint32_t>> scripted = {{2, 0}, {1, 1}};
+  size_t served = 0;
+  server.Register(kShardMultiRangeRead, [&](NodeId, Decoder d, Responder r) {
+    ShardMultiRangeReadReq req;
+    ASSERT_TRUE(req.Decode(d));
+    ASSERT_EQ(req.ranges.size(), 2u);
+    ShardMultiRangeReadResp resp;
+    resp.counts = scripted[served++];
+    resp.records.push_back(PositionedRecord{req.ranges[0].pos, {}});
+    if (resp.counts[0] == 2) {
+      resp.records.push_back(PositionedRecord{req.ranges[1].pos, {}});
+    }
+    resp.stable_gp = 50;
+    resp.durable_tail = 50;
+    r.Ok(resp);
+  });
+  SimParams params;
+  Rng rng(1);
+  ReadPathStats stats;
+  ReplicaRouter router(&params, &rng, &stats);
+  TailCache tails;
+  ReadCoalescer coalescer(&client, &params, &router, &tails, &stats);
+  for (size_t round = 0; round < scripted.size(); ++round) {
+    std::vector<Status> statuses;
+    std::vector<size_t> sizes;
+    auto cb = [&](Status s, std::vector<PositionedRecord> recs) {
+      statuses.push_back(std::move(s));
+      sizes.push_back(recs.size());
+    };
+    coalescer.Add(server.node_id(), server.node_id(), {ReadRange{0, 1}}, cb);
+    coalescer.Add(server.node_id(), server.node_id(), {ReadRange{10, 1}}, cb);
+    loop.RunUntilIdle();
+    ASSERT_EQ(statuses.size(), 2u) << "round " << round;
+    for (size_t i = 0; i < statuses.size(); ++i) {
+      EXPECT_FALSE(statuses[i].ok()) << "round " << round << " sub " << i;
+      EXPECT_EQ(sizes[i], 0u) << "round " << round << " sub " << i;
+    }
+  }
+  EXPECT_EQ(served, scripted.size());
+  EXPECT_EQ(stats.clipped_resends, 0u);
+  EXPECT_EQ(tails.stable(), 0u) << "a malformed reply fed the tail cache";
+}
+
 // --- cluster integration --------------------------------------------------------------
 
 ErwinClusterOptions Options(ErwinMode mode, uint32_t routing_mode) {
