@@ -91,7 +91,11 @@ void CorfuStorageUnit::HandleRead(const CorfuReadReq& req, Responder r) {
 
 CorfuClient::CorfuClient(Network* net, const SimParams& params, NodeId sequencer,
                          std::vector<std::vector<NodeId>> chains, ClientId client_id)
-    : endpoint_(net), params_(params), sequencer_(sequencer), chains_(std::move(chains)),
+    : SharedLogClient(net->loop(), params.client_read.tail_cache_ttl_ns),
+      endpoint_(net),
+      params_(params),
+      sequencer_(sequencer),
+      chains_(std::move(chains)),
       client_id_(client_id) {}
 
 void CorfuClient::Append(const AppendOptions& options, Buf payload, AppendCallback cb) {
@@ -144,47 +148,17 @@ void CorfuClient::ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t 
                     params_.rpc_timeout_ns);
 }
 
-void CorfuClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb) {
-  // Committed data is read from the chain tail.
-  read_stats_.primary_reads++;
-  const auto& chain = chains_[pos % chains_.size()];
-  endpoint_.CallMsg<Record>(chain.back(), kCorfuRead, CorfuReadReq{pos, false},
-                            [pos, cb](Status s, Record rec) {
-                              cb(std::move(s), PositionedRecord{pos, std::move(rec)});
-                            },
-                            0);
-}
-
 void CorfuClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
-  if (len == 0) {
-    cb(Status::Ok(), {});
-    return;
-  }
-  struct State {
-    std::vector<PositionedRecord> records;
-    Status failure = Status::Ok();
-  };
-  auto state = std::make_shared<State>();
-  auto gather = Gather::Create(len, [state, cb](const std::vector<Status>& ss) {
-    for (const Status& s : ss) {
-      if (!s.ok()) {
-        cb(s, {});
-        return;
-      }
-    }
-    std::sort(state->records.begin(), state->records.end(),
-              [](const PositionedRecord& a, const PositionedRecord& b) { return a.pos < b.pos; });
-    cb(Status::Ok(), std::move(state->records));
-  });
-  for (uint64_t i = 0; i < len; ++i) {
-    auto slot = gather->Slot(i);
-    ReadOne(from + i, [state, slot](Status s, PositionedRecord pr) {
-      if (s.ok()) {
-        state->records.push_back(std::move(pr));
-      }
-      slot(std::move(s), Decoder());
-    });
-  }
+  ReadEach(from, len, [this](LogPos pos, ReadOneCallback done) {
+    // Committed data is read from the chain tail.
+    read_stats_.primary_reads++;
+    const auto& chain = chains_[pos % chains_.size()];
+    endpoint_.CallMsg<Record>(chain.back(), kCorfuRead, CorfuReadReq{pos, false},
+                              [pos, done](Status s, Record rec) {
+                                done(std::move(s), PositionedRecord{pos, std::move(rec)});
+                              },
+                              0);
+  }, std::move(cb));
 }
 
 void CorfuClient::CheckTail(TailCallback cb) {
@@ -200,15 +174,6 @@ void CorfuClient::CheckTail(TailCallback cb) {
         cb(Status::Ok(), resp.committed, resp.committed);
       },
       params_.rpc_timeout_ns);
-}
-
-bool CorfuClient::CachedTail(LogPos* durable, LogPos* stable) {
-  if (!tails_.Get(endpoint_.loop()->Now(), params_.client_read.tail_cache_ttl_ns, durable,
-                  stable)) {
-    return false;
-  }
-  read_stats_.tail_cache_hits++;
-  return true;
 }
 
 void CorfuClient::Trim(LogPos index, TrimCallback cb) {

@@ -100,10 +100,6 @@ class CorfuClient : public SharedLogClient {
   }
   void AppendAt(const AppendOptions& options, Buf payload, AppendPosCallback cb);
 
-  // Most recent committed tail heard from CheckTail; fresher than
-  // client_read.tail_cache_ttl_ns only (Corfu binds eagerly, so durable == stable).
-  bool CachedTail(LogPos* durable, LogPos* stable) override;
-
  protected:
   // --- SharedLogClient (reached through LogHandle). Tag and phylog id ride inside the
   // record, so the base-class scan fallbacks (Corfu has no index tier) can project
@@ -116,7 +112,6 @@ class CorfuClient : public SharedLogClient {
  private:
   void ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t hop,
                   AppendPosCallback cb);
-  void ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb);
 
   RpcEndpoint endpoint_;
   SimParams params_;
@@ -124,7 +119,6 @@ class CorfuClient : public SharedLogClient {
   std::vector<std::vector<NodeId>> chains_;
   ClientId client_id_;
   RequestId next_request_id_ = 1;
-  TailCache tails_;
 };
 
 // Whole-cluster assembly for tests/benches.

@@ -324,38 +324,51 @@ void KafkaShardAdapter::HandleRead(const ShardReadReq& req, Responder r) {
   ServeRead(req, std::move(r));
 }
 
-void KafkaShardAdapter::ServeRead(const ShardReadReq& req, Responder r) {
-  auto it = pos_to_offset_.find(req.pos);
-  if (it == pos_to_offset_.end()) {
-    r.Send(Status::Internal("stable position unknown to adapter"));
-    return;
+bool KafkaShardAdapter::FetchStable(LogPos pos, uint32_t len, FetchedCallback cb) {
+  auto it = pos_to_offset_.find(pos);
+  if (pos >= stable_gp_ || it == pos_to_offset_.end()) {
+    return false;
   }
   const uint64_t offset = it->second;
   const LogPos stable = stable_gp_;
   endpoint_.CallMsg<KafkaFetchResp>(
-      kafka_leader_, kKafkaFetch, KafkaFetchReq{offset, req.len},
-      [this, offset, stable, r](Status s, KafkaFetchResp fetched) mutable {
-        if (!s.ok()) {
-          r.Send(std::move(s));
-          return;
-        }
-        ShardReadResp resp;
-        for (size_t i = 0; i < fetched.records.size(); ++i) {
-          const uint64_t o = offset + i;
-          if (o - offset_base_ >= offset_pos_.size()) {
-            break;
+      kafka_leader_, kKafkaFetch, KafkaFetchReq{offset, len},
+      [this, offset, stable, cb = std::move(cb)](Status s, KafkaFetchResp fetched) {
+        std::vector<PositionedRecord> out;
+        if (s.ok()) {
+          for (size_t i = 0; i < fetched.records.size(); ++i) {
+            const uint64_t o = offset + i;
+            if (o - offset_base_ >= offset_pos_.size()) {
+              break;
+            }
+            const LogPos at = offset_pos_[o - offset_base_];
+            if (at >= stable) {
+              break;
+            }
+            out.push_back(PositionedRecord{at, std::move(fetched.records[i])});
           }
-          const LogPos pos = offset_pos_[o - offset_base_];
-          if (pos >= stable) {
-            break;
-          }
-          resp.records.push_back(PositionedRecord{pos, std::move(fetched.records[i])});
         }
-        resp.stable_gp = stable_gp_;
-        resp.durable_tail = std::max(durable_hint_, stable_gp_);
-        r.Ok(resp);
+        cb(std::move(s), std::move(out));
       },
       params_.rpc_timeout_ns);
+  return true;
+}
+
+void KafkaShardAdapter::ServeRead(const ShardReadReq& req, Responder r) {
+  auto reply = [this, r](Status s, std::vector<PositionedRecord> recs) mutable {
+    if (!s.ok()) {
+      r.Send(std::move(s));
+      return;
+    }
+    ShardReadResp resp;
+    resp.records = std::move(recs);
+    resp.stable_gp = stable_gp_;
+    resp.durable_tail = std::max(durable_hint_, stable_gp_);
+    r.Ok(resp);
+  };
+  if (!FetchStable(req.pos, req.len, std::move(reply))) {
+    r.Send(Status::Internal("stable position unknown to adapter"));
+  }
 }
 
 void KafkaShardAdapter::HandleMultiRangeRead(ShardMultiRangeReadReq req, Responder r) {
@@ -366,46 +379,24 @@ void KafkaShardAdapter::HandleMultiRangeRead(ShardMultiRangeReadReq req, Respond
 void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> req, size_t i,
                                        std::shared_ptr<ShardMultiRangeReadResp> resp,
                                        Responder r) {
-  // Skip unstable/unknown range starts (count 0); the client re-issues those via the
-  // classic waiting read against this adapter.
-  while (i < req->ranges.size() &&
-         (req->ranges[i].pos >= stable_gp_ ||
-          pos_to_offset_.find(req->ranges[i].pos) == pos_to_offset_.end())) {
+  // Unstable/unknown range starts get count 0; the client re-issues those via the
+  // classic waiting read against this adapter. A failed fetch serves nothing either.
+  for (; i < req->ranges.size(); ++i) {
+    auto next = [this, req, i, resp, r](Status, std::vector<PositionedRecord> recs) mutable {
+      resp->counts.push_back(static_cast<uint32_t>(recs.size()));
+      for (PositionedRecord& pr : recs) {
+        resp->records.push_back(std::move(pr));
+      }
+      ServeNextRange(std::move(req), i + 1, std::move(resp), std::move(r));
+    };
+    if (FetchStable(req->ranges[i].pos, req->ranges[i].len, std::move(next))) {
+      return;
+    }
     resp->counts.push_back(0);
-    ++i;
   }
-  if (i == req->ranges.size()) {
-    resp->stable_gp = stable_gp_;
-    resp->durable_tail = std::max(durable_hint_, stable_gp_);
-    r.Ok(*resp);
-    return;
-  }
-  const ReadRange range = req->ranges[i];
-  const uint64_t offset = pos_to_offset_[range.pos];
-  const LogPos stable = stable_gp_;
-  endpoint_.CallMsg<KafkaFetchResp>(
-      kafka_leader_, kKafkaFetch, KafkaFetchReq{offset, range.len},
-      [this, req = std::move(req), i, resp, offset, stable, r](Status s,
-                                                               KafkaFetchResp fetched) mutable {
-        uint32_t served = 0;
-        if (s.ok()) {
-          for (size_t k = 0; k < fetched.records.size(); ++k) {
-            const uint64_t o = offset + k;
-            if (o - offset_base_ >= offset_pos_.size()) {
-              break;
-            }
-            const LogPos pos = offset_pos_[o - offset_base_];
-            if (pos >= stable) {
-              break;
-            }
-            resp->records.push_back(PositionedRecord{pos, std::move(fetched.records[k])});
-            ++served;
-          }
-        }
-        resp->counts.push_back(served);
-        ServeNextRange(std::move(req), i + 1, std::move(resp), std::move(r));
-      },
-      params_.rpc_timeout_ns);
+  resp->stable_gp = stable_gp_;
+  resp->durable_tail = std::max(durable_hint_, stable_gp_);
+  r.Ok(*resp);
 }
 
 void KafkaShardAdapter::HandleSetStableGp(const StableGpMsg& msg, Responder r) {

@@ -143,6 +143,12 @@ class KafkaShardAdapter {
   void HandleMultiRangeRead(ShardMultiRangeReadReq req, Responder r);
   void HandleSetStableGp(const StableGpMsg& msg, Responder r);
   void HandleTrim(const TrimMsg& msg, Responder r);
+  // The one stable-range read behind both read paths: fetches up to `len` records from
+  // the Kafka offset holding `pos` and hands `cb` those below the stable-gp of the
+  // moment of the call, labelled with their positions (none if the fetch failed).
+  // Returns false, fetching nothing, if `pos` is unstable or unknown to the adapter.
+  using FetchedCallback = std::function<void(Status, std::vector<PositionedRecord>)>;
+  bool FetchStable(LogPos pos, uint32_t len, FetchedCallback cb);
   void ServeRead(const ShardReadReq& req, Responder r);
   // Serves ranges[i..] of a multi-range read one Kafka fetch at a time, accumulating
   // into `resp`; unstable/unknown ranges are skipped (the client re-issues them).

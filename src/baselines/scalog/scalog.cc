@@ -206,7 +206,10 @@ bool ScalogOrderingLayer::Locate(LogPos pos, ShardId* shard, uint64_t* local) co
 
 ScalogClient::ScalogClient(Network* net, const SimParams& params, NodeId ordering_leader,
                            std::vector<NodeId> shard_primaries, ClientId client_id)
-    : endpoint_(net), params_(params), ordering_leader_(ordering_leader),
+    : SharedLogClient(net->loop(), params.client_read.tail_cache_ttl_ns),
+      endpoint_(net),
+      params_(params),
+      ordering_leader_(ordering_leader),
       shard_primaries_(std::move(shard_primaries)), client_id_(client_id) {
   rr_cursor_ = client_id;
 }
@@ -224,51 +227,22 @@ void ScalogClient::Append(const AppendOptions& options, Buf payload, AppendCallb
                     params_.rpc_timeout_ns);
 }
 
-void ScalogClient::ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb) {
-  read_stats_.primary_reads++;
-  endpoint_.CallMsg<ScalogLocateResp>(
-      ordering_leader_, kScalogLocate, pos,
-      [this, pos, cb](Status s, ScalogLocateResp loc) {
-        if (!s.ok()) {
-          cb(std::move(s), {});
-          return;
-        }
-        endpoint_.CallMsg<PositionedRecord>(shard_primaries_[loc.shard], kScalogRead,
-                                            ScalogReadReq{loc.local, pos}, cb,
-                                            params_.rpc_timeout_ns);
-      },
-      params_.rpc_timeout_ns);
-}
-
 void ScalogClient::Read(LogPos from, uint64_t len, ReadCallback cb) {
-  if (len == 0) {
-    cb(Status::Ok(), {});
-    return;
-  }
-  struct State {
-    std::vector<PositionedRecord> records;
-  };
-  auto state = std::make_shared<State>();
-  auto gather = Gather::Create(len, [state, cb](const std::vector<Status>& ss) {
-    for (const Status& s : ss) {
-      if (!s.ok()) {
-        cb(s, {});
-        return;
-      }
-    }
-    std::sort(state->records.begin(), state->records.end(),
-              [](const PositionedRecord& a, const PositionedRecord& b) { return a.pos < b.pos; });
-    cb(Status::Ok(), std::move(state->records));
-  });
-  for (uint64_t i = 0; i < len; ++i) {
-    auto slot = gather->Slot(i);
-    ReadOne(from + i, [state, slot](Status s, PositionedRecord pr) {
-      if (s.ok()) {
-        state->records.push_back(std::move(pr));
-      }
-      slot(std::move(s), Decoder());
-    });
-  }
+  ReadEach(from, len, [this](LogPos pos, ReadOneCallback done) {
+    read_stats_.primary_reads++;
+    endpoint_.CallMsg<ScalogLocateResp>(
+        ordering_leader_, kScalogLocate, pos,
+        [this, pos, done](Status s, ScalogLocateResp loc) {
+          if (!s.ok()) {
+            done(std::move(s), {});
+            return;
+          }
+          endpoint_.CallMsg<PositionedRecord>(shard_primaries_[loc.shard], kScalogRead,
+                                              ScalogReadReq{loc.local, pos}, done,
+                                              params_.rpc_timeout_ns);
+        },
+        params_.rpc_timeout_ns);
+  }, std::move(cb));
 }
 
 void ScalogClient::CheckTail(TailCallback cb) {
@@ -282,15 +256,6 @@ void ScalogClient::CheckTail(TailCallback cb) {
                                 cb(Status::Ok(), total, total);
                               },
                               params_.rpc_timeout_ns);
-}
-
-bool ScalogClient::CachedTail(LogPos* durable, LogPos* stable) {
-  if (!tails_.Get(endpoint_.loop()->Now(), params_.client_read.tail_cache_ttl_ns, durable,
-                  stable)) {
-    return false;
-  }
-  read_stats_.tail_cache_hits++;
-  return true;
 }
 
 void ScalogClient::Trim(LogPos index, TrimCallback cb) { cb(Status::Ok()); }

@@ -140,10 +140,6 @@ class ScalogClient : public SharedLogClient {
   ScalogClient(Network* net, const SimParams& params, NodeId ordering_leader,
                std::vector<NodeId> shard_primaries, ClientId client_id);
 
-  // Most recent committed tail heard from CheckTail; fresher than
-  // client_read.tail_cache_ttl_ns only (Scalog acks post-cut, so durable == stable).
-  bool CachedTail(LogPos* durable, LogPos* stable) override;
-
  protected:
   // --- SharedLogClient (reached through LogHandle). Tag and phylog id ride inside the
   // record so the base-class scan fallbacks can serve ReadNext and the named-log reads
@@ -154,8 +150,6 @@ class ScalogClient : public SharedLogClient {
   void Trim(LogPos index, TrimCallback cb) override;
 
  private:
-  void ReadOne(LogPos pos, std::function<void(Status, PositionedRecord)> cb);
-
   RpcEndpoint endpoint_;
   SimParams params_;
   NodeId ordering_leader_;
@@ -163,7 +157,6 @@ class ScalogClient : public SharedLogClient {
   ClientId client_id_;
   RequestId next_request_id_ = 1;
   uint64_t rr_cursor_ = 0;
-  TailCache tails_;
 };
 
 // Whole-cluster assembly: shards (primary+backup), 3 Paxos acceptors, ordering leader.

@@ -10,7 +10,8 @@ namespace lazylog {
 
 ErwinClient::ErwinClient(Network* net, const SimParams& params, ClusterView view,
                          ClientId client_id)
-    : endpoint_(net),
+    : SharedLogClient(net->loop(), params.client_read.tail_cache_ttl_ns),
+      endpoint_(net),
       params_(params),
       view_(std::move(view)),
       client_id_(client_id),
@@ -427,15 +428,6 @@ void ErwinClient::CheckTailAttempt(LogId log, TailCallback cb, int attempt) {
         cb(Status::Ok(), resp.durable, resp.stable);
       },
       5 * kMs);
-}
-
-bool ErwinClient::CachedTail(LogPos* durable, LogPos* stable) {
-  if (!tails_.Get(endpoint_.loop()->Now(), params_.client_read.tail_cache_ttl_ns, durable,
-                  stable)) {
-    return false;
-  }
-  read_stats_.tail_cache_hits++;
-  return true;
 }
 
 void ErwinClient::ResolveLog(const std::string& name,

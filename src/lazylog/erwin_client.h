@@ -41,9 +41,6 @@ class ErwinClient : public SharedLogClient {
   ViewId last_tail_view() const override { return last_tail_view_; }
   uint64_t shard_epoch() const { return view_.shard_epoch; }
   ClientId client_id() const { return client_id_; }
-  // Most recent durable/stable tail heard from CheckTail replies and read-reply
-  // piggybacks; true only while fresher than client_read.tail_cache_ttl_ns.
-  bool CachedTail(LogPos* durable, LogPos* stable) override;
   // Observer over every routed/classic read reply (serving replica, advertised stable,
   // records); the chaos read-staleness oracle subscribes.
   void SetReadReplyObserver(ReadCoalescer::ReplyObserver obs) {
@@ -117,9 +114,9 @@ class ErwinClient : public SharedLogClient {
   RequestId next_request_id_ = 1;
 
   // Read scale-out (read_path.h): known-stable sub-reads are routed across replicas and
-  // coalesced; reads at or above the cached stable tail wait at the shard primary.
+  // coalesced; reads at or above the cached stable tail (tails_) wait at the shard
+  // primary.
   ReplicaRouter router_;
-  TailCache tails_;
   ReadAheadCache readahead_;
   ReadCoalescer coalescer_;
 

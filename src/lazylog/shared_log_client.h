@@ -35,7 +35,9 @@
 #include "src/common/params.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/rpc/rpc.h"
 #include "src/seq/seq_messages.h"
+#include "src/sim/event_loop.h"
 #include "src/storage/shard_messages.h"
 
 namespace lazylog {
@@ -96,6 +98,36 @@ struct ReadPathStatsSnapshot {
         {"readahead_fetched", static_cast<double>(counters.readahead_fetched)},
     };
   }
+};
+
+// Most recent durable/stable tail this client has heard — from CheckTail replies and
+// from the piggyback every shard read reply carries. Both tails are monotone under one
+// view, so a stale cached value is merely conservative, never wrong; `Get` additionally
+// applies a freshness TTL for pollers that want a recent value.
+class TailCache {
+ public:
+  void Note(SimTime now, LogPos durable, LogPos stable) {
+    durable_ = std::max(durable_, durable);
+    stable_ = std::max(stable_, stable);
+    noted_at_ = now;
+  }
+
+  bool Get(SimTime now, uint64_t ttl_ns, LogPos* durable, LogPos* stable) const {
+    if (noted_at_ == 0 || now - noted_at_ > ttl_ns) {
+      return false;
+    }
+    *durable = durable_;
+    *stable = stable_;
+    return true;
+  }
+
+  LogPos stable() const { return stable_; }
+  LogPos durable() const { return durable_; }
+
+ private:
+  LogPos durable_ = 0;
+  LogPos stable_ = 0;
+  SimTime noted_at_ = 0;
 };
 
 // Per-append options. The single Append entry point takes this instead of the old
@@ -171,15 +203,25 @@ class SharedLogClient {
   const std::vector<LogRegistryEntry>& log_registry() const { return log_registry_; }
 
   // Last tail piggybacked on a read reply or learned from CheckTail, if still within
-  // client_read.tail_cache_ttl_ns. Pollers (PeriodicTailReader) consult this before
-  // paying for a CheckTail round trip. Default: nothing cached.
-  virtual bool CachedTail(LogPos* durable, LogPos* stable) { return false; }
+  // client_read.tail_cache_ttl_ns; each answer counts a tail-cache hit. Pollers
+  // (PeriodicTailReader) consult this before paying for a CheckTail round trip.
+  bool CachedTail(LogPos* durable, LogPos* stable) {
+    if (!tails_.Get(clock_->Now(), tail_cache_ttl_ns_, durable, stable)) {
+      return false;
+    }
+    read_stats_.tail_cache_hits++;
+    return true;
+  }
 
   // Point-in-time copy of the client-side read-path counters (bench JSON / tests).
   ReadPathStatsSnapshot ReadPathSnapshot() const { return {read_stats_}; }
 
  protected:
   friend class LogHandle;
+
+  // `clock` and `tail_cache_ttl_ns` bound the freshness of CachedTail answers.
+  SharedLogClient(const EventLoop* clock, uint64_t tail_cache_ttl_ns)
+      : clock_(clock), tail_cache_ttl_ns_(tail_cache_ttl_ns) {}
 
   // --- the per-implementation surface (reached through LogHandle) --------------------
   // The payload is a refcounted Buf handle; implementations thread it through to the
@@ -213,12 +255,16 @@ class SharedLogClient {
   // the Erwin clients override it with an index-tier rank lookup. Incompatible with
   // Trim (trimming shifts ranks); deployments that trim keep per-log read state in
   // the app, like the paper's single-log apps do.
-  virtual void ReadLog(LogId log, LogPos from, uint64_t len, ReadCallback cb);
+  virtual void ReadLog(LogId log, LogPos from, uint64_t len, ReadCallback cb) {
+    ScanReadLog(log, from, len, std::move(cb));
+  }
 
   // Named-log tail: durable/stable counts of this log's records. The scan default
   // only sees the stable prefix, so it reports durable == stable == stable-rank-count;
   // the Erwin clients override it with the leader's per-log cursors.
-  virtual void CheckTailOfLog(LogId log, TailCallback cb);
+  virtual void CheckTailOfLog(LogId log, TailCallback cb) {
+    ScanCheckTailOfLog(log, std::move(cb));
+  }
 
   // The scan fallback behind the default ReadNext; overrides use it when the index
   // tier is unreachable or absent.
@@ -236,16 +282,26 @@ class SharedLogClient {
     cb(Status::InvalidArgument("unknown log: " + name), kDefaultLog);
   }
 
+  // Read for stores that serve one record per call (the eager baselines): issues
+  // `read_one` for every position of [from, from+len) at once and answers with the
+  // records in position order, or with the first failure in position order.
+  using ReadOneCallback = std::function<void(Status, PositionedRecord)>;
+  using ReadOneFn = std::function<void(LogPos, ReadOneCallback)>;
+  void ReadEach(LogPos from, uint64_t len, const ReadOneFn& read_one, ReadCallback cb);
+
   // Mutated by the implementation's read path (and the read_path.h helpers, which hold
   // a pointer to it).
   ReadPathStats read_stats_;
+  // Every tail the implementation hears: CheckTail replies and read-reply piggybacks.
+  TailCache tails_;
 
  private:
   struct ScanState;
+  void ScanStable(std::shared_ptr<ScanState> st);
   void ScanStep(std::shared_ptr<ScanState> st);
-  struct LogScanState;
-  void LogScanStep(std::shared_ptr<LogScanState> st);
 
+  const EventLoop* clock_;
+  uint64_t tail_cache_ttl_ns_;
   std::vector<LogRegistryEntry> log_registry_;
 };
 
@@ -344,17 +400,108 @@ inline void SharedLogClient::Open(const std::string& name, OpenCallback cb) {
   });
 }
 
+inline void SharedLogClient::ReadEach(LogPos from, uint64_t len, const ReadOneFn& read_one,
+                                      ReadCallback cb) {
+  if (len == 0) {
+    cb(Status::Ok(), {});
+    return;
+  }
+  auto records = std::make_shared<std::vector<PositionedRecord>>();
+  auto gather = Gather::Create(len, [records, cb](const std::vector<Status>& ss) {
+    for (const Status& s : ss) {
+      if (!s.ok()) {
+        cb(s, {});
+        return;
+      }
+    }
+    std::sort(records->begin(), records->end(),
+              [](const PositionedRecord& a, const PositionedRecord& b) { return a.pos < b.pos; });
+    cb(Status::Ok(), std::move(*records));
+  });
+  for (uint64_t i = 0; i < len; ++i) {
+    auto slot = gather->Slot(i);
+    read_one(from + i, [records, slot](Status s, PositionedRecord pr) {
+      if (s.ok()) {
+        records->push_back(std::move(pr));
+      }
+      slot(std::move(s), Decoder());
+    });
+  }
+}
+
 // --- scan fallbacks --------------------------------------------------------------------
 
+// The one chunked scan of the stable prefix behind every scan fallback: CheckTail, then
+// 64-position Reads from `cursor` up to the stable prefix it reported. A tagged scan
+// collects the records of (log, tag); a kNoTag scan ranks the log's records and collects
+// ranks [from, from + want), labelled with their ranks. It ends at the stable prefix, on
+// the first failure, or once `want` records are in (never for want == 0, a count-only
+// scan); filling `want` mid-chunk leaves `cursor` just past the last position consumed.
 struct SharedLogClient::ScanState {
   LogId log = kDefaultLog;
   StreamTag tag = kNoTag;
-  LogPos cursor = 0;    // next unscanned position
+  LogPos from = 0;      // first rank collected (kNoTag scans)
+  uint64_t want = 0;    // records to collect; 0 = count ranks only
+  LogPos cursor = 0;    // next unscanned global position
   LogPos stable = 0;    // scan ceiling (stable prefix at CheckTail time)
-  uint32_t max = 0;
+  LogPos rank = 0;      // the log's records seen so far (kNoTag scans)
   std::vector<PositionedRecord> out;
-  ReadNextCallback cb;
+  std::function<void(Status, ScanState*)> done;  // on failure `out` is empty
+
+  bool full() const { return want > 0 && out.size() >= want; }
 };
+
+inline void SharedLogClient::ScanStable(std::shared_ptr<ScanState> st) {
+  CheckTail([this, st](Status s, LogPos, LogPos stable) {
+    if (!s.ok()) {
+      st->done(std::move(s), st.get());
+      return;
+    }
+    st->stable = stable;
+    ScanStep(std::move(st));
+  });
+}
+
+inline void SharedLogClient::ScanStep(std::shared_ptr<ScanState> st) {
+  constexpr uint64_t kScanChunk = 64;
+  if (st->cursor >= st->stable || st->full()) {
+    st->done(Status::Ok(), st.get());
+    return;
+  }
+  const uint64_t len = std::min<uint64_t>(kScanChunk, st->stable - st->cursor);
+  const LogPos chunk_end = st->cursor + len;
+  Read(st->cursor, len, [this, st, chunk_end](Status s, std::vector<PositionedRecord> recs) {
+    if (!s.ok()) {
+      st->out.clear();
+      st->done(std::move(s), st.get());
+      return;
+    }
+    bool truncated = false;
+    for (PositionedRecord& pr : recs) {
+      if (st->full()) {
+        truncated = true;
+        break;
+      }
+      st->cursor = pr.pos + 1;
+      const Record& rec = pr.record;
+      if (rec.no_op || rec.log != st->log || (st->tag != kNoTag && rec.tag != st->tag)) {
+        continue;
+      }
+      if (st->tag == kNoTag) {
+        const LogPos rank = st->rank++;
+        if (st->want == 0 || rank < st->from) {
+          continue;
+        }
+        pr.pos = rank;  // re-label with the per-log position
+      }
+      st->out.push_back(std::move(pr));
+    }
+    if (!truncated) {
+      st->cursor = chunk_end;  // whole chunk inspected
+    }
+    ScanStep(std::move(st));
+  });
+}
 
 inline void SharedLogClient::ScanReadNext(LogId log, StreamTag tag, LogPos from,
                                           uint32_t max, ReadNextCallback cb) {
@@ -369,51 +516,39 @@ inline void SharedLogClient::ScanReadNext(LogId log, StreamTag tag, LogPos from,
   auto st = std::make_shared<ScanState>();
   st->log = log;
   st->tag = tag;
+  st->want = max;
   st->cursor = from;
-  st->max = max;
-  st->cb = std::move(cb);
-  CheckTail([this, st](Status s, LogPos, LogPos stable) {
-    if (!s.ok()) {
-      st->cb(std::move(s), {}, st->cursor);
-      return;
-    }
-    st->stable = stable;
-    ScanStep(std::move(st));
-  });
+  st->done = [cb = std::move(cb)](Status s, ScanState* scan) {
+    cb(std::move(s), std::move(scan->out), scan->cursor);
+  };
+  ScanStable(std::move(st));
 }
 
-inline void SharedLogClient::ScanStep(std::shared_ptr<ScanState> st) {
-  constexpr uint64_t kScanChunk = 64;
-  if (st->cursor >= st->stable || st->out.size() >= st->max) {
-    st->cb(Status::Ok(), std::move(st->out), st->cursor);
+inline void SharedLogClient::ScanReadLog(LogId log, LogPos from, uint64_t len,
+                                         ReadCallback cb) {
+  if (len == 0) {
+    cb(Status::Ok(), {});
     return;
   }
-  const uint64_t len = std::min<uint64_t>(kScanChunk, st->stable - st->cursor);
-  const LogPos chunk_start = st->cursor;
-  Read(chunk_start, len,
-       [this, st, chunk_start, len](Status s, std::vector<PositionedRecord> recs) {
-         if (!s.ok()) {
-           st->cb(std::move(s), {}, chunk_start);
-           return;
-         }
-         bool truncated = false;
-         for (PositionedRecord& pr : recs) {
-           if (st->out.size() >= st->max) {
-             // max reached mid-chunk: the cursor stops after the last consumed
-             // position, so the uninspected tail is not claimed as covered.
-             truncated = true;
-             break;
-           }
-           st->cursor = pr.pos + 1;
-           if (!pr.record.no_op && pr.record.tag == st->tag && pr.record.log == st->log) {
-             st->out.push_back(std::move(pr));
-           }
-         }
-         if (!truncated) {
-           st->cursor = chunk_start + len;  // whole chunk inspected
-         }
-         ScanStep(std::move(st));
-       });
+  auto st = std::make_shared<ScanState>();
+  st->log = log;
+  st->from = from;
+  st->want = len;
+  st->done = [cb = std::move(cb)](Status s, ScanState* scan) {
+    cb(std::move(s), std::move(scan->out));
+  };
+  ScanStable(std::move(st));
+}
+
+inline void SharedLogClient::ScanCheckTailOfLog(LogId log, TailCallback cb) {
+  auto st = std::make_shared<ScanState>();
+  st->log = log;
+  st->done = [cb = std::move(cb)](Status s, ScanState* scan) {
+    // The scan only sees the stable prefix, so durable == stable == the rank count.
+    const LogPos count = s.ok() ? scan->rank : 0;
+    cb(std::move(s), count, count);
+  };
+  ScanStable(std::move(st));
 }
 
 inline void SharedLogClient::ReadTag(LogId log, StreamTag tag, LogPos pos, ReadCallback cb) {
@@ -439,104 +574,6 @@ inline void SharedLogClient::ReadTag(LogId log, StreamTag tag, LogPos pos, ReadC
          }
          cb(Status::Ok(), std::move(recs));
        });
-}
-
-// Shared machinery behind the named-log scan defaults: walk the stable prefix of the
-// substrate, rank this log's (non-no-op) records, and either collect a rank window or
-// just count. PositionedRecords are re-labelled with per-log positions (ranks).
-struct SharedLogClient::LogScanState {
-  LogId log = kDefaultLog;
-  LogPos cursor = 0;   // next unscanned global position
-  LogPos stable = 0;   // scan ceiling
-  LogPos rank = 0;     // per-log position of the next log-owned record found
-  LogPos from = 0;     // first wanted rank (read mode)
-  uint64_t want = 0;   // ranks wanted (read mode; 0 = count-only)
-  std::vector<PositionedRecord> out;
-  ReadCallback read_cb;
-  TailCallback tail_cb;
-};
-
-inline void SharedLogClient::ScanReadLog(LogId log, LogPos from, uint64_t len,
-                                         ReadCallback cb) {
-  if (len == 0) {
-    cb(Status::Ok(), {});
-    return;
-  }
-  auto st = std::make_shared<LogScanState>();
-  st->log = log;
-  st->from = from;
-  st->want = len;
-  st->read_cb = std::move(cb);
-  CheckTail([this, st](Status s, LogPos, LogPos stable) {
-    if (!s.ok()) {
-      st->read_cb(std::move(s), {});
-      return;
-    }
-    st->stable = stable;
-    LogScanStep(std::move(st));
-  });
-}
-
-inline void SharedLogClient::ScanCheckTailOfLog(LogId log, TailCallback cb) {
-  auto st = std::make_shared<LogScanState>();
-  st->log = log;
-  st->tail_cb = std::move(cb);
-  CheckTail([this, st](Status s, LogPos, LogPos stable) {
-    if (!s.ok()) {
-      st->tail_cb(std::move(s), 0, 0);
-      return;
-    }
-    st->stable = stable;
-    LogScanStep(std::move(st));
-  });
-}
-
-inline void SharedLogClient::LogScanStep(std::shared_ptr<LogScanState> st) {
-  constexpr uint64_t kScanChunk = 64;
-  const bool read_mode = st->want > 0;
-  const bool done_reading = read_mode && st->out.size() >= st->want;
-  if (st->cursor >= st->stable || done_reading) {
-    if (read_mode) {
-      st->read_cb(Status::Ok(), std::move(st->out));
-    } else {
-      // The scan only sees the stable prefix, so durable == stable == the rank count.
-      st->tail_cb(Status::Ok(), st->rank, st->rank);
-    }
-    return;
-  }
-  const uint64_t len = std::min<uint64_t>(kScanChunk, st->stable - st->cursor);
-  const LogPos chunk_start = st->cursor;
-  Read(chunk_start, len,
-       [this, st, chunk_start, len](Status s, std::vector<PositionedRecord> recs) {
-         if (!s.ok()) {
-           if (st->want > 0) {
-             st->read_cb(std::move(s), {});
-           } else {
-             st->tail_cb(std::move(s), 0, 0);
-           }
-           return;
-         }
-         for (PositionedRecord& pr : recs) {
-           if (!pr.record.no_op && pr.record.log == st->log) {
-             if (st->want > 0 && st->rank >= st->from && st->out.size() < st->want) {
-               pr.pos = st->rank;  // re-label with the per-log position
-               st->out.push_back(std::move(pr));
-             }
-             ++st->rank;
-           }
-         }
-         st->cursor = chunk_start + len;
-         LogScanStep(std::move(st));
-       });
-}
-
-inline void SharedLogClient::ReadLog(LogId log, LogPos from, uint64_t len,
-                                     ReadCallback cb) {
-  ScanReadLog(log, from, len, std::move(cb));
-}
-
-inline void SharedLogClient::CheckTailOfLog(LogId log, TailCallback cb) {
-  ScanCheckTailOfLog(log, std::move(cb));
 }
 
 }  // namespace lazylog

@@ -748,45 +748,58 @@ void ShardServer::HandleRead(ShardReadReq req, Responder r) {
   ServeRead(req, std::move(r));
 }
 
-void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
-  uint64_t local = LocalIndexOf(req.pos);
+bool ShardServer::ReadStable(LogPos pos, uint32_t len, std::vector<PositionedRecord>* out,
+                             uint64_t* bytes) const {
+  const bool gated = !read_gate_disabled_;
+  if (pos < trimmed_below_ || (gated && pos >= stable_gp_)) {
+    return false;
+  }
+  uint64_t local = LocalIndexOf(pos);
   if (local == kNoLocal) {
-    r.Send(Status::Internal("stable position not on this shard"));
-    return;
+    return false;
   }
-  if (!is_primary()) {
-    stats_.backup_reads++;
-  }
-  ShardReadResp resp;
-  uint64_t bytes = 0;
-  for (uint32_t i = 0; i < req.len; ++i, ++local) {
+  for (uint32_t i = 0; i < len; ++i, ++local) {
     if (local >= log_.end_index() || local - local_pos_base_ >= local_pos_.size()) {
       break;
     }
-    const LogPos pos = local_pos_[local - local_pos_base_];
-    if (pos >= stable_gp_ && !read_gate_disabled_) {
+    const LogPos at = local_pos_[local - local_pos_base_];
+    if (gated && at >= stable_gp_) {
       break;
     }
     const Record* rec = log_.Get(local);
     if (rec == nullptr) {
       break;
     }
-    resp.records.push_back(PositionedRecord{pos, *rec});
-    bytes += rec->payload.size();
+    out->push_back(PositionedRecord{at, *rec});
+    *bytes += rec->payload.size();
   }
-  FillReadPiggyback(&resp);
+  return true;
+}
+
+template <typename Resp>
+void ShardServer::ReplyRead(Resp resp, uint64_t bytes, Responder r) {
+  resp.stable_gp = stable_gp_;
+  // The leader's durable tail can never trail stable-gp; surface at least that much
+  // even before the first extended broadcast arrives.
+  resp.durable_tail = std::max(durable_hint_, stable_gp_);
+  const SimTime now = endpoint_.loop()->Now();
+  resp.queue_ns = cpu_.busy_until() > now ? cpu_.busy_until() - now : 0;
   cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
     r.Ok(resp);
   });
 }
 
-void ShardServer::FillReadPiggyback(ShardReadResp* resp) {
-  resp->stable_gp = stable_gp_;
-  // The leader's durable tail can never trail stable-gp; surface at least that much
-  // even before the first extended broadcast arrives.
-  resp->durable_tail = std::max(durable_hint_, stable_gp_);
-  const SimTime now = endpoint_.loop()->Now();
-  resp->queue_ns = cpu_.busy_until() > now ? cpu_.busy_until() - now : 0;
+void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
+  ShardReadResp resp;
+  uint64_t bytes = 0;
+  if (!ReadStable(req.pos, req.len, &resp.records, &bytes)) {
+    r.Send(Status::Internal("stable position not on this shard"));
+    return;
+  }
+  if (!is_primary()) {
+    stats_.backup_reads++;
+  }
+  ReplyRead(std::move(resp), bytes, std::move(r));
 }
 
 void ShardServer::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
@@ -806,7 +819,6 @@ void ShardServer::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
 }
 
 void ShardServer::WakeWaiters() {
-  std::vector<Waiter> still_waiting;
   auto waiters = std::move(waiters_);
   waiters_.clear();
   for (Waiter& w : waiters) {
@@ -815,11 +827,8 @@ void ShardServer::WakeWaiters() {
     } else if (w.req.pos < stable_gp_) {
       ServeRead(w.req, std::move(w.responder));
     } else {
-      still_waiting.push_back(std::move(w));
+      waiters_.push_back(std::move(w));
     }
-  }
-  for (Waiter& w : still_waiting) {
-    waiters_.push_back(std::move(w));
   }
 }
 
@@ -895,28 +904,13 @@ void ShardServer::HandleMultiRead(const ShardMultiReadReq& req, Responder r) {
   ShardReadResp resp;
   uint64_t bytes = 0;
   for (uint64_t p : req.positions) {
-    if (p < trimmed_below_ || (p >= stable_gp_ && !read_gate_disabled_)) {
-      continue;
-    }
-    const uint64_t local = LocalIndexOf(p);
-    if (local == kNoLocal) {
-      continue;
-    }
-    const Record* rec = log_.Get(local);
-    if (rec == nullptr) {
-      continue;
-    }
-    resp.records.push_back(PositionedRecord{p, *rec});
-    bytes += rec->payload.size();
+    ReadStable(p, 1, &resp.records, &bytes);
   }
   stats_.fast_reads++;
   if (!is_primary()) {
     stats_.backup_reads++;
   }
-  FillReadPiggyback(&resp);
-  cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
-    r.Ok(resp);
-  });
+  ReplyRead(std::move(resp), bytes, std::move(r));
 }
 
 void ShardServer::HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Responder r) {
@@ -934,27 +928,9 @@ void ShardServer::HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Respon
   resp.counts.reserve(req.ranges.size());
   uint64_t bytes = 0;
   for (const ReadRange& range : req.ranges) {
-    uint32_t served = 0;
-    uint64_t local = LocalIndexOf(range.pos);
-    if (local != kNoLocal && range.pos >= trimmed_below_ &&
-        (range.pos < stable_gp_ || read_gate_disabled_)) {
-      for (uint32_t i = 0; i < range.len; ++i, ++local) {
-        if (local >= log_.end_index() || local - local_pos_base_ >= local_pos_.size()) {
-          break;
-        }
-        const LogPos pos = local_pos_[local - local_pos_base_];
-        if (pos >= stable_gp_ && !read_gate_disabled_) {
-          break;
-        }
-        const Record* rec = log_.Get(local);
-        if (rec == nullptr) {
-          break;
-        }
-        resp.records.push_back(PositionedRecord{pos, *rec});
-        bytes += rec->payload.size();
-        ++served;
-      }
-    }
+    const size_t before = resp.records.size();
+    ReadStable(range.pos, range.len, &resp.records, &bytes);
+    const auto served = static_cast<uint32_t>(resp.records.size() - before);
     resp.counts.push_back(served);
     if (served < range.len) {
       stats_.multirange_ranges_clipped++;
@@ -965,14 +941,7 @@ void ShardServer::HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Respon
   if (!is_primary()) {
     stats_.backup_reads++;
   }
-  ShardReadResp piggy;
-  FillReadPiggyback(&piggy);
-  resp.stable_gp = piggy.stable_gp;
-  resp.durable_tail = piggy.durable_tail;
-  resp.queue_ns = piggy.queue_ns;
-  cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
-    r.Ok(resp);
-  });
+  ReplyRead(std::move(resp), bytes, std::move(r));
 }
 
 void ShardServer::HandleTrim(const TrimMsg& msg, Responder r) {

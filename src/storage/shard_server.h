@@ -278,9 +278,16 @@ class ShardServer {
   void ApplyFetchedRecord(const RecordId& id, const Status& s, Record rec);
 
   void ServeRead(const ShardReadReq& req, Responder r);
-  // Stamps a read reply with this replica's stable/durable tails and current CPU
-  // backlog (the router/tail-cache feedback every read reply carries).
-  void FillReadPiggyback(ShardReadResp* resp);
+  // The one stable-range walk (§4.4) behind every read: appends the records at up to
+  // `len` consecutive owned positions from `pos`, stopping at stable-gp (unless the read
+  // gate is disabled), the end of the log or a hole, and adds their payload bytes to
+  // `bytes`. False, with nothing appended, if `pos` is trimmed, unstable or not here.
+  bool ReadStable(LogPos pos, uint32_t len, std::vector<PositionedRecord>* out,
+                  uint64_t* bytes) const;
+  // Stamps either read reply type with this replica's stable/durable tails and CPU
+  // backlog (the router/tail-cache feedback), then sends it after `bytes` of CPU.
+  template <typename Resp>
+  void ReplyRead(Resp resp, uint64_t bytes, Responder r);
   void WakeWaiters();
   uint64_t DiskAdmissionDelay() const;
   void ScrubOrphans();
