@@ -5,9 +5,11 @@
 // spreads it over every replica — with R-way replication the read capacity ceiling is
 // R times the pinned one. A second table reruns Figure 10's periodic tail-reader
 // workload in both modes: routing must not cost tail-read latency (the CheckTail
-// piggyback/tail cache in fact removes a round trip per period). `--smoke` prints
-// machine-parseable JSON rows; CI asserts routed >= 2.5x pinned aggregate throughput
-// at the largest reader count and fig10-mean no worse than pinned.
+// piggyback/tail cache in fact removes a round trip per period). `--smoke` runs 4 and
+// 24 readers, prints machine-parseable JSON rows, and exits nonzero unless at 24
+// readers routed reaches >= 2.5x the pinned throughput with a backup share >= 0.4,
+// backups serve reads and the routed mean is no worse than pinned, and the fig10
+// routed mean stays within 5% of pinned with tail-cache hits.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -204,10 +206,15 @@ int main(int argc, char** argv) {
               "pinned (rec/s)", "speedup", "backup share");
   const std::vector<uint32_t> sweep =
       smoke ? std::vector<uint32_t>{4, 24} : std::vector<uint32_t>{1, 2, 4, 8, 16, 24, 32};
+  ScaleoutResult routed24, pinned24;
   for (uint32_t readers : sweep) {
     const ScaleoutResult routed = RunScaleout(readers, /*routing_mode=*/2);
     const ScaleoutResult pinned = RunScaleout(readers, /*routing_mode=*/0);
     const double speedup = pinned.tput > 0 ? routed.tput / pinned.tput : 0;
+    if (readers == 24) {
+      routed24 = routed;
+      pinned24 = pinned;
+    }
     std::printf("  %-10u %-18.0f %-18.0f %-10.2fx %-14.2f\n", readers, routed.tput,
                 pinned.tput, speedup, routed.backup_share);
     if (smoke) {
@@ -248,5 +255,29 @@ int main(int argc, char** argv) {
   }
   PrintPaperNote("Read replies piggyback the durable/stable tail, so the periodic reader");
   PrintPaperNote("skips the CheckTail round trip in either mode; routing adds no latency.");
-  return 0;
+  if (!smoke) {
+    return 0;
+  }
+  int rc = 0;
+  auto expect = [&rc](bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+      rc = 1;
+    }
+  };
+  const double speedup24 = pinned24.tput > 0 ? routed24.tput / pinned24.tput : 0;
+  expect(speedup24 >= 2.5, "routed throughput under 2.5x pinned at 24 readers");
+  expect(routed24.backup_share >= 0.4, "backup share of routed reads under 0.4 at 24 readers");
+  expect(routed24.backup_reads > 0, "no backup served a read at 24 readers");
+  expect(routed24.mean_latency <= pinned24.mean_latency,
+         "routed read mean above pinned at 24 readers");
+  expect(routed_tail.mean <= 1.05 * pinned_tail.mean,
+         "fig10 routed tail-read mean more than 5% above pinned");
+  expect(routed_tail.tail_cache_hits > 0, "fig10 routed reader never hit the tail cache");
+  if (rc == 0) {
+    std::printf(
+        "read_scaleout smoke OK: %.2fx over pinned at 24 readers, fig10 %.0fns vs %.0fns\n",
+        speedup24, routed_tail.mean, pinned_tail.mean);
+  }
+  return rc;
 }

@@ -3,8 +3,10 @@
 // consumer drains a single stream's backlog through ReadNext(tag, from) windows. With
 // the index tier the drain cost is proportional to the *stream's* size, so per-stream
 // throughput stays flat as S grows; the scan fallback pays for the whole interleaved
-// log and collapses roughly as 1/S. `--smoke` prints machine-parseable JSON rows (CI
-// asserts the >= 10x speedup at 64 streams).
+// log and collapses roughly as 1/S. `--smoke` runs 16 and 64 streams, prints
+// machine-parseable JSON rows, and exits nonzero unless the index drain beats the scan
+// by >= 10x at 64 streams and the index node did the work (delta pulls and merges,
+// coverage never past stable-gp) in every run.
 #include <cstdio>
 #include <string>
 
@@ -99,6 +101,7 @@ struct RunResult {
   double per_stream_tput = 0;  // records/s drained from the measured stream
   uint64_t records = 0;
   bool caught_up = false;
+  IndexStatsSnapshot index;    // the index node at the end of the run (use_index only)
 };
 
 RunResult Run(uint64_t streams, bool use_index, bool smoke_json) {
@@ -128,9 +131,12 @@ RunResult Run(uint64_t streams, bool use_index, bool smoke_json) {
   if (reader.ActiveSeconds() > 0) {
     res.per_stream_tput = static_cast<double>(res.records) / reader.ActiveSeconds();
   }
-  if (smoke_json && use_index) {
-    PrintStatsJson("index_node", cluster.index_node(0).StatsSnapshot().Fields(),
-                   {{"streams", static_cast<double>(streams)}});
+  if (use_index) {
+    res.index = cluster.index_node(0).StatsSnapshot();
+    if (smoke_json) {
+      PrintStatsJson("index_node", res.index.Fields(),
+                     {{"streams", static_cast<double>(streams)}});
+    }
   }
   return res;
 }
@@ -154,6 +160,15 @@ int main(int argc, char** argv) {
               "speedup");
   const std::vector<uint64_t> sweep =
       smoke ? std::vector<uint64_t>{16, 64} : std::vector<uint64_t>{4, 8, 16, 32, 64};
+  int rc = 0;
+  auto expect = [&rc](bool ok, const char* what, uint64_t streams) {
+    if (!ok) {
+      std::fprintf(stderr, "SMOKE FAIL: %s at %llu streams\n", what,
+                   static_cast<unsigned long long>(streams));
+      rc = 1;
+    }
+  };
+  double speedup64 = 0;
   for (uint64_t streams : sweep) {
     RunResult sel = Run(streams, /*use_index=*/true, smoke);
     RunResult scan = Run(streams, /*use_index=*/false, /*smoke_json=*/false);
@@ -161,6 +176,18 @@ int main(int argc, char** argv) {
     if (smoke) {
       const double speedup =
           scan.per_stream_tput > 0 ? sel.per_stream_tput / scan.per_stream_tput : 0;
+      // The index node must have done the work, so a silent scan-everywhere
+      // regression cannot pass on fallback throughput alone.
+      expect(sel.index.counters.delta_pulls > 0, "index node pulled no deltas", streams);
+      expect(sel.index.counters.merged_positions > 0, "index node merged no positions",
+             streams);
+      expect(sel.index.indexed_upto <= sel.index.stable_gp,
+             "index coverage ran past stable-gp", streams);
+      if (streams == 64) {
+        speedup64 = speedup;
+        expect(sel.records > 0, "selective drain read no records", streams);
+        expect(speedup >= 10, "selective drain under 10x the scan", streams);
+      }
       PrintStatsJson("selective_reads",
                      StatsFields{
                          {"streams", static_cast<double>(streams)},
@@ -175,5 +202,8 @@ int main(int argc, char** argv) {
   PrintPaperNote("Index-tier drains touch only the stream's own records, so per-stream");
   PrintPaperNote("throughput is flat in the stream count; the scan fallback re-reads the");
   PrintPaperNote("whole interleaved log and falls off roughly as 1/streams.");
-  return 0;
+  if (smoke && rc == 0) {
+    std::printf("selective smoke OK: %.1fx over scan at 64 streams\n", speedup64);
+  }
+  return rc;
 }
