@@ -52,7 +52,7 @@ class Disk {
   // Persists `bytes`; `fn` (optional) runs at durability time.
   void Write(uint64_t bytes, EventFn fn = nullptr);
 
-  // Bytes of queued-but-unwritten data (for backpressure decisions and tests).
+  // Nanoseconds until the queued writes are durable (for backpressure decisions and tests).
   uint64_t QueueDepthNs() const;
 
   SimTime busy_until() const { return busy_until_; }
