@@ -201,7 +201,7 @@ void KafkaShardAdapter::SendWatermarkAck(Responder& r, const Status& s) {
   ShardOrderAckResp resp{order_durable_};
   Encoder e;
   resp.Encode(e);
-  r.Send(s, e.Take());
+  r.Send(s, e.TakeBuf());
 }
 
 void KafkaShardAdapter::HandleAppendBatch(ShardAppendBatchReq window, Responder r) {

@@ -100,6 +100,16 @@ class Buf {
   // Takes ownership of `s` (moves; one allocation, zero byte copies for rvalues).
   static Buf FromString(std::string s) { return Buf(std::move(s)); }
 
+  // Takes ownership of the first `n` bytes of `owner` (an encoder's backing).
+  static Buf Adopt(std::shared_ptr<char[]> owner, size_t n) {
+    Buf b;
+    GlobalBufStats().allocations++;
+    b.data_ = owner.get();
+    b.len_ = n;
+    b.backing_ = std::shared_ptr<const char>(std::move(owner), b.data_);
+    return b;
+  }
+
   // Copies `n` bytes into a fresh backing. The only Buf factory that memcpy's.
   static Buf Copy(const char* p, size_t n) {
     Buf b;

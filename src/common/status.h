@@ -27,6 +27,8 @@ enum class StatusCode {
   kOverloaded,     // admission control refused the append; retry after backoff
   kQuotaExceeded,  // per-tenant rate limit refused the append; distinct from overload
 };
+// The highest code; a wire status byte above it names no StatusCode.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kQuotaExceeded;
 
 // Human-readable name for a StatusCode (for logs and test failure messages).
 inline const char* StatusCodeName(StatusCode code) {

@@ -83,16 +83,15 @@ void ErwinMClient::ReadAttempt(LogPos from, uint64_t len, ReadCallback cb, int a
   for (size_t i = 0; i < subs.size(); ++i) {
     const Sub& sub = subs[i];
     const auto& replicas = view_.shards[sub.shard];
-    auto slot = gather->Slot(i);
     // Record payloads alias the reply's attachments: they stay valid in state->all
     // after the decoder is gone.
-    auto merge = [state, slot](Status s, std::vector<PositionedRecord> recs) {
+    auto merge = [state, gather, i](Status s, std::vector<PositionedRecord> recs) {
       if (s.ok()) {
         for (PositionedRecord& pr : recs) {
           state->all.push_back(std::move(pr));
         }
       }
-      slot(std::move(s), Decoder());
+      gather->Complete(i, std::move(s));
     };
     // A sub whose last position is below the cached stable tail is a known-stable read:
     // its bindings are final on any replica that also considers them stable, so it is

@@ -125,25 +125,25 @@ void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
   // Group the positions into per-shard runs in ONE pass. Each shard's positions within
   // the window form one contiguous run of its local log, so per shard we keep the run's
   // chunk-granular split points (the coalescer's ReadRanges); a shard-indexed slot table
-  // makes the per-position step O(1) instead of the old scan over seen shards.
-  struct ShardRun {
-    ShardId shard = 0;
-    std::vector<ReadRange> ranges;
-  };
+  // makes the per-position step O(1) instead of a scan over seen shards.
   const uint32_t chunk = std::max<uint32_t>(1, params_.client_read.read_chunk_records);
-  std::vector<ShardRun> runs;
-  std::vector<int32_t> slot_of_shard;  // shard id -> index into runs; -1 = unseen
+  size_t nruns = 0;
   for (LogPos p = rd->from; p < rd->from + rd->len; ++p) {
     const uint32_t s = posmap_[p];
-    if (s >= slot_of_shard.size()) {
-      slot_of_shard.resize(s + 1, -1);
+    if (s >= run_of_shard_.size()) {
+      run_of_shard_.resize(s + 1, -1);
     }
-    if (slot_of_shard[s] < 0) {
-      slot_of_shard[s] = static_cast<int32_t>(runs.size());
-      runs.push_back(ShardRun{static_cast<ShardId>(s), {ReadRange{p, 1}}});
+    if (run_of_shard_[s] < 0) {
+      run_of_shard_[s] = static_cast<int32_t>(nruns);
+      if (nruns == runs_.size()) {
+        runs_.emplace_back();
+      }
+      runs_[nruns].shard = static_cast<ShardId>(s);
+      runs_[nruns].ranges.assign(1, ReadRange{p, 1});
+      nruns++;
       continue;
     }
-    ShardRun& run = runs[slot_of_shard[s]];
+    ShardRun& run = runs_[run_of_shard_[s]];
     if (run.ranges.back().len == chunk) {
       run.ranges.push_back(ReadRange{p, 1});
     } else {
@@ -152,17 +152,18 @@ void ErwinStClient::DoRead(std::shared_ptr<PendingRead> rd) {
   }
   auto merge = std::make_shared<ReadMerge>();
   merge->rd = std::move(rd);
-  merge->remaining = runs.size();
+  merge->remaining = nruns;
   merge->all.reserve(merge->rd->len);
   // Every position here has a posmap entry, and the map server gates on stable-gp — so
   // every sub is a known-stable read and any replica may serve it. The router picks the
   // least-loaded of two random replicas; the coalescer batches same-target subs and
   // falls back to the primary's waiting read if the pick clips.
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const auto& replicas = view_.shards[runs[i].shard];
+  for (size_t i = 0; i < nruns; ++i) {
+    run_of_shard_[runs_[i].shard] = -1;
+    const auto& replicas = view_.shards[runs_[i].shard];
     const NodeId primary = replicas[0];
     const NodeId target = router_.PickStable(replicas);
-    coalescer_.Add(target, primary, std::move(runs[i].ranges),
+    coalescer_.Add(target, primary, runs_[i].ranges,
                    [this, merge, i](Status s, std::vector<PositionedRecord> recs) {
                      if (s.ok()) {
                        // Record payloads alias the reply's attachments: they stay

@@ -70,6 +70,15 @@ class ErwinStClient : public ErwinClient {
   bool cache_enabled_ = true;
   uint32_t readahead_records_;  // configured readahead, restored with the cache
   uint64_t posmap_fetches_ = 0;
+
+  // DoRead scratch, reused so a read builds no tables: the read's per-shard runs (its
+  // first few entries are live) and shard id -> run index (-1 = unseen).
+  struct ShardRun {
+    ShardId shard = 0;
+    std::vector<ReadRange> ranges;
+  };
+  std::vector<ShardRun> runs_;
+  std::vector<int32_t> run_of_shard_;
 };
 
 }  // namespace lazylog

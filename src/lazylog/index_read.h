@@ -135,7 +135,6 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
               cb(Status::Ok(), std::move(out), next_from);
             });
         for (size_t i = 0; i < subs.size(); ++i) {
-          auto slot = gather->Slot(i);
           const NodeId target = subs[i].first;
           if (router) {
             router->OnIssue(target);
@@ -143,8 +142,8 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
           const SimTime t0 = endpoint->loop()->Now();
           endpoint->CallMsg<ShardReadResp>(
               subs[i].first, kShardMultiRead, subs[i].second,
-              [endpoint, router, tails, target, t0, by_pos, slot](Status st,
-                                                                  ShardReadResp rresp) {
+              [endpoint, router, tails, target, t0, by_pos, gather, i](Status st,
+                                                                       ShardReadResp rresp) {
                 if (router) {
                   router->OnReply(target, endpoint->loop()->Now() - t0,
                                   st.ok() ? rresp.queue_ns : 0);
@@ -158,7 +157,7 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
                     by_pos->emplace(pr.pos, std::move(pr.record));
                   }
                 }
-                slot(std::move(st), Decoder());
+                gather->Complete(i, std::move(st));
               },
               params->rpc_timeout_ns);
         }

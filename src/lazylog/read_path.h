@@ -14,12 +14,13 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/params.h"
+#include "src/common/inline_fn.h"
 #include "src/common/random.h"
+#include "src/common/slab.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/lazylog/shared_log_client.h"
@@ -154,9 +155,13 @@ class ReadAheadCache {
 // replica's stable-gp trails the client's knowledge, or the replica is gone) is
 // re-issued in full to the shard primary via the classic waiting read and the results
 // are merged with per-position dedupe — wait semantics live entirely at the primary.
+//
+// Subs, queued batches and in-flight RPCs live in member tables that are reused, so a
+// warm coalescer allocates only the records it hands back. Entries are addressed by
+// index and every callback is moved out before it runs, so a callback may add reads.
 class ReadCoalescer {
  public:
-  using SubCallback = std::function<void(Status, std::vector<PositionedRecord>)>;
+  using SubCallback = InlineFn<void(Status, std::vector<PositionedRecord>)>;
   // Fired for every read reply that carries a tail piggyback: (serving replica,
   // advertised stable-gp, records). The chaos read-staleness oracle subscribes.
   using ReplyObserver =
@@ -172,52 +177,41 @@ class ReadCoalescer {
   // `ranges` must be non-empty, in ascending order, and describe one consecutive run of
   // target-local records (so the primary fallback can re-read the whole sub as
   // (first pos, total len)).
-  void Add(NodeId target, NodeId primary, std::vector<ReadRange> ranges, SubCallback cb) {
-    auto sub = std::make_shared<Sub>();
-    sub->pos = ranges.front().pos;
+  void Add(NodeId target, NodeId primary, const std::vector<ReadRange>& ranges,
+           SubCallback cb) {
+    uint32_t len = 0;
     for (const ReadRange& range : ranges) {
-      sub->len += range.len;
+      len += range.len;
     }
-    sub->ranges = std::move(ranges);
-    sub->got.reserve(sub->len);
-    sub->primary = primary;
-    sub->cb = std::move(cb);
+    const uint32_t id = NewSub(ranges.front().pos, len, primary, std::move(cb));
+    Sub& sub = subs_[id];
+    sub.ranges.assign(ranges.begin(), ranges.end());
+    sub.got.reserve(len);
     stats_->coalesced_subs++;
-    auto it = std::find_if(pending_.begin(), pending_.end(),
+    auto it = std::find_if(pending_.begin(), pending_.begin() + batches_,
                            [target](const Batch& b) { return b.target == target; });
-    if (it == pending_.end()) {
-      if (pending_.empty()) {
+    if (it == pending_.begin() + batches_) {
+      if (batches_ == 0) {
         // Flush at the end of this instant: sub-reads issued at the same simulated time
         // (one Read's fan-out, exactly-concurrent callers) share an RPC at zero latency.
         // One event flushes every target, in first-Add order.
         ep_->loop()->Schedule(0, [this]() { FlushAll(); });
       }
-      pending_.push_back(Batch{target, {}});
-      it = pending_.end() - 1;
+      if (batches_ == pending_.size()) {
+        pending_.emplace_back();
+      }
+      it = pending_.begin() + batches_++;
+      it->target = target;
+      it->subs.clear();
     }
-    it->subs.push_back(std::move(sub));
+    it->subs.push_back(id);
   }
 
   // Classic single-range read against one replica (the waiting primary path and the
   // clipped-sub fallback). Feeds the router and tail cache from the reply piggyback
   // like the batched path does.
   void ClassicRead(NodeId target, LogPos pos, uint32_t len, bool nowait, SubCallback cb) {
-    ShardReadReq req{pos, len, nowait};
-    stats_->primary_reads++;
-    router_->OnIssue(target);
-    const SimTime t0 = ep_->loop()->Now();
-    ep_->CallMsg<ShardReadResp>(
-        target, kShardRead, req,
-        [this, target, t0, cb = std::move(cb)](Status s, ShardReadResp resp) {
-          if (s.ok()) {
-            NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
-                      resp.records);
-          } else {
-            router_->OnReply(target, ep_->loop()->Now() - t0, 0);
-          }
-          cb(std::move(s), std::move(resp.records));
-        },
-        params_->rpc_timeout_ns);
+    IssueClassic(NewSub(pos, len, target, std::move(cb)), target, nowait, /*resend=*/false);
   }
 
  private:
@@ -234,89 +228,119 @@ class ReadCoalescer {
   };
   // One range of one sub inside one RPC.
   struct Piece {
-    std::shared_ptr<Sub> sub;
+    uint32_t sub;
     ReadRange range;
   };
+  static constexpr uint32_t kNoRpc = UINT32_MAX;
 
   // The subs queued for one target this instant.
   struct Batch {
-    NodeId target;
-    std::vector<std::shared_ptr<Sub>> subs;
+    NodeId target = kInvalidNode;
+    std::vector<uint32_t> subs;
   };
 
+  uint32_t NewSub(LogPos pos, uint32_t len, NodeId primary, SubCallback cb) {
+    const uint32_t id = subs_.Acquire();
+    Sub& sub = subs_[id];
+    sub.pos = pos;
+    sub.len = len;
+    sub.primary = primary;
+    sub.cb = std::move(cb);
+    sub.outstanding = 0;
+    sub.clipped = false;
+    sub.failed = false;
+    sub.got.clear();
+    return id;
+  }
+
+  // Frees sub `id` and completes it: the callback runs after the sub is back in the
+  // table, so it may add reads.
+  void Complete(uint32_t id, Status s, std::vector<PositionedRecord> recs = {}) {
+    SubCallback cb = std::move(subs_[id].cb);
+    subs_.Release(id);
+    cb(std::move(s), std::move(recs));
+  }
+
   void FlushAll() {
-    std::vector<Batch> batches = std::move(pending_);
-    pending_.clear();
-    for (Batch& b : batches) {
-      Flush(b.target, std::move(b.subs));
-    }
-  }
-
-  void Flush(NodeId target, std::vector<std::shared_ptr<Sub>> subs) {
     const uint32_t chunk = std::max<uint32_t>(1, params_->client_read.read_chunk_records);
-    // Pack ranges into RPCs of at most `chunk` records each, preserving order.
-    std::vector<std::vector<Piece>> rpcs;
-    uint32_t budget = 0;
-    for (auto& sub : subs) {
-      for (const ReadRange& range : sub->ranges) {
-        if (rpcs.empty() || budget + range.len > chunk) {
-          rpcs.emplace_back();
-          budget = 0;
+    for (size_t b = 0; b < batches_; ++b) {
+      // Pack the target's ranges into RPCs of at most `chunk` records each, preserving
+      // order. An RPC is sent once the next range does not fit; no reply can arrive
+      // before the flush ends, so every sub's outstanding count is complete by then.
+      const NodeId target = pending_[b].target;
+      uint32_t rpc = kNoRpc;
+      uint32_t budget = 0;
+      for (const uint32_t id : pending_[b].subs) {
+        for (const ReadRange& range : subs_[id].ranges) {
+          if (rpc == kNoRpc || budget + range.len > chunk) {
+            if (rpc != kNoRpc) {
+              IssueRpc(target, rpc);
+              stats_->chunk_rpcs++;
+            }
+            rpc = rpcs_.Acquire();
+            stats_->coalesced_batches++;
+            budget = 0;
+          }
+          rpcs_[rpc].push_back(Piece{id, range});
+          budget += range.len;
+          subs_[id].outstanding++;
         }
-        rpcs.back().push_back(Piece{sub, range});
-        budget += range.len;
-        sub->outstanding++;
       }
+      IssueRpc(target, rpc);
     }
-    stats_->coalesced_batches += rpcs.size();
-    if (rpcs.size() > 1) {
-      stats_->chunk_rpcs += rpcs.size() - 1;
-    }
-    for (auto& pieces : rpcs) {
-      IssueRpc(target, std::move(pieces));
-    }
+    batches_ = 0;
   }
 
-  void IssueRpc(NodeId target, std::vector<Piece> pieces) {
-    ShardMultiRangeReadReq req;
-    req.ranges.reserve(pieces.size());
-    for (const Piece& p : pieces) {
-      req.ranges.push_back(p.range);
+  // Sends rpcs_[rpc]'s pieces as one multi-range RPC.
+  void IssueRpc(NodeId target, uint32_t rpc) {
+    req_.ranges.clear();
+    for (const Piece& p : rpcs_[rpc]) {
+      req_.ranges.push_back(p.range);
     }
     router_->OnIssue(target);
     const SimTime t0 = ep_->loop()->Now();
     ep_->CallMsg<ShardMultiRangeReadResp>(
-        target, kShardMultiRangeRead, req,
-        [this, target, t0, pieces = std::move(pieces)](Status s,
-                                                       ShardMultiRangeReadResp resp) mutable {
-          if (s.ok() && WellFormed(pieces, resp)) {
-            NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
-                      resp.records);
-            size_t idx = 0;
-            for (size_t i = 0; i < pieces.size(); ++i) {
-              Piece& p = pieces[i];
-              const uint32_t c = resp.counts[i];
-              for (uint32_t k = 0; k < c; ++k) {
-                p.sub->got.push_back(std::move(resp.records[idx + k]));
-              }
-              idx += c;
-              if (c < p.range.len) {
-                p.sub->clipped = true;
-              }
-            }
-          } else {
-            router_->OnReply(target, ep_->loop()->Now() - t0, 0);
-            for (Piece& p : pieces) {
-              p.sub->failed = true;
-            }
-          }
-          for (Piece& p : pieces) {
-            if (--p.sub->outstanding == 0) {
-              FinishSub(p.sub);
-            }
-          }
+        target, kShardMultiRangeRead, req_,
+        [this, target, t0, rpc](Status s, ShardMultiRangeReadResp resp) {
+          OnRpcReply(target, t0, rpc, std::move(s), resp);
         },
         params_->rpc_timeout_ns);
+  }
+
+  void OnRpcReply(NodeId target, SimTime t0, uint32_t rpc, Status s,
+                  ShardMultiRangeReadResp& resp) {
+    const std::vector<Piece>& pieces = rpcs_[rpc];
+    if (s.ok() && WellFormed(pieces, resp)) {
+      NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
+                resp.records);
+      size_t idx = 0;
+      for (size_t i = 0; i < pieces.size(); ++i) {
+        Sub& sub = subs_[pieces[i].sub];
+        const uint32_t c = resp.counts[i];
+        for (uint32_t k = 0; k < c; ++k) {
+          sub.got.push_back(std::move(resp.records[idx + k]));
+        }
+        idx += c;
+        if (c < pieces[i].range.len) {
+          sub.clipped = true;
+        }
+      }
+    } else {
+      router_->OnReply(target, ep_->loop()->Now() - t0, 0);
+      for (const Piece& p : pieces) {
+        subs_[p.sub].failed = true;
+      }
+    }
+    // Finishing a sub runs its caller's callback, which may add reads; only rpcs_ is
+    // left alone by that, so walk it by index and re-find each sub.
+    for (size_t i = 0; i < rpcs_[rpc].size(); ++i) {
+      const uint32_t id = rpcs_[rpc][i].sub;
+      if (--subs_[id].outstanding == 0) {
+        FinishSub(id);
+      }
+    }
+    rpcs_[rpc].clear();
+    rpcs_.Release(rpc);
   }
 
   // A reply fits its request when it has one count per range, no count exceeds its
@@ -334,17 +358,18 @@ class ReadCoalescer {
     return resp.counts.size() == pieces.size() && total == resp.records.size();
   }
 
-  void FinishSub(const std::shared_ptr<Sub>& sub) {
-    if (sub->failed) {
+  void FinishSub(uint32_t id) {
+    Sub& sub = subs_[id];
+    if (sub.failed) {
       // An outright RPC failure (dead or replaced replica) surfaces to the caller: its
       // retry ladder refreshes the shard membership before retrying, which a silent
       // primary fallback would never trigger.
-      sub->cb(Status::Timeout("routed read failed"), {});
+      Complete(id, Status::Timeout("routed read failed"));
       return;
     }
-    if (!sub->clipped) {
-      SortUnique(sub->got);
-      sub->cb(Status::Ok(), std::move(sub->got));
+    if (!sub.clipped) {
+      SortUnique(sub.got);
+      Complete(id, Status::Ok(), std::move(sub.got));
       return;
     }
     // The serving replica clipped the run: its stable-gp trails what the client knows.
@@ -355,22 +380,41 @@ class ReadCoalescer {
     // that has not heard of the promotion, and its reply would leave a hole in the
     // client's known-stable range.
     stats_->clipped_resends++;
-    ClassicRead(sub->primary, sub->pos, sub->len, /*nowait=*/false,
-                [this, sub](Status s, std::vector<PositionedRecord> recs) {
-                  if (!s.ok()) {
-                    sub->cb(std::move(s), {});
-                    return;
-                  }
-                  for (PositionedRecord& pr : recs) {
-                    sub->got.push_back(std::move(pr));
-                  }
-                  SortUnique(sub->got);
-                  if (sub->got.size() < sub->len) {
-                    sub->cb(Status::Unavailable("primary behind the known stable tail"), {});
-                    return;
-                  }
-                  sub->cb(Status::Ok(), std::move(sub->got));
-                });
+    IssueClassic(id, sub.primary, /*nowait=*/false, /*resend=*/true);
+  }
+
+  // Reads sub `id`'s whole run from `target`. A plain classic read hands the reply to
+  // the callback; a resend completes a clipped sub.
+  void IssueClassic(uint32_t id, NodeId target, bool nowait, bool resend) {
+    ShardReadReq req{subs_[id].pos, subs_[id].len, nowait};
+    stats_->primary_reads++;
+    router_->OnIssue(target);
+    const SimTime t0 = ep_->loop()->Now();
+    ep_->CallMsg<ShardReadResp>(
+        target, kShardRead, req,
+        [this, id, target, t0, resend](Status s, ShardReadResp resp) {
+          if (s.ok()) {
+            NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
+                      resp.records);
+          } else {
+            router_->OnReply(target, ep_->loop()->Now() - t0, 0);
+          }
+          if (!resend || !s.ok()) {
+            Complete(id, std::move(s), std::move(resp.records));
+            return;
+          }
+          std::vector<PositionedRecord>& got = subs_[id].got;
+          for (PositionedRecord& pr : resp.records) {
+            got.push_back(std::move(pr));
+          }
+          SortUnique(got);
+          if (got.size() < subs_[id].len) {
+            Complete(id, Status::Unavailable("primary behind the known stable tail"));
+            return;
+          }
+          Complete(id, Status::Ok(), std::move(got));
+        },
+        params_->rpc_timeout_ns);
   }
 
   static void SortUnique(std::vector<PositionedRecord>& records) {
@@ -401,7 +445,11 @@ class ReadCoalescer {
   TailCache* tails_;
   ReadPathStats* stats_;
   ReplyObserver observer_;
-  std::vector<Batch> pending_;  // targets with queued subs, in first-Add order
+  Slab<Sub> subs_;
+  std::vector<Batch> pending_;  // [0, batches_): targets with queued subs, in first-Add order
+  size_t batches_ = 0;
+  Slab<std::vector<Piece>> rpcs_;  // in-flight multi-range RPCs' pieces
+  ShardMultiRangeReadReq req_;  // IssueRpc scratch; CallMsg encodes it at once
 };
 
 }  // namespace lazylog

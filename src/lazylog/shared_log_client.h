@@ -419,12 +419,11 @@ inline void SharedLogClient::ReadEach(LogPos from, uint64_t len, const ReadOneFn
     cb(Status::Ok(), std::move(*records));
   });
   for (uint64_t i = 0; i < len; ++i) {
-    auto slot = gather->Slot(i);
-    read_one(from + i, [records, slot](Status s, PositionedRecord pr) {
+    read_one(from + i, [records, gather, i](Status s, PositionedRecord pr) {
       if (s.ok()) {
         records->push_back(std::move(pr));
       }
-      slot(std::move(s), Decoder());
+      gather->Complete(i, std::move(s));
     });
   }
 }

@@ -11,8 +11,11 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/codec.h"
+#include "src/common/inline_fn.h"
+#include "src/common/slab.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/sim/network.h"
@@ -46,44 +49,93 @@ EncodedMsg EncodeMsg(const Msg& msg) {
   return EncodedMsg{enc.TakeBuf(), std::move(atts)};
 }
 
-// Capability to answer one inbound request. Copies share one send-once token (handlers
-// routinely capture responders into deferred std::function work); responding twice is a
-// checked bug. Dropping all copies without responding leaves the caller to time out
-// (used when a sealed replica must stay silent).
+// Reply tokens of one endpoint (see Responder). The endpoint owns the table; once it
+// is destroyed, the table lives on until the last Responder (say, one parked in an
+// event the loop destroys later) drops its token, and replying fails the send-once
+// check.
+class ReplyTokens {
+ public:
+  struct Token {
+    NodeId caller = kInvalidNode;
+    uint64_t rpc_id = 0;
+    uint32_t gen = 0;   // bumped by the reply, so every copy of the token goes stale
+    uint32_t refs = 0;  // Responder copies alive; the token is reused once this is 0
+  };
+
+  explicit ReplyTokens(RpcEndpoint* endpoint) : endpoint_(endpoint) {}
+
+  RpcEndpoint* endpoint() const { return endpoint_; }
+  Token& operator[](uint32_t slot) { return tokens_[slot]; }
+  // A token for one inbound request, held once.
+  uint32_t Acquire(NodeId caller, uint64_t rpc_id);
+  void Ref(uint32_t slot) { tokens_[slot].refs++; }
+  // Drops one hold; may delete the table if its endpoint is gone.
+  void Unref(uint32_t slot);
+  // Called by the endpoint's destructor.
+  void Orphan();
+
+ private:
+  RpcEndpoint* endpoint_;  // null once the endpoint is destroyed
+  Slab<Token> tokens_;
+  size_t held_ = 0;  // tokens with refs > 0
+};
+
+// Capability to answer one inbound request: a generation-checked token in its
+// endpoint's ReplyTokens. Copies share the token (handlers routinely capture responders
+// into deferred work); responding twice is a checked bug. Dropping all copies without
+// responding leaves the caller to time out (used when a sealed replica must stay
+// silent).
 class Responder {
  public:
   Responder() = default;
+  Responder(const Responder& o) : table_(o.table_), slot_(o.slot_), gen_(o.gen_) {
+    if (table_ != nullptr) {
+      table_->Ref(slot_);
+    }
+  }
+  Responder(Responder&& o) noexcept : table_(o.table_), slot_(o.slot_), gen_(o.gen_) {
+    o.table_ = nullptr;
+  }
+  Responder& operator=(Responder o) noexcept {
+    std::swap(table_, o.table_);
+    std::swap(slot_, o.slot_);
+    std::swap(gen_, o.gen_);
+    return *this;
+  }
+  ~Responder() {
+    if (table_ != nullptr) {
+      table_->Unref(slot_);
+    }
+  }
 
   // Sends the response. `body` is the encoded reply payload (empty allowed); `atts`
   // are zero-copy payload segments produced by Encoder::PutAttached.
   void Send(const Status& status, Buf body = {}, std::vector<Buf> atts = {});
   // Convenience for OK + encoded body (collects the encoder's attachments).
-  void Ok(Encoder& enc) {
-    auto atts = enc.TakeAtts();
-    Send(Status::Ok(), enc.TakeBuf(), std::move(atts));
-  }
-  // OK + `msg` (a struct with a Wire field list) as the body; mirrors CallMsg.
+  void Ok(Encoder& enc);
+  // OK + `msg` (a struct with a Wire field list) as the body, encoded straight into
+  // the reply frame; mirrors CallMsg.
   template <typename Msg>
-  void Ok(const Msg& msg) {
-    Encoder enc;
-    WireEncode(enc, msg);
-    Ok(enc);
-  }
+  void Ok(const Msg& msg);
 
-  bool valid() const { return inner_ != nullptr && inner_->endpoint != nullptr; }
-  NodeId caller() const { return inner_ ? inner_->caller : kInvalidNode; }
+  bool valid() const {
+    return table_ != nullptr && table_->endpoint() != nullptr && token().gen == gen_;
+  }
+  NodeId caller() const { return table_ != nullptr ? token().caller : kInvalidNode; }
 
  private:
   friend class RpcEndpoint;
-  struct Inner {
-    RpcEndpoint* endpoint = nullptr;
-    NodeId caller = kInvalidNode;
-    uint64_t rpc_id = 0;
-  };
-  Responder(RpcEndpoint* endpoint, NodeId caller, uint64_t rpc_id)
-      : inner_(std::make_shared<Inner>(Inner{endpoint, caller, rpc_id})) {}
+  // Takes over the one hold that ReplyTokens::Acquire made.
+  Responder(ReplyTokens* table, uint32_t slot)
+      : table_(table), slot_(slot), gen_((*table)[slot].gen) {}
 
-  std::shared_ptr<Inner> inner_;
+  ReplyTokens::Token& token() const { return (*table_)[slot_]; }
+  // Checks that the token is live, spends it, and returns its endpoint.
+  RpcEndpoint* Claim();
+
+  ReplyTokens* table_ = nullptr;
+  uint32_t slot_ = 0;
+  uint32_t gen_ = 0;
 };
 
 // Outcome counters per endpoint. Fault-injection tests (src/chaos/) read these to see
@@ -105,10 +157,14 @@ class RpcEndpoint {
   // decoded out of it) stays valid if the handler defers work to the event loop.
   using Handler = std::function<void(NodeId caller, Decoder body, Responder responder)>;
   // Client completion: status (OK / Timeout / server-provided error) and a decoder over
-  // the reply body (owning the backing + attachments; empty on timeout/cancel).
-  using ResponseCallback = std::function<void(Status, Decoder body)>;
+  // the reply body (owning the backing + attachments; empty on timeout/cancel). Stored
+  // inline up to InlineFn::kInlineBytes of capture.
+  using ResponseCallback = InlineFn<void(Status, Decoder body)>;
 
   explicit RpcEndpoint(Network* net);
+  ~RpcEndpoint();
+  RpcEndpoint(const RpcEndpoint&) = delete;
+  RpcEndpoint& operator=(const RpcEndpoint&) = delete;
 
   NodeId node_id() const { return node_id_; }
   Network* network() const { return net_; }
@@ -154,14 +210,19 @@ class RpcEndpoint {
   void Call(NodeId dest, MethodId method, Buf body, ResponseCallback cb,
             uint64_t timeout_ns, std::vector<Buf> atts = {});
 
-  // Encodes `req` (a struct with a Wire field list) and issues the call.
+  // Encodes `req` (a struct with a Wire field list) straight into the request frame
+  // and issues the call.
   template <typename Req>
   void CallMsg(NodeId dest, MethodId method, const Req& req, ResponseCallback cb,
                uint64_t timeout_ns) {
-    Encoder enc;
-    WireEncode(enc, req);
-    auto atts = enc.TakeAtts();
-    Call(dest, method, enc.TakeBuf(), std::move(cb), timeout_ns, std::move(atts));
+    const WireExtent body = WireSize(req);
+    const uint64_t rpc_id = NewCall();
+    Frame frame = RequestFrame(method, rpc_id, body);
+    WireWriter ar(frame.enc);
+    ar(req);
+    auto atts = frame.enc.TakeAtts();
+    Issue(dest, method, rpc_id, std::move(frame), std::move(atts), std::move(cb),
+          timeout_ns);
   }
   // Sends a request already encoded for a fan-out (see EncodedMsg).
   void CallMsg(NodeId dest, MethodId method, const EncodedMsg& msg, ResponseCallback cb,
@@ -194,43 +255,80 @@ class RpcEndpoint {
  private:
   friend class Responder;
 
+  // A frame being written into its one backing: the header is in, the body follows.
+  // `end` is the size the frame reaches once the body of the sized extent is written.
+  struct Frame {
+    Encoder enc;
+    size_t end = 0;
+  };
+  // A slot of pending_. An outstanding call's rpc id is its slot's generation (high 32
+  // bits) and index (low 32 bits), so a late reply to a slot since reused mismatches.
   struct Pending {
+    uint64_t rpc_id = 0;  // 0 while the slot is free
+    uint32_t gen = 0;
     ResponseCallback cb;
     EventHandle timeout;
   };
-
+  // Frame layouts:
+  //   request:  u8 kind=1, u32 method, u64 rpc_id, u32 body_len, body
+  //   response: u8 kind=2, u64 rpc_id, u8 status code, u32 len + status message,
+  //             u32 body_len, body
+  static Frame RequestFrame(MethodId method, uint64_t rpc_id, WireExtent body);
+  static Frame ResponseFrame(uint64_t rpc_id, const Status& status, WireExtent body);
+  void Issue(NodeId dest, MethodId method, uint64_t rpc_id, Frame frame,
+             std::vector<Buf> atts, ResponseCallback cb, uint64_t timeout_ns);
+  void SendResponse(NodeId dest, Frame frame, std::vector<Buf> atts);
   void OnMessage(NetMessage&& msg);
-  void SendResponse(NodeId dest, uint64_t rpc_id, const Status& status, Buf body,
-                    std::vector<Buf> atts);
+
+  // Reserves a pending_ slot for a new call and returns the call's rpc id.
+  uint64_t NewCall();
+  // Removes the call and returns its slot's contents (rpc_id 0 if it is not pending).
+  Pending TakePending(uint64_t rpc_id);
 
   Network* net_;
   NodeId node_id_;
-  uint64_t next_rpc_id_ = 1;
   RpcStats stats_;
   std::unordered_map<MethodId, Handler> handlers_;
-  std::unordered_map<uint64_t, Pending> pending_;
+  Slab<Pending> pending_;  // outstanding calls
+  ReplyTokens* replies_;  // owned; see ReplyTokens::Orphan
 };
+
+template <typename Msg>
+void Responder::Ok(const Msg& msg) {
+  RpcEndpoint* ep = Claim();
+  const WireExtent body = WireSize(msg);
+  RpcEndpoint::Frame frame = RpcEndpoint::ResponseFrame(token().rpc_id, Status::Ok(), body);
+  WireWriter ar(frame.enc);
+  ar(msg);
+  auto atts = frame.enc.TakeAtts();
+  ep->SendResponse(token().caller, std::move(frame), std::move(atts));
+}
 
 // Fan-out helper: issues `n` calls and invokes `done` exactly once when all have
 // completed. `done` receives the per-call statuses. Used for the parallel,
 // coordination-free writes to all sequencing replicas / shard replicas.
 class Gather : public std::enable_shared_from_this<Gather> {
+  struct Private {};
+
  public:
-  using DoneCallback = std::function<void(const std::vector<Status>&)>;
+  using DoneCallback = InlineFn<void(const std::vector<Status>&)>;
 
   static std::shared_ptr<Gather> Create(size_t n, DoneCallback done) {
-    return std::shared_ptr<Gather>(new Gather(n, std::move(done)));
+    return std::make_shared<Gather>(Private{}, n, std::move(done));
   }
+  Gather(Private, size_t n, DoneCallback done)
+      : statuses_(n), remaining_(n), done_(std::move(done)) {}
 
   // Returns the completion callback for slot `i`; safe to call after *this would
-  // otherwise be destroyed because the shared_ptr is captured.
+  // otherwise be destroyed because the shared_ptr is captured. The capture (a
+  // shared_ptr and an index) is stored inline in the callback.
   RpcEndpoint::ResponseCallback Slot(size_t i) {
-    auto self = shared_from_this();
-    return [self, i](Status s, Decoder) { self->Complete(i, std::move(s)); };
+    return [self = shared_from_this(), i](Status s, Decoder) {
+      self->Complete(i, std::move(s));
+    };
   }
 
- private:
-  Gather(size_t n, DoneCallback done) : statuses_(n), remaining_(n), done_(std::move(done)) {}
+  // Completes slot `i` directly (for callers that are not RPC callbacks).
 
   void Complete(size_t i, Status s) {
     statuses_[i] = std::move(s);
@@ -239,6 +337,8 @@ class Gather : public std::enable_shared_from_this<Gather> {
       d(statuses_);
     }
   }
+
+ private:
 
   std::vector<Status> statuses_;
   size_t remaining_;

@@ -893,7 +893,7 @@ void SequencingReplica::HandleFlush(SeqFlushReq req, Responder r) {
         Encoder enc;
         resp.Encode(enc);
         last_flush_view_ = new_view;
-        last_flush_resp_ = enc.data();
+        last_flush_resp_.assign(enc.view());
         r.Ok(enc);
       });
   EncodedWindow w;

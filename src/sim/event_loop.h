@@ -7,117 +7,16 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <new>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "src/common/inline_fn.h"
 #include "src/common/types.h"
 
 namespace lazylog {
 
-// Move-only `void()` callable for event handlers. A callable of up to kInlineBytes
-// (with a non-throwing move) lives inline, so scheduling a typical closure allocates
-// nothing; larger ones fall back to one heap allocation. Lambdas and
-// std::function<void()> convert implicitly; an empty std::function and nullptr give an
-// empty EventFn.
-class EventFn {
- public:
-  static constexpr size_t kInlineBytes = 88;
-
-  EventFn() noexcept = default;
-  EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
-
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> && std::is_invocable_v<D&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (std::is_same_v<D, std::function<void()>>) {
-      if (!f) {
-        return;
-      }
-    }
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
-  }
-
-  EventFn(EventFn&& o) noexcept : ops_(o.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, o.buf_);
-      o.ops_ = nullptr;
-    }
-  }
-  EventFn& operator=(EventFn&& o) noexcept {
-    if (this != &o) {
-      Reset();
-      if (o.ops_ != nullptr) {
-        o.ops_->relocate(buf_, o.buf_);
-        ops_ = o.ops_;
-        o.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { Reset(); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-  // Calls the callable; must not be empty.
-  void operator()() { ops_->invoke(buf_); }
-
- private:
-  struct Ops {
-    void (*invoke)(void* buf);
-    // Move-constructs the callable into `dst` and destroys the one in `src`.
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void* buf) noexcept;
-  };
-
-  template <typename D>
-  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
-                                      alignof(D) <= alignof(std::max_align_t) &&
-                                      std::is_nothrow_move_constructible_v<D>;
-
-  // The object of type T that lives in `buf` (the callable, or the pointer to it).
-  template <typename T>
-  static T* As(void* buf) {
-    return std::launder(static_cast<T*>(buf));
-  }
-  template <typename D>
-  static constexpr Ops kInlineOps = {
-      [](void* buf) { (*As<D>(buf))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D(std::move(*As<D>(src)));
-        As<D>(src)->~D();
-      },
-      [](void* buf) noexcept { As<D>(buf)->~D(); },
-  };
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* buf) { (**As<D*>(buf))(); },
-      [](void* dst, void* src) noexcept { ::new (dst) D*(*As<D*>(src)); },
-      [](void* buf) noexcept { delete *As<D*>(buf); },
-  };
-
-  // Clears ops_ before destroying, so a destructor that reaches this EventFn again
-  // sees it empty.
-  void Reset() noexcept {
-    const Ops* ops = ops_;
-    ops_ = nullptr;
-    if (ops != nullptr) {
-      ops->destroy(buf_);
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-};
+// Event handler: a move-only `void()` callable stored inline when it fits (see
+// inline_fn.h), so scheduling a typical closure allocates nothing.
+using EventFn = InlineFn<void()>;
 
 class EventLoop;
 

@@ -69,7 +69,7 @@ void ShardServer::BatchAck::Complete(const Status& s) {
 void ShardServer::SendWatermarkAck(Responder r, const Status& s) {
   Encoder e;
   ShardOrderAckResp{order_durable_}.Encode(e);
-  r.Send(s, e.Take());
+  r.Send(s, e.TakeBuf());
 }
 
 void ShardServer::OnWindowDone(LogPos lo, LogPos hi, bool durable) {

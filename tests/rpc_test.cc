@@ -1,7 +1,12 @@
 // RPC layer tests: dispatch, async responders, timeouts, late responses, cancellation,
-// and the Gather fan-out helper.
+// the Gather fan-out helper, raw-frame validation, and the allocation cost of a warm
+// round trip.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
+#include <map>
+#include <new>
 #include <set>
 #include <tuple>
 
@@ -9,6 +14,37 @@
 #include "src/rpc/rpc.h"
 #include "src/rpc/rpc_methods.h"
 #include "tests/test_util.h"
+
+// Global operator new for this test binary: forwards to malloc and counts calls while
+// g_count_news is set, so a test can measure the heap allocations of a code path.
+namespace {
+bool g_count_news = false;
+size_t g_news = 0;
+
+void* CountedNew(std::size_t n) {
+  if (g_count_news) {
+    ++g_news;
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* CountedNewOrThrow(std::size_t n) {
+  if (void* p = CountedNew(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNewOrThrow(n); }
+void* operator new[](std::size_t n) { return CountedNewOrThrow(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedNew(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedNew(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace lazylog {
 namespace {
@@ -182,6 +218,181 @@ TEST(Gather, SurvivesCallerRelease) {
   }  // gather's shared_ptr released; the slot keeps it alive
   cb(Status::Ok(), Decoder());
   EXPECT_TRUE(done);
+}
+
+// Copies of a Responder share one token: a reply through one copy spends every copy.
+// Dropping every copy unanswered leaves the caller to time out, and frees the token.
+TEST_F(RpcTest, ResponderCopiesShareOneToken) {
+  std::vector<Status> statuses;
+  auto record = [&](Status s, Decoder) { statuses.push_back(std::move(s)); };
+  client_.Call(server_.node_id(), kNever, "", record, 10 * kMs);
+  client_.Call(server_.node_id(), kNever, "", record, 10 * kMs);
+  loop_.RunUntil(1 * kMs);
+  ASSERT_EQ(parked_.size(), 2u);
+
+  Responder copy = parked_[0];
+  EXPECT_TRUE(copy.valid());
+  EXPECT_EQ(copy.caller(), client_.node_id());
+  copy.Send(Status::Ok());
+  EXPECT_FALSE(copy.valid());
+  EXPECT_FALSE(parked_[0].valid()) << "a reply through one copy spends the others";
+  EXPECT_EQ(parked_[0].caller(), client_.node_id());
+
+  parked_.clear();  // the second call's only holder goes away unanswered
+  loop_.RunUntilIdle();
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_EQ(statuses[1].code(), StatusCode::kTimeout);
+}
+
+TEST_F(RpcTest, SecondReplyFailsTheCheck) {
+  client_.Call(server_.node_id(), kNever, "", nullptr, 10 * kMs);
+  loop_.RunUntil(1 * kMs);
+  ASSERT_EQ(parked_.size(), 1u);
+  Responder copy = parked_[0];
+  parked_[0].Send(Status::Ok());
+  EXPECT_DEATH(copy.Send(Status::Ok()), "responding twice");
+}
+
+// A Responder that outlives its endpoint (parked in an event the loop destroys later)
+// can still be dropped, and reports itself spent.
+TEST(Rpc, ResponderOutlivesItsEndpoint) {
+  EventLoop loop;
+  Network net(&loop, NetworkParams{}, 1);
+  RpcEndpoint client(&net);
+  Responder kept;
+  {
+    RpcEndpoint server(&net);
+    server.Register(kNever, [&kept](NodeId, Decoder, Responder r) { kept = r; });
+    client.Call(server.node_id(), kNever, "", nullptr, 0);
+    loop.RunUntilIdle();
+    ASSERT_TRUE(kept.valid());
+  }
+  EXPECT_FALSE(kept.valid());
+  kept = Responder();
+}
+
+// Raw frames from a node with no RpcEndpoint, in the layout RpcEndpoint writes.
+Buf RawRequest(uint32_t method, uint64_t rpc_id) {
+  Encoder e;
+  e.PutU8(1);
+  e.PutU32(method);
+  e.PutU64(rpc_id);
+  e.PutBytes("", 0);
+  return e.TakeBuf();
+}
+Buf RawResponse(uint64_t rpc_id, uint8_t code, const std::string& message) {
+  Encoder e;
+  e.PutU8(2);
+  e.PutU64(rpc_id);
+  e.PutU8(code);
+  e.PutBytes(message);
+  e.PutBytes("", 0);
+  return e.TakeBuf();
+}
+
+// A request frame's method id is a u32 on the wire; one above 0xFFFF names no handler,
+// rather than the handler of its low 16 bits (65736 = 0x100C8 would alias kSeqAppend).
+TEST(Rpc, WideMethodIdNamesNoHandler) {
+  EventLoop loop;
+  Network net(&loop, NetworkParams{}, 1);
+  RpcEndpoint server(&net);
+  int reached = 0;
+  server.Register(kSeqAppend, [&reached](NodeId, Decoder, Responder r) {
+    ++reached;
+    r.Send(Status::Ok());
+  });
+  std::vector<Buf> replies;
+  const NodeId raw = net.AddNode([&replies](NetMessage&& m) { replies.push_back(m.payload); });
+  net.Send(raw, server.node_id(), RawRequest(0x10000u | kSeqAppend, 7));
+  net.Send(raw, server.node_id(), RawRequest(kSeqAppend, 8));
+  loop.RunUntilIdle();
+  EXPECT_EQ(reached, 1) << "only the 16-bit method id reaches the handler";
+  ASSERT_EQ(replies.size(), 2u);
+  std::map<uint64_t, std::pair<uint8_t, std::string>> by_id;
+  for (const Buf& reply : replies) {
+    Decoder d(reply);
+    uint8_t kind = 0;
+    uint64_t rpc_id = 0;
+    uint8_t code = 0;
+    std::string message;
+    ASSERT_TRUE(d.GetU8(&kind) && d.GetU64(&rpc_id) && d.GetU8(&code) && d.GetBytes(&message));
+    EXPECT_EQ(kind, 2);
+    by_id[rpc_id] = {code, message};
+  }
+  ASSERT_EQ(by_id.count(7), 1u);
+  EXPECT_EQ(by_id[7].first, static_cast<uint8_t>(StatusCode::kUnavailable));
+  EXPECT_EQ(by_id[7].second, "no handler for method");
+  EXPECT_EQ(by_id[8].first, static_cast<uint8_t>(StatusCode::kOk));
+}
+
+// A reply whose status byte names no StatusCode is malformed: the callback gets
+// Internal("malformed reply"), not an out-of-range code.
+TEST(Rpc, UnknownStatusByteArrivesAsMalformedReply) {
+  EventLoop loop;
+  Network net(&loop, NetworkParams{}, 1);
+  RpcEndpoint client(&net);
+  NodeId raw = kInvalidNode;
+  const uint8_t last = static_cast<uint8_t>(kLastStatusCode);
+  const std::vector<uint8_t> codes = {0xEE, static_cast<uint8_t>(last + 1), last};
+  size_t next = 0;
+  raw = net.AddNode([&](NetMessage&& m) {
+    Decoder d(m.payload);
+    uint8_t kind = 0;
+    uint32_t method = 0;
+    uint64_t rpc_id = 0;
+    ASSERT_TRUE(d.GetU8(&kind) && d.GetU32(&method) && d.GetU64(&rpc_id));
+    net.Send(raw, m.from, RawResponse(rpc_id, codes[next++], "x"));
+  });
+  std::vector<Status> got;
+  for (size_t i = 0; i < codes.size(); ++i) {
+    client.Call(raw, kEcho, Buf(), [&got](Status s, Decoder) { got.push_back(std::move(s)); },
+                kSec);
+    loop.RunUntilIdle();
+  }
+  ASSERT_EQ(got.size(), 3u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(got[i].code(), StatusCode::kInternal) << i;
+    EXPECT_EQ(got[i].message(), "malformed reply") << i;
+  }
+  EXPECT_EQ(got[2].code(), kLastStatusCode);
+  EXPECT_EQ(got[2].message(), "x");
+}
+
+// A warm round trip allocates its two frames and nothing else: the request and reply
+// frames are one backing each, the 48-byte reply callback is stored inline, and the
+// pending-call table, reply tokens and event slab are reused.
+TEST(Rpc, WarmRoundTripAllocatesOnlyFrames) {
+  EventLoop loop;
+  Network net(&loop, NetworkParams{}, 1);
+  RpcEndpoint server(&net);
+  RpcEndpoint client(&net);
+  server.Handle<NoBody>(kEcho, [](NodeId, NoBody, Responder r) { r.Ok(NoBody{}); });
+  uint64_t replies = 0;
+  auto trip = [&] {
+    const std::array<uint64_t, 5> pad = {1, 2, 3, 4, 5};
+    auto cb = [&replies, pad](Status s, NoBody) {
+      if (s.ok() && pad[4] == 5) {
+        ++replies;
+      }
+    };
+    static_assert(sizeof(cb) == 48);
+    client.CallMsg<NoBody>(server.node_id(), kEcho, NoBody{}, std::move(cb), kSec);
+    loop.RunUntilIdle();
+  };
+  for (int i = 0; i < 100; ++i) {
+    trip();
+  }
+  constexpr int kTrips = 1000;
+  g_news = 0;
+  g_count_news = true;
+  for (int i = 0; i < kTrips; ++i) {
+    trip();
+  }
+  g_count_news = false;
+  EXPECT_EQ(replies, 100u + kTrips);
+  EXPECT_LE(g_news, 2u * kTrips) << static_cast<double>(g_news) / kTrips
+                                 << " allocations per round trip";
 }
 
 // Every method id in rpc_methods.h.
