@@ -23,7 +23,7 @@ void BM_CodecEncodeRecord(benchmark::State& state) {
   for (auto _ : state) {
     Encoder e;
     WireEncode(e, rec);
-    benchmark::DoNotOptimize(e.data());
+    benchmark::DoNotOptimize(e.view());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
@@ -139,11 +139,12 @@ void BM_Zipfian(benchmark::State& state) {
 }
 BENCHMARK(BM_Zipfian);
 
-// CI smoke: measure the codec round trip directly (no google-benchmark driver) and
-// emit one JSON line per (size, mode) so the workflow can assert the zero-copy path
-// really copies nothing and the force-copy baseline copies the payload at both the
-// encode and decode hop.
+// CI smoke: measure the codec round trip directly (not through google-benchmark), emit
+// one JSON line per (size, mode), and check that the zero-copy path really copies
+// nothing (and aliases the payload at both hops) while the force-copy baseline copies
+// the payload at both the encode and decode hop. Exits nonzero on a violation.
 int RunCodecSmoke() {
+  int rc = 0;
   for (const size_t size : {size_t{128}, size_t{4096}, size_t{65536}}) {
     for (const bool force : {false, true}) {
       SetBufForceCopy(force);
@@ -177,10 +178,23 @@ int RunCodecSmoke() {
           static_cast<double>(bs.payload_bytes_copied) / static_cast<double>(iters),
           static_cast<double>(bs.payload_bytes_aliased) / static_cast<double>(iters),
           static_cast<double>(bs.allocations) / static_cast<double>(iters));
+      const uint64_t both_hops = 2 * size * iters;
+      const bool ok = force ? bs.payload_bytes_copied == both_hops
+                            : bs.payload_bytes_copied == 0 && bs.payload_bytes_aliased == both_hops;
+      if (!ok) {
+        std::fprintf(stderr, "SMOKE FAIL: %s round trip at %zu bytes copied %llu, aliased %llu\n",
+                     force ? "force-copy" : "zero-copy", size,
+                     static_cast<unsigned long long>(bs.payload_bytes_copied),
+                     static_cast<unsigned long long>(bs.payload_bytes_aliased));
+        rc = 1;
+      }
     }
   }
   SetBufForceCopy(false);
-  return 0;
+  if (rc == 0) {
+    std::printf("codec smoke OK: 0 bytes copied per aliased round trip at all sizes\n");
+  }
+  return rc;
 }
 
 }  // namespace

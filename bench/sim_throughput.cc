@@ -10,17 +10,59 @@
 // Because the wire format, charged wire bytes, and event order are identical, both runs
 // produce the same simulated latencies/throughput — only wall-clock time and the
 // copy/allocation counters differ. That makes the A/B a pure measurement of the record
-// path's memory traffic. `--smoke` prints one JSON line per mode; CI asserts the JSON
-// parses and that payload_bytes_copied per append is 0 in zero-copy mode.
+// path's memory traffic. `--smoke` prints one JSON line per mode and checks them
+// itself, exiting nonzero on a violation: zero-copy copies 0 payload bytes per append,
+// force-copy copies about one record per append, both modes simulate identically, and
+// zero-copy stays under a ceiling of heap allocations per append (global operator new
+// calls during the measured window, counted by this file's replacement of it).
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "bench/bench_util.h"
 #include "src/lazylog/erwin_cluster.h"
 
+// Global operator new for this binary: forwards to malloc and counts calls while
+// g_count_news is set (the measured window of a run).
+namespace {
+bool g_count_news = false;
+uint64_t g_news = 0;
+
+void* CountedNew(std::size_t n) {
+  if (g_count_news) {
+    ++g_news;
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* CountedNewOrThrow(std::size_t n) {
+  if (void* p = CountedNew(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNewOrThrow(n); }
+void* operator new[](std::size_t n) { return CountedNewOrThrow(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedNew(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedNew(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
 namespace lazylog {
 namespace {
+
+// Zero-copy heap allocations per acked append allowed by --smoke. A Release build
+// measures 46.0; the ceiling leaves headroom for standard-library differences while
+// still failing if RPC frames, reply callbacks or reply tokens allocate per message
+// again.
+constexpr double kMaxHeapAllocsPerAppend = 60;
 
 constexpr uint32_t kShards = 16;
 constexpr size_t kRecordBytes = 4096;
@@ -35,6 +77,7 @@ struct RunResult {
   double sim_mean_ns = 0;       // simulated append latency (must match across modes)
   double sim_p99_ns = 0;
   BufStats buf;                 // record-path counters for the whole run
+  uint64_t heap_allocs = 0;     // global operator new calls in the measured window
 };
 
 RunResult RunOnce(bool force_copy, uint64_t run_ns, uint64_t warmup_ns) {
@@ -55,11 +98,14 @@ RunResult RunOnce(bool force_copy, uint64_t run_ns, uint64_t warmup_ns) {
                       warmup_ns);
 
   const uint64_t events_before = cluster.loop().events_run();
+  g_news = 0;
+  g_count_news = true;
   const auto wall_start = std::chrono::steady_clock::now();
   fleet.Start();
   cluster.RunFor(run_ns);
   fleet.Stop();
   const auto wall_end = std::chrono::steady_clock::now();
+  g_count_news = false;
 
   RunResult r;
   r.wall_ms =
@@ -73,6 +119,7 @@ RunResult RunOnce(bool force_copy, uint64_t run_ns, uint64_t warmup_ns) {
   r.sim_mean_ns = lat.Mean();
   r.sim_p99_ns = static_cast<double>(lat.Percentile(0.99));
   r.buf = GlobalBufStats();
+  r.heap_allocs = g_news;
   SetBufForceCopy(false);
   return r;
 }
@@ -95,7 +142,40 @@ void PrintJson(const char* mode, const RunResult& r) {
                   {"sim_p99_latency_ns", r.sim_p99_ns},
                   {"copied_per_append", PerAppend(r.buf.payload_bytes_copied, r.acked)},
                   {"aliased_per_append", PerAppend(r.buf.payload_bytes_aliased, r.acked)},
-                  {"allocs_per_append", PerAppend(r.buf.allocations, r.acked)}});
+                  {"allocs_per_append", PerAppend(r.buf.allocations, r.acked)},
+                  {"heap_allocs_per_append", PerAppend(r.heap_allocs, r.acked)}});
+}
+
+// The A/B is only valid if the simulation itself is unchanged: same events, acks and
+// simulated latencies in both modes.
+bool SameSimulation(const RunResult& zc, const RunResult& fc) {
+  return zc.acked == fc.acked && zc.events == fc.events && zc.sim_mean_ns == fc.sim_mean_ns &&
+         zc.sim_p99_ns == fc.sim_p99_ns;
+}
+
+// --smoke's checks; prints each violation to stderr and returns the exit code.
+int CheckSmoke(const RunResult& zc, const RunResult& fc) {
+  int rc = 0;
+  auto expect = [&rc](bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+      rc = 1;
+    }
+  };
+  expect(zc.acked > 1000, "zero-copy acked 1000 appends or fewer");
+  expect(zc.buf.payload_bytes_copied == 0, "zero-copy copied payload bytes");
+  expect(PerAppend(fc.buf.payload_bytes_copied, fc.acked) > 0.9 * kRecordBytes,
+         "force-copy copied under 0.9 records per append");
+  expect(SameSimulation(zc, fc), "zero-copy and force-copy simulated differently");
+  const double heap = PerAppend(zc.heap_allocs, zc.acked);
+  expect(heap <= kMaxHeapAllocsPerAppend, "zero-copy heap allocations per append over ceiling");
+  if (rc == 0) {
+    std::printf(
+        "sim_throughput smoke OK: 0 B copied/append zero-copy vs %.0f B force-copy, "
+        "%.2f heap allocs/append\n",
+        PerAppend(fc.buf.payload_bytes_copied, fc.acked), heap);
+  }
+  return rc;
 }
 
 }  // namespace
@@ -113,7 +193,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     PrintJson("zero-copy", zc);
     PrintJson("force-copy", fc);
-    return 0;
+    return CheckSmoke(zc, fc);
   }
 
   PrintHeader("Harness throughput: zero-copy record path vs per-hop copies");
@@ -139,10 +219,7 @@ int main(int argc, char** argv) {
                   : 0.0,
               PerAppend(fc.buf.payload_bytes_copied, fc.acked),
               PerAppend(zc.buf.payload_bytes_copied, zc.acked));
-  // The A/B is only valid if the simulation itself is unchanged: same acks, same
-  // simulated latency, byte-identical wire traffic.
-  const bool identical = zc.acked == fc.acked && zc.events == fc.events &&
-                         zc.sim_mean_ns == fc.sim_mean_ns && zc.sim_p99_ns == fc.sim_p99_ns;
+  const bool identical = SameSimulation(zc, fc);
   std::printf("  simulated behaviour identical across modes: %s\n", identical ? "yes" : "NO");
   return identical ? 0 : 1;
 }
