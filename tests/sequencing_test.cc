@@ -98,6 +98,90 @@ TEST(Sequencing, DuplicateFilteredEvenAfterGc) {
   EXPECT_GE(cluster.seq_replica(1).StatsSnapshot().counters.duplicates_filtered, 1u);
 }
 
+// Raw protocol helpers for the duplicate-filter tests below: they talk to one replica
+// directly, so only the messages a test sends reach it.
+Status RawAppend(ErwinCluster& cluster, RpcEndpoint& raw, uint32_t replica, RecordId id) {
+  SeqAppendReq req;
+  req.view = 0;
+  req.id = id;
+  req.payload = "x";
+  Status status = Status::Unavailable("no reply");
+  raw.CallMsg(cluster.seq_replica(replica).node_id(), kSeqAppend, req,
+              [&](Status s, Decoder) { status = s; }, kSec);
+  cluster.RunFor(2 * kMs);
+  return status;
+}
+
+Status RawGc(ErwinCluster& cluster, RpcEndpoint& raw, uint32_t replica,
+             std::vector<RecordId> ids) {
+  SeqGcReq req;
+  req.view = 0;
+  req.new_ordered_gp = cluster.seq_replica(replica).ordered_gp();
+  for (const RecordId& id : ids) {
+    req.ids.push_back(WireRecordId{id});
+  }
+  Status status = Status::Unavailable("no reply");
+  raw.CallMsg(cluster.seq_replica(replica).node_id(), kSeqGc, req,
+              [&](Status s, Decoder) { status = s; }, kSec);
+  cluster.RunFor(2 * kMs);
+  return status;
+}
+
+TEST(Sequencing, FollowerGcKeepsUnorderedEntriesInArrivalOrder) {
+  // A follower GC names ids out of ring order; the survivors keep arrival order and
+  // the collected ids stay filtered as recently ordered.
+  ErwinCluster cluster(MOptions());
+  RpcEndpoint raw(&cluster.network());
+  SequencingReplica& follower = cluster.seq_replica(1);
+  const RecordId a{900, 1}, b{900, 2}, c{900, 3}, d{900, 4}, e{900, 5};
+  for (const RecordId& id : {a, b, c, d}) {
+    ASSERT_TRUE(RawAppend(cluster, raw, 1, id).ok());
+  }
+  ASSERT_EQ(follower.LogIds(), (std::vector<RecordId>{a, b, c, d}));
+  ASSERT_TRUE(RawGc(cluster, raw, 1, {d, b}).ok());
+  EXPECT_EQ(follower.LogIds(), (std::vector<RecordId>{a, c}));
+  EXPECT_EQ(follower.unordered_size(), 2u);
+
+  const uint64_t dups = follower.StatsSnapshot().counters.duplicates_filtered;
+  EXPECT_TRUE(RawAppend(cluster, raw, 1, b).ok());
+  EXPECT_TRUE(RawAppend(cluster, raw, 1, d).ok());
+  EXPECT_EQ(follower.StatsSnapshot().counters.duplicates_filtered, dups + 2);
+  EXPECT_EQ(follower.LogIds(), (std::vector<RecordId>{a, c}));
+
+  EXPECT_TRUE(RawAppend(cluster, raw, 1, e).ok());
+  EXPECT_EQ(follower.LogIds(), (std::vector<RecordId>{a, c, e}));
+}
+
+TEST(Sequencing, OrderedIdIsForgottenAfterTheRetryWindow) {
+  // The recently-ordered filter holds an id for 4 x rpc_timeout_ns, and expiry runs
+  // only when a later ordering round remembers new ids.
+  ErwinCluster cluster(MOptions());
+  RpcEndpoint raw(&cluster.network());
+  SequencingReplica& follower = cluster.seq_replica(1);
+  const uint64_t window = 4 * cluster.params().rpc_timeout_ns;
+  const RecordId a{901, 1}, z{901, 2};
+  ASSERT_TRUE(RawAppend(cluster, raw, 1, a).ok());
+  ASSERT_TRUE(RawGc(cluster, raw, 1, {a}).ok());
+  ASSERT_TRUE(follower.LogIds().empty());
+
+  // Inside the window: filtered.
+  cluster.RunFor(window / 2);
+  EXPECT_TRUE(RawAppend(cluster, raw, 1, a).ok());
+  EXPECT_TRUE(follower.LogIds().empty());
+
+  // Past the window but before another ordering round: still filtered.
+  cluster.RunFor(window);
+  EXPECT_TRUE(RawAppend(cluster, raw, 1, a).ok());
+  EXPECT_TRUE(follower.LogIds().empty());
+
+  // A later ordering round prunes it; a re-sent a is then a fresh append.
+  ASSERT_TRUE(RawAppend(cluster, raw, 1, z).ok());
+  ASSERT_TRUE(RawGc(cluster, raw, 1, {z}).ok());
+  ASSERT_TRUE(follower.LogIds().empty());
+  EXPECT_TRUE(RawAppend(cluster, raw, 1, a).ok());
+  EXPECT_EQ(follower.LogIds(), (std::vector<RecordId>{a}));
+}
+
 TEST(Sequencing, CheckTailCountsDurableAndStable) {
   ErwinCluster cluster(MOptions());
   auto client = cluster.MakeMClient();
