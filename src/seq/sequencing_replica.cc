@@ -97,13 +97,13 @@ std::vector<RecordId> SequencingReplica::LogIds() const {
 // --- appends ---------------------------------------------------------------------------
 
 bool SequencingReplica::IsDuplicate(const RecordId& id) const {
-  return in_log_.count(id) > 0 || recently_ordered_.count(id) > 0;
+  return in_log_.contains(id) || recently_ordered_.contains(id);
 }
 
 void SequencingReplica::RememberOrdered(const std::vector<WireRecordId>& ids) {
   const SimTime now = endpoint_.loop()->Now();
   for (const WireRecordId& w : ids) {
-    if (recently_ordered_.insert(w.id).second) {
+    if (recently_ordered_.insert(w.id)) {
       ordered_expiry_.emplace_back(now, w.id);
     }
   }
@@ -231,7 +231,7 @@ bool SequencingReplica::AdmitAppend(const RecordId& id, LogId log) {
   // stop at the high watermark.
   bool pass = admitting_;
   if (!pass && occupancy < params_.seq.ring_high_watermark &&
-      recently_rejected_.count(id) > 0) {
+      recently_rejected_.contains(id)) {
     pass = true;
   }
   if (!pass) {
@@ -287,7 +287,7 @@ void SequencingReplica::ScrubShedEntries() {
 }
 
 void SequencingReplica::RememberRejected(const RecordId& id) {
-  if (recently_rejected_.insert(id).second) {
+  if (recently_rejected_.insert(id)) {
     rejected_expiry_.emplace_back(endpoint_.loop()->Now(), id);
   }
   PruneRejected();
@@ -341,7 +341,7 @@ void SequencingReplica::HandleAppend(SeqAppendReq req, Responder r) {
   }
   stats_.admitted++;
   Cursor(req.log).admitted++;
-  if (recently_rejected_.erase(req.id) > 0) {
+  if (recently_rejected_.erase(req.id)) {
     stats_.overload_retried++;
   }
   // Dup fast path, also ahead of the CPU charge: a retry of an already-durable append
@@ -370,7 +370,7 @@ void SequencingReplica::HandleAppend(SeqAppendReq req, Responder r) {
       // Retried append (view change or packet loss): already durable here; idempotent OK.
       LLOG(kDebug) << "t=" << endpoint_.loop()->Now() << " seq node=" << node_id()
                    << " dup-ack id={" << req.id.client_id << "," << req.id.request_id
-                   << "} in_log=" << in_log_.count(req.id);
+                   << "} in_log=" << in_log_.contains(req.id);
       stats_.duplicates_filtered++;
       r.Send(Status::Ok());
       return;
@@ -801,24 +801,27 @@ void SequencingReplica::HandleGc(SeqGcReq req, Responder r) {
       r.Send(Status::Sealed());
       return;
     }
-    std::unordered_set<RecordId, RecordIdHash> gone;
-    gone.reserve(req.ids.size());
+    gc_ids_.clear();
     for (const WireRecordId& w : req.ids) {
-      gone.insert(w.id);
+      gc_ids_.insert(w.id);
     }
-    std::deque<Entry> kept;
-    for (Entry& e : log_) {
-      if (gone.count(e.id) > 0) {
-        in_log_.erase(e.id);
+    // Compact log_ in place: survivors keep their arrival order.
+    auto kept = log_.begin();
+    for (auto it = log_.begin(); it != log_.end(); ++it) {
+      if (gc_ids_.contains(it->id)) {
+        in_log_.erase(it->id);
         // Follower per-log accounting: a GC'd entry is ordered at the leader.
-        LogCursor& lc = Cursor(e.log);
+        LogCursor& lc = Cursor(it->log);
         lc.ordered++;
         lc.unordered -= std::min<uint64_t>(lc.unordered, 1);
       } else {
-        kept.push_back(std::move(e));
+        if (kept != it) {
+          *kept = std::move(*it);
+        }
+        ++kept;
       }
     }
-    log_ = std::move(kept);
+    log_.erase(kept, log_.end());
     ordered_gp_ = std::max(ordered_gp_, req.new_ordered_gp);
     RememberOrdered(req.ids);
     ScrubShedEntries();

@@ -13,9 +13,9 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "src/common/flat_set.h"
 #include "src/common/params.h"
 #include "src/control/zookeeper.h"
 #include "src/rpc/rpc.h"
@@ -330,10 +330,13 @@ class SequencingReplica {
   LogPos assigned_gp_ = 0;  // leader: count of position-assigned records
   LogPos stable_gp_ = 0;    // leader: count of stable records
 
-  // Duplicate filtering (footnote in §4.3 and retry handling in §4.5).
-  std::unordered_set<RecordId, RecordIdHash> in_log_;
-  std::unordered_set<RecordId, RecordIdHash> recently_ordered_;
+  // Duplicate filtering (footnote in §4.3 and retry handling in §4.5): the ids in log_,
+  // and the ids ordered within the retry window, expired in ordering order.
+  FlatSet<RecordId, RecordIdHash> in_log_;
+  FlatSet<RecordId, RecordIdHash> recently_ordered_;
   std::deque<std::pair<SimTime, RecordId>> ordered_expiry_;
+  // Follower GC scratch: the ids one GC collects, reused across GCs.
+  FlatSet<RecordId, RecordIdHash> gc_ids_;
 
   // Admission control: appends accepted but still queued for the sequencer CPU (they
   // occupy the ring the moment they are admitted, not when the core reaches them).
@@ -341,7 +344,7 @@ class SequencingReplica {
   bool admitting_ = true;
   // Recently refused ids, time-pruned; an admitted id found here is a client overload
   // retry (the overload_retried counter).
-  std::unordered_set<RecordId, RecordIdHash> recently_rejected_;
+  FlatSet<RecordId, RecordIdHash> recently_rejected_;
   std::deque<std::pair<SimTime, RecordId>> rejected_expiry_;
 
   // Adaptive group-commit state (pinned to the static knobs when adaptivity is off).

@@ -284,8 +284,7 @@ void ShardServer::TruncateOrderedFrom(LogPos pos) {
       // record data back so it is not lost (it was moved out of the pool at bind time).
       const Record* rec = log_.Get(local);
       if (rec != nullptr && !rec->no_op && pending_.count(rec->id) == 0) {
-        pool_[rec->id] = PoolEntry{rec->payload, rec->tag, rec->log};
-        pool_arrival_[rec->id] = endpoint_.loop()->Now();
+        pool_[rec->id] = PoolEntry{rec->payload, rec->tag, rec->log, endpoint_.loop()->Now()};
       }
     }
     local_pos_.pop_back();
@@ -520,8 +519,8 @@ void ShardServer::HandlePutData(ShardPutDataReq req, Responder r) {
       // The metadata beat the data here; resolve the parked binding.
       ResolvePendingWithData(req.id, std::move(req.payload), req.tag, req.log);
     } else {
-      pool_[req.id] = PoolEntry{std::move(req.payload), req.tag, req.log};
-      pool_arrival_[req.id] = endpoint_.loop()->Now();
+      pool_[req.id] =
+          PoolEntry{std::move(req.payload), req.tag, req.log, endpoint_.loop()->Now()};
     }
     // Memory on all replicas is the critical-path durability; disk catches up in the
     // background but exerts backpressure once its queue exceeds the admission horizon.
@@ -543,7 +542,6 @@ bool ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<Bat
                         pool_it->second.tag, pool_it->second.log},
                  false);
     pool_.erase(pool_it);
-    pool_arrival_.erase(entry.id);
     return true;
   }
   if (rejected_.count(entry.id) > 0) {
@@ -704,7 +702,6 @@ void ShardServer::HandleReplicateNoOp(NodeId from, NoOpMsg msg, Responder r) {
   }
   rejected_.insert(msg.id);
   pool_.erase(msg.id);
-  pool_arrival_.erase(msg.id);
   auto pending_it = pending_.find(msg.id);
   if (pending_it != pending_.end()) {
     pending_it->second.timeout.Cancel();
@@ -1042,8 +1039,10 @@ void ShardServer::CopyStateFrom(NodeId live_replica, std::function<void(Status)>
         }
         for (ShardStateSnapshot::PooledRecord& p : snap.pool) {
           bytes += p.payload.size();
-          pool_.emplace(p.id, PoolEntry{std::move(p.payload), p.tag, p.log});
-          pool_arrival_[p.id] = endpoint_.loop()->Now();
+          // A copied id already pooled here keeps its payload but still counts as
+          // written now.
+          auto it = pool_.emplace(p.id, PoolEntry{std::move(p.payload), p.tag, p.log}).first;
+          it->second.arrival = endpoint_.loop()->Now();
         }
         for (const RecordId& id : snap.rejected) {
           rejected_.insert(id);
@@ -1066,10 +1065,9 @@ void ShardServer::ScrubOrphans() {
   // acked append.
   const SimTime now = endpoint_.loop()->Now();
   const uint64_t max_age = params_.seq.st_orphan_scrub_age_ns;
-  for (auto it = pool_arrival_.begin(); it != pool_arrival_.end();) {
-    if (now - it->second > max_age) {
-      pool_.erase(it->first);
-      it = pool_arrival_.erase(it);
+  for (auto it = pool_.begin(); it != pool_.end();) {
+    if (now - it->second.arrival > max_age) {
+      it = pool_.erase(it);
     } else {
       ++it;
     }

@@ -349,9 +349,9 @@ class ShardServer {
     Buf payload;
     StreamTag tag = kNoTag;
     LogId log = kDefaultLog;
+    SimTime arrival = 0;  // last write of the id; the orphan scrub ages entries by it
   };
   std::unordered_map<RecordId, PoolEntry, RecordIdHash> pool_;  // unordered durable data
-  std::unordered_map<RecordId, SimTime, RecordIdHash> pool_arrival_;
   std::unordered_map<RecordId, PendingBinding, RecordIdHash> pending_;
   std::unordered_set<RecordId, RecordIdHash> rejected_;  // no-op'ed ids
   std::vector<uint64_t> meta_log_;                       // pos -> shard id (dense)
