@@ -66,13 +66,29 @@ AblationResult Run(uint64_t interval_ns, uint64_t warmup_ns = kWarmup,
 int main(int argc, char** argv) {
   using namespace lazylog;
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
-    // CI smoke: one short run at the default interval; the JSON line is asserted on.
+    // CI smoke: one short run at the default interval. Prints the orderer's JSON line,
+    // then checks that the orderer batched, ordered something, and kept stable-gp at or
+    // below the assignment frontier; exits nonzero on a violation.
     AblationResult r = Run(30 * kUs, /*warmup_ns=*/20 * kMs, /*run_ns=*/80 * kMs);
     PrintStatsJson("orderer", r.orderer.Fields(),
                    {{"ordering_interval_us", 30.0},
                     {"append_mean_ns", r.append.Mean()},
                     {"read_p99_ns", r.read.Percentile(0.99)}});
-    return 0;
+    int rc = 0;
+    auto expect = [&rc](bool ok, const char* what) {
+      if (!ok) {
+        std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+        rc = 1;
+      }
+    };
+    expect(r.avg_batch > 1, "average ordering batch is 1 record or less");
+    expect(r.orderer.ordered_gp > 0, "nothing was ordered");
+    expect(r.orderer.stable_gp <= r.orderer.assigned_gp, "stable-gp passed assigned-gp");
+    if (rc == 0) {
+      std::printf("ablation smoke OK: avg batch %.1f, stable-gp lag %llu\n", r.avg_batch,
+                  static_cast<unsigned long long>(r.orderer.assigned_gp - r.orderer.stable_gp));
+    }
+    return rc;
   }
   PrintHeader(
       "Ablation: background-ordering interval (Erwin-m, 20K appends/s, no-lag reader)");

@@ -95,19 +95,44 @@ int main(int argc, char** argv) {
     // configuration that serializes each shard's windows like the old single-batch
     // barrier. Windows are bounded (max_order_batch=64) so depth-1 cannot compensate
     // by growing one giant window per round-trip — it tops out at one window per
-    // shard RTT while the pipeline keeps several in flight. One JSON line per run;
-    // CI asserts stable_gp_lag parses and that the pipelined orderer orders faster.
-    for (uint32_t depth : {1u, 4u}) {
-      Measurement m = MeasureAt(ErwinMode::kSt, 16, 4096, 300e3, depth,
-                                /*run_ns=*/80 * kMs, /*warmup_ns=*/20 * kMs,
-                                /*max_batch=*/64);
-      PrintStatsJson("orderer", m.orderer.Fields(),
+    // shard RTT while the pipeline keeps several in flight. One JSON line per run,
+    // then the checks: both runs batch and keep stable-gp at or below assigned-gp, and
+    // the pipelined orderer orders over 1.5x faster with a smaller stable-gp lag.
+    // Exits nonzero on a violation.
+    Measurement runs[2];
+    for (int i = 0; i < 2; ++i) {
+      const uint32_t depth = i == 0 ? 1 : 4;
+      runs[i] = MeasureAt(ErwinMode::kSt, 16, 4096, 300e3, depth,
+                          /*run_ns=*/80 * kMs, /*warmup_ns=*/20 * kMs,
+                          /*max_batch=*/64);
+      PrintStatsJson("orderer", runs[i].orderer.Fields(),
                      {{"order_pipeline_depth", static_cast<double>(depth)},
                       {"max_order_batch", 64.0},
-                      {"ordering_throughput", m.ordering_rate},
-                      {"append_rate", m.rate}});
+                      {"ordering_throughput", runs[i].ordering_rate},
+                      {"append_rate", runs[i].rate}});
     }
-    return 0;
+    const OrdererStatsSnapshot& barrier = runs[0].orderer;
+    const OrdererStatsSnapshot& pipelined = runs[1].orderer;
+    int rc = 0;
+    auto expect = [&rc](bool ok, const char* what) {
+      if (!ok) {
+        std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+        rc = 1;
+      }
+    };
+    for (const OrdererStatsSnapshot* o : {&barrier, &pipelined}) {
+      expect(o->counters.AvgBatchSize() > 1, "average ordering batch is 1 record or less");
+      expect(o->stable_gp <= o->assigned_gp, "stable-gp passed assigned-gp");
+    }
+    expect(runs[1].ordering_rate > 1.5 * runs[0].ordering_rate,
+           "pipelined ordering is not over 1.5x the barrier's");
+    expect(pipelined.assigned_gp - pipelined.stable_gp < barrier.assigned_gp - barrier.stable_gp,
+           "pipelined stable-gp lag is not below the barrier's");
+    if (rc == 0) {
+      std::printf("fig13 smoke OK: pipelined %.0f/s vs barrier %.0f/s\n",
+                  runs[1].ordering_rate, runs[0].ordering_rate);
+    }
+    return rc;
   }
   PrintHeader("Figure 13a: Throughput vs #shards (Erwin-m vs Erwin-st, 4KB and 8KB)");
   std::printf("  %-8s %-16s %-16s %-16s %-16s\n", "#shards", "Erwin-m 4K", "Erwin-st 4K",

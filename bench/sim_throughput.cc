@@ -58,11 +58,12 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace lazylog {
 namespace {
 
-// Zero-copy heap allocations per acked append allowed by --smoke. A Release build
-// measures 46.0; the ceiling leaves headroom for standard-library differences while
-// still failing if RPC frames, reply callbacks or reply tokens allocate per message
-// again.
-constexpr double kMaxHeapAllocsPerAppend = 60;
+// Zero-copy heap allocations per acked append allowed by --smoke. Release and
+// RelWithDebInfo builds measure 33.8; the ceiling leaves headroom for standard-library
+// differences while still failing if RPC frames, reply callbacks or reply tokens
+// allocate per message again, or the sequencing replicas' duplicate filter goes back
+// to a heap node per id.
+constexpr double kMaxHeapAllocsPerAppend = 40;
 
 constexpr uint32_t kShards = 16;
 constexpr size_t kRecordBytes = 4096;
