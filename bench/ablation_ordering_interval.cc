@@ -31,8 +31,6 @@ AblationResult Run(uint64_t interval_ns, uint64_t warmup_ns = kWarmup,
   opt.shard_replication = 2;
   opt.with_control_plane = false;
   opt.params.seq.ordering_interval_ns = interval_ns;
-  // This bench ablates the static interval; the adaptive controller would move it.
-  opt.params.seq.adaptive_ordering = false;
   ErwinCluster cluster(opt);
   std::vector<std::unique_ptr<SharedLogClient>> clients;
   for (size_t i = 0; i < 4; ++i) {

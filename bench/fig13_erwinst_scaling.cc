@@ -30,9 +30,6 @@ Measurement MeasureAt(ErwinMode mode, uint32_t shards, size_t record_bytes, doub
   opt.num_shards = shards;
   opt.shard_replication = 2;
   opt.with_control_plane = false;
-  // Static-knob ablation: the depth/batch rows compare fixed settings, so the adaptive
-  // controller (which would re-deepen the depth-1 "barrier" row) stays off here.
-  opt.params.seq.adaptive_ordering = false;
   if (pipeline_depth > 0) {
     opt.params.seq.order_pipeline_depth = pipeline_depth;
   }

@@ -10,9 +10,13 @@
 //   (d)   erwin-st shard-primary failover: the shard primary is crashed; the controller
 //         seals the survivors under a bumped promotion epoch, promotes the most-complete
 //         backup with an ordered handoff of the acked-but-unordered tail, and republishes
-//         the config. Prints the detect/seal/handoff/open breakdown plus JSON stats the
-//         CI perf-smoke asserts on (shard dip must stay under 2x the seq-crash dip).
+//         the config. Prints the detect/seal/handoff/open breakdown plus JSON stats.
+//
+// --smoke runs the same phases and then checks the failover shape: promotion completed
+// once, total failover < 50 ms with seal + handoff + open < 10 ms, and a shard dip at
+// most 2x the seq-crash dip. Exits nonzero on a violation.
 #include <cstdio>
+#include <cstring>
 #include <functional>
 
 #include "bench/bench_util.h"
@@ -92,8 +96,9 @@ double RunStTimeline(const char* title, const std::function<void(ErwinCluster&)>
 }  // namespace
 }  // namespace lazylog
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazylog;
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   PrintHeader("Figure 17: Sequencing-layer reconfiguration under a replica crash");
 
   ErwinClusterOptions opt;
@@ -190,11 +195,12 @@ int main() {
       });
 
   std::printf("\n  -- shard-primary failover breakdown --\n");
+  double detect = -1, seal = 0, handoff = 0, open = 0;
   if (fo.complete) {
-    const double detect = static_cast<double>(fo.detected_at - shard_crash_at) / 1e6;
-    const double seal = static_cast<double>(fo.sealed_at - fo.detected_at) / 1e6;
-    const double handoff = static_cast<double>(fo.handoff_at - fo.sealed_at) / 1e6;
-    const double open = static_cast<double>(fo.opened_at - fo.handoff_at) / 1e6;
+    detect = static_cast<double>(fo.detected_at - shard_crash_at) / 1e6;
+    seal = static_cast<double>(fo.sealed_at - fo.detected_at) / 1e6;
+    handoff = static_cast<double>(fo.handoff_at - fo.sealed_at) / 1e6;
+    open = static_cast<double>(fo.opened_at - fo.handoff_at) / 1e6;
     std::printf("  detect     %8.2f ms   (2 session heartbeats of silence)\n", detect);
     std::printf("  seal       %8.2f ms   (promo-seal fence + completeness reports)\n", seal);
     std::printf("  handoff    %8.2f ms   (promote + metadata re-push to new primary)\n",
@@ -215,5 +221,28 @@ int main() {
   PrintStatsJson("promoted_shard", promoted_snap.Fields());
   PrintPaperNote("the shard failover rides the same detect-dominated budget as the seq");
   PrintPaperNote("reconfiguration; the metadata-only handoff keeps seal->open sub-ms.");
-  return 0;
+  if (!smoke) {
+    return 0;
+  }
+
+  int rc = 0;
+  auto expect = [&rc](bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+      rc = 1;
+    }
+  };
+  const double seal_to_open = seal + handoff + open;
+  expect(detect >= 0, "shard-primary failover did not complete");
+  expect(detect + seal_to_open < 50, "shard failover took 50 ms or more");
+  expect(seal_to_open < 10, "seal + handoff + open took 10 ms or more");
+  expect(shard_dip_ms <= 2 * seq_dip_ms, "shard dip exceeds 2x the seq-crash dip");
+  expect(ctrl_snap.promotions == 1, "controller did not promote exactly once");
+  expect(promoted_snap.counters.promotions == 1, "promoted shard did not promote exactly once");
+  expect(promoted_snap.counters.seal_to_open_ns > 0, "promoted shard recorded no seal->open");
+  if (rc == 0) {
+    std::printf("fig17 smoke OK: shard dip %.0fms vs seq dip %.0fms, seal->open %.2fms\n",
+                shard_dip_ms, seq_dip_ms, seal_to_open);
+  }
+  return rc;
 }

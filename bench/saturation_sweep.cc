@@ -1,14 +1,14 @@
 // Saturation sweep: goodput, tail latency, and reject rate of Erwin-st as open-loop
 // offered load sweeps 0.25x..4x of the measured saturation knee. The point of the
-// bench is the overload regime: with the adaptive orderer + admission control (the
-// defaults) goodput holds at the knee under 4x overload and admitted appends keep a
-// bounded tail, while the static-knob configuration (admission off, fixed cadence)
-// collapses — the unordered ring's CPU queueing delay blows through the 8ms append
-// timeout, every ack arrives dead, and client retries amplify the overload.
+// bench is the overload regime: with admission control (the default) goodput holds at
+// the knee under 4x overload and admitted appends keep a bounded tail, while the
+// static arm (admission off) collapses — the unordered ring's CPU queueing delay blows
+// through the 8ms append timeout, every ack arrives dead, and client retries amplify
+// the overload. Both arms order on the same fixed tick.
 //
-// --smoke runs the knee probe plus the 4x adaptive/static A/B and asserts the
-// adaptive side holds >= 90% of knee goodput with a bounded admitted-append p99 and
-// real rejects, and that the static side collapses. One JSON line per run for CI.
+// --smoke runs the knee probe plus the 4x admission on/off A/B and asserts the gated
+// side holds >= 90% of knee goodput with a bounded admitted-append p99 and real
+// rejects, and that the static side collapses. One JSON line per run for CI.
 #include <cstdio>
 #include <cstring>
 
@@ -27,8 +27,8 @@ constexpr uint64_t kRun = 80 * kMs;
 // Bench-local CPU slowdown: raising the sequencer's per-record cost pulls the
 // saturation knee from ~1M/s down to ~260K/s, so a full overload point (and the 4x
 // retry storm of the static A/B) fits in well under a second of wall clock. The
-// mechanics under study — ring occupancy, queueing delay vs the append timeout,
-// AIMD cadence — are unchanged; only the scale shrinks.
+// mechanics under study — ring occupancy and queueing delay vs the append timeout —
+// are unchanged; only the scale shrinks.
 constexpr uint64_t kSeqFixedNs = 3800;
 // Watermarks scale with the per-record cost so that worst-case append latency — ring
 // queueing (high watermark x fixed_ns ~= 2ms) plus a couple of post-reject retry
@@ -47,7 +47,7 @@ struct Measurement {
   OrdererStatsSnapshot orderer;
 };
 
-Measurement MeasureAt(double offered, bool adaptive, uint64_t run_ns = kRun,
+Measurement MeasureAt(double offered, bool admission, uint64_t run_ns = kRun,
                       uint64_t warmup_ns = kWarmup) {
   ErwinClusterOptions opt;
   opt.mode = ErwinMode::kSt;
@@ -57,12 +57,9 @@ Measurement MeasureAt(double offered, bool adaptive, uint64_t run_ns = kRun,
   opt.params.seq_cpu.fixed_ns = kSeqFixedNs;
   opt.params.seq.ring_high_watermark = kRingHigh;
   opt.params.seq.ring_low_watermark = kRingLow;
-  if (!adaptive) {
-    // The static arm of the A/B: fixed ordering knobs and no admission gate — the
-    // pre-overload-control configuration.
-    opt.params.seq.adaptive_ordering = false;
-    opt.params.seq.admission_control = false;
-  }
+  // The static arm of the A/B has no admission gate: the pre-overload-control
+  // configuration.
+  opt.params.seq.admission_control = admission;
   ErwinCluster cluster(opt);
   std::vector<std::unique_ptr<SharedLogClient>> clients;
   for (size_t i = 0; i < kClients; ++i) {
@@ -97,7 +94,7 @@ double MeasureKnee() {
   double offered = 0.7 * capacity;
   double best = 0;
   for (int i = 0; i < 4; ++i) {
-    const Measurement m = MeasureAt(offered, /*adaptive=*/true);
+    const Measurement m = MeasureAt(offered, /*admission=*/true);
     best = std::max(best, m.goodput);
     if (m.goodput < offered * 0.95) {
       break;
@@ -107,11 +104,11 @@ double MeasureKnee() {
   return best;
 }
 
-void PrintRow(const Measurement& m, double knee, bool adaptive) {
+void PrintRow(const Measurement& m, double knee, bool admission) {
   PrintStatsJson("saturation", m.orderer.Fields(),
                  {{"offered", m.offered},
                   {"multiplier", m.offered / knee},
-                  {"adaptive", adaptive ? 1.0 : 0.0},
+                  {"admission", admission ? 1.0 : 0.0},
                   {"goodput", m.goodput},
                   {"append_p50_ns", m.latency.Percentile(0.5)},
                   {"append_p99_ns", m.latency.Percentile(0.99)},
@@ -120,10 +117,10 @@ void PrintRow(const Measurement& m, double knee, bool adaptive) {
 
 int Smoke() {
   const double knee = MeasureKnee();
-  const Measurement adaptive = MeasureAt(4.0 * knee, /*adaptive=*/true);
-  const Measurement fixed = MeasureAt(4.0 * knee, /*adaptive=*/false);
+  const Measurement gated = MeasureAt(4.0 * knee, /*admission=*/true);
+  const Measurement fixed = MeasureAt(4.0 * knee, /*admission=*/false);
   std::printf("{\"component\":\"saturation\",\"knee\":%.6g}\n", knee);
-  PrintRow(adaptive, knee, true);
+  PrintRow(gated, knee, true);
   PrintRow(fixed, knee, false);
 
   int rc = 0;
@@ -135,22 +132,22 @@ int Smoke() {
   };
   expect(knee > 100e3, "saturation knee is implausibly low");
   // Overload control holds goodput at the knee under 4x overload...
-  expect(adaptive.goodput >= 0.9 * knee, "adaptive goodput at 4x fell below 90% of knee");
+  expect(gated.goodput >= 0.9 * knee, "gated goodput at 4x fell below 90% of knee");
   // ...with a bounded tail for the appends it admits (ring queueing is capped by the
   // high watermark; the slack on top covers post-reject retry backoff)...
-  expect(adaptive.latency.Percentile(0.99) < 30 * kMs,
-         "adaptive admitted-append p99 unbounded at 4x");
+  expect(gated.latency.Percentile(0.99) < 30 * kMs,
+         "gated admitted-append p99 unbounded at 4x");
   // ...and the gate is genuinely shedding, not idling.
   uint64_t rejected = 0;
-  for (const auto& [k, v] : adaptive.orderer.Fields()) {
+  for (const auto& [k, v] : gated.orderer.Fields()) {
     if (k == "overload_rejected") rejected = static_cast<uint64_t>(v);
   }
   expect(rejected > 0, "admission gate never fired at 4x overload");
-  // The static configuration must show the collapse the controller prevents.
+  // The static configuration must show the collapse the gate prevents.
   expect(fixed.goodput < 0.5 * knee, "static knobs did not collapse at 4x (A/B vacuous)");
   if (rc == 0) {
-    std::printf("saturation smoke OK: knee=%.0f/s adaptive@4x=%.0f/s static@4x=%.0f/s\n",
-                knee, adaptive.goodput, fixed.goodput);
+    std::printf("saturation smoke OK: knee=%.0f/s gated@4x=%.0f/s static@4x=%.0f/s\n",
+                knee, gated.goodput, fixed.goodput);
   }
   return rc;
 }
@@ -164,13 +161,13 @@ int main(int argc, char** argv) {
     return Smoke();
   }
 
-  PrintHeader("Saturation sweep (Erwin-st, 16 shards, 512B, adaptive orderer)");
+  PrintHeader("Saturation sweep (Erwin-st, 16 shards, 512B, admission control)");
   const double knee = MeasureKnee();
   std::printf("  measured knee: %.0f appends/s\n", knee);
   std::printf("  %-6s %-14s %-14s %-10s %-10s %-12s %-12s\n", "x", "offered (K/s)",
               "goodput (K/s)", "p50", "p99", "rejects/s", "shed/s");
   for (double mult : {0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0}) {
-    const Measurement m = MeasureAt(mult * knee, /*adaptive=*/true);
+    const Measurement m = MeasureAt(mult * knee, /*admission=*/true);
     double rejected = 0;
     for (const auto& [k, v] : m.orderer.Fields()) {
       if (k == "overload_rejected") rejected = v;
@@ -186,15 +183,15 @@ int main(int argc, char** argv) {
   PrintPaperNote("plateaus at the knee and the admitted tail stays bounded by ring");
   PrintPaperNote("queueing + retry backoff instead of growing with the overload.");
 
-  PrintHeader("Static-knob A/B (admission off, fixed cadence)");
+  PrintHeader("Static-knob A/B (admission off)");
   std::printf("  %-6s %-10s %-16s %-16s\n", "x", "arm", "goodput (K/s)", "p99");
   for (double mult : {2.0, 4.0}) {
-    for (bool adaptive : {true, false}) {
-      const Measurement m = MeasureAt(mult * knee, adaptive);
+    for (bool admission : {true, false}) {
+      const Measurement m = MeasureAt(mult * knee, admission);
       std::printf("  %-6.2f %-10s %-16.0f %-16s\n", mult,
-                  adaptive ? "adaptive" : "static", m.goodput / 1e3,
+                  admission ? "gated" : "static", m.goodput / 1e3,
                   FormatNanos(m.latency.Percentile(0.99)).c_str());
-      PrintRow(m, knee, adaptive);
+      PrintRow(m, knee, admission);
     }
   }
   PrintPaperNote("Without the gate, the unordered ring's FIFO CPU queue outgrows the 8ms");

@@ -81,8 +81,9 @@ class ChaosRunner {
 
 ChaosRunner::Workload ChaosRunner::MakeWorkloadClient() {
   Workload w;
-  // Every ranged-read reply (routed backup reads included) feeds the read-staleness
-  // oracle: the serving replica, the stable-gp it advertised, and the records served.
+  // Every shard read reply (routed backup reads and the index path's fetches included)
+  // feeds the read-staleness oracle: the serving replica, the stable-gp it advertised,
+  // and the records served.
   auto serve_observer = [this](NodeId server, LogPos advertised_stable,
                                const std::vector<PositionedRecord>& records) {
     LogPos max_pos = 0;

@@ -177,7 +177,8 @@ class ChaosHistory {
   void RecordTail(uint32_t client, LogPos durable, LogPos stable, ViewId view);
 
   // One read reply from a shard replica, with the stable-gp it advertised (from the
-  // clients' read-reply observers; covers routed, coalesced, and classic reads).
+  // clients' read-reply observers; covers routed, coalesced, classic and index-path
+  // reads).
   void RecordReadServe(NodeId server, LogPos advertised_stable, uint32_t count,
                        LogPos max_pos);
 

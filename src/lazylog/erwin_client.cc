@@ -355,7 +355,7 @@ void ErwinClient::ReadNextViaIndex(LogId log, StreamTag tag, LogPos from, uint32
                          ReadNextViaIndex(log, tag, from, max, cb, attempt + 1);
                        });
                      },
-                     &router_, &tails_);
+                     &coalescer_);
 }
 
 // --- named-log read / tail (virtual logs) --------------------------------------------------
@@ -392,7 +392,7 @@ void ErwinClient::ReadLogViaIndex(LogId log, LogPos from, uint64_t len, ReadCall
           ReadLogViaIndex(log, from, len, cb, attempt + 1);
         });
       },
-      &router_, &tails_);
+      &coalescer_);
 }
 
 // --- tail / trim ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ class ErwinClient : public SharedLogClient {
   ViewId last_tail_view() const override { return last_tail_view_; }
   uint64_t shard_epoch() const { return view_.shard_epoch; }
   ClientId client_id() const { return client_id_; }
-  // Observer over every routed/classic read reply (serving replica, advertised stable,
-  // records); the chaos read-staleness oracle subscribes.
+  // Observer over every shard read reply — routed, classic and the index path's
+  // fetches (serving replica, advertised stable, records); the chaos read-staleness
+  // oracle subscribes.
   void SetReadReplyObserver(ReadCoalescer::ReplyObserver obs) {
     coalescer_.SetReplyObserver(std::move(obs));
   }

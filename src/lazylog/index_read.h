@@ -32,17 +32,16 @@ namespace lazylog {
 // named-log Read path (tag == kNoTag selects the per-log rank list). `fallback` is
 // invoked (instead of `cb`) when the index path cannot serve — index node unreachable,
 // stale shard ids, or a failed shard fetch; the caller supplies its scan there.
-// `router`/`tails` (optional) plug the shard fetches into the client's load-aware
-// replica routing and tail cache: indexed positions are below the index's stable
-// frontier, so any replica may serve them, and a replica whose own frontier trails
-// simply clips — which the resume-cursor clamp below already absorbs.
+// `reads` is the client's read path: the shard fetches take its load-aware replica
+// routing, and each reply feeds its router, tail cache and reply observer the same way
+// a ranged read does. Indexed positions are below the index's stable frontier, so any
+// replica may serve them, and a replica whose own frontier trails simply clips — which
+// the resume-cursor clamp below already absorbs.
 inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
                                const ClusterView* view, ClientId client_id, LogId log,
                                StreamTag tag, LogPos from, uint32_t max, bool by_rank,
                                SharedLogClient::ReadNextCallback cb,
-                               std::function<void()> fallback,
-                               ReplicaRouter* router = nullptr,
-                               TailCache* tails = nullptr) {
+                               std::function<void()> fallback, ReadCoalescer* reads) {
   const NodeId index_node = view->index_nodes[client_id % view->index_nodes.size()];
   IndexReadNextReq req;
   req.tag = tag;
@@ -52,8 +51,7 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
   req.by_rank = by_rank;
   endpoint->CallMsg<IndexReadNextResp>(
       index_node, kIndexReadNext, req,
-      [endpoint, params, view, client_id, from, max, by_rank, router, tails,
-       cb = std::move(cb),
+      [endpoint, params, view, from, max, by_rank, reads, cb = std::move(cb),
        fallback = std::move(fallback)](Status s, IndexReadNextResp resp) mutable {
         if (s.code() == StatusCode::kInvalidArgument) {
           cb(std::move(s), {}, from);
@@ -85,10 +83,7 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
         auto by_pos = std::make_shared<std::unordered_map<uint64_t, Record>>();
         std::vector<std::pair<NodeId, ShardMultiReadReq>> subs;
         for (auto& [shard, sreq] : per_shard) {
-          const auto& replicas = view->shards[shard];
-          const NodeId target = router ? router->PickStable(replicas)
-                                       : replicas[client_id % replicas.size()];
-          subs.emplace_back(target, std::move(sreq));
+          subs.emplace_back(reads->router()->PickStable(view->shards[shard]), std::move(sreq));
         }
         auto gather = Gather::Create(
             subs.size(), [by_pos, resp = std::move(resp), from, max, by_rank,
@@ -136,26 +131,19 @@ inline void IndexSelectiveRead(RpcEndpoint* endpoint, const SimParams* params,
             });
         for (size_t i = 0; i < subs.size(); ++i) {
           const NodeId target = subs[i].first;
-          if (router) {
-            router->OnIssue(target);
-          }
+          reads->router()->OnIssue(target);
           const SimTime t0 = endpoint->loop()->Now();
           endpoint->CallMsg<ShardReadResp>(
-              subs[i].first, kShardMultiRead, subs[i].second,
-              [endpoint, router, tails, target, t0, by_pos, gather, i](Status st,
-                                                                       ShardReadResp rresp) {
-                if (router) {
-                  router->OnReply(target, endpoint->loop()->Now() - t0,
-                                  st.ok() ? rresp.queue_ns : 0);
-                }
+              target, kShardMultiRead, subs[i].second,
+              [endpoint, reads, target, t0, by_pos, gather, i](Status st, ShardReadResp rresp) {
                 if (st.ok()) {
-                  if (tails) {
-                    tails->Note(endpoint->loop()->Now(), rresp.durable_tail,
-                                rresp.stable_gp);
-                  }
+                  reads->NoteReply(target, t0, rresp.stable_gp, rresp.durable_tail,
+                                   rresp.queue_ns, rresp.records);
                   for (auto& pr : rresp.records) {
                     by_pos->emplace(pr.pos, std::move(pr.record));
                   }
+                } else {
+                  reads->router()->OnReply(target, endpoint->loop()->Now() - t0, 0);
                 }
                 gather->Complete(i, std::move(st));
               },

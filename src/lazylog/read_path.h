@@ -214,6 +214,21 @@ class ReadCoalescer {
     IssueClassic(NewSub(pos, len, target, std::move(cb)), target, nowait, /*resend=*/false);
   }
 
+  // Books one successful shard read reply issued at t0: the reply piggyback feeds the
+  // router and the tail cache, and the observer sees the served records. Shared with
+  // the index path's kShardMultiRead fetches (IndexSelectiveRead).
+  void NoteReply(NodeId target, SimTime t0, LogPos stable, LogPos durable,
+                 uint64_t queue_ns, const std::vector<PositionedRecord>& records) {
+    const SimTime now = ep_->loop()->Now();
+    router_->OnReply(target, now - t0, queue_ns);
+    tails_->Note(now, durable, stable);
+    if (observer_) {
+      observer_(target, stable, records);
+    }
+  }
+
+  ReplicaRouter* router() const { return router_; }
+
  private:
   struct Sub {
     LogPos pos = 0;     // first position of the run
@@ -427,16 +442,6 @@ class ReadCoalescer {
                                 return a.pos == b.pos;
                               }),
                   records.end());
-  }
-
-  void NoteReply(NodeId target, SimTime t0, LogPos stable, LogPos durable,
-                 uint64_t queue_ns, const std::vector<PositionedRecord>& records) {
-    const SimTime now = ep_->loop()->Now();
-    router_->OnReply(target, now - t0, queue_ns);
-    tails_->Note(now, durable, stable);
-    if (observer_) {
-      observer_(target, stable, records);
-    }
   }
 
   RpcEndpoint* ep_;

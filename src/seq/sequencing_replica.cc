@@ -9,8 +9,7 @@ namespace lazylog {
 SequencingReplica::SequencingReplica(Network* net, const SimParams& params, ErwinMode mode,
                                      uint32_t index, NodeId zk)
     : endpoint_(net), cpu_(net->loop(), params.seq_cpu), params_(params), mode_(mode),
-      index_(index), zk_node_(zk), eff_interval_ns_(params.seq.ordering_interval_ns),
-      eff_batch_(params.seq.max_order_batch) {
+      index_(index), zk_node_(zk) {
   endpoint_.Handle(kSeqAppend, this, &SequencingReplica::HandleAppend);
   endpoint_.Handle(kSeqAppendMeta, this, &SequencingReplica::HandleAppend);
   endpoint_.Handle(kSeqGc, this, &SequencingReplica::HandleGc);
@@ -192,7 +191,7 @@ void SequencingReplica::ReplenishDeficits() {
     active += lc.unordered > 0 ? 1 : 0;
   }
   const uint64_t quantum =
-      std::max<uint64_t>(1, eff_batch_ / std::max<uint64_t>(1, active));
+      std::max<uint64_t>(1, params_.seq.max_order_batch / std::max<uint64_t>(1, active));
   drr_quantum_ = quantum;
   const uint64_t cap = std::max<uint64_t>(1, params_.seq.fairness_burst_quanta) * quantum;
   for (auto& [log, lc] : log_cursors_) {
@@ -390,7 +389,7 @@ void SequencingReplica::HandleAppend(SeqAppendReq req, Responder r) {
 // --- background ordering (§4.3, per-shard cursor pipelines) ---------------------------
 
 void SequencingReplica::ScheduleOrderingTick() {
-  endpoint_.loop()->Schedule(eff_interval_ns_, [this]() { OrderingTick(); });
+  endpoint_.loop()->Schedule(params_.seq.ordering_interval_ns, [this]() { OrderingTick(); });
 }
 
 void SequencingReplica::OrderingTick() {
@@ -398,7 +397,6 @@ void SequencingReplica::OrderingTick() {
     ordering_armed_ = false;  // re-armed by StartView if we lead again
     return;
   }
-  UpdateController();
   ReplenishDeficits();
   AssignPositions();
   for (size_t s = 0; s < cursors_.size(); ++s) {
@@ -415,37 +413,6 @@ void SequencingReplica::RecordAckRtt(uint64_t rtt_ns) {
                          : ack_rtt_ewma_ns_ + (static_cast<double>(rtt_ns) - ack_rtt_ewma_ns_) / 8.0;
 }
 
-void SequencingReplica::UpdateController() {
-  if (!params_.seq.adaptive_ordering) {
-    return;  // eff_* stay pinned to the static knobs
-  }
-  const SeqParams& sp = params_.seq;
-  const uint64_t occupancy = ring_occupancy();
-  // Window size covers the backlog (one window drains what is queued) between the
-  // amortization floor and the configured ceiling.
-  eff_batch_ = std::clamp<uint64_t>(occupancy, sp.min_order_batch, sp.max_order_batch);
-  // Cadence AIMD: the target interval grows proportionally with ring occupancy (group
-  // commit coalesces harder as load rises) and never ticks much faster than acks can
-  // return; the climb is additive (one floor-interval per tick), and once the ring
-  // drains below the low watermark the interval halves back toward the floor.
-  const uint64_t floor_ns = sp.ordering_interval_ns;
-  uint64_t target = floor_ns + static_cast<uint64_t>(
-      4.0 * static_cast<double>(floor_ns) * static_cast<double>(occupancy) /
-      static_cast<double>(std::max<uint64_t>(1, sp.ring_high_watermark)));
-  // Under real backlog there is no point ticking much faster than window acks return
-  // (the pipeline is already full); at light load the RTT — dominated by the shards'
-  // persistence latency — must NOT set the pace, or idle ordering would slow down.
-  if (ack_rtt_ewma_ns_ > 0 && occupancy >= sp.ring_low_watermark) {
-    target = std::max<uint64_t>(target, static_cast<uint64_t>(ack_rtt_ewma_ns_) / 2);
-  }
-  target = std::clamp(target, floor_ns, sp.max_ordering_interval_ns);
-  if (target > eff_interval_ns_) {
-    eff_interval_ns_ = std::min(eff_interval_ns_ + floor_ns, target);
-  } else if (occupancy <= sp.ring_low_watermark) {
-    eff_interval_ns_ = std::max(floor_ns, eff_interval_ns_ / 2);
-  }
-}
-
 void SequencingReplica::AssignPositions() {
   if (shard_primaries_.empty()) {
     LL_CHECK(log_.empty(), "ordering without shards");
@@ -459,7 +426,7 @@ void SequencingReplica::AssignPositions() {
   if (unassigned == 0) {
     return;
   }
-  const uint64_t k = std::min<uint64_t>(unassigned, eff_batch_);
+  const uint64_t k = std::min<uint64_t>(unassigned, params_.seq.max_order_batch);
   // Freeze the placement at assignment time so retried windows land on the same shard
   // even if the shard count changes later.
   PlaceEntries(assigned_gp_, assigned_gp_ + k);
@@ -523,6 +490,7 @@ void SequencingReplica::PumpCursor(size_t s) {
     return;  // backing off after a failed window; the retry re-pumps
   }
   const uint32_t depth = params_.seq.order_pipeline_depth;
+  const uint64_t batch = params_.seq.max_order_batch;
   const SimTime now = endpoint_.loop()->Now();
   // Pacing: a partial window leaves only if the cursor is idle or 2 * RTT / depth has
   // passed since its last send, so at most depth / 2 partial windows ride each round
@@ -534,8 +502,8 @@ void SequencingReplica::PumpCursor(size_t s) {
     OrderWindow header;
     header.view = view_;
     header.range_lo = c.next_pos;
-    header.range_hi = std::min<LogPos>(assigned_gp_, c.next_pos + eff_batch_);
-    const bool full = header.range_hi - header.range_lo == eff_batch_;
+    header.range_hi = std::min<LogPos>(assigned_gp_, c.next_pos + batch);
+    const bool full = header.range_hi - header.range_lo == batch;
     if (!full && c.in_flight > 0 && static_cast<double>(now - c.last_sent_at) < pace_ns) {
       return;
     }
@@ -761,9 +729,7 @@ void SequencingReplica::ArmGcRetry() {
     return;
   }
   gc_retry_armed_ = true;
-  // Tracks the live cadence: when the controller has widened the ordering interval
-  // under load, pounding a struggling follower 30x per widened tick helps nobody.
-  endpoint_.loop()->Schedule(4 * eff_interval_ns_, [this]() {
+  endpoint_.loop()->Schedule(4 * params_.seq.ordering_interval_ns, [this]() {
     gc_retry_armed_ = false;
     if (sealed_ || !is_leader()) {
       return;
@@ -1074,9 +1040,6 @@ OrdererStatsSnapshot SequencingReplica::StatsSnapshot() const {
   snap.assigned_gp = assigned_gp_;
   snap.stable_gp = stable_gp_;
   snap.unordered = log_.size();
-  snap.eff_ordering_interval_ns = eff_interval_ns_;
-  snap.eff_order_batch = eff_batch_;
-  snap.eff_pipeline_depth = params_.seq.order_pipeline_depth;
   snap.ack_rtt_ewma_ns = ack_rtt_ewma_ns_;
   snap.admitting = admitting_;
   snap.ring_occupancy = ring_occupancy();
@@ -1132,9 +1095,6 @@ StatsFields OrdererStatsSnapshot::Fields() const {
       {"drr_rejected", static_cast<double>(counters.drr_rejected)},
       {"ring_occupancy", static_cast<double>(ring_occupancy)},
       {"admitting", admitting ? 1.0 : 0.0},
-      {"eff_ordering_interval_ns", static_cast<double>(eff_ordering_interval_ns)},
-      {"eff_order_batch", static_cast<double>(eff_order_batch)},
-      {"eff_pipeline_depth", static_cast<double>(eff_pipeline_depth)},
       {"ack_rtt_ewma_ns", ack_rtt_ewma_ns},
       {"payload_bytes_copied", static_cast<double>(buf.payload_bytes_copied)},
       {"payload_bytes_aliased", static_cast<double>(buf.payload_bytes_aliased)},

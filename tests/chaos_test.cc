@@ -51,9 +51,9 @@ TEST(ChaosDeterminism, GoldenDigests) {
     uint64_t digest;
   };
   const Golden kGolden[] = {
-      {ErwinMode::kM, 1, 0x334dee84c57ff583ULL},  {ErwinMode::kM, 2, 0x3c629115871f04edULL},
-      {ErwinMode::kM, 3, 0xbf14047f61f757f7ULL},  {ErwinMode::kSt, 1, 0xf1b00ca7f4704cfeULL},
-      {ErwinMode::kSt, 2, 0xebf67a5728b2cbc8ULL}, {ErwinMode::kSt, 3, 0x3c63486d39e078e1ULL},
+      {ErwinMode::kM, 1, 0x68080a91c9db97b9ULL},  {ErwinMode::kM, 2, 0x511982235d5911afULL},
+      {ErwinMode::kM, 3, 0xc39cf96e72b8d44eULL},  {ErwinMode::kSt, 1, 0x2ce3339f019cb8f7ULL},
+      {ErwinMode::kSt, 2, 0x7bf32f42494d9a1aULL}, {ErwinMode::kSt, 3, 0x5779ebc177780baaULL},
   };
   for (const Golden& g : kGolden) {
     ChaosOptions opts;

@@ -89,18 +89,14 @@ std::string Name(const ::testing::TestParamInfo<SweepParams>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConfigSweepTest, ::testing::ValuesIn(AllConfigs()), Name);
 
-// Second sweep axis: the adaptive group-commit and admission-control knobs. The
-// protocols must stay correct at the extremes of the controller's operating range —
-// interval pinned at its floor or its ceiling, batch floor of one, the controller or
-// the gate disabled outright, and a toy watermark band. (Overload *dynamics* are
-// covered by overload_test.cc; this guards bare correctness of the knob space.)
+// Second sweep axis: the ordering tick and admission-control knobs. The protocols must
+// stay correct across the tick's range — a 5 us or a 200 us tick — with the gate
+// disabled outright, and with a toy watermark band. (Overload *dynamics* are covered
+// by overload_test.cc; this guards bare correctness of the knob space.)
 struct KnobParams {
   const char* name;
-  bool adaptive;
   bool admission;
-  uint64_t interval_floor_ns;
-  uint64_t interval_ceiling_ns;
-  uint64_t min_batch;
+  uint64_t interval_ns;
   uint64_t ring_high;
   uint64_t ring_low;
 };
@@ -120,11 +116,8 @@ TEST_P(OrderingKnobSweepTest, SequentialWorkloadIsCorrect) {
     opt.num_shards = 2;
     opt.shard_replication = 2;
     opt.with_control_plane = false;
-    opt.params.seq.adaptive_ordering = k.adaptive;
     opt.params.seq.admission_control = k.admission;
-    opt.params.seq.ordering_interval_ns = k.interval_floor_ns;
-    opt.params.seq.max_ordering_interval_ns = k.interval_ceiling_ns;
-    opt.params.seq.min_order_batch = k.min_batch;
+    opt.params.seq.ordering_interval_ns = k.interval_ns;
     opt.params.seq.ring_high_watermark = k.ring_high;
     opt.params.seq.ring_low_watermark = k.ring_low;
     ErwinCluster cluster(opt);
@@ -158,11 +151,11 @@ TEST_P(OrderingKnobSweepTest, SequentialWorkloadIsCorrect) {
 
 std::vector<KnobParams> AllKnobs() {
   return {
-      {"tight_floor", true, true, 5 * kUs, 480 * kUs, 1, 4096, 2048},
-      {"pinned_ceiling", true, true, 200 * kUs, 200 * kUs, 2048, 4096, 2048},
-      {"static_arm", false, true, 30 * kUs, 480 * kUs, 2048, 4096, 2048},
-      {"gate_off", true, false, 30 * kUs, 480 * kUs, 2048, 4096, 2048},
-      {"tiny_band", true, true, 30 * kUs, 480 * kUs, 2048, 8, 4},
+      {"tight_floor", true, 5 * kUs, 4096, 2048},
+      {"pinned_ceiling", true, 200 * kUs, 4096, 2048},
+      {"static_arm", true, 30 * kUs, 4096, 2048},
+      {"gate_off", false, 30 * kUs, 4096, 2048},
+      {"tiny_band", true, 30 * kUs, 8, 4},
   };
 }
 

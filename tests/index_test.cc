@@ -115,6 +115,60 @@ TEST(IndexTier, StSelectiveReadEndToEnd) {
   EXPECT_GT(cluster.index_node(0).stats().read_nexts, 0u);
 }
 
+// The index path's shard fetches reach the client's read-reply observer like ranged
+// reads do: each reply names the serving replica, the stable-gp that replica
+// advertised, and the records it served.
+TEST(IndexTier, ReadNextFeedsReadReplyObserver) {
+  ErwinClusterOptions opt;
+  opt.mode = ErwinMode::kM;
+  opt.num_shards = 3;
+  opt.shard_replication = 2;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeMClient();
+  struct Serve {
+    NodeId server;
+    LogPos stable;
+    size_t count;
+    LogPos max_pos;
+  };
+  std::vector<Serve> serves;
+  client->SetReadReplyObserver(
+      [&serves](NodeId server, LogPos stable, const std::vector<PositionedRecord>& recs) {
+        LogPos max_pos = 0;
+        for (const PositionedRecord& pr : recs) {
+          max_pos = std::max(max_pos, pr.pos);
+        }
+        serves.push_back(Serve{server, stable, recs.size(), max_pos});
+      });
+
+  const std::vector<StreamTag> tags = {1, 2};
+  auto payloads = AppendStreams(cluster, *client, tags, 4);
+  cluster.RunFor(100 * kMs);
+  ASSERT_TRUE(serves.empty());  // appends alone read nothing
+
+  ReadNextResult r = ReadNextSyncly(cluster.loop(), *client, 1, 0, 16);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_EQ(r.records.size(), payloads[0].size());
+  ASSERT_FALSE(serves.empty());
+  size_t served = 0;
+  for (const Serve& sv : serves) {
+    bool found = false;
+    for (uint32_t s = 0; s < opt.num_shards; ++s) {
+      for (uint32_t rep = 0; rep < opt.shard_replication; ++rep) {
+        if (cluster.shard(s, rep).node_id() == sv.server) {
+          found = true;
+          EXPECT_EQ(sv.stable, cluster.shard(s, rep).stable_gp());
+        }
+      }
+    }
+    EXPECT_TRUE(found) << "observer named a node that is not a shard replica";
+    EXPECT_EQ(sv.stable, 8u);
+    EXPECT_LT(sv.max_pos, sv.stable);
+    served += sv.count;
+  }
+  EXPECT_EQ(served, payloads[0].size());
+}
+
 // The merged per-tag position lists are disjoint across tags and cover exactly the
 // tagged appends, in ascending order.
 TEST(IndexTier, MergedListsAreDisjointAndSorted) {

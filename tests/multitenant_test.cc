@@ -234,7 +234,6 @@ TEST(Multitenant, FairnessProtectsVictimFromRingSaturator) {
   opt.with_control_plane = false;
   opt.params.seq.ring_high_watermark = 8;
   opt.params.seq.ring_low_watermark = 2;
-  opt.params.seq.adaptive_ordering = false;
   opt.params.seq.ordering_interval_ns = 200 * kUs;
   opt.params.seq.max_order_batch = 2;      // small quantum: DRR bites quickly
   opt.params.seq.fairness_burst_quanta = 1;  // no hoarded credit across ticks

@@ -286,8 +286,7 @@ TEST(OrdererPipeline, PartialWindowsArePacedFullWindowsAreNot) {
   EventLoop loop;
   SimParams params;
   params.net.jitter_ns = 0;
-  params.seq.adaptive_ordering = false;  // fixed 30 us tick, fixed 64-record windows
-  params.seq.max_order_batch = 64;
+  params.seq.max_order_batch = 64;  // 30 us tick, 64-record windows
   Network net(&loop, params.net, 1);
   ScriptedShard shard(&net, 400 * kUs);
   SequencingReplica seq(&net, params, ErwinMode::kM, 0);

@@ -1,7 +1,7 @@
 // Overload-control tests: the bounded unordered ring (admission gate with hysteresis
-// and retry priority), duplicate handling under overload, the adaptive group-commit
-// controller's response to backlog, the client-side shed budget, and the follower
-// scrub that evicts entries the leader's gate refused.
+// and retry priority), duplicate handling under overload, the gate's response to a
+// sustained backlog, the client-side shed budget, and the follower scrub that evicts
+// entries the leader's gate refused.
 #include <gtest/gtest.h>
 
 #include "src/lazylog/erwin_cluster.h"
@@ -71,9 +71,8 @@ TEST(Overload, GateShedsAtHighWatermarkAndDupAcksAdmitted) {
 // and an id the gate previously refused counts as an overload retry when admitted.
 TEST(Overload, GateReopensAfterDrainAndCountsRetries) {
   ErwinClusterOptions opt = TinyRingOptions();
-  // Slow, fixed cadence so the fill phase is deterministic: no ordering tick can
-  // drain the ring while the flood is still arriving.
-  opt.params.seq.adaptive_ordering = false;
+  // Slow cadence so the fill phase is deterministic: no ordering tick can drain the
+  // ring while the flood is still arriving.
   opt.params.seq.ordering_interval_ns = 5 * kMs;
   ErwinCluster cluster(opt);
   RpcEndpoint raw(&cluster.network());
@@ -104,12 +103,10 @@ TEST(Overload, GateReopensAfterDrainAndCountsRetries) {
   EXPECT_EQ(snap.counters.overload_retried, 1u);
 }
 
-// admission_control=false restores the unbounded pre-gate behavior, and
-// adaptive_ordering=false pins the effective cadence to the static knob.
+// admission_control=false restores the unbounded pre-gate behavior.
 TEST(Overload, StaticKnobsNeverRejectOrAdapt) {
   ErwinClusterOptions opt = TinyRingOptions();
   opt.params.seq.admission_control = false;
-  opt.params.seq.adaptive_ordering = false;
   ErwinCluster cluster(opt);
   RpcEndpoint raw(&cluster.network());
   const NodeId follower = cluster.seq_replica(1).node_id();
@@ -124,14 +121,11 @@ TEST(Overload, StaticKnobsNeverRejectOrAdapt) {
   EXPECT_EQ(snap.counters.overload_rejected, 0u);
   EXPECT_TRUE(snap.admitting);
   EXPECT_EQ(snap.ring_occupancy, 50u);
-  EXPECT_EQ(cluster.seq_replica(0).StatsSnapshot().eff_ordering_interval_ns,
-            cluster.params().seq.ordering_interval_ns);
 }
 
-// Under sustained 2x overload the AIMD controller widens the effective ordering
-// interval above its floor (group commit coalesces harder); once load stops and the
-// ring drains, the interval decays back to the floor and admission resumes.
-TEST(Overload, AdaptiveIntervalWidensUnderBacklogAndRecovers) {
+// Under sustained 2x overload the gate sheds and the ring peaks at the high
+// watermark; once load stops and the ring drains, admission resumes.
+TEST(Overload, GateShedsUnderBacklogAndRecovers) {
   ErwinClusterOptions opt;
   opt.mode = ErwinMode::kM;
   opt.num_shards = 1;
@@ -145,13 +139,10 @@ TEST(Overload, AdaptiveIntervalWidensUnderBacklogAndRecovers) {
   }
   cluster.RunFor(15 * kMs);
   OrdererStatsSnapshot snap = cluster.seq_replica(0).StatsSnapshot();
-  EXPECT_GT(snap.eff_ordering_interval_ns, cluster.params().seq.ordering_interval_ns);
   EXPECT_GT(snap.counters.overload_rejected, 0u);
   EXPECT_EQ(snap.counters.ring_high_water, cluster.params().seq.ring_high_watermark);
 
   cluster.RunFor(100 * kMs);
-  snap = cluster.seq_replica(0).StatsSnapshot();
-  EXPECT_EQ(snap.eff_ordering_interval_ns, cluster.params().seq.ordering_interval_ns);
   // The gate latch re-evaluates at the next admission attempt; a probe append after
   // the drain must sail through and leave the gate open.
   EXPECT_TRUE(AppendSyncly(cluster.loop(), *client, "probe"));
@@ -171,7 +162,6 @@ void CheckClientSurfacesOverloadedAfterShedBudget(ErwinMode mode) {
   opt.mode = mode;
   // Freeze ordering so the ring stays full for the whole test: every post-fill
   // append is refused by all replicas until the client sheds it.
-  opt.params.seq.adaptive_ordering = false;
   opt.params.seq.ordering_interval_ns = 500 * kMs;
   ErwinCluster cluster(opt);
   auto client = cluster.MakeClient();
