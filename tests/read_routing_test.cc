@@ -583,6 +583,116 @@ TEST(ReadRouting, MModeRoutesStableReadsAndFallsBackAboveStable) {
   EXPECT_GT(fresh->ReadPathSnapshot().counters.primary_reads, 0u);
 }
 
+TEST(ReadRouting, ReadaheadPrefixJoinsTheFetchedRest) {
+  ErwinClusterOptions opt = Options(ErwinMode::kSt, /*routing_mode=*/2);
+  opt.params.client_read.readahead_records = 4;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeStClient();
+  constexpr uint64_t kN = 16;
+  FillLog(cluster, *client, kN);
+
+  // [0, 2) starts at the cursor, so it prefetches [2, 6).
+  ASSERT_TRUE(ReadSyncly(cluster.loop(), *client, 0, 2, 10 * kSec).has_value());
+  cluster.RunFor(5 * kMs);
+  ASSERT_EQ(client->ReadPathSnapshot().counters.readahead_fetched, 4u);
+  ASSERT_EQ(client->ReadPathSnapshot().counters.readahead_hits, 0u);
+
+  // [2, 12): the cached [2, 6) and the fetched [6, 12) come back as one ordered run.
+  auto recs = ReadSyncly(cluster.loop(), *client, 2, 10, 10 * kSec);
+  ASSERT_TRUE(recs.has_value());
+  ASSERT_EQ(recs->size(), 10u);
+  for (uint64_t i = 0; i < recs->size(); ++i) {
+    EXPECT_EQ((*recs)[i].pos, 2 + i);
+    EXPECT_EQ((*recs)[i].record.payload.ToString(), "rec-" + std::to_string(2 + i));
+  }
+  EXPECT_EQ(client->ReadPathSnapshot().counters.readahead_hits, 4u);
+}
+
+// --- the read retry ladder, per mode --------------------------------------------------
+
+struct ReadOutcome {
+  bool done = false;
+  Status status = Status::Internal("never completed");
+  std::vector<PositionedRecord> records;
+};
+
+std::shared_ptr<ReadOutcome> StartRead(SharedLogClient& client, LogPos from, uint64_t len) {
+  auto out = std::make_shared<ReadOutcome>();
+  client.log().Read(from, len, [out](Status s, std::vector<PositionedRecord> recs) {
+    out->status = std::move(s);
+    out->records = std::move(recs);
+    out->done = true;
+  });
+  return out;
+}
+
+// Cuts (or heals) the links between `client` and every replica of `shard`.
+void CutShard(ErwinCluster& cluster, NodeId client, uint32_t shard, bool cut) {
+  for (uint32_t r = 0; r < cluster.shard_size(shard); ++r) {
+    cluster.network().SetPartitioned(client, cluster.shard(shard, r).node_id(), cut);
+  }
+}
+
+uint64_t SubReads(const ErwinClient& client) {
+  const ReadPathStats c = client.ReadPathSnapshot().counters;
+  return c.routed_reads + c.primary_reads;
+}
+
+class ReadRetryLadder : public ::testing::TestWithParam<ErwinMode> {};
+
+// Shard 1 is cut (Erwin-st fetches its position map from shard 0, which stays up). Each
+// attempt reads both shards' runs once; the read gives up after 11 attempts.
+TEST_P(ReadRetryLadder, CutShardTimesOutAfterElevenAttempts) {
+  ErwinClusterOptions opt = Options(GetParam(), /*routing_mode=*/2);
+  opt.params.client_read.readahead_records = 0;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeClient();
+  constexpr uint64_t kN = 16;
+  FillLog(cluster, *client, kN);
+
+  CutShard(cluster, client->node_id(), 1, true);
+  const uint64_t before = SubReads(*client);
+  auto read = StartRead(*client, 0, kN);
+  RunUntilDone(cluster.loop(), read->done, 10 * kSec);
+  ASSERT_TRUE(read->done);
+  EXPECT_EQ(read->status.code(), StatusCode::kTimeout) << read->status.ToString();
+  EXPECT_TRUE(read->records.empty());
+  EXPECT_EQ(SubReads(*client) - before, 2u * 11);
+}
+
+TEST_P(ReadRetryLadder, CutHealedMidLadderReturnsEveryRecordInOrder) {
+  ErwinClusterOptions opt = Options(GetParam(), /*routing_mode=*/2);
+  opt.params.client_read.readahead_records = 0;
+  ErwinCluster cluster(opt);
+  auto client = cluster.MakeClient();
+  constexpr uint64_t kN = 16;
+  FillLog(cluster, *client, kN);
+
+  CutShard(cluster, client->node_id(), 1, true);
+  const uint64_t before = SubReads(*client);
+  auto read = StartRead(*client, 0, kN);
+  // Two attempts time out (50 ms each) before the links come back.
+  cluster.RunFor(120 * kMs);
+  ASSERT_FALSE(read->done);
+  EXPECT_GE(SubReads(*client) - before, 2u * 2);
+  CutShard(cluster, client->node_id(), 1, false);
+  RunUntilDone(cluster.loop(), read->done, 10 * kSec);
+  ASSERT_TRUE(read->done);
+  ASSERT_TRUE(read->status.ok()) << read->status.ToString();
+  ASSERT_EQ(read->records.size(), kN);
+  for (uint64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(read->records[i].pos, i);
+    EXPECT_EQ(read->records[i].record.payload.ToString(), "rec-" + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ReadRetryLadder,
+                         ::testing::Values(ErwinMode::kM, ErwinMode::kSt),
+                         [](const ::testing::TestParamInfo<ErwinMode>& info) {
+                           return std::string(info.param == ErwinMode::kM ? "ErwinM"
+                                                                          : "ErwinSt");
+                         });
+
 TEST(ReadRouting, SnapshotFieldsExportEveryCounter) {
   ReadPathStatsSnapshot snap;
   snap.counters.routed_reads = 3;
