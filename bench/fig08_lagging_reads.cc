@@ -3,12 +3,55 @@
 // ordering time to finish, Erwin reads take the fast path and approximate Corfu's read
 // latency (slightly above, from contention with background batch writes at the shards),
 // while Erwin appends stay ~4x lower.
+//
+// --smoke runs only the 15K row and exits nonzero unless Erwin acks at least 95% of the
+// appends it issues, takes the slow path on no read, and keeps its read mean below
+// Corfu's: the lag must leave every read an ordered record, mostly from readahead.
 #include <cstdio>
+#include <cstring>
 
 #include "bench/readlag_common.h"
 
-int main() {
+namespace lazylog {
+namespace {
+
+int Smoke() {
+  constexpr double kRate = 15'000.0;
+  const ReadLagResult erwin = RunErwin(kRate, kLagNs);
+  const ReadLagResult corfu = RunCorfu(kRate, kLagNs);
+  PrintLatencyRow("Erwin append", erwin.append);
+  PrintLatencyRow("Erwin read", erwin.read);
+  PrintLatencyRow("Corfu read", corfu.read);
+  int rc = 0;
+  auto expect = [&rc](bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+      rc = 1;
+    }
+  };
+  expect(erwin.acked_frac() >= 0.95, "Erwin acked under 95% of its appends at 15K");
+  expect(erwin.read.count() > 0, "Erwin served no reads at 15K");
+  expect(corfu.read.count() > 0, "Corfu served no reads at 15K");
+  expect(erwin.slow_reads == 0, "Erwin took the slow path on a lagged read at 15K");
+  expect(erwin.read.Mean() < corfu.read.Mean(), "Erwin read mean not below Corfu's at 15K");
+  if (rc == 0) {
+    std::printf("fig08 smoke OK: 15K acked %.1f%% of %llu appends, 0 slow-path reads, "
+                "read mean %s vs Corfu %s\n",
+                100.0 * erwin.acked_frac(),
+                static_cast<unsigned long long>(erwin.appends_issued),
+                FormatNanos(erwin.read.Mean()).c_str(), FormatNanos(corfu.read.Mean()).c_str());
+  }
+  return rc;
+}
+
+}  // namespace
+}  // namespace lazylog
+
+int main(int argc, char** argv) {
   using namespace lazylog;
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
+    return Smoke();
+  }
   PrintHeader("Figure 8: Reads lagging appends by 3ms, Erwin-m vs Corfu (4KB, 1 shard)");
   for (double rate : {15'000.0, 30'000.0, 45'000.0}) {
     std::printf("\n-- append+read rate %.0fK ops/s --\n", rate / 1000);

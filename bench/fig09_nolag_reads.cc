@@ -24,10 +24,7 @@ int Smoke() {
   PrintLatencyRow("Erwin append", erwin.append);
   PrintLatencyRow("Erwin read", erwin.read);
   PrintLatencyRow("Corfu read", corfu.read);
-  const double acked_frac = erwin.appends_issued == 0
-                                ? 0.0
-                                : static_cast<double>(erwin.appends_acked) /
-                                      static_cast<double>(erwin.appends_issued);
+  const double acked_frac = erwin.acked_frac();
   int rc = 0;
   auto expect = [&rc](bool ok, const char* what) {
     if (!ok) {

@@ -22,6 +22,12 @@ struct ReadLagResult {
   uint64_t slow_reads = 0;
   uint64_t appends_issued = 0;  // whole run, warmup included
   uint64_t appends_acked = 0;
+
+  double acked_frac() const {
+    return appends_issued == 0 ? 0.0
+                               : static_cast<double>(appends_acked) /
+                                     static_cast<double>(appends_issued);
+  }
 };
 
 ReadLagResult RunErwin(double rate, uint64_t lag_ns) {

@@ -79,7 +79,6 @@ class PaxosProposer {
   void Prepare(uint64_t slot, RecoverCallback cb);
 
   uint64_t ballot() const { return ballot_; }
-  void BumpBallot(uint64_t b) { ballot_ = b; }
 
  private:
   RpcEndpoint* endpoint_;

@@ -58,7 +58,6 @@ class ZooKeeperLite {
   // Test/introspection helpers (bypass the wire; no latency charged).
   bool Exists(const std::string& path) const { return znodes_.count(path) > 0; }
   std::string DataOf(const std::string& path) const;
-  size_t SessionCount() const { return sessions_.size(); }
 
  private:
   struct Znode {

@@ -18,10 +18,7 @@ class ErwinMClient : public ErwinClient {
 
  protected:
   void SendAppend(std::shared_ptr<PendingAppend> p) override;
-  void FetchRange(LogPos from, uint64_t len, ReadCallback cb) override;
-
- private:
-  void ReadAttempt(LogPos from, uint64_t len, ReadCallback cb, int attempt);
+  void PlaceRead(std::shared_ptr<ReadOp> op) override;
 };
 
 }  // namespace lazylog

@@ -37,30 +37,13 @@ class ErwinStClient : public ErwinClient {
 
  protected:
   void SendAppend(std::shared_ptr<PendingAppend> p) override;
-  void FetchRange(LogPos from, uint64_t len, ReadCallback cb) override;
+  // Resolves the positions through the cached map (fetching or polling for the part it
+  // lacks), then places them.
+  void PlaceRead(std::shared_ptr<ReadOp> op) override;
 
  private:
-  struct PendingRead {
-    LogPos from = 0;
-    uint64_t len = 0;
-    ReadCallback cb;
-    int attempts = 0;
-  };
-
-  // One DoRead attempt: the per-shard runs' records, and the first failed run in run
-  // order (its status is what a read that exhausts its retries reports).
-  struct ReadMerge {
-    std::shared_ptr<PendingRead> rd;
-    size_t remaining = 0;
-    size_t failed_run = SIZE_MAX;
-    Status failure;
-    std::vector<PositionedRecord> all;
-  };
-
-  void TryRead(std::shared_ptr<PendingRead> rd);
-  void DoRead(std::shared_ptr<PendingRead> rd);
-  // Runs once every run of `m` has replied: delivers the sorted records, or retries.
-  void FinishRead(ReadMerge& m);
+  // Places mapped positions: one run per shard, in order of first appearance.
+  void PlaceMapped(std::shared_ptr<ReadOp> op);
   void FetchPosMap(LogPos needed_end, std::function<void()> then);
 
   uint64_t rr_cursor_;  // round-robin shard choice
@@ -71,13 +54,8 @@ class ErwinStClient : public ErwinClient {
   uint32_t readahead_records_;  // configured readahead, restored with the cache
   uint64_t posmap_fetches_ = 0;
 
-  // DoRead scratch, reused so a read builds no tables: the read's per-shard runs (its
-  // first few entries are live) and shard id -> run index (-1 = unseen).
-  struct ShardRun {
-    ShardId shard = 0;
-    std::vector<ReadRange> ranges;
-  };
-  std::vector<ShardRun> runs_;
+  // PlaceMapped scratch, reused so a read builds no tables: shard id -> run index
+  // (-1 = unseen).
   std::vector<int32_t> run_of_shard_;
 };
 

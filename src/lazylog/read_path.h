@@ -214,20 +214,26 @@ class ReadCoalescer {
     IssueClassic(NewSub(pos, len, target, std::move(cb)), target, nowait, /*resend=*/false);
   }
 
-  // Books one successful shard read reply issued at t0: the reply piggyback feeds the
-  // router and the tail cache, and the observer sees the served records. Shared with
-  // the index path's kShardMultiRead fetches (IndexSelectiveRead).
-  void NoteReply(NodeId target, SimTime t0, LogPos stable, LogPos durable,
-                 uint64_t queue_ns, const std::vector<PositionedRecord>& records) {
-    const SimTime now = ep_->loop()->Now();
-    router_->OnReply(target, now - t0, queue_ns);
-    tails_->Note(now, durable, stable);
-    if (observer_) {
-      observer_(target, stable, records);
-    }
+  // Sends one single-reply shard read (kShardRead, or the index path's kShardMultiRead)
+  // to `target` and books its reply like every read reply: router feedback, and on
+  // success the tail cache and the observer. Then `then(Status, ShardReadResp&)` runs.
+  template <typename Req, typename F>
+  void Fetch(NodeId target, MethodId method, const Req& req, F then) {
+    router_->OnIssue(target);
+    const SimTime t0 = ep_->loop()->Now();
+    ep_->CallMsg<ShardReadResp>(
+        target, method, req,
+        [this, target, t0, then = std::move(then)](Status s, ShardReadResp resp) mutable {
+          if (s.ok()) {
+            NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
+                      resp.records);
+          } else {
+            router_->OnReply(target, ep_->loop()->Now() - t0, 0);
+          }
+          then(std::move(s), resp);
+        },
+        params_->rpc_timeout_ns);
   }
-
-  ReplicaRouter* router() const { return router_; }
 
  private:
   struct Sub {
@@ -274,6 +280,18 @@ class ReadCoalescer {
     SubCallback cb = std::move(subs_[id].cb);
     subs_.Release(id);
     cb(std::move(s), std::move(recs));
+  }
+
+  // Books one successful shard read reply issued at t0: the reply piggyback feeds the
+  // router and the tail cache, and the observer sees the served records.
+  void NoteReply(NodeId target, SimTime t0, LogPos stable, LogPos durable,
+                 uint64_t queue_ns, const std::vector<PositionedRecord>& records) {
+    const SimTime now = ep_->loop()->Now();
+    router_->OnReply(target, now - t0, queue_ns);
+    tails_->Note(now, durable, stable);
+    if (observer_) {
+      observer_(target, stable, records);
+    }
   }
 
   void FlushAll() {
@@ -401,35 +419,24 @@ class ReadCoalescer {
   // Reads sub `id`'s whole run from `target`. A plain classic read hands the reply to
   // the callback; a resend completes a clipped sub.
   void IssueClassic(uint32_t id, NodeId target, bool nowait, bool resend) {
-    ShardReadReq req{subs_[id].pos, subs_[id].len, nowait};
     stats_->primary_reads++;
-    router_->OnIssue(target);
-    const SimTime t0 = ep_->loop()->Now();
-    ep_->CallMsg<ShardReadResp>(
-        target, kShardRead, req,
-        [this, id, target, t0, resend](Status s, ShardReadResp resp) {
-          if (s.ok()) {
-            NoteReply(target, t0, resp.stable_gp, resp.durable_tail, resp.queue_ns,
-                      resp.records);
-          } else {
-            router_->OnReply(target, ep_->loop()->Now() - t0, 0);
-          }
-          if (!resend || !s.ok()) {
-            Complete(id, std::move(s), std::move(resp.records));
-            return;
-          }
-          std::vector<PositionedRecord>& got = subs_[id].got;
-          for (PositionedRecord& pr : resp.records) {
-            got.push_back(std::move(pr));
-          }
-          SortUnique(got);
-          if (got.size() < subs_[id].len) {
-            Complete(id, Status::Unavailable("primary behind the known stable tail"));
-            return;
-          }
-          Complete(id, Status::Ok(), std::move(got));
-        },
-        params_->rpc_timeout_ns);
+    Fetch(target, kShardRead, ShardReadReq{subs_[id].pos, subs_[id].len, nowait},
+          [this, id, resend](Status s, ShardReadResp& resp) {
+            if (!resend || !s.ok()) {
+              Complete(id, std::move(s), std::move(resp.records));
+              return;
+            }
+            std::vector<PositionedRecord>& got = subs_[id].got;
+            for (PositionedRecord& pr : resp.records) {
+              got.push_back(std::move(pr));
+            }
+            SortUnique(got);
+            if (got.size() < subs_[id].len) {
+              Complete(id, Status::Unavailable("primary behind the known stable tail"));
+              return;
+            }
+            Complete(id, Status::Ok(), std::move(got));
+          });
   }
 
   static void SortUnique(std::vector<PositionedRecord>& records) {

@@ -786,9 +786,6 @@ void Controller::FinishPromotion(std::shared_ptr<PromoState> st) {
       LLOG(kInfo) << "controller: shard " << st->shard << " promoted " << st->new_primary
                   << " (reset_upto " << st->reset_upto << ", epoch " << st->promo_epoch
                   << ")";
-      if (on_shard_promoted_) {
-        on_shard_promoted_(failover_timing_);
-      }
       st->done(Status::Ok());
     });
   });

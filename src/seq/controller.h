@@ -128,11 +128,6 @@ class Controller {
     on_reconfigured_ = std::move(cb);
   }
 
-  // Fired after each completed shard-primary failover (tests and Fig 17 use this).
-  void OnShardPromoted(std::function<void(const ShardFailoverTiming&)> cb) {
-    on_shard_promoted_ = std::move(cb);
-  }
-
   ViewId view() const { return view_; }
   uint64_t shard_epoch() const { return shard_epoch_; }
   const ReconfigTiming& last_timing() const { return timing_; }
@@ -237,7 +232,6 @@ class Controller {
   uint64_t promotions_ = 0;
   uint64_t reconfigurations_ = 0;
   ShardFailoverTiming failover_timing_;
-  std::function<void(const ShardFailoverTiming&)> on_shard_promoted_;
   ViewId view_ = 0;
   bool reconfiguring_ = false;
   bool pending_failure_ = false;
