@@ -164,7 +164,7 @@ TEST(Fencing, DeposedLeaderClientReResolvesAndCommitsExactlyOnce) {
     ASSERT_TRUE(durable) << p << " failed to commit after the view change";
     EXPECT_EQ(CountPayload(log, p), 1u) << p;
   }
-  for (const std::string& p : {"w0", "w1", "w2"}) {
+  for (const char* p : {"w0", "w1", "w2"}) {
     EXPECT_EQ(CountPayload(log, p), 1u) << p;
   }
   EXPECT_GT(client->view(), v0) << "client never adopted the new view";
