@@ -191,8 +191,14 @@ KafkaShardAdapter::KafkaShardAdapter(Network* net, const SimParams& params, Shar
       cpu_(net->loop(), CpuParams{.fixed_ns = 500, .copy_bandwidth_bytes_per_sec = 4e9}),
       params_(params), shard_id_(shard_id), kafka_leader_(kafka_leader) {
   endpoint_.Handle(kShardAppendBatch, this, &KafkaShardAdapter::HandleAppendBatch);
-  endpoint_.Handle(kShardRead, this, &KafkaShardAdapter::HandleRead);
-  endpoint_.Handle(kShardMultiRangeRead, this, &KafkaShardAdapter::HandleMultiRangeRead);
+  // One handler serves both read methods; the method decides whether the read waits.
+  endpoint_.Handle<ShardReadReq>(kShardRead, [this](NodeId, ShardReadReq req, Responder r) {
+    HandleRead(/*wait=*/true, std::move(req), std::move(r));
+  });
+  endpoint_.Handle<ShardReadReq>(kShardMultiRangeRead,
+                                 [this](NodeId, ShardReadReq req, Responder r) {
+                                   HandleRead(/*wait=*/false, std::move(req), std::move(r));
+                                 });
   endpoint_.Handle(kShardSetStableGp, this, &KafkaShardAdapter::HandleSetStableGp);
   endpoint_.Handle(kShardTrim, this, &KafkaShardAdapter::HandleTrim);
 }
@@ -311,17 +317,15 @@ void KafkaShardAdapter::ApplyWindow(PendingWindow w) {
   produce();
 }
 
-void KafkaShardAdapter::HandleRead(const ShardReadReq& req, Responder r) {
-  if (req.pos >= stable_gp_) {
-    if (req.nowait) {
-      r.Send(Status::OutOfRange("not stable"));
-      return;
-    }
+void KafkaShardAdapter::HandleRead(bool wait, ShardReadReq req, Responder r) {
+  auto read = std::make_shared<ShardReadReq>(std::move(req));
+  // A waiting read is judged by the start of its first range.
+  if (wait && !read->ranges.empty() && read->ranges.front().pos >= stable_gp_) {
     slow_reads_++;
-    waiters_.push_back(Waiter{req, std::move(r)});
+    waiters_.push_back(Waiter{std::move(read), std::move(r)});
     return;
   }
-  ServeRead(req, std::move(r));
+  ServeNextRange(wait, std::move(read), 0, std::make_shared<ShardReadResp>(), std::move(r));
 }
 
 bool KafkaShardAdapter::FetchStable(LogPos pos, uint32_t len, FetchedCallback cb) {
@@ -354,42 +358,30 @@ bool KafkaShardAdapter::FetchStable(LogPos pos, uint32_t len, FetchedCallback cb
   return true;
 }
 
-void KafkaShardAdapter::ServeRead(const ShardReadReq& req, Responder r) {
-  auto reply = [this, r](Status s, std::vector<PositionedRecord> recs) mutable {
-    if (!s.ok()) {
-      r.Send(std::move(s));
-      return;
-    }
-    ShardReadResp resp;
-    resp.records = std::move(recs);
-    resp.stable_gp = stable_gp_;
-    resp.durable_tail = std::max(durable_hint_, stable_gp_);
-    r.Ok(resp);
-  };
-  if (!FetchStable(req.pos, req.len, std::move(reply))) {
-    r.Send(Status::Internal("stable position unknown to adapter"));
-  }
-}
-
-void KafkaShardAdapter::HandleMultiRangeRead(ShardMultiRangeReadReq req, Responder r) {
-  ServeNextRange(std::make_shared<ShardMultiRangeReadReq>(std::move(req)), 0, std::make_shared<ShardMultiRangeReadResp>(),
-                 std::move(r));
-}
-
-void KafkaShardAdapter::ServeNextRange(std::shared_ptr<ShardMultiRangeReadReq> req, size_t i,
-                                       std::shared_ptr<ShardMultiRangeReadResp> resp,
+void KafkaShardAdapter::ServeNextRange(bool wait, std::shared_ptr<ShardReadReq> req,
+                                       size_t i, std::shared_ptr<ShardReadResp> resp,
                                        Responder r) {
-  // Unstable/unknown range starts get count 0; the client re-issues those via the
-  // classic waiting read against this adapter. A failed fetch serves nothing either.
+  // A read that never waits gives count 0 to an unstable/unknown range start and to a
+  // failed fetch; the client re-issues those as a waiting read. A waiting read was
+  // admitted on its first range's start, so that range must be served.
   for (; i < req->ranges.size(); ++i) {
-    auto next = [this, req, i, resp, r](Status, std::vector<PositionedRecord> recs) mutable {
+    auto next = [this, wait, req, i, resp, r](Status s,
+                                              std::vector<PositionedRecord> recs) mutable {
+      if (wait && !s.ok()) {
+        r.Send(std::move(s));
+        return;
+      }
       resp->counts.push_back(static_cast<uint32_t>(recs.size()));
       for (PositionedRecord& pr : recs) {
         resp->records.push_back(std::move(pr));
       }
-      ServeNextRange(std::move(req), i + 1, std::move(resp), std::move(r));
+      ServeNextRange(wait, std::move(req), i + 1, std::move(resp), std::move(r));
     };
     if (FetchStable(req->ranges[i].pos, req->ranges[i].len, std::move(next))) {
+      return;
+    }
+    if (wait && i == 0) {
+      r.Send(Status::Internal("stable position unknown to adapter"));
       return;
     }
     resp->counts.push_back(0);
@@ -413,8 +405,9 @@ void KafkaShardAdapter::WakeWaiters() {
   auto waiters = std::move(waiters_);
   waiters_.clear();
   for (Waiter& w : waiters) {
-    if (w.req.pos < stable_gp_) {
-      ServeRead(w.req, std::move(w.responder));
+    if (w.req->ranges.front().pos < stable_gp_) {
+      ServeNextRange(/*wait=*/true, std::move(w.req), 0, std::make_shared<ShardReadResp>(),
+                     std::move(w.responder));
     } else {
       waiters_.push_back(std::move(w));
     }

@@ -37,7 +37,7 @@ inline constexpr MethodId kSeqUpdateLogs = 211;    // controller -> replica: log
 // --- storage shards: 300 block ---
 inline constexpr MethodId kShardAppendBatch = 300;   // orderer -> primary: ordered records
 inline constexpr MethodId kShardReplicate = 301;     // primary -> backup
-inline constexpr MethodId kShardRead = 302;          // client read (gated on stable-gp)
+inline constexpr MethodId kShardRead = 302;          // client -> primary: waiting read
 inline constexpr MethodId kShardSetStableGp = 303;   // orderer -> shard
 inline constexpr MethodId kShardPutData = 304;       // Erwin-st client data write (unordered)
 inline constexpr MethodId kShardOrderMeta = 305;     // Erwin-st orderer -> primary: metadata log
@@ -51,7 +51,6 @@ inline constexpr MethodId kShardFetchState = 312;    // replacement replica -> l
 inline constexpr MethodId kShardSeal = 313;          // controller -> shard: fence old epochs
 inline constexpr MethodId kShardCopyState = 314;     // controller -> replacement: pull state
 inline constexpr MethodId kShardIndexDelta = 315;    // index node -> primary: pull tag index
-inline constexpr MethodId kShardMultiRead = 316;     // client -> shard: sparse position batch
 inline constexpr MethodId kShardPromoSeal = 317;     // controller -> replica: fence for primary
                                                      // promotion; resp = completeness report
 inline constexpr MethodId kShardPromote = 318;       // controller -> replica: adopt new replica
@@ -59,8 +58,9 @@ inline constexpr MethodId kShardPromote = 318;       // controller -> replica: a
 inline constexpr MethodId kShardBackfill = 319;      // new primary -> peer backup: fetch the
                                                      // record bound at a position (payload
                                                      // back-fill during promotion handoff)
-inline constexpr MethodId kShardMultiRangeRead = 320;  // client -> any replica: coalesced
-                                                       // multi-range stable read (never waits)
+inline constexpr MethodId kShardMultiRangeRead = 320;  // client -> any replica: stable read
+                                                       // that never waits (coalesced reads,
+                                                       // index fetches)
 
 // The ordering windows (orderer -> primary, primary -> backup) are background traffic:
 // no client waits on one, so they serialize on the NIC's background lane at any size

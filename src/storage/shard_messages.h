@@ -63,37 +63,8 @@ struct ShardOrderAckResp {
   bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
-// Client read request. `pos` is a global log position; the shard gates the response on
-// stable-gp (slow path waits). `nowait` makes the shard answer OUT_OF_RANGE instead of
-// waiting (used by tests and by readers that poll).
-struct ShardReadReq {
-  LogPos pos = 0;
-  uint32_t len = 1;  // max records to return (all on this shard, ascending positions)
-  bool nowait = false;
-
-  template <class Ar> void Wire(Ar& ar) { ar(pos, len, nowait); }
-  void Encode(Encoder& e) const { WireEncode(e, *this); }
-  bool Decode(Decoder& d) { return WireDecode(d, *this); }
-};
-
-// Read reply. Besides the records, every reply piggybacks the serving replica's view
-// of the log tail (stable_gp count-semantics stable frontier, durable_tail learned from
-// the orderer's broadcasts) so tail pollers can skip a CheckTail round trip, plus the
-// replica's current CPU queue depth in nanoseconds, which feeds the client-side
-// load-aware replica router.
-struct ShardReadResp {
-  std::vector<PositionedRecord> records;
-  LogPos stable_gp = 0;      // serving replica's stable frontier at reply time
-  LogPos durable_tail = 0;   // serving replica's last-heard durable tail (may lag)
-  uint64_t queue_ns = 0;     // serving replica's CPU backlog when the request was handled
-
-  template <class Ar> void Wire(Ar& ar) { ar(records, stable_gp, durable_tail, queue_ns); }
-  void Encode(Encoder& e) const { WireEncode(e, *this); }
-  bool Decode(Decoder& d) { return WireDecode(d, *this); }
-};
-
 // One contiguous read sub-range: up to `len` consecutive records *local to the target
-// shard* starting at global position `pos` (same walk the server does for ShardReadReq).
+// shard* starting at global position `pos`.
 struct ReadRange {
   LogPos pos = 0;
   uint32_t len = 1;
@@ -103,12 +74,14 @@ struct ReadRange {
   bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
-// Client -> shard server: coalesced multi-range read. Serves every range in one
-// request-handling pass and never waits: sub-ranges that start at/above the serving
-// replica's stable-gp (or at a trimmed/foreign position) are clipped or omitted, and
-// the client re-issues the remainder to the primary via the classic waiting read.
-// Response is a ShardReadResp with the union of all served ranges.
-struct ShardMultiRangeReadReq {
+// Client -> shard server: the one shard read, gated on stable-gp. The method decides
+// whether it waits. kShardRead waits at the primary (§4.4): judged by the start of its
+// first range, a trimmed start fails OUT_OF_RANGE and a start at or above stable-gp
+// parks until stable-gp passes it. kShardMultiRangeRead never waits (§5.3 read
+// scale-out, index fetches): any replica serves it in one pass and clips each range at
+// its own stable-gp or a trimmed/foreign position; the client re-issues a clipped
+// remainder to the primary as a waiting read.
+struct ShardReadReq {
   std::vector<ReadRange> ranges;
 
   template <class Ar> void Wire(Ar& ar) { ar(ranges); }
@@ -116,16 +89,19 @@ struct ShardMultiRangeReadReq {
   bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
-// Reply to a multi-range read: `records` is the concatenation of the per-range record
-// runs in request order, and `counts[i]` says how many of them belong to range i — the
-// partition is explicit because ranges from different callers may overlap or abut.
-// Carries the same tail/queue piggyback as ShardReadResp.
-struct ShardMultiRangeReadResp {
+// Read reply: `records` is the concatenation of the per-range record runs in request
+// order, and `counts[i]` says how many of them belong to range i (the partition is
+// explicit because ranges from different callers may overlap or abut). Every reply
+// also piggybacks the serving replica's view of the log tail (stable_gp count-semantics
+// stable frontier, durable_tail learned from the orderer's broadcasts) so tail pollers
+// can skip a CheckTail round trip, plus the replica's current CPU queue depth in
+// nanoseconds, which feeds the client-side load-aware replica router.
+struct ShardReadResp {
   std::vector<uint32_t> counts;
   std::vector<PositionedRecord> records;
-  LogPos stable_gp = 0;
-  LogPos durable_tail = 0;
-  uint64_t queue_ns = 0;
+  LogPos stable_gp = 0;      // serving replica's stable frontier at reply time
+  LogPos durable_tail = 0;   // serving replica's last-heard durable tail (may lag)
+  uint64_t queue_ns = 0;     // serving replica's CPU backlog when the request was handled
 
   template <class Ar> void Wire(Ar& ar) { ar(counts, records, stable_gp, durable_tail, queue_ns); }
   void Encode(Encoder& e) const { WireEncode(e, *this); }
@@ -227,17 +203,6 @@ struct ShardIndexDeltaResp {
 
   template <class Ar>
   void Wire(Ar& ar) { ar(from_seq, next_seq, stable_gp, exported_below, entries); }
-  void Encode(Encoder& e) const { WireEncode(e, *this); }
-  bool Decode(Decoder& d) { return WireDecode(d, *this); }
-};
-
-// Client -> shard server: read a sparse batch of global positions (all owned by this
-// shard). Unlike ShardReadReq this never waits: positions at or above stable-gp are
-// simply omitted from the response. Used by selective readers after an index lookup.
-struct ShardMultiReadReq {
-  std::vector<uint64_t> positions;
-
-  template <class Ar> void Wire(Ar& ar) { ar(positions); }
   void Encode(Encoder& e) const { WireEncode(e, *this); }
   bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };

@@ -157,14 +157,19 @@ ShardServer::ShardServer(Network* net, const SimParams& params, ShardMode mode,
   } else {
     RegisterWindowMethods<ShardAppendBatchReq>(kShardAppendBatch);
   }
-  endpoint_.Handle(kShardRead, this, &ShardServer::HandleRead);
+  // One handler serves both read methods; the method decides whether the read waits.
+  endpoint_.Handle<ShardReadReq>(kShardRead, [this](NodeId, ShardReadReq req, Responder r) {
+    HandleRead(/*wait=*/true, std::move(req), std::move(r));
+  });
+  endpoint_.Handle<ShardReadReq>(kShardMultiRangeRead,
+                                 [this](NodeId, ShardReadReq req, Responder r) {
+                                   HandleRead(/*wait=*/false, std::move(req), std::move(r));
+                                 });
   endpoint_.Handle(kShardSetStableGp, this, &ShardServer::HandleSetStableGp);
   endpoint_.Handle(kShardPutData, this, &ShardServer::HandlePutData);
   endpoint_.Handle(kShardReplicateNoOp, this, &ShardServer::HandleReplicateNoOp);
   endpoint_.Handle(kShardPosMap, this, &ShardServer::HandlePosMap);
   endpoint_.Handle(kShardIndexDelta, this, &ShardServer::HandleIndexDelta);
-  endpoint_.Handle(kShardMultiRead, this, &ShardServer::HandleMultiRead);
-  endpoint_.Handle(kShardMultiRangeRead, this, &ShardServer::HandleMultiRangeRead);
   endpoint_.Handle(kShardTrim, this, &ShardServer::HandleTrim);
   endpoint_.Handle(kShardFetchState, this, &ShardServer::HandleFetchState);
   endpoint_.Handle(kShardSeal, this, &ShardServer::HandleSeal);
@@ -726,23 +731,23 @@ void ShardServer::HandleReplicateNoOp(NodeId from, NoOpMsg msg, Responder r) {
   r.Send(Status::Ok());
 }
 
-void ShardServer::HandleRead(ShardReadReq req, Responder r) {
-  if (req.pos < trimmed_below_) {
-    r.Send(Status::OutOfRange("position trimmed"));
-    return;
-  }
-  if (req.pos >= stable_gp_ && !read_gate_disabled_) {
-    if (req.nowait) {
-      r.Send(Status::OutOfRange("position not stable yet"));
+void ShardServer::HandleRead(bool wait, ShardReadReq req, Responder r) {
+  // A waiting read is judged by the start of its first range.
+  if (wait && !req.ranges.empty()) {
+    const LogPos start = req.ranges.front().pos;
+    if (start < trimmed_below_) {
+      r.Send(Status::OutOfRange("position trimmed"));
       return;
     }
-    // Slow path (§4.4): hold the read until stable-gp passes the requested position.
-    stats_.slow_reads++;
-    waiters_.push_back(Waiter{req, std::move(r)});
-    return;
+    if (start >= stable_gp_ && !read_gate_disabled_) {
+      // Slow path (§4.4): hold the read until stable-gp passes its start.
+      stats_.slow_reads++;
+      waiters_.push_back(Waiter{std::move(req), std::move(r)});
+      return;
+    }
   }
   stats_.fast_reads++;
-  ServeRead(req, std::move(r));
+  ServeRead(wait, req, std::move(r));
 }
 
 bool ShardServer::ReadStable(LogPos pos, uint32_t len, std::vector<PositionedRecord>* out,
@@ -773,30 +778,49 @@ bool ShardServer::ReadStable(LogPos pos, uint32_t len, std::vector<PositionedRec
   return true;
 }
 
-template <typename Resp>
-void ShardServer::ReplyRead(Resp resp, uint64_t bytes, Responder r) {
+void ShardServer::ServeRead(bool wait, const ShardReadReq& req, Responder r) {
+  ShardReadResp resp;
+  uint64_t want = 0;
+  for (const ReadRange& range : req.ranges) {
+    want += range.len;
+  }
+  // Wire lengths are untrusted: never reserve past what this replica stores.
+  resp.records.reserve(std::min<uint64_t>(want, local_pos_.size()));
+  resp.counts.reserve(req.ranges.size());
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < req.ranges.size(); ++i) {
+    const ReadRange& range = req.ranges[i];
+    const size_t before = resp.records.size();
+    if (!ReadStable(range.pos, range.len, &resp.records, &bytes) && wait && i == 0) {
+      // A waiting read was admitted on its start, so the start must be here.
+      r.Send(Status::Internal("stable position not on this shard"));
+      return;
+    }
+    // A read that never waits is clipped at this replica's stable frontier (or a
+    // trimmed/foreign start); the client re-issues the remainder as a waiting read at
+    // the primary, so wait semantics live entirely there.
+    const auto served = static_cast<uint32_t>(resp.records.size() - before);
+    resp.counts.push_back(served);
+    if (!wait && served < range.len) {
+      stats_.multirange_ranges_clipped++;
+    }
+  }
+  if (!wait) {
+    stats_.multirange_reads++;
+  }
+  if (!is_primary()) {
+    stats_.backup_reads++;
+  }
+  // Every reply carries this replica's stable/durable tails and CPU backlog (the
+  // router/tail-cache feedback). The leader's durable tail can never trail stable-gp;
+  // surface at least that much even before the first extended broadcast arrives.
   resp.stable_gp = stable_gp_;
-  // The leader's durable tail can never trail stable-gp; surface at least that much
-  // even before the first extended broadcast arrives.
   resp.durable_tail = std::max(durable_hint_, stable_gp_);
   const SimTime now = endpoint_.loop()->Now();
   resp.queue_ns = cpu_.busy_until() > now ? cpu_.busy_until() - now : 0;
   cpu_.ExecuteFor(bytes, [resp = std::move(resp), r]() mutable {
     r.Ok(resp);
   });
-}
-
-void ShardServer::ServeRead(const ShardReadReq& req, Responder r) {
-  ShardReadResp resp;
-  uint64_t bytes = 0;
-  if (!ReadStable(req.pos, req.len, &resp.records, &bytes)) {
-    r.Send(Status::Internal("stable position not on this shard"));
-    return;
-  }
-  if (!is_primary()) {
-    stats_.backup_reads++;
-  }
-  ReplyRead(std::move(resp), bytes, std::move(r));
 }
 
 void ShardServer::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
@@ -819,10 +843,11 @@ void ShardServer::WakeWaiters() {
   auto waiters = std::move(waiters_);
   waiters_.clear();
   for (Waiter& w : waiters) {
-    if (w.req.pos < trimmed_below_) {
+    const LogPos start = w.req.ranges.front().pos;
+    if (start < trimmed_below_) {
       w.responder.Send(Status::OutOfRange("position trimmed"));
-    } else if (w.req.pos < stable_gp_) {
-      ServeRead(w.req, std::move(w.responder));
+    } else if (start < stable_gp_) {
+      ServeRead(/*wait=*/true, w.req, std::move(w.responder));
     } else {
       waiters_.push_back(std::move(w));
     }
@@ -893,52 +918,6 @@ void ShardServer::HandleIndexDelta(const ShardIndexDeltaReq& req, Responder r) {
                   [resp = std::move(resp), r]() mutable {
                     r.Ok(resp);
                   });
-}
-
-void ShardServer::HandleMultiRead(const ShardMultiReadReq& req, Responder r) {
-  // Never waits: unstable / trimmed / foreign positions are silently omitted, the
-  // selective reader already knows what is stable from the index node's frontier.
-  ShardReadResp resp;
-  uint64_t bytes = 0;
-  for (uint64_t p : req.positions) {
-    ReadStable(p, 1, &resp.records, &bytes);
-  }
-  stats_.fast_reads++;
-  if (!is_primary()) {
-    stats_.backup_reads++;
-  }
-  ReplyRead(std::move(resp), bytes, std::move(r));
-}
-
-void ShardServer::HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Responder r) {
-  // Never waits: each range is walked exactly like ShardReadReq but clipped at this
-  // replica's stable frontier (or a trimmed/foreign start position). The client detects
-  // short ranges and re-issues the remainder to the primary via the classic waiting
-  // read, so wait semantics live entirely at the primary.
-  ShardMultiRangeReadResp resp;
-  uint64_t want = 0;
-  for (const ReadRange& range : req.ranges) {
-    want += range.len;
-  }
-  // Wire lengths are untrusted: never reserve past what this replica stores.
-  resp.records.reserve(std::min<uint64_t>(want, local_pos_.size()));
-  resp.counts.reserve(req.ranges.size());
-  uint64_t bytes = 0;
-  for (const ReadRange& range : req.ranges) {
-    const size_t before = resp.records.size();
-    ReadStable(range.pos, range.len, &resp.records, &bytes);
-    const auto served = static_cast<uint32_t>(resp.records.size() - before);
-    resp.counts.push_back(served);
-    if (served < range.len) {
-      stats_.multirange_ranges_clipped++;
-    }
-  }
-  stats_.fast_reads++;
-  stats_.multirange_reads++;
-  if (!is_primary()) {
-    stats_.backup_reads++;
-  }
-  ReplyRead(std::move(resp), bytes, std::move(r));
 }
 
 void ShardServer::HandleTrim(const TrimMsg& msg, Responder r) {

@@ -35,8 +35,9 @@ struct ShardStats {
   uint64_t fast_reads = 0;      // served immediately (pos <= stable-gp)
   uint64_t slow_reads = 0;      // had to wait for stable-gp to advance
   uint64_t backup_reads = 0;    // reads served while not the shard primary
-  uint64_t multirange_reads = 0;          // coalesced multi-range read RPCs served
-  uint64_t multirange_ranges_clipped = 0; // sub-ranges clipped/omitted (client re-issues)
+  uint64_t multirange_reads = 0;          // non-waiting read RPCs served (coalesced
+                                          // reads and index fetches)
+  uint64_t multirange_ranges_clipped = 0; // their ranges clipped/omitted
   uint64_t noops_created = 0;   // Erwin-st missing-data resolutions
   uint64_t rejected_puts = 0;   // late data after no-op
   uint64_t windows_applied = 0; // ordering windows applied in span order
@@ -158,17 +159,15 @@ class ShardServer {
   };
 
   // Handlers.
-  void HandleRead(ShardReadReq req, Responder r);
+  // Both read methods (kShardRead waits, kShardMultiRangeRead does not). A waiting
+  // read whose first range starts at or above stable-gp parks in waiters_.
+  void HandleRead(bool wait, ShardReadReq req, Responder r);
   void HandleSetStableGp(const StableGpMsg& msg, Responder r);
   void HandlePutData(ShardPutDataReq req, Responder r);  // client -> replica (Erwin-st)
   void HandleReplicateNoOp(NodeId from, NoOpMsg msg, Responder r);  // primary -> backup
   void HandlePosMap(const ShardPosMapReq& req, Responder r);
   // Index node -> primary: tag index pull.
   void HandleIndexDelta(const ShardIndexDeltaReq& req, Responder r);
-  // Client sparse position batch read.
-  void HandleMultiRead(const ShardMultiReadReq& req, Responder r);
-  // Coalesced multi-range read.
-  void HandleMultiRangeRead(const ShardMultiRangeReadReq& req, Responder r);
   void HandleTrim(const TrimMsg& msg, Responder r);
   void HandleFetchState(NoBody, Responder r);
   void HandleSeal(const ShardSealReq& req, Responder r);  // controller: fence the epoch
@@ -277,17 +276,14 @@ class ShardServer {
   // Backup repair: applies a record fetched from the primary to a pending binding.
   void ApplyFetchedRecord(const RecordId& id, const Status& s, Record rec);
 
-  void ServeRead(const ShardReadReq& req, Responder r);
+  // Walks every range, counts the stats and replies after the payload's CPU charge.
+  void ServeRead(bool wait, const ShardReadReq& req, Responder r);
   // The one stable-range walk (§4.4) behind every read: appends the records at up to
   // `len` consecutive owned positions from `pos`, stopping at stable-gp (unless the read
   // gate is disabled), the end of the log or a hole, and adds their payload bytes to
   // `bytes`. False, with nothing appended, if `pos` is trimmed, unstable or not here.
   bool ReadStable(LogPos pos, uint32_t len, std::vector<PositionedRecord>* out,
                   uint64_t* bytes) const;
-  // Stamps either read reply type with this replica's stable/durable tails and CPU
-  // backlog (the router/tail-cache feedback), then sends it after `bytes` of CPU.
-  template <typename Resp>
-  void ReplyRead(Resp resp, uint64_t bytes, Responder r);
   void WakeWaiters();
   uint64_t DiskAdmissionDelay() const;
   void ScrubOrphans();

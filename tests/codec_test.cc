@@ -88,16 +88,11 @@ void ForEachPinnedMessage(F&& f) {
     "00000000003100000000000000320000000000000003000000013d00000000000000310000000000"
     "00003200000000000000030000000733000000000000003400000000000000", Atts{"rec", "rec"});
   f("ShardOrderAckResp", ShardOrderAckResp{61}, "3d00000000000000", Atts{});
-  f("ShardReadReq", ShardReadReq{62, 63, true}, "3e000000000000003f00000001", Atts{});
-  f("ShardReadResp", ShardReadResp{{PositionedRecord{48, tagged}}, 64, 65, 66},
-    "01000000300000000000000031000000000000003200000000000000030000000733000000000000"
-    "003400000000000000400000000000000041000000000000004200000000000000",
-    Atts{"rec"});
   f("ReadRange", ReadRange{67, 68}, "430000000000000044000000", Atts{});
-  f("ShardMultiRangeReadReq", ShardMultiRangeReadReq{{ReadRange{69, 70}}},
+  f("ShardReadReq", ShardReadReq{{ReadRange{69, 70}}},
     "01000000450000000000000046000000", Atts{});
-  f("ShardMultiRangeReadResp",
-    ShardMultiRangeReadResp{{71, 72}, {PositionedRecord{48, untagged}}, 73, 74, 75},
+  f("ShardReadResp",
+    ShardReadResp{{71, 72}, {PositionedRecord{48, untagged}}, 73, 74, 75},
     "02000000470000004800000001000000300000000000000031000000000000003200000000000000"
     "030000000149000000000000004a000000000000004b00000000000000",
     Atts{"rec"});
@@ -123,8 +118,6 @@ void ForEachPinnedMessage(F&& f) {
   f("ShardIndexDeltaResp", ShardIndexDeltaResp{98, 99, 100, 101, {TagIndexEntry{93, 94, 95}}},
     "6200000000000000630000000000000064000000000000006500000000000000010000005d000000"
     "000000005e000000000000005f00000000000000", Atts{});
-  f("ShardMultiReadReq", ShardMultiReadReq{{102, 103}},
-    "0200000066000000000000006700000000000000", Atts{});
   f("StableGpMsg", StableGpMsg{104, 105, 106},
     "680000000000000069000000000000006a00000000000000", Atts{});
   f("ShardSealReq", ShardSealReq{107}, "6b00000000000000", Atts{});
@@ -313,7 +306,7 @@ TEST(Codec, EveryMessageWireBytesPinned) {
       EXPECT_FALSE(out.Decode(d)) << "prefix " << cut << " of " << body.size();
     }
   });
-  EXPECT_EQ(count, 48);  // 45 message structs, three of them twice for the flags byte
+  EXPECT_EQ(count, 45);  // 42 message structs, three of them twice for the flags byte
 }
 
 // The bodies the baselines, ZooKeeperLite and the apps used to encode inline with
@@ -499,10 +492,6 @@ TEST(Codec, IndexMessagesRoundTrip) {
   delta.entries = {TagIndexEntry{1, 3}, TagIndexEntry{1, 7}, TagIndexEntry{2, 5}};
   ExpectRoundTrip(delta);
 
-  ShardMultiReadReq multi;
-  multi.positions = {3, 7, 11};
-  ExpectRoundTrip(multi);
-
   ExpectRoundTrip(IndexReadNextReq{5, 100, 32});
 
   IndexReadNextResp next;
@@ -533,10 +522,11 @@ TEST(Codec, ShardMessagesRoundTrip) {
   batch.records.push_back(PositionedRecord{8, Record{RecordId{1, 3}, "", true}});
   ExpectRoundTrip(batch);
 
-  ShardReadReq read{42, 25, true};
+  ShardReadReq read{{ReadRange{42, 25}, ReadRange{3, 1}}};
   ExpectRoundTrip(read);
 
   ShardReadResp resp;
+  resp.counts = {1, 0};
   resp.records.push_back(PositionedRecord{1, Record{RecordId{2, 2}, "x", false}});
   ExpectRoundTrip(resp);
 

@@ -405,7 +405,7 @@ constexpr MethodId kAllMethods[] = {
     kShardAppendBatch, kShardReplicate, kShardRead, kShardSetStableGp, kShardPutData,
     kShardOrderMeta, kShardPosMap, kShardTrim, kShardOverwriteTail, kShardReplicateMeta,
     kShardReplicateNoOp, kShardFetchRecord, kShardFetchState, kShardSeal, kShardCopyState,
-    kShardIndexDelta, kShardMultiRead, kShardPromoSeal, kShardPromote, kShardBackfill,
+    kShardIndexDelta, kShardPromoSeal, kShardPromote, kShardBackfill,
     kShardMultiRangeRead,
     kIndexReadNext,
     kCorfuNextPos, kCorfuWrite, kCorfuRead, kCorfuTail,
