@@ -71,7 +71,13 @@ void ErwinStClient::PlaceRead(std::shared_ptr<ReadOp> op) {
     PlaceMapped(std::move(op));
     return;
   }
-  FetchPosMap(needed_end, [this, op]() {
+  FetchPosMap(needed_end, [this, op](Status s) {
+    if (!s.ok()) {
+      // The map server may have been replaced out from under us: the read's retry
+      // ladder refreshes the shard membership before the next attempt.
+      FailAttempt(op, std::move(s));
+      return;
+    }
     if (posmap_.size() >= op->from + op->len) {
       PlaceMapped(op);
       return;
@@ -81,7 +87,7 @@ void ErwinStClient::PlaceRead(std::shared_ptr<ReadOp> op) {
   });
 }
 
-void ErwinStClient::FetchPosMap(LogPos needed_end, std::function<void()> then) {
+void ErwinStClient::FetchPosMap(LogPos needed_end, std::function<void(Status)> then) {
   // Bulk fetch with read-ahead; amortizes the mapping roundtrip over many reads (§5.3).
   const uint64_t readahead = std::max<uint64_t>(1, params_.client_read.posmap_readahead);
   ShardPosMapReq req;
@@ -98,21 +104,15 @@ void ErwinStClient::FetchPosMap(LogPos needed_end, std::function<void()> then) {
   endpoint_.CallMsg<ShardPosMapResp>(
       target, kShardPosMap, req,
       [this, then = std::move(then)](Status s, ShardPosMapResp resp) mutable {
-        if (s.ok()) {
-          if (resp.from == posmap_.size()) {
-            for (uint64_t sid : resp.shard_ids) {
-              posmap_.push_back(static_cast<uint32_t>(sid));
-            }
-            // Every mapped position was stable at the serving replica, so the map length
-            // is a conservative tail sample.
-            tails_.Note(endpoint_.loop()->Now(), posmap_.size(), posmap_.size());
+        if (s.ok() && resp.from == posmap_.size()) {
+          for (uint64_t sid : resp.shard_ids) {
+            posmap_.push_back(static_cast<uint32_t>(sid));
           }
-          then();
-          return;
+          // Every mapped position was stable at the serving replica, so the map length
+          // is a conservative tail sample.
+          tails_.Note(endpoint_.loop()->Now(), posmap_.size(), posmap_.size());
         }
-        // The mapping server may have been replaced out from under us; refresh the shard
-        // membership before the caller's retry.
-        RefreshShardConfig(std::move(then));
+        then(std::move(s));
       },
       params_.rpc_timeout_ns);
 }

@@ -38,13 +38,13 @@ class ErwinStClient : public ErwinClient {
  protected:
   void SendAppend(std::shared_ptr<PendingAppend> p) override;
   // Resolves the positions through the cached map (fetching or polling for the part it
-  // lacks), then places them.
+  // lacks), then places them. A failed map fetch ends the attempt.
   void PlaceRead(std::shared_ptr<ReadOp> op) override;
 
  private:
   // Places mapped positions: one run per shard, in order of first appearance.
   void PlaceMapped(std::shared_ptr<ReadOp> op);
-  void FetchPosMap(LogPos needed_end, std::function<void()> then);
+  void FetchPosMap(LogPos needed_end, std::function<void(Status)> then);
 
   uint64_t rr_cursor_;  // round-robin shard choice
 
