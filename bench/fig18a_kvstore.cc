@@ -4,7 +4,13 @@
 // three replicas. Puts are dominated by the shared-log append, so Erwin helps most on
 // write-only (3.4x in the paper), considerably on write-heavy (~2.5x), and little on
 // read-heavy (reads cost the same on both).
+//
+// --smoke prints the same table and exits nonzero unless the shape holds: the Erwin
+// gain is >= 1.5x on Load and on YCSB-A, and the YCSB-B gain is >= 0.8x and below both
+// write gains. The KV reader follows the log with CheckTail and stable reads, so this
+// also guards the client's coalesced read path end to end.
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_util.h"
 #include "src/apps/kvstore.h"
@@ -79,17 +85,39 @@ Histogram RunCorfu(YcsbWorkload workload) {
 }  // namespace
 }  // namespace lazylog
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazylog;
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   PrintHeader("Figure 18a: KV store (writer/reader decoupled), Corfu vs Erwin-m");
   std::printf("  %-26s %-14s %-14s %-8s\n", "workload", "KV-Corfu mean", "KV-Erwin mean",
               "gain");
+  double gain[3] = {};
+  int i = 0;
   for (YcsbWorkload w : {YcsbWorkload::kLoad, YcsbWorkload::kA, YcsbWorkload::kB}) {
     Histogram corfu = RunCorfu(w);
     Histogram erwin = RunErwin(w);
+    gain[i] = corfu.Mean() / erwin.Mean();
     std::printf("  %-26s %-14s %-14s %.2fx\n", YcsbWorkloadName(w),
                 FormatNanos(corfu.Mean()).c_str(), FormatNanos(erwin.Mean()).c_str(),
-                corfu.Mean() / erwin.Mean());
+                gain[i++]);
+  }
+  if (smoke) {
+    int rc = 0;
+    auto expect = [&rc](bool ok, const char* what) {
+      if (!ok) {
+        std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+        rc = 1;
+      }
+    };
+    expect(gain[0] >= 1.5, "Load: Erwin gain below 1.5x");
+    expect(gain[1] >= 1.5, "YCSB-A: Erwin gain below 1.5x");
+    expect(gain[2] >= 0.8, "YCSB-B: Erwin gain below 0.8x");
+    expect(gain[2] < gain[0] && gain[2] < gain[1],
+           "YCSB-B: read-heavy gain not below both write gains");
+    if (rc == 0) {
+      std::printf("fig18a smoke OK: Erwin wins on writes, near parity on read-heavy\n");
+    }
+    return rc;
   }
   PrintPaperNote("Paper: 3.4x lower latency write-only, ~2.5x write-heavy, ~parity");
   PrintPaperNote("read-heavy (Fig 18a) — puts are dominated by the shared-log append.");
