@@ -517,6 +517,40 @@ TEST(ShardSt, NoOpWindowAckWaitsForBackupsToConfirm) {
   EXPECT_TRUE(h.servers_[1]->RecordAt(0)->no_op);
 }
 
+TEST(ShardSt, RetransmitCannotOutrunUnconfirmedNoOp) {
+  ShardHarness h(ShardMode::kStModified);
+  // Record 1's data reaches only the backup; record 2's reaches both replicas.
+  ASSERT_TRUE(h.PutData(RecordId{1, 1}, Payload(1), 1).ok());
+  h.PutSpan(1, 2);
+  // The window binding record 1 at position 0 is cut off from the backup: its
+  // replicate is lost, and so is the no-op the primary decides once the data times out.
+  h.net_.SetPartitioned(h.ids_[0], h.ids_[1], true);
+  auto first = h.SendSpan(1, 0, 1);
+  h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_data_timeout_ns + 1 * kMs);
+  ASSERT_EQ(h.servers_[0]->stats().noops_created, 1u);
+  h.net_.SetPartitioned(h.ids_[0], h.ids_[1], false);
+  // A cursor retry re-sends position 0 with the new position 1. Acked durable now, it
+  // would let stable-gp pass position 0 while the backup serves record 1's data there,
+  // until the no-op retry lands and flips it.
+  auto again = h.Wait(h.SendSpan(1, 0, 2), 10 * kMs);
+  ASSERT_TRUE(again->done);
+  EXPECT_EQ(again->watermark, 0u);
+  EXPECT_FALSE(again->status.ok());
+  const Record* backup = h.servers_[1]->RecordAt(0);
+  EXPECT_TRUE(backup == nullptr || backup->no_op);
+  // Once the backup confirms the no-op, the next retry applies and both replicas agree.
+  h.Wait(first, 4 * h.params_.rpc_timeout_ns);
+  auto retry = h.Wait(h.SendSpan(1, 0, 2));
+  ASSERT_TRUE(retry->status.ok());
+  EXPECT_EQ(retry->watermark, 2u);
+  for (const auto& server : h.servers_) {
+    ASSERT_NE(server->RecordAt(0), nullptr);
+    EXPECT_TRUE(server->RecordAt(0)->no_op);
+    ASSERT_NE(server->RecordAt(1), nullptr);
+    EXPECT_EQ(server->RecordAt(1)->payload, Payload(2));
+  }
+}
+
 TEST(ShardSt, DataArrivingBeforeTimeoutResolvesBinding) {
   ShardHarness h(ShardMode::kStModified);
   // Order metadata first; data arrives shortly after (network race, §5.4).
