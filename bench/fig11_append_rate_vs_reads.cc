@@ -4,7 +4,14 @@
 // many slow-path reads; high rates mean large batches and mostly fast reads. The
 // average ordering batch size (right axis of Fig 11a) is printed alongside, plus the
 // read-latency CDFs at 5K and 45K (Fig 11b).
+//
+// --smoke runs the 5K, 25K and 45K rows and exits nonzero unless the table's shape
+// holds: the average ordering batch grows with the rate, the 45K read mean is below the
+// 5K one, and every row acks at least 95% of the appends it issues.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/lazylog/erwin_cluster.h"
@@ -22,6 +29,7 @@ struct RateResult {
   double read_rate = 0;
   double append_rate = 0;
   uint64_t slow_reads = 0;
+  double acked_frac = 0;
 };
 
 RateResult Run(double rate) {
@@ -56,17 +64,54 @@ RateResult Run(double rate) {
   res.avg_batch = cluster.seq_replica(0).StatsSnapshot().counters.AvgBatchSize();
   res.read_rate = reader.MeasuredRate(cluster.loop().Now());
   res.append_rate = fleet.MeasuredRate(cluster.loop().Now());
+  res.acked_frac = static_cast<double>(fleet.TotalAcked()) /
+                   static_cast<double>(std::max<uint64_t>(fleet.TotalIssued(), 1));
   for (uint32_t r = 0; r < 3; ++r) {
     res.slow_reads += cluster.shard(0, r).StatsSnapshot().counters.slow_reads;
   }
   return res;
 }
 
+int Smoke() {
+  int rc = 0;
+  auto expect = [&rc](bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
+      rc = 1;
+    }
+  };
+  std::vector<RateResult> rows;
+  for (double rate : {5'000.0, 25'000.0, 45'000.0}) {
+    rows.push_back(Run(rate));
+    const RateResult& res = rows.back();
+    std::printf("  %-10.0f read mean %-12s avg batch %-8.1f acked %.1f%%\n", rate / 1000,
+                FormatNanos(res.read.Mean()).c_str(), res.avg_batch, 100.0 * res.acked_frac);
+    expect(res.acked_frac >= 0.95, "a row acked under 95% of its appends");
+    expect(res.read.count() > 0, "a row served no reads");
+  }
+  for (size_t i = 1; i < rows.size(); ++i) {
+    expect(rows[i].avg_batch > rows[i - 1].avg_batch,
+           "the average ordering batch does not grow with the append rate");
+  }
+  expect(rows.back().read.Mean() < rows.front().read.Mean(),
+         "the 45K read mean is not below the 5K one");
+  if (rc == 0) {
+    std::printf("fig11 smoke OK: batch %.1f -> %.1f, read mean %s -> %s\n",
+                rows.front().avg_batch, rows.back().avg_batch,
+                FormatNanos(rows.front().read.Mean()).c_str(),
+                FormatNanos(rows.back().read.Mean()).c_str());
+  }
+  return rc;
+}
+
 }  // namespace
 }  // namespace lazylog
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazylog;
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
+    return Smoke();
+  }
   PrintHeader("Figure 11: Append rate vs read latency (Erwin-m, aggressive reader)");
   std::printf("  %-10s %-12s %-12s %-12s %-12s %-10s\n", "rate", "read mean", "read p99",
               "avg batch", "slow reads", "R_r (K/s)");
