@@ -297,20 +297,11 @@ struct ShardPromoteReq {
   bool Decode(Decoder& d) { return WireDecode(d, *this); }
 };
 
-// New primary -> peer backup (promotion handoff): fetch whatever the peer has bound at
-// `pos` — a real record or a no-op decision inherited from the dead primary. Unbound or
-// still-pending positions answer UNAVAILABLE and the new primary falls back to its
-// own no-op timer.
-struct ShardBackfillReq {
-  LogPos pos = 0;
-
-  template <class Ar> void Wire(Ar& ar) { ar(pos); }
-  void Encode(Encoder& e) const { WireEncode(e, *this); }
-  bool Decode(Decoder& d) { return WireDecode(d, *this); }
-};
-
-// Backup -> primary (Erwin-st): fetch the resolved record bound at `pos` (repairs a
-// backup that never received the data for an unacknowledged append).
+// Erwin-st repair of a pending binding: fetch the record bound at `pos`, data or a
+// no-op decision. A backup asks its primary (it never received the data of an
+// unacknowledged append); a promoted primary asks its peers (one may hold the data, or
+// the dead primary's no-op decision). Unbound or still-pending positions answer
+// UNAVAILABLE.
 struct FetchRecordReq {
   LogPos pos = 0;
 

@@ -129,7 +129,6 @@ void ForEachPinnedMessage(F&& f) {
   f("ShardPromoteReq", ShardPromoteReq{116, {117, 118}, {119, 120}},
     "74000000000000000200000075000000000000007600000000000000020000007700000000000000"
     "7800000000000000", Atts{});
-  f("ShardBackfillReq", ShardBackfillReq{121}, "7900000000000000", Atts{});
   f("FetchRecordReq", FetchRecordReq{122}, "7a00000000000000", Atts{});
   f("NoOpMsg", NoOpMsg{123, RecordId{124, 125}},
     "7b000000000000007c000000000000007d00000000000000", Atts{});
@@ -306,7 +305,7 @@ TEST(Codec, EveryMessageWireBytesPinned) {
       EXPECT_FALSE(out.Decode(d)) << "prefix " << cut << " of " << body.size();
     }
   });
-  EXPECT_EQ(count, 45);  // 42 message structs, three of them twice for the flags byte
+  EXPECT_EQ(count, 44);  // 41 message structs, three of them twice for the flags byte
 }
 
 // The bodies the baselines, ZooKeeperLite and the apps used to encode inline with
