@@ -88,10 +88,6 @@ struct SeqParams {
   // Deficit accumulation cap, in multiples of the per-tick share: lets a trickling
   // tenant bank a small burst allowance without hoarding unbounded credit.
   uint32_t fairness_burst_quanta = 4;
-  // Per-log quota token buckets burst allowance, as a fraction of the per-second
-  // quota (clamped to [16, 1024] tokens). The quota itself comes from the log
-  // registry (LogRegistryEntry::quota_per_sec); 0 = unlimited.
-  double quota_burst_fraction = 0.1;
 };
 
 // Index tier (selective reads): aggregator index nodes pull per-shard tag-index deltas
@@ -134,8 +130,6 @@ struct ClientReadParams {
   // 2 = load-aware power-of-two-choices over per-replica EWMA of observed read
   //     RTT plus server-piggybacked CPU queue depth (default).
   uint32_t read_routing_mode = 2;
-  // EWMA smoothing for per-replica cost estimates fed by read replies.
-  double route_ewma_alpha = 0.3;
   // Max records packed into one multi-range read RPC; larger ranges are split into
   // chunks issued as independent pipelined RPCs so shard-side response serialization
   // CPU overlaps NIC transmission of earlier chunks.
@@ -176,15 +170,6 @@ struct SimParams {
   // on the already-saturated sequencer. Failing fast keeps acked latency near the ring
   // residence bound; the caller decides whether to re-submit.
   uint32_t client_overload_retry_limit = 3;
-  // Quota backpressure propagation: after the leader refuses an append with
-  // kQuotaExceeded, the client sheds *fresh* appends to that log locally (same status,
-  // no wire traffic) for this window. Without it, a tenant offering a multiple of its
-  // quota turns into a refusal/retry storm that loads every replica's NIC and CPU —
-  // the noisy-neighbor damage quotas exist to prevent. In-flight retries still go out
-  // (their small budget drains the bucket's refill smoothly). 0 disables.
-  uint64_t client_quota_mute_ns = 2 * kMs;
-  // Erwin-st read path: position-map poll cadence while a position is not yet ordered.
-  uint64_t posmap_poll_interval_ns = 100 * kUs;
   ClientReadParams client_read;
   uint64_t seed = 1;
 };

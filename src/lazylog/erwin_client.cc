@@ -151,7 +151,7 @@ void ErwinClient::EnqueueQuotaRetry(std::shared_ptr<PendingAppend> p) {
 // In-flight retries bypass the mute — their budget is what smoothly drains the
 // bucket's refill back to admitted appends.
 bool ErwinClient::QuotaMuted(LogId log, AppendCallback& cb) {
-  if (log == kDefaultLog || params_.client_quota_mute_ns == 0) {
+  if (log == kDefaultLog) {
     return false;
   }
   auto it = quota_muted_until_.find(log);
@@ -165,10 +165,11 @@ bool ErwinClient::QuotaMuted(LogId log, AppendCallback& cb) {
 }
 
 void ErwinClient::MuteQuota(LogId log) {
-  if (log == kDefaultLog || params_.client_quota_mute_ns == 0) {
+  constexpr uint64_t kMuteNs = 2 * kMs;  // the mute window
+  if (log == kDefaultLog) {
     return;
   }
-  quota_muted_until_[log] = endpoint_.loop()->Now() + params_.client_quota_mute_ns;
+  quota_muted_until_[log] = endpoint_.loop()->Now() + kMuteNs;
 }
 
 void ErwinClient::ProbeThen(std::function<void()> then, int attempt) {

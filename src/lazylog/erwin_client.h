@@ -202,7 +202,7 @@ class ErwinClient : public SharedLogClient {
   uint64_t view_changes_ = 0;
   ViewId last_tail_view_ = 0;
   std::deque<std::shared_ptr<PendingAppend>> retry_queue_;
-  // Per-log client-side quota mute (see SimParams::client_quota_mute_ns).
+  // Per-log client-side quota mute (see MuteQuota).
   std::map<LogId, SimTime> quota_muted_until_;
   bool readahead_inflight_ = false;
   LogPos next_sequential_ = 0;  // where the previous Read ended

@@ -83,7 +83,8 @@ void ErwinStClient::PlaceRead(std::shared_ptr<ReadOp> op) {
       return;
     }
     // Positions not ordered yet: slow path — poll until the ordering catches up.
-    endpoint_.loop()->Schedule(params_.posmap_poll_interval_ns, [this, op]() { PlaceRead(op); });
+    constexpr uint64_t kPollIntervalNs = 100 * kUs;
+    endpoint_.loop()->Schedule(kPollIntervalNs, [this, op]() { PlaceRead(op); });
   });
 }
 

@@ -69,8 +69,7 @@ class ReplicaRouter {
       e.inflight--;
     }
     const double sample = static_cast<double>(elapsed_ns + server_queue_ns);
-    const double alpha = params_->client_read.route_ewma_alpha;
-    e.ewma = e.ewma == 0.0 ? sample : alpha * sample + (1.0 - alpha) * e.ewma;
+    e.ewma = e.ewma == 0.0 ? sample : kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * e.ewma;
   }
 
   double Score(NodeId n) const {
@@ -83,6 +82,9 @@ class ReplicaRouter {
   }
 
  private:
+  // EWMA smoothing of the per-replica cost estimates fed by read replies.
+  static constexpr double kEwmaAlpha = 0.3;
+
   struct Estimate {
     double ewma = 0.0;      // ns; 0 = never observed
     uint32_t inflight = 0;  // our own outstanding reads against this replica
