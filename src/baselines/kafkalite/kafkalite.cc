@@ -391,14 +391,13 @@ void KafkaShardAdapter::ServeNextRange(bool wait, std::shared_ptr<ShardReadReq> 
   r.Ok(*resp);
 }
 
-void KafkaShardAdapter::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
+void KafkaShardAdapter::HandleSetStableGp(const StableGpMsg& msg) {
   if (msg.view >= view_) {
     view_ = msg.view;
     stable_gp_ = std::max(stable_gp_, msg.stable_gp);
     durable_hint_ = std::max(durable_hint_, msg.durable_tail);
     WakeWaiters();
   }
-  r.Send(Status::Ok());
 }
 
 void KafkaShardAdapter::WakeWaiters() {

@@ -142,7 +142,7 @@ class KafkaShardAdapter {
   // Both read methods (kShardRead waits, kShardMultiRangeRead does not). A waiting
   // read whose first range starts at or above stable-gp parks in waiters_.
   void HandleRead(bool wait, ShardReadReq req, Responder r);
-  void HandleSetStableGp(const StableGpMsg& msg, Responder r);
+  void HandleSetStableGp(const StableGpMsg& msg);  // leader broadcast, unanswered
   void HandleTrim(const TrimMsg& msg, Responder r);
   // The one stable-range read behind every range of a read: fetches up to `len`
   // records from the Kafka offset holding `pos` and hands `cb` those below the

@@ -220,24 +220,21 @@ void IndexNode::HandleReadNext(const IndexReadNextReq& req, Responder r) {
   });
 }
 
-void IndexNode::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
+void IndexNode::HandleSetStableGp(const StableGpMsg& msg) {
   if (FencedOff(msg.view)) {
-    r.Send(Status::StaleView("fenced: stale stable-gp"));
     return;
   }
   view_ = std::max(view_, msg.view);
   stable_gp_ = std::max(stable_gp_, msg.stable_gp);
-  r.Send(Status::Ok());
 }
 
-void IndexNode::HandleSeal(const ShardSealReq& req, Responder r) {
+void IndexNode::HandleSeal(const ShardSealReq& req) {
   // Raise the fence: stable-gp advances stamped by the deposed leader are rejected
   // from here on, so this node's frontier can only move under the new epoch.
   view_ = std::max(view_, req.new_view);
-  r.Send(Status::Ok());
 }
 
-void IndexNode::HandleTrim(const TrimMsg& msg, Responder r) {
+void IndexNode::HandleTrim(const TrimMsg& msg) {
   trimmed_below_ = std::max(trimmed_below_, msg.up_to);
   for (auto it = tags_.begin(); it != tags_.end();) {
     auto& list = it->second;
@@ -250,7 +247,6 @@ void IndexNode::HandleTrim(const TrimMsg& msg, Responder r) {
       ++it;
     }
   }
-  r.Send(Status::Ok());
 }
 
 const std::vector<std::pair<LogPos, ShardId>>* IndexNode::TagPositions(

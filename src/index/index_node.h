@@ -98,9 +98,10 @@ class IndexNode {
   };
 
   void HandleReadNext(const IndexReadNextReq& req, Responder r);
-  void HandleSetStableGp(const StableGpMsg& msg, Responder r);
-  void HandleSeal(const ShardSealReq& req, Responder r);
-  void HandleTrim(const TrimMsg& msg, Responder r);
+  // Notifications from the leader and the controller; none is answered.
+  void HandleSetStableGp(const StableGpMsg& msg);
+  void HandleSeal(const ShardSealReq& req);
+  void HandleTrim(const TrimMsg& msg);
 
   bool FencedOff(ViewId view) const { return view < view_; }
 

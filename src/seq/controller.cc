@@ -136,11 +136,8 @@ void Controller::SealAll(uint32_t attempt) {
   // Fence the index tier fire-and-forget: an index node that misses the fence can at
   // worst accept a deposed leader's stable-gp stat update — its served coverage comes
   // from the (acked-fenced) shards' exports, so consistency never depends on this.
-  if (!index_nodes_.empty()) {
-    const EncodedMsg ibody = EncodeMsg(ShardSealReq{fence_view});
-    for (NodeId n : index_nodes_) {
-      endpoint_.CallMsg(n, kShardSeal, ibody, nullptr, 0);
-    }
+  for (NodeId n : index_nodes_) {
+    endpoint_.Notify(n, kShardSeal, ShardSealReq{fence_view});
   }
 
   // Seal the sequencing tier.
@@ -332,10 +329,10 @@ void Controller::FinishView(std::vector<NodeId> new_config, LogPos ordered_gp,
         // with the new view so it passes the fence raised in SealAll.
         const StableGpMsg stable{new_view, ordered_gp};
         for (NodeId n : AllShardServers()) {
-          endpoint_.CallMsg(n, kShardSetStableGp, stable, nullptr, 0);
+          endpoint_.Notify(n, kShardSetStableGp, stable);
         }
         for (NodeId n : index_nodes_) {
-          endpoint_.CallMsg(n, kShardSetStableGp, stable, nullptr, 0);
+          endpoint_.Notify(n, kShardSetStableGp, stable);
         }
         SeqStartViewReq sv;
         sv.view = new_view;

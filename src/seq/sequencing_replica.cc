@@ -762,13 +762,12 @@ void SequencingReplica::ArmGcRetry() {
 void SequencingReplica::BroadcastStableGp() {
   // Piggyback the durable frontier (same formula CheckTail answers with) so shard
   // replicas can advertise a recent durable tail on their read replies.
-  // One backing shared across the broadcast; each call copies a handle.
-  const EncodedMsg body = EncodeMsg(StableGpMsg{view_, stable_gp_, ordered_gp_ + log_.size()});
+  const StableGpMsg msg{view_, stable_gp_, ordered_gp_ + log_.size()};
   for (NodeId n : all_shard_servers_) {
-    endpoint_.CallMsg(n, kShardSetStableGp, body, nullptr, 0);
+    endpoint_.Notify(n, kShardSetStableGp, msg);
   }
   for (NodeId n : index_nodes_) {
-    endpoint_.CallMsg(n, kShardSetStableGp, body, nullptr, 0);
+    endpoint_.Notify(n, kShardSetStableGp, msg);
   }
 }
 
@@ -1033,7 +1032,6 @@ void SequencingReplica::HandleTrim(TrimMsg msg, Responder r) {
   }
   // Positions below min(stable-gp, up_to) are safe to drop everywhere.
   msg.up_to = std::min<LogPos>(msg.up_to, stable_gp_);
-  const EncodedMsg body = EncodeMsg(msg);
   auto gather = Gather::Create(all_shard_servers_.size(),
                                [r](const std::vector<Status>& ss) mutable {
                                  const bool ok = std::all_of(
@@ -1041,13 +1039,13 @@ void SequencingReplica::HandleTrim(TrimMsg msg, Responder r) {
                                  r.Send(ok ? Status::Ok() : Status::Internal("trim failed"));
                                });
   for (size_t i = 0; i < all_shard_servers_.size(); ++i) {
-    endpoint_.CallMsg(all_shard_servers_[i], kShardTrim, body, gather->Slot(i),
+    endpoint_.CallMsg(all_shard_servers_[i], kShardTrim, msg, gather->Slot(i),
                       params_.rpc_timeout_ns);
   }
   // Index nodes drop their per-tag entries below up_to too, but fire-and-forget: the
   // index is advisory GC here, never part of the trim ack.
   for (NodeId n : index_nodes_) {
-    endpoint_.CallMsg(n, kShardTrim, body, nullptr, 0);
+    endpoint_.Notify(n, kShardTrim, msg);
   }
 }
 

@@ -826,9 +826,8 @@ void ShardServer::ServeRead(bool wait, const ShardReadReq& req, Responder r) {
   });
 }
 
-void ShardServer::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
+void ShardServer::HandleSetStableGp(const StableGpMsg& msg) {
   if (FencedOff(msg.view)) {
-    r.Send(Status::StaleView("fenced: stale stable-gp"));
     return;
   }
   view_ = std::max(view_, msg.view);
@@ -839,7 +838,6 @@ void ShardServer::HandleSetStableGp(const StableGpMsg& msg, Responder r) {
   }
   AdvanceTagIndex();
   WakeWaiters();
-  r.Send(Status::Ok());
 }
 
 void ShardServer::WakeWaiters() {

@@ -165,7 +165,7 @@ class ShardServer {
   // Both read methods (kShardRead waits, kShardMultiRangeRead does not). A waiting
   // read whose first range starts at or above stable-gp parks in waiters_.
   void HandleRead(bool wait, ShardReadReq req, Responder r);
-  void HandleSetStableGp(const StableGpMsg& msg, Responder r);
+  void HandleSetStableGp(const StableGpMsg& msg);  // leader/controller broadcast
   void HandlePutData(ShardPutDataReq req, Responder r);  // client -> replica (Erwin-st)
   void HandleReplicateNoOp(NodeId from, NoOpMsg msg, Responder r);  // primary -> backup
   void HandlePosMap(const ShardPosMapReq& req, Responder r);

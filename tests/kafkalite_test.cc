@@ -219,14 +219,8 @@ struct AdapterRig {
   }
 
   void SetStable(LogPos stable, LogPos durable) {
-    bool stabilized = false;
-    probe.CallMsg(adapter.node_id(), kShardSetStableGp, StableGpMsg{1, stable, durable},
-                  [&](Status s, Decoder) {
-                    EXPECT_TRUE(s.ok());
-                    stabilized = true;
-                  },
-                  kSec);
-    RunUntilDone(loop, stabilized);
+    probe.Notify(adapter.node_id(), kShardSetStableGp, StableGpMsg{1, stable, durable});
+    loop.RunUntilIdle();
     EXPECT_EQ(adapter.stable_gp(), stable);
   }
 

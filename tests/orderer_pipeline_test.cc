@@ -314,8 +314,7 @@ class ScriptedShard {
             r.Ok(ShardOrderAckResp{hi});
           });
         });
-    endpoint_.Register(kShardSetStableGp,
-                       [](NodeId, Decoder, Responder r) { r.Send(Status::Ok()); });
+    endpoint_.Handle<StableGpMsg>(kShardSetStableGp, [](NodeId, const StableGpMsg&) {});
   }
 
   NodeId node_id() const { return endpoint_.node_id(); }

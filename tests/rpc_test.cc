@@ -1,4 +1,5 @@
 // RPC layer tests: dispatch, async responders, timeouts, late responses, cancellation,
+// notifications,
 // the Gather fan-out helper, raw-frame validation, and the allocation cost of a warm
 // round trip.
 #include <gtest/gtest.h>
@@ -246,7 +247,7 @@ TEST_F(RpcTest, ResponderCopiesShareOneToken) {
 }
 
 TEST_F(RpcTest, SecondReplyFailsTheCheck) {
-  client_.Call(server_.node_id(), kNever, "", nullptr, 10 * kMs);
+  client_.Call(server_.node_id(), kNever, "", [](Status, Decoder) {}, 10 * kMs);
   loop_.RunUntil(1 * kMs);
   ASSERT_EQ(parked_.size(), 1u);
   Responder copy = parked_[0];
@@ -264,12 +265,70 @@ TEST(Rpc, ResponderOutlivesItsEndpoint) {
   {
     RpcEndpoint server(&net);
     server.Register(kNever, [&kept](NodeId, Decoder, Responder r) { kept = r; });
-    client.Call(server.node_id(), kNever, "", nullptr, 0);
+    client.Call(server.node_id(), kNever, "", [](Status, Decoder) {}, 0);
     loop.RunUntilIdle();
     ASSERT_TRUE(kept.valid());
   }
   EXPECT_FALSE(kept.valid());
   kept = Responder();
+}
+
+// A notification is one frame (rpc id 0): nothing comes back for a handler's answer, a
+// malformed body or an unknown method, where a call costs a request and a reply. A call
+// to a reply-less handler goes unanswered and times out.
+TEST(Rpc, NotifySendsOneFrameAndNoReply) {
+  constexpr MethodId kUnknown = 99;
+  EventLoop loop;
+  Network net(&loop, NetworkParams{}, 1);
+  RpcEndpoint server(&net);
+  RpcEndpoint client(&net);
+  std::vector<uint64_t> answered;
+  std::vector<uint64_t> unanswered;
+  server.Handle<uint64_t>(kEcho, [&](NodeId, uint64_t v, Responder r) {
+    answered.push_back(v);
+    r.Ok(v);
+  });
+  server.Handle<uint64_t>(kNever, [&](NodeId, uint64_t v) { unanswered.push_back(v); });
+  auto frames = [&net, last = net.messages_sent()]() mutable {
+    const uint64_t n = net.messages_sent() - last;
+    last = net.messages_sent();
+    return n;
+  };
+
+  uint64_t echoed = 0;
+  client.CallMsg<uint64_t>(server.node_id(), kEcho, uint64_t{1},
+                           [&](Status s, uint64_t v) {
+                             EXPECT_TRUE(s.ok()) << s.ToString();
+                             echoed = v;
+                           },
+                           kSec);
+  loop.RunUntilIdle();
+  EXPECT_EQ(echoed, 1u);
+  EXPECT_EQ(frames(), 2u) << "a call is a request and a reply";
+
+  client.Notify(server.node_id(), kEcho, uint64_t{2});
+  loop.RunUntilIdle();
+  EXPECT_EQ(answered, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(frames(), 1u) << "the handler's answer to a notification is dropped";
+
+  client.Notify(server.node_id(), kNever, uint64_t{3});
+  loop.RunUntilIdle();
+  EXPECT_EQ(unanswered, (std::vector<uint64_t>{3}));
+  EXPECT_EQ(frames(), 1u);
+
+  client.Notify(server.node_id(), kEcho, NoBody{});  // a u64 needs eight bytes
+  client.Notify(server.node_id(), kUnknown, uint64_t{4});
+  loop.RunUntilIdle();
+  EXPECT_EQ(answered.size(), 2u);
+  EXPECT_EQ(frames(), 2u) << "no InvalidArgument and no \"no handler\" reply";
+
+  Status status;
+  client.CallMsg(server.node_id(), kNever, uint64_t{5},
+                 [&](Status s, Decoder) { status = std::move(s); }, 10 * kMs);
+  loop.RunUntilIdle();
+  EXPECT_EQ(unanswered, (std::vector<uint64_t>{3, 5}));
+  EXPECT_EQ(status.code(), StatusCode::kTimeout);
+  EXPECT_EQ(frames(), 1u);
 }
 
 // Raw frames from a node with no RpcEndpoint, in the layout RpcEndpoint writes.

@@ -168,11 +168,8 @@ class ShardHarness {
   }
 
   void SetStable(ViewId view, LogPos stable) {
-    StableGpMsg msg{view, stable};
-    Encoder e;
-    msg.Encode(e);
     for (NodeId id : ids_) {
-      client_->Call(id, kShardSetStableGp, e.data(), nullptr, 0);
+      client_->Notify(id, kShardSetStableGp, StableGpMsg{view, stable});
     }
     loop_.RunUntil(loop_.Now() + 1 * kMs);
   }
