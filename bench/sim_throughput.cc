@@ -12,9 +12,10 @@
 // copy/allocation counters differ. That makes the A/B a pure measurement of the record
 // path's memory traffic. `--smoke` prints one JSON line per mode and checks them
 // itself, exiting nonzero on a violation: zero-copy copies 0 payload bytes per append,
-// force-copy copies about one record per append, both modes simulate identically, and
+// force-copy copies about one record per append, both modes simulate identically,
 // zero-copy stays under a ceiling of heap allocations per append (global operator new
-// calls during the measured window, counted by this file's replacement of it).
+// calls during the measured window, counted by this file's replacement of it), and the
+// run stays under a ceiling of simulator events per acked append.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,12 +59,15 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace lazylog {
 namespace {
 
-// Zero-copy heap allocations per acked append allowed by --smoke. Release and
-// RelWithDebInfo builds measure 33.8; the ceiling leaves headroom for standard-library
-// differences while still failing if RPC frames, reply callbacks or reply tokens
-// allocate per message again, or the sequencing replicas' duplicate filter goes back
-// to a heap node per id.
+// Zero-copy heap allocations per acked append allowed by --smoke. Release builds
+// measure 33.6; the ceiling leaves headroom for standard-library differences while
+// still failing if RPC frames, reply callbacks or reply tokens allocate per message
+// again, or the sequencing replicas' duplicate filter goes back to a heap node per id.
 constexpr double kMaxHeapAllocsPerAppend = 40;
+// Simulator events per acked append allowed by --smoke. The count is deterministic:
+// 21.0 with one-way notifications, 23.3 when the stable-gp broadcast was answered, so
+// the check fails if notifications start taking replies again.
+constexpr double kMaxEventsPerAppend = 22;
 
 constexpr uint32_t kShards = 16;
 constexpr size_t kRecordBytes = 4096;
@@ -170,11 +174,13 @@ int CheckSmoke(const RunResult& zc, const RunResult& fc) {
   expect(SameSimulation(zc, fc), "zero-copy and force-copy simulated differently");
   const double heap = PerAppend(zc.heap_allocs, zc.acked);
   expect(heap <= kMaxHeapAllocsPerAppend, "zero-copy heap allocations per append over ceiling");
+  const double events = PerAppend(zc.events, zc.acked);
+  expect(events <= kMaxEventsPerAppend, "simulator events per append over ceiling");
   if (rc == 0) {
     std::printf(
         "sim_throughput smoke OK: 0 B copied/append zero-copy vs %.0f B force-copy, "
-        "%.2f heap allocs/append\n",
-        PerAppend(fc.buf.payload_bytes_copied, fc.acked), heap);
+        "%.2f heap allocs/append, %.2f events/append\n",
+        PerAppend(fc.buf.payload_bytes_copied, fc.acked), heap, events);
   }
   return rc;
 }

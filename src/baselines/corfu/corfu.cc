@@ -133,7 +133,7 @@ void CorfuClient::ChainWrite(LogPos pos, std::shared_ptr<Record> record, size_t 
   if (hop == chain.size()) {
     // Written at the chain tail: durable and bound. Report the completed write so the
     // sequencer's committed tail advances.
-    endpoint_.CallMsg(sequencer_, kCorfuTail, CorfuTailReq{true, pos + 1}, nullptr, 0);
+    endpoint_.Notify(sequencer_, kCorfuTail, CorfuTailReq{true, pos + 1});
     cb(Status::Ok(), pos);
     return;
   }

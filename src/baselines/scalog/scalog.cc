@@ -41,16 +41,15 @@ void ScalogShardServer::HandleAppend(Record rec, Responder r) {
     disk_.Write(bytes, [this, local, rec = std::move(rec)]() mutable {
       durable_len_++;
       if (backup_ != kInvalidNode) {
-        endpoint_.CallMsg(backup_, kScalogReplicate, ScalogReplicateReq{local, std::move(rec)},
-                          nullptr, 0);
+        endpoint_.Notify(backup_, kScalogReplicate, ScalogReplicateReq{local, std::move(rec)});
       }
     });
   });
 }
 
-void ScalogShardServer::HandleReplicate(ScalogReplicateReq req, Responder r) {
+void ScalogShardServer::HandleReplicate(ScalogReplicateReq req) {
   // Fixed admission cost only; the payload is charged at the disk write below.
-  cpu_.ExecuteFor(0, [this, local = req.local, rec = std::move(req.record), r]() mutable {
+  cpu_.ExecuteFor(0, [this, local = req.local, rec = std::move(req.record)]() mutable {
     // Jitter can reorder wire deliveries; restore FIFO by buffering and applying the
     // contiguous prefix.
     reorder_buf_.emplace(local, std::move(rec));
@@ -61,19 +60,18 @@ void ScalogShardServer::HandleReplicate(ScalogReplicateReq req, Responder r) {
       reorder_buf_.erase(it);
       disk_.Write(bytes, [this]() { durable_len_++; });
     }
-    r.Send(Status::Ok());
   });
 }
 
 void ScalogShardServer::ReportLoop() {
   if (ordering_leader_ != kInvalidNode) {
-    endpoint_.CallMsg(ordering_leader_, kScalogReportCut,
-                      ScalogReportCutReq{shard_id_, server_index_, durable_len_}, nullptr, 0);
+    endpoint_.Notify(ordering_leader_, kScalogReportCut,
+                     ScalogReportCutReq{shard_id_, server_index_, durable_len_});
   }
   endpoint_.loop()->Schedule(params_.scalog.interleave_interval_ns, [this]() { ReportLoop(); });
 }
 
-void ScalogShardServer::HandleCommitCut(const std::vector<CutRange>& ranges, Responder r) {
+void ScalogShardServer::HandleCommitCut(const std::vector<CutRange>& ranges) {
   for (const CutRange& range : ranges) {
     if (range.shard != shard_id_ || range.count == 0) {
       continue;
@@ -87,7 +85,6 @@ void ScalogShardServer::HandleCommitCut(const std::vector<CutRange>& ranges, Res
     pending_.pop_front();
     acked_appends_++;
   }
-  r.Send(Status::Ok());
 }
 
 void ScalogShardServer::HandleRead(const ScalogReadReq& req, Responder r) {
@@ -114,13 +111,10 @@ ScalogOrderingLayer::ScalogOrderingLayer(Network* net, const SimParams& params,
   committed_cut_.assign(num_shards_, 0);
   history_.resize(num_shards_);
   endpoint_.Handle<ScalogReportCutReq>(
-      kScalogReportCut, [this](NodeId, const ScalogReportCutReq& req, Responder r) {
-        if (req.shard >= num_shards_ || req.server >= 2) {
-          r.Send(Status::InvalidArgument("unknown shard server"));
-          return;
+      kScalogReportCut, [this](NodeId, const ScalogReportCutReq& req) {
+        if (req.shard < num_shards_ && req.server < 2) {
+          reported_[req.shard][req.server] = std::max(reported_[req.shard][req.server], req.len);
         }
-        reported_[req.shard][req.server] = std::max(reported_[req.shard][req.server], req.len);
-        r.Send(Status::Ok());
       });
   endpoint_.Handle<uint64_t>(kScalogLocate, [this](NodeId, uint64_t pos, Responder r) {
     ScalogLocateResp resp;
@@ -181,7 +175,7 @@ void ScalogOrderingLayer::CommitCut(std::vector<uint64_t> cut) {
       committed_cut_[sh] = cut[sh];
     }
     for (NodeId n : servers_) {
-      endpoint_.CallMsg(n, kScalogCommitCut, ranges, nullptr, 0);
+      endpoint_.Notify(n, kScalogCommitCut, ranges);
     }
   });
 }

@@ -71,8 +71,9 @@ class ScalogShardServer {
 
  private:
   void HandleAppend(Record rec, Responder r);
-  void HandleReplicate(ScalogReplicateReq req, Responder r);
-  void HandleCommitCut(const std::vector<CutRange>& ranges, Responder r);
+  // Notifications (primary -> backup, ordering layer -> servers); neither is answered.
+  void HandleReplicate(ScalogReplicateReq req);
+  void HandleCommitCut(const std::vector<CutRange>& ranges);
   void HandleRead(const ScalogReadReq& req, Responder r);
   void ReportLoop();
 

@@ -31,14 +31,11 @@ void ZooKeeperLite::HandleCreateSession(NodeId caller, NoBody, Responder r) {
   r.Ok(id);
 }
 
-void ZooKeeperLite::HandleHeartbeat(uint64_t id, Responder r) {
+void ZooKeeperLite::HandleHeartbeat(uint64_t id) {
   auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    r.Send(Status::Unavailable("session expired"));
-    return;
+  if (it != sessions_.end()) {
+    it->second.last_heartbeat = endpoint_.loop()->Now();
   }
-  it->second.last_heartbeat = endpoint_.loop()->Now();
-  r.Send(Status::Ok());
 }
 
 void ZooKeeperLite::HandleCreate(ZkPathData req, Responder r) {
@@ -117,9 +114,8 @@ void ZooKeeperLite::HandleList(std::string prefix, Responder r) {
   });
 }
 
-void ZooKeeperLite::HandleWatch(NodeId caller, std::string prefix, Responder r) {
-  watches_.push_back(Watch{caller, prefix});
-  r.Send(Status::Ok());
+void ZooKeeperLite::HandleWatch(NodeId caller, std::string prefix) {
+  watches_.push_back(Watch{caller, std::move(prefix)});
 }
 
 void ZooKeeperLite::CheckSessions() {
@@ -154,9 +150,7 @@ void ZooKeeperLite::ExpireSession(uint64_t session_id) {
 void ZooKeeperLite::FireWatches(const std::string& path, ZkEvent event) {
   for (const Watch& w : watches_) {
     if (path.compare(0, w.prefix.size(), w.prefix) == 0) {
-      // Fire-and-forget notification; the watcher's handler responds OK and we ignore it.
-      endpoint_.CallMsg(w.watcher, kZkWatchFire,
-                        ZkWatchEvent{path, static_cast<uint8_t>(event)}, nullptr, 0);
+      endpoint_.Notify(w.watcher, kZkWatchFire, ZkWatchEvent{path, static_cast<uint8_t>(event)});
     }
   }
 }
@@ -219,7 +213,7 @@ void ZkSession::HeartbeatLoop() {
   if (stopped_) {
     return;
   }
-  endpoint_->CallMsg(zk_node_, kZkHeartbeat, session_id_, nullptr, 0);
+  endpoint_->Notify(zk_node_, kZkHeartbeat, session_id_);
   heartbeat_event_ =
       endpoint_->loop()->Schedule(params_.session_heartbeat_ns, [this]() { HeartbeatLoop(); });
 }
@@ -273,14 +267,12 @@ void ZkClient::List(const std::string& prefix, ListCallback cb, uint64_t timeout
 
 void ZkClient::Watch(const std::string& prefix, WatchCallback cb) {
   watch_cb_ = std::move(cb);
-  endpoint_->Handle<ZkWatchEvent>(kZkWatchFire,
-                                  [this](NodeId, const ZkWatchEvent& ev, Responder r) {
-                                    if (watch_cb_) {
-                                      watch_cb_(ev.path, static_cast<ZkEvent>(ev.event));
-                                    }
-                                    r.Send(Status::Ok());
-                                  });
-  endpoint_->CallMsg(zk_node_, kZkWatch, prefix, nullptr, 0);
+  endpoint_->Handle<ZkWatchEvent>(kZkWatchFire, [this](NodeId, const ZkWatchEvent& ev) {
+    if (watch_cb_) {
+      watch_cb_(ev.path, static_cast<ZkEvent>(ev.event));
+    }
+  });
+  endpoint_->Notify(zk_node_, kZkWatch, prefix);
 }
 
 }  // namespace lazylog

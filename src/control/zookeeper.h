@@ -76,13 +76,13 @@ class ZooKeeperLite {
   };
 
   void HandleCreateSession(NodeId caller, NoBody, Responder r);
-  void HandleHeartbeat(uint64_t session_id, Responder r);
+  void HandleHeartbeat(uint64_t session_id);  // notification; unanswered
   void HandleCreate(ZkPathData req, Responder r);
   void HandleSetData(ZkPathData req, Responder r);
   void HandleGetData(std::string path, Responder r);
   void HandleDelete(std::string path, Responder r);
   void HandleList(std::string prefix, Responder r);
-  void HandleWatch(NodeId caller, std::string prefix, Responder r);
+  void HandleWatch(NodeId caller, std::string prefix);  // notification; unanswered
 
   void CheckSessions();
   void ExpireSession(uint64_t session_id);

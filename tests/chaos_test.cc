@@ -51,9 +51,9 @@ TEST(ChaosDeterminism, GoldenDigests) {
     uint64_t digest;
   };
   const Golden kGolden[] = {
-      {ErwinMode::kM, 1, 0x7db3e83b6ea9c08aULL},  {ErwinMode::kM, 2, 0x0d014951f4dcd63bULL},
-      {ErwinMode::kM, 3, 0x2967e3df5de70856ULL},  {ErwinMode::kSt, 1, 0x820c517fd2da3f60ULL},
-      {ErwinMode::kSt, 2, 0x82508510a2499a22ULL}, {ErwinMode::kSt, 3, 0x2367dcbe6b2ac68dULL},
+      {ErwinMode::kM, 1, 0x90a8f22424493b00ULL},  {ErwinMode::kM, 2, 0x1319a337dadf99c6ULL},
+      {ErwinMode::kM, 3, 0x06b5cabafcff0634ULL},  {ErwinMode::kSt, 1, 0xf600dabc6269908bULL},
+      {ErwinMode::kSt, 2, 0x722fff407b5377f7ULL}, {ErwinMode::kSt, 3, 0x05dcad9bd267c024ULL},
   };
   for (const Golden& g : kGolden) {
     ChaosOptions opts;
