@@ -65,7 +65,7 @@ double Saturate(ErwinMode mode, uint32_t shards, size_t record_bytes) {
   } else {
     const double disk = shards * params.disk.write_bandwidth_bytes_per_sec / record_bytes;
     const double meta =
-        1e9 / (params.seq_cpu.fixed_ns + params.seq.metadata_entry_bytes /
+        1e9 / (params.seq_cpu.fixed_ns + kMetadataEntryBytes /
                                              params.seq_cpu.copy_bandwidth_bytes_per_sec * 1e9);
     capacity = std::min(disk, meta);
   }

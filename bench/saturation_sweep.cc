@@ -89,7 +89,7 @@ Measurement MeasureAt(double offered, bool admission, uint64_t run_ns = kRun,
 double MeasureKnee() {
   const SimParams params;
   const double capacity =
-      1e9 / (kSeqFixedNs + params.seq.metadata_entry_bytes /
+      1e9 / (kSeqFixedNs + kMetadataEntryBytes /
                                params.seq_cpu.copy_bandwidth_bytes_per_sec * 1e9);
   double offered = 0.7 * capacity;
   double best = 0;

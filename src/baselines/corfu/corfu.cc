@@ -91,7 +91,7 @@ void CorfuStorageUnit::HandleRead(const CorfuReadReq& req, Responder r) {
 
 CorfuClient::CorfuClient(Network* net, const SimParams& params, NodeId sequencer,
                          std::vector<std::vector<NodeId>> chains, ClientId client_id)
-    : SharedLogClient(net->loop(), params.client_read.tail_cache_ttl_ns),
+    : SharedLogClient(net->loop()),
       endpoint_(net),
       params_(params),
       sequencer_(sequencer),

@@ -10,7 +10,7 @@ namespace lazylog {
 
 KafkaBroker::KafkaBroker(Network* net, const SimParams& params, uint32_t partition, bool leader)
     : endpoint_(net),
-      cpu_(net->loop(), CpuParams{.fixed_ns = params.kafka.broker_fixed_ns,
+      cpu_(net->loop(), CpuParams{.fixed_ns = kKafkaBrokerFixedNs,
                                   .copy_bandwidth_bytes_per_sec = 1.5e9}),
       disk_(net->loop(), params.disk),
       params_(params),
@@ -138,7 +138,7 @@ void KafkaProducer::Produce(StreamTag tag, Buf payload, ProduceCallback cb) {
     return;
   }
   if (!linger_timer_.Pending()) {
-    linger_timer_ = endpoint_.loop()->Schedule(params_.kafka.linger_ns, [this]() {
+    linger_timer_ = endpoint_.loop()->Schedule(kKafkaLingerNs, [this]() {
       FlushLocked();
     });
   }

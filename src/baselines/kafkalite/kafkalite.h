@@ -23,6 +23,11 @@
 
 namespace lazylog {
 
+// Calibrated to the ms-scale standalone latencies of Fig 15 (§6.8): the producer's
+// linger before a batch goes out, and the broker's JVM-ish per-batch handling cost.
+constexpr uint64_t kKafkaLingerNs = 12 * kMs;
+constexpr uint64_t kKafkaBrokerFixedNs = 20 * kUs;
+
 // Consumer fetch of up to `max_records` records starting at `offset`.
 struct KafkaFetchReq {
   uint64_t offset = 0;

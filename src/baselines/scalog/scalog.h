@@ -80,7 +80,6 @@ class ScalogShardServer {
   RpcEndpoint endpoint_;
   ServerCpu cpu_;
   Disk disk_;
-  SimParams params_;
   ShardId shard_id_;
   bool primary_;
   NodeId backup_ = kInvalidNode;

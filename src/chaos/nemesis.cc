@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/control/zookeeper.h"
 
 namespace lazylog {
 
@@ -441,12 +442,16 @@ void Nemesis::Plan(SimTime start, SimTime end) {
         cursor += 3 * kMs;
         break;
       case FaultKind::kSeqZkPartition: {
-        // Long enough that the ZK session must expire (8ms timeout): the replica is
-        // deposed while still reachable from clients — the split-brain the fence stops.
+        // Long enough that the ZK session must expire: the replica is deposed while
+        // still reachable from clients — the split-brain the fence stops. ZK scans for
+        // silent sessions once per heartbeat, so expiry is sure only past both.
+        constexpr uint64_t kMinPartitionNs = kZkSessionTimeoutNs + 4 * kMs;
+        static_assert(kMinPartitionNs > kZkSessionTimeoutNs + kZkSessionHeartbeatNs,
+                      "a seq-zk partition must outlast the ZK session");
         const std::vector<uint32_t> alive = UndeposedSeqReplicas();
         LL_CHECK(alive.size() >= 2, "seq deposition budget exceeded the fault bound");
         a.target = alive[rng_.Uniform(alive.size())];
-        a.duration_ns = 12 * kMs + rng_.Uniform(18 * kMs);
+        a.duration_ns = kMinPartitionNs + rng_.Uniform(18 * kMs);
         seq_crashes_planned_++;
         cursor += a.duration_ns + 80 * kMs;  // deposition + reconfiguration + settle
         break;

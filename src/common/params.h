@@ -1,7 +1,9 @@
 // Calibration constants for the simulated testbed. Values are derived from the paper's
 // CloudLab x1170 cluster (Intel E5-2640v4, 25 Gb ConnectX-4, SATA SSD) and from the
-// absolute numbers the paper reports; see DESIGN.md §8 for the derivations. Each
-// experiment copies and tweaks a SimParams, so nothing here is globally mutable.
+// absolute numbers the paper reports; see DESIGN.md §8 for the derivations. SimParams
+// holds only knobs some bench, test or chaos flag varies; each experiment copies and
+// tweaks one. A fixed calibration is a named constant: here if the sequencing layer
+// and the shards share it, otherwise in the one module that uses it.
 #ifndef SRC_COMMON_PARAMS_H_
 #define SRC_COMMON_PARAMS_H_
 
@@ -13,6 +15,22 @@ namespace lazylog {
 constexpr uint64_t kUs = 1'000;
 constexpr uint64_t kMs = 1'000'000;
 constexpr uint64_t kSec = 1'000'000'000;
+
+// Retry timeout for the orderer's window pushes to the shards (and a shard primary's
+// no-op decision to its backups). Much shorter than the generic rpc timeout: a lost push stalls
+// the shard's ordering pipeline (30us cadence) until the retry fires, so a 50 ms
+// timeout would turn one dropped packet into a 50 ms stable-gp stall.
+constexpr uint64_t kOrderPushTimeoutNs = 5 * kMs;
+// Initial backoff before a failed shard cursor retries its window; doubles per
+// consecutive failure up to kOrderPushTimeoutNs.
+constexpr uint64_t kOrderRetryBackoffNs = 60 * kUs;
+// Size of one Erwin-st metadata entry, the <record-id, shard-id> tuple (§5): what
+// the sequencing CPU copies per append and the shard stores per window entry.
+constexpr uint64_t kMetadataEntryBytes = 32;
+// Client append timeout: short enough that a sequencing-replica crash pushes clients
+// into config re-resolution on the timescale of the control plane's recovery (the
+// ZK session timeout, Fig 17).
+constexpr uint64_t kClientAppendTimeoutNs = 8 * kMs;
 
 // Network model: per-message delivery time = one-way propagation + size/bandwidth
 // (serialized on the sender NIC, so concurrent sends queue) + uniform jitter.
@@ -43,13 +61,6 @@ struct DiskParams {
 struct SeqParams {
   int num_replicas = 3;                    // 1 leader + 2 followers (f=2 with f+1... paper: f+1)
   uint64_t ordering_interval_ns = 30 * kUs;  // background ordering tick, fixed
-  uint64_t metadata_entry_bytes = 32;      // Erwin-st <record-id, shard-id> tuple
-  uint64_t st_data_timeout_ns = 2 * kMs;   // Erwin-st missing-data no-op timeout (§5.4)
-  // Retry timeout for the orderer's batch pushes to the shards. Deliberately much
-  // shorter than the generic rpc timeout: a lost push stalls the whole ordering
-  // pipeline (30us cadence) until the retry fires, so waiting out a 50 ms timeout
-  // turns one dropped packet into a 50 ms stable-gp stall.
-  uint64_t order_push_timeout_ns = 5 * kMs;
   // Per-shard ordering pipeline (§4.3 redesign): each shard cursor keeps up to this
   // many ordering windows in flight independently of the other shards, so a slow shard
   // no longer stalls the others and retries are per shard instead of whole-batch.
@@ -58,14 +69,6 @@ struct SeqParams {
   // positions one tick assigns, the size of a "full" window that pacing never holds,
   // and the per-tick DRR share split across the logs with a backlog.
   uint64_t max_order_batch = 16384;
-  // Initial backoff before a failed shard cursor retries its window; doubles per
-  // consecutive failure up to order_push_timeout_ns.
-  uint64_t order_retry_backoff_ns = 60 * kUs;
-  // Age after which unmatched data in the Erwin-st unordered pool is scrubbed as a
-  // client-crash orphan (§5.4). Must dominate the worst-case ordering stall (chained
-  // order-push retries): data of an acked-but-not-yet-ordered record that gets
-  // scrubbed here is later no-op'ed at bind time — losing an acknowledged append.
-  uint64_t st_orphan_scrub_age_ns = 400 * kMs;
 
   // --- Admission control (bounded unordered ring) ---
   // When enabled, appends arriving while ring occupancy (unordered entries + appends
@@ -74,7 +77,7 @@ struct SeqParams {
   // ring drains below the low watermark (hysteresis, so the gate does not flap).
   bool admission_control = true;
   // High watermark: at ~1us of sequencer CPU per metadata append, a full ring adds
-  // ~4ms of queueing delay — safely under the 8ms client append timeout, so admitted
+  // ~4ms of queueing delay — safely under kClientAppendTimeoutNs (8ms), so admitted
   // appends never time out merely because they queued behind a full ring.
   uint64_t ring_high_watermark = 4096;
   uint64_t ring_low_watermark = 2048;
@@ -88,36 +91,6 @@ struct SeqParams {
   // Deficit accumulation cap, in multiples of the per-tick share: lets a trickling
   // tenant bank a small burst allowance without hoarding unbounded credit.
   uint32_t fairness_burst_quanta = 4;
-};
-
-// Index tier (selective reads): aggregator index nodes pull per-shard tag-index deltas
-// and merge them into per-tag global position lists, gated on stable-gp.
-struct IndexParams {
-  uint64_t delta_pull_interval_ns = 200 * kUs;  // per-shard delta poll cadence
-  uint32_t max_delta_entries = 4096;            // entries per pull (pagination)
-};
-
-// Control plane (ZooKeeperLite + controller). The paper attributes most of the ~15 ms
-// reconfiguration outage to ZK-based detection and new-view persistence (Fig 17b).
-struct ControlParams {
-  uint64_t session_heartbeat_ns = 2 * kMs;
-  uint64_t session_timeout_ns = 8 * kMs;    // detection cost ~ timeout
-  uint64_t zk_write_latency_ns = 3 * kMs;   // quorum write to the ZK ensemble
-  uint64_t zk_read_latency_ns = 300 * kUs;
-};
-
-// Scalog baseline knobs (§6.1): interleaving interval 0.1 ms as in the paper; the
-// artifact uses gRPC, which we charge as extra per-request handling cost.
-struct ScalogParams {
-  uint64_t interleave_interval_ns = 100 * kUs;
-  uint64_t grpc_overhead_ns = 15 * kUs;  // gRPC-vs-eRPC per-request handling penalty
-};
-
-// KafkaLite knobs: producer linger + acks=all replication give the ms-scale standalone
-// latencies of Fig 15.
-struct KafkaParams {
-  uint64_t linger_ns = 12 * kMs;
-  uint64_t broker_fixed_ns = 20 * kUs;  // JVM-ish per-batch handling cost
 };
 
 // Client read path (§5.3 read scale-out): replica routing, request coalescing,
@@ -139,9 +112,6 @@ struct ClientReadParams {
   // to this many records of the stable region past it into a client cache. Reads at
   // any other offset never prefetch. 0 = off.
   uint32_t readahead_records = 64;
-  // How long a piggybacked/CheckTail-learned tail stays fresh enough for
-  // CachedTail() to satisfy a poll without an RPC.
-  uint64_t tail_cache_ttl_ns = 1 * kMs;
   // Erwin-st position-map prefetch span per kShardPosMap fetch (was a hardcoded 1024).
   uint64_t posmap_readahead = 1024;
 };
@@ -155,21 +125,7 @@ struct SimParams {
   CpuParams shard_cpu{.fixed_ns = 3'000, .copy_bandwidth_bytes_per_sec = 2.0e9};
   DiskParams disk;
   SeqParams seq;
-  IndexParams index;
-  ControlParams control;
-  ScalogParams scalog;
-  KafkaParams kafka;
   uint64_t rpc_timeout_ns = 50 * kMs;
-  // Client append timeout: short enough that a sequencing-replica crash pushes clients
-  // into config re-resolution on the same timescale as the control plane's recovery.
-  uint64_t client_append_timeout_ns = 8 * kMs;
-  // Overload retry budget: how many times a client re-sends an append that admission
-  // control refused before surfacing kOverloaded. Deliberately small — under sustained
-  // overload admission is a lottery, and a long retry ladder both stretches the acked
-  // tail (winners accumulate the same backoffs as losers) and multiplies attempt load
-  // on the already-saturated sequencer. Failing fast keeps acked latency near the ring
-  // residence bound; the caller decides whether to re-submit.
-  uint32_t client_overload_retry_limit = 3;
   ClientReadParams client_read;
   uint64_t seed = 1;
 };

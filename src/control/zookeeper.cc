@@ -4,10 +4,9 @@
 
 namespace lazylog {
 
-ZooKeeperLite::ZooKeeperLite(Network* net, const ControlParams& params)
+ZooKeeperLite::ZooKeeperLite(Network* net)
     : endpoint_(net),
-      cpu_(net->loop(), CpuParams{.fixed_ns = 1'000, .copy_bandwidth_bytes_per_sec = 5e9}),
-      params_(params) {
+      cpu_(net->loop(), CpuParams{.fixed_ns = 1'000, .copy_bandwidth_bytes_per_sec = 5e9}) {
   endpoint_.Handle(kZkCreateSession, this, &ZooKeeperLite::HandleCreateSession);
   endpoint_.Handle(kZkHeartbeat, this, &ZooKeeperLite::HandleHeartbeat);
   endpoint_.Handle(kZkCreate, this, &ZooKeeperLite::HandleCreate);
@@ -17,7 +16,7 @@ ZooKeeperLite::ZooKeeperLite(Network* net, const ControlParams& params)
   endpoint_.Handle(kZkList, this, &ZooKeeperLite::HandleList);
   endpoint_.Handle(kZkWatch, this, &ZooKeeperLite::HandleWatch);
   // Session expiry scan.
-  endpoint_.loop()->Schedule(params_.session_heartbeat_ns, [this]() { CheckSessions(); });
+  endpoint_.loop()->Schedule(kZkSessionHeartbeatNs, [this]() { CheckSessions(); });
 }
 
 std::string ZooKeeperLite::DataOf(const std::string& path) const {
@@ -39,7 +38,7 @@ void ZooKeeperLite::HandleHeartbeat(uint64_t id) {
 }
 
 void ZooKeeperLite::HandleCreate(ZkPathData req, Responder r) {
-  cpu_.Execute(params_.zk_write_latency_ns, [this, req = std::move(req), r = std::move(r)]() mutable {
+  cpu_.Execute(kZkWriteLatencyNs, [this, req = std::move(req), r = std::move(r)]() mutable {
     if (znodes_.count(req.path) > 0) {
       r.Send(Status::Duplicate("znode exists"));
       return;
@@ -59,7 +58,7 @@ void ZooKeeperLite::HandleCreate(ZkPathData req, Responder r) {
 }
 
 void ZooKeeperLite::HandleSetData(ZkPathData req, Responder r) {
-  cpu_.Execute(params_.zk_write_latency_ns, [this, req = std::move(req), r = std::move(r)]() mutable {
+  cpu_.Execute(kZkWriteLatencyNs, [this, req = std::move(req), r = std::move(r)]() mutable {
     auto it = znodes_.find(req.path);
     if (it == znodes_.end()) {
       // ZooKeeper would fail; we upsert for convenience of config paths.
@@ -80,7 +79,7 @@ void ZooKeeperLite::HandleSetData(ZkPathData req, Responder r) {
 }
 
 void ZooKeeperLite::HandleGetData(std::string path, Responder r) {
-  cpu_.Execute(params_.zk_read_latency_ns, [this, path, r = std::move(r)]() mutable {
+  cpu_.Execute(kZkReadLatencyNs, [this, path, r = std::move(r)]() mutable {
     auto it = znodes_.find(path);
     if (it == znodes_.end()) {
       r.Send(Status::OutOfRange("no such znode"));
@@ -91,7 +90,7 @@ void ZooKeeperLite::HandleGetData(std::string path, Responder r) {
 }
 
 void ZooKeeperLite::HandleDelete(std::string path, Responder r) {
-  cpu_.Execute(params_.zk_write_latency_ns, [this, path, r = std::move(r)]() mutable {
+  cpu_.Execute(kZkWriteLatencyNs, [this, path, r = std::move(r)]() mutable {
     if (znodes_.erase(path) == 0) {
       r.Send(Status::OutOfRange("no such znode"));
       return;
@@ -102,7 +101,7 @@ void ZooKeeperLite::HandleDelete(std::string path, Responder r) {
 }
 
 void ZooKeeperLite::HandleList(std::string prefix, Responder r) {
-  cpu_.Execute(params_.zk_read_latency_ns, [this, prefix, r = std::move(r)]() mutable {
+  cpu_.Execute(kZkReadLatencyNs, [this, prefix, r = std::move(r)]() mutable {
     std::vector<std::string> paths;
     for (auto it = znodes_.lower_bound(prefix); it != znodes_.end(); ++it) {
       if (it->first.compare(0, prefix.size(), prefix) != 0) {
@@ -122,14 +121,14 @@ void ZooKeeperLite::CheckSessions() {
   const SimTime now = endpoint_.loop()->Now();
   std::vector<uint64_t> expired;
   for (const auto& [id, s] : sessions_) {
-    if (now - s.last_heartbeat > params_.session_timeout_ns) {
+    if (now - s.last_heartbeat > kZkSessionTimeoutNs) {
       expired.push_back(id);
     }
   }
   for (uint64_t id : expired) {
     ExpireSession(id);
   }
-  endpoint_.loop()->Schedule(params_.session_heartbeat_ns, [this]() { CheckSessions(); });
+  endpoint_.loop()->Schedule(kZkSessionHeartbeatNs, [this]() { CheckSessions(); });
 }
 
 void ZooKeeperLite::ExpireSession(uint64_t session_id) {
@@ -156,9 +155,6 @@ void ZooKeeperLite::FireWatches(const std::string& path, ZkEvent event) {
 }
 
 // --- ZkSession -----------------------------------------------------------------------
-
-ZkSession::ZkSession(RpcEndpoint* endpoint, NodeId zk_node, const ControlParams& params)
-    : endpoint_(endpoint), zk_node_(zk_node), params_(params) {}
 
 void ZkSession::Start(const std::string& ephemeral_path, std::function<void()> on_ready) {
   endpoint_->CallMsg<uint64_t>(
@@ -192,7 +188,7 @@ void ZkSession::Start(const std::string& ephemeral_path, std::function<void()> o
                                          << "); re-establishing session";
                              heartbeat_event_.Cancel();
                              endpoint_->loop()->Schedule(
-                                 params_.session_heartbeat_ns,
+                                 kZkSessionHeartbeatNs,
                                  [this, ephemeral_path, on_ready]() {
                                    if (!stopped_) {
                                      Start(ephemeral_path, on_ready);
@@ -215,7 +211,7 @@ void ZkSession::HeartbeatLoop() {
   }
   endpoint_->Notify(zk_node_, kZkHeartbeat, session_id_);
   heartbeat_event_ =
-      endpoint_->loop()->Schedule(params_.session_heartbeat_ns, [this]() { HeartbeatLoop(); });
+      endpoint_->loop()->Schedule(kZkSessionHeartbeatNs, [this]() { HeartbeatLoop(); });
 }
 
 // --- ZkClient ------------------------------------------------------------------------

@@ -22,6 +22,14 @@
 
 namespace lazylog {
 
+// ZooKeeper timings, calibrated to the paper's reconfiguration breakdown (§6.10,
+// Fig 17b): most of the ~15 ms outage is failure detection (about the session
+// timeout) and persisting the new view (one quorum write to the ZK ensemble).
+constexpr uint64_t kZkSessionHeartbeatNs = 2 * kMs;
+constexpr uint64_t kZkSessionTimeoutNs = 8 * kMs;   // detection cost ~ timeout
+constexpr uint64_t kZkWriteLatencyNs = 3 * kMs;     // quorum write to the ensemble
+constexpr uint64_t kZkReadLatencyNs = 300 * kUs;
+
 // Watch event types delivered to watchers.
 enum class ZkEvent : uint8_t { kCreated = 0, kDeleted = 1, kDataChanged = 2 };
 
@@ -51,7 +59,7 @@ struct ZkWatchEvent {
 // mutation, standing in for a 3-node ZK ensemble.
 class ZooKeeperLite {
  public:
-  ZooKeeperLite(Network* net, const ControlParams& params);
+  explicit ZooKeeperLite(Network* net);
 
   NodeId node_id() const { return endpoint_.node_id(); }
 
@@ -90,7 +98,6 @@ class ZooKeeperLite {
 
   RpcEndpoint endpoint_;
   ServerCpu cpu_;
-  ControlParams params_;
   std::map<std::string, Znode> znodes_;  // ordered for prefix listing
   std::unordered_map<uint64_t, Session> sessions_;
   std::vector<Watch> watches_;
@@ -104,7 +111,7 @@ class ZkSession {
  public:
   // `endpoint` is the owning server's endpoint; heartbeats ride its (simulated) NIC, so
   // a crashed owner stops heartbeating with no extra wiring.
-  ZkSession(RpcEndpoint* endpoint, NodeId zk_node, const ControlParams& params);
+  ZkSession(RpcEndpoint* endpoint, NodeId zk_node) : endpoint_(endpoint), zk_node_(zk_node) {}
 
   // Establishes the session and creates `ephemeral_path` (empty = no ephemeral) once
   // connected. `on_ready` fires after the ephemeral exists.
@@ -120,7 +127,6 @@ class ZkSession {
 
   RpcEndpoint* endpoint_;
   NodeId zk_node_;
-  ControlParams params_;
   uint64_t session_id_ = 0;
   bool stopped_ = false;
   EventHandle heartbeat_event_;

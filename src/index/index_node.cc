@@ -10,6 +10,11 @@ namespace lazylog {
 namespace {
 // Size charged to the index node's CPU per merged/served tag entry (tag + position).
 constexpr uint64_t kEntryBytes = sizeof(TagIndexEntry);
+// Per-shard delta poll cadence: a few ordering rounds, so an index lags stable-gp by
+// well under a shard round trip's worth of reads (selective_reads).
+constexpr uint64_t kDeltaPullIntervalNs = 200 * kUs;
+// Entries per delta pull (pagination); a full page is followed up at once.
+constexpr uint32_t kMaxDeltaEntries = 4096;
 }  // namespace
 
 IndexNode::IndexNode(Network* net, const SimParams& params, uint32_t index, NodeId zk)
@@ -39,7 +44,7 @@ void IndexNode::Start(std::vector<NodeId> shard_primaries) {
     feeds_.push_back(ShardFeed{shard_primaries[s], static_cast<ShardId>(s), 0, 0, false});
   }
   if (zk_node_ != kInvalidNode) {
-    zk_session_ = std::make_unique<ZkSession>(&endpoint_, zk_node_, params_.control);
+    zk_session_ = std::make_unique<ZkSession>(&endpoint_, zk_node_);
     zk_session_->Start("/index/nodes/" + std::to_string(index_));
   }
   SchedulePullTick();
@@ -71,7 +76,7 @@ void IndexNode::SchedulePullTick() {
     return;
   }
   pulling_armed_ = true;
-  endpoint_.loop()->Schedule(params_.index.delta_pull_interval_ns, [this]() {
+  endpoint_.loop()->Schedule(kDeltaPullIntervalNs, [this]() {
     pulling_armed_ = false;
     PullTick();
     SchedulePullTick();
@@ -94,7 +99,7 @@ void IndexNode::PullShard(size_t s) {
   feed.inflight = true;
   ShardIndexDeltaReq req;
   req.from_seq = feed.next_seq;
-  req.max_entries = params_.index.max_delta_entries;
+  req.max_entries = kMaxDeltaEntries;
   endpoint_.CallMsg<ShardIndexDeltaResp>(
       feed.primary, kShardIndexDelta, req,
       [this, s](Status st, ShardIndexDeltaResp resp) { OnDelta(s, st, std::move(resp)); },
@@ -119,7 +124,7 @@ void IndexNode::OnDelta(size_t s, const Status& status, ShardIndexDeltaResp resp
     return;
   }
   ++stats_.delta_pulls;
-  const bool full_page = resp.entries.size() >= params_.index.max_delta_entries;
+  const bool full_page = resp.entries.size() >= kMaxDeltaEntries;
   // Merge under the simulated CPU: the index node pays for what it ingests, so merge
   // throughput saturates like every other server in the model.
   const uint64_t cost_bytes = resp.entries.size() * kEntryBytes;

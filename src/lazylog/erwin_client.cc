@@ -10,7 +10,7 @@ namespace lazylog {
 
 ErwinClient::ErwinClient(Network* net, const SimParams& params, ClusterView view,
                          ClientId client_id)
-    : SharedLogClient(net->loop(), params.client_read.tail_cache_ttl_ns),
+    : SharedLogClient(net->loop()),
       endpoint_(net),
       params_(params),
       view_(std::move(view)),
@@ -104,7 +104,7 @@ void ErwinClient::EnqueueRetry(std::shared_ptr<PendingAppend> p) {
 // the application beats parking an unbounded queue of doomed retries. Replicas that
 // did admit an earlier attempt dup-filter the resend, so the id never binds twice.
 // Erwin-st data writes of earlier attempts are harmless orphans if the budget runs out:
-// the shard scrubs unmatched data by age (st_orphan_scrub_age_ns).
+// the shard scrubs unmatched data by age (kStOrphanScrubAgeNs).
 void ErwinClient::EnqueueOverloadRetry(std::shared_ptr<PendingAppend> p,
                                        bool leader_admitted) {
   p->overload_attempts++;
@@ -113,7 +113,7 @@ void ErwinClient::EnqueueOverloadRetry(std::shared_ptr<PendingAppend> p,
   // followers' retry-priority band and shed-entry scrub guarantee progress), with a
   // hard cap diverting pathological cases to the slow config-probing path.
   if (!leader_admitted &&
-      p->overload_attempts > static_cast<int>(params_.client_overload_retry_limit)) {
+      p->overload_attempts > kOverloadRetryLimit) {
     p->cb(Status::Overloaded("append shed after overload retries"));
     return;
   }
@@ -135,7 +135,7 @@ void ErwinClient::EnqueueOverloadRetry(std::shared_ptr<PendingAppend> p,
 // application can tell throttling from congestion.
 void ErwinClient::EnqueueQuotaRetry(std::shared_ptr<PendingAppend> p) {
   p->overload_attempts++;
-  if (p->overload_attempts > static_cast<int>(params_.client_overload_retry_limit)) {
+  if (p->overload_attempts > kOverloadRetryLimit) {
     p->cb(Status::QuotaExceeded("append shed by tenant quota"));
     return;
   }

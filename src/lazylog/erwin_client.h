@@ -26,6 +26,14 @@
 
 namespace lazylog {
 
+// Overload retry budget: how many times a client re-sends an append that admission
+// control refused before surfacing kOverloaded. Deliberately small — under sustained
+// overload admission is a lottery, and a long retry ladder both stretches the acked
+// tail (winners accumulate the same backoffs as losers) and multiplies attempt load
+// on the already-saturated sequencer. Failing fast keeps acked latency near the ring
+// residence bound; the caller decides whether to re-submit.
+constexpr int kOverloadRetryLimit = 3;
+
 class ErwinClient : public SharedLogClient {
  public:
   NodeId node_id() const { return endpoint_.node_id(); }

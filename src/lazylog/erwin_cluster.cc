@@ -8,7 +8,7 @@ ErwinCluster::ErwinCluster(const ErwinClusterOptions& options) : options_(option
   net_ = std::make_unique<Network>(&loop_, options_.params.net, options_.params.seed);
 
   if (options_.with_control_plane) {
-    zk_ = std::make_unique<ZooKeeperLite>(net_.get(), options_.params.control);
+    zk_ = std::make_unique<ZooKeeperLite>(net_.get());
   }
 
   // Storage shards.
@@ -62,7 +62,7 @@ ErwinCluster::ErwinCluster(const ErwinClusterOptions& options) : options_(option
     controller_->SetIndexNodes(IndexNodeIds());
     controller_->Start(seq_config, seq_config[0], std::move(shard_matrix));
     // Let sessions/ephemerals establish before traffic starts.
-    loop_.RunUntil(loop_.Now() + 2 * options_.params.control.session_heartbeat_ns);
+    loop_.RunUntil(loop_.Now() + 2 * kZkSessionHeartbeatNs);
   }
 }
 
@@ -332,7 +332,7 @@ NodeId ErwinCluster::IsolateShardPrimary(uint32_t shard) {
 void ErwinCluster::DrivePromotion(uint32_t shard) {
   // Shard servers keep no ZK ephemerals; model the failure detector as two session
   // heartbeats of silence before the controller reacts.
-  const uint64_t delay = 2 * options_.params.control.session_heartbeat_ns;
+  const uint64_t delay = 2 * kZkSessionHeartbeatNs;
   loop_.Schedule(delay, [this, shard]() {
     controller_->PromoteShardPrimary(shard, [this, shard](Status s) {
       if (!s.ok()) {

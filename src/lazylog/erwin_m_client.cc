@@ -24,7 +24,7 @@ void ErwinMClient::SendAppend(std::shared_ptr<PendingAppend> p) {
       n, [this, p](const std::vector<Status>& ss) { OnAppendReplies(p, ss, /*leader=*/0); });
   for (size_t i = 0; i < n; ++i) {
     endpoint_.CallMsg(view_.seq_config[i], kSeqAppend, body, gather->Slot(i),
-                      params_.client_append_timeout_ns);
+                      kClientAppendTimeoutNs);
   }
 }
 

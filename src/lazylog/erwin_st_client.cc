@@ -44,7 +44,7 @@ void ErwinStClient::SendAppend(std::shared_ptr<PendingAppend> p) {
     const EncodedMsg data = EncodeMsg(ShardPutDataReq{p->id, p->payload, p->tag, p->log});
     for (size_t i = 0; i < n_data; ++i) {
       endpoint_.CallMsg(shard_replicas[i], kShardPutData, data, gather->Slot(i),
-                        params_.client_append_timeout_ns);
+                        kClientAppendTimeoutNs);
     }
   }
   // Metadata to every sequencing replica, same RTT.
@@ -59,7 +59,7 @@ void ErwinStClient::SendAppend(std::shared_ptr<PendingAppend> p) {
   const EncodedMsg mbody = EncodeMsg(meta);
   for (size_t i = 0; i < n_meta; ++i) {
     endpoint_.CallMsg(view_.seq_config[i], kSeqAppendMeta, mbody, gather->Slot(n_data + i),
-                      params_.client_append_timeout_ns);
+                      kClientAppendTimeoutNs);
   }
 }
 
@@ -178,7 +178,7 @@ void ErwinStClient::AppendMetadataOnly(ShardId shard, AppendCallback cb) {
   });
   for (size_t i = 0; i < n; ++i) {
     endpoint_.CallMsg(view_.seq_config[i], kSeqAppendMeta, body, gather->Slot(i),
-                      params_.client_append_timeout_ns);
+                      kClientAppendTimeoutNs);
   }
 }
 
@@ -199,7 +199,7 @@ void ErwinStClient::AppendDataOnly(ShardId shard, Buf payload, AppendCallback cb
   });
   for (size_t i = 0; i < replicas.size(); ++i) {
     endpoint_.CallMsg(replicas[i], kShardPutData, body, gather->Slot(i),
-                      params_.client_append_timeout_ns);
+                      kClientAppendTimeoutNs);
   }
 }
 

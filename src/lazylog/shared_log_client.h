@@ -44,6 +44,11 @@ namespace lazylog {
 
 class LogHandle;
 
+// How long a piggybacked/CheckTail-learned tail stays fresh enough for CachedTail()
+// to satisfy a poll without an RPC: a few ordering rounds, well under the 3 ms lag of
+// Fig 8 and the 250 us-3 ms periods of Fig 10's tail reader.
+constexpr uint64_t kTailCacheTtlNs = 1 * kMs;
+
 // Jittered exponential backoff for client config re-resolution (STALE_VIEW / sealed /
 // unreachable-leader retries). Pure so tests can assert the spread: `attempt` doubles
 // the base up to a cap, and `jitter01` (uniform in [0, 1)) scatters concurrent clients
@@ -203,10 +208,10 @@ class SharedLogClient {
   const std::vector<LogRegistryEntry>& log_registry() const { return log_registry_; }
 
   // Last tail piggybacked on a read reply or learned from CheckTail, if still within
-  // client_read.tail_cache_ttl_ns; each answer counts a tail-cache hit. Pollers
+  // kTailCacheTtlNs; each answer counts a tail-cache hit. Pollers
   // (PeriodicTailReader) consult this before paying for a CheckTail round trip.
   bool CachedTail(LogPos* durable, LogPos* stable) {
-    if (!tails_.Get(clock_->Now(), tail_cache_ttl_ns_, durable, stable)) {
+    if (!tails_.Get(clock_->Now(), kTailCacheTtlNs, durable, stable)) {
       return false;
     }
     read_stats_.tail_cache_hits++;
@@ -219,9 +224,8 @@ class SharedLogClient {
  protected:
   friend class LogHandle;
 
-  // `clock` and `tail_cache_ttl_ns` bound the freshness of CachedTail answers.
-  SharedLogClient(const EventLoop* clock, uint64_t tail_cache_ttl_ns)
-      : clock_(clock), tail_cache_ttl_ns_(tail_cache_ttl_ns) {}
+  // `clock` times the freshness of CachedTail answers.
+  explicit SharedLogClient(const EventLoop* clock) : clock_(clock) {}
 
   // --- the per-implementation surface (reached through LogHandle) --------------------
   // The payload is a refcounted Buf handle; implementations thread it through to the
@@ -301,7 +305,6 @@ class SharedLogClient {
   void ScanStep(std::shared_ptr<ScanState> st);
 
   const EventLoop* clock_;
-  uint64_t tail_cache_ttl_ns_;
   std::vector<LogRegistryEntry> log_registry_;
 };
 

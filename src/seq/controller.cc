@@ -48,7 +48,7 @@ void Controller::Start(std::vector<NodeId> seq_replicas, NodeId initial_leader,
   // Persist the initial shard membership so clients can resolve it from ZK.
   WriteShardConfig(nullptr);
   // Watch notifications are fire-and-forget and may be lost; poll as a backstop.
-  endpoint_.loop()->Schedule(2 * params_.control.session_heartbeat_ns,
+  endpoint_.loop()->Schedule(2 * kZkSessionHeartbeatNs,
                              [this]() { ReconcilePoll(); });
 }
 
@@ -273,7 +273,7 @@ void Controller::ReconcilePoll() {
             }
           }
         }
-        endpoint_.loop()->Schedule(2 * params_.control.session_heartbeat_ns,
+        endpoint_.loop()->Schedule(2 * kZkSessionHeartbeatNs,
                                    [this]() { ReconcilePoll(); });
       },
       kZkOpTimeoutNs);

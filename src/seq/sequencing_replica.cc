@@ -41,7 +41,7 @@ void SequencingReplica::Start(std::vector<NodeId> config, std::vector<NodeId> sh
   all_shard_servers_ = std::move(all_shard_servers);
   index_nodes_ = std::move(index_nodes);
   if (zk_node_ != kInvalidNode) {
-    zk_session_ = std::make_unique<ZkSession>(&endpoint_, zk_node_, params_.control);
+    zk_session_ = std::make_unique<ZkSession>(&endpoint_, zk_node_);
     zk_session_->Start("/seq/replicas/" + std::to_string(index_));
   }
   if (is_leader() && !ordering_armed_) {
@@ -276,7 +276,7 @@ void SequencingReplica::ScrubShedEntries() {
   const uint64_t gp_slack = 4 * params_.seq.ring_high_watermark;
   while (!log_.empty() &&
          ordered_gp_ - log_.front().gp_at_admit > gp_slack &&
-         now - log_.front().admitted_at > params_.client_append_timeout_ns) {
+         now - log_.front().admitted_at > kClientAppendTimeoutNs) {
     LogCursor& lc = Cursor(log_.front().log);
     lc.unordered -= std::min<uint64_t>(lc.unordered, 1);
     in_log_.erase(log_.front().id);
@@ -295,7 +295,7 @@ void SequencingReplica::RememberRejected(const RecordId& id) {
 void SequencingReplica::PruneRejected() {
   // Overload retries come back within a few client backoffs (capped well under the
   // append timeout); a multiple of that timeout bounds the set without losing counts.
-  const uint64_t window = 8 * params_.client_append_timeout_ns;
+  const uint64_t window = 8 * kClientAppendTimeoutNs;
   const SimTime now = endpoint_.loop()->Now();
   while (!rejected_expiry_.empty() && now - rejected_expiry_.front().first > window) {
     recently_rejected_.erase(rejected_expiry_.front().second);
@@ -354,7 +354,7 @@ void SequencingReplica::HandleAppend(SeqAppendReq req, Responder r) {
     return;
   }
   const uint64_t bytes =
-      req.is_meta ? params_.seq.metadata_entry_bytes : req.payload.size();
+      req.is_meta ? kMetadataEntryBytes : req.payload.size();
   pending_cpu_appends_++;
   Cursor(req.log).pending_cpu++;
   cpu_.ExecuteFor(bytes, [this, req = std::move(req), r]() mutable {
@@ -529,7 +529,7 @@ uint64_t SequencingReplica::PushTimeoutNs() const {
   // below that RTT times out every window, and the retries re-send work the shard is
   // already doing. So the timeout is never under 4 RTTs; while 4 RTTs stay under the
   // push timeout, it is the push timeout.
-  return std::max<uint64_t>(params_.seq.order_push_timeout_ns,
+  return std::max<uint64_t>(kOrderPushTimeoutNs,
                             static_cast<uint64_t>(4.0 * ack_rtt_ewma_ns_));
 }
 
@@ -581,8 +581,8 @@ void SequencingReplica::ArmCursorRetry(size_t s) {
   // with one window per timeout instead of a full pipeline of doomed sends. The other
   // cursors keep pumping — that is the point of the per-shard redesign.
   const uint64_t backoff = std::min<uint64_t>(
-      params_.seq.order_push_timeout_ns,
-      params_.seq.order_retry_backoff_ns << std::min<uint32_t>(c.retry_attempts, 16));
+      kOrderPushTimeoutNs,
+      kOrderRetryBackoffNs << std::min<uint32_t>(c.retry_attempts, 16));
   const ViewId armed_view = view_;
   endpoint_.loop()->Schedule(backoff, [this, s, armed_view]() {
     if (sealed_ || !is_leader() || view_ != armed_view || s >= cursors_.size()) {
@@ -687,7 +687,7 @@ void SequencingReplica::SendFollowerGc(NodeId follower) {
                     [this, follower, gc_view, sent_gp, sent](Status s, Decoder) {
                       OnFollowerGcDone(follower, gc_view, sent_gp, sent, s);
                     },
-                    params_.seq.order_push_timeout_ns);
+                    kOrderPushTimeoutNs);
   f.pending.swap(gc.ids);
 }
 

@@ -261,7 +261,7 @@ class SequencingReplica {
   // shard placement), advancing assigned_gp_.
   void AssignPositions();
   void PumpCursor(size_t s);
-  // Timeout of one window push: seq.order_push_timeout_ns, or 4 ack RTTs if larger.
+  // Timeout of one window push: kOrderPushTimeoutNs, or 4 ack RTTs if larger.
   uint64_t PushTimeoutNs() const;
   void OnWindowAck(size_t s, uint64_t epoch, ViewId window_view, SimTime sent_at,
                    const Status& status, Decoder body);

@@ -457,7 +457,7 @@ uint64_t ShardServer::WindowCpuBytes(const ShardAppendBatchReq& w) const {
 }
 
 uint64_t ShardServer::WindowCpuBytes(const ShardOrderMetaReq& w) const {
-  return w.entries.size() * params_.seq.metadata_entry_bytes;
+  return w.entries.size() * kMetadataEntryBytes;
 }
 
 uint64_t ShardServer::ApplyEntries(const ShardAppendBatchReq& w,
@@ -506,7 +506,7 @@ uint64_t ShardServer::ApplyEntries(const ShardOrderMetaReq& w,
   }
   // The metadata log segment is what persists; bound data already hit the disk on
   // PutData.
-  return w.entries.size() * params_.seq.metadata_entry_bytes;
+  return w.entries.size() * kMetadataEntryBytes;
 }
 
 // --- Erwin-st: unordered data + ordered metadata --------------------------------------
@@ -574,10 +574,10 @@ bool ShardServer::BindPosition(const MetaEntry& entry, const std::shared_ptr<Bat
   }
   const RecordId id = entry.id;
   if (is_primary()) {
-    pb.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns,
+    pb.timeout = endpoint_.loop()->Schedule(kStDataTimeoutNs,
                                             [this, id]() { FinalizeNoOp(id); });
   } else {
-    pb.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns,
+    pb.timeout = endpoint_.loop()->Schedule(kStDataTimeoutNs,
                                             [this, id]() { RepairBinding(id, 0); });
   }
   pending_.emplace(id, std::move(pb));
@@ -591,7 +591,7 @@ void ShardServer::RepairBinding(RecordId id, size_t source) {
   }
   if (source > 0 && source >= replicas_.size()) {
     // No peer had it bound; fall back to the primary's no-op timer.
-    it->second.timeout = endpoint_.loop()->Schedule(params_.seq.st_data_timeout_ns,
+    it->second.timeout = endpoint_.loop()->Schedule(kStDataTimeoutNs,
                                                     [this, id]() { FinalizeNoOp(id); });
     return;
   }
@@ -610,7 +610,7 @@ void ShardServer::RepairBinding(RecordId id, size_t source) {
             // The primary is undecided or unreachable; ask again after another timeout.
             // (Once promoted, this replica repairs from its peers instead.)
             it->second.timeout = endpoint_.loop()->Schedule(
-                params_.seq.st_data_timeout_ns, [this, id]() { RepairBinding(id, 0); });
+                kStDataTimeoutNs, [this, id]() { RepairBinding(id, 0); });
           }
           return;
         }
@@ -690,7 +690,7 @@ void ShardServer::SendReplicateNoOp(NodeId backup, NoOpMsg msg,
                       // long as this replica remains the primary and the backup is
                       // still in the set.
                       endpoint_.loop()->Schedule(
-                          params_.seq.order_retry_backoff_ns,
+                          kOrderRetryBackoffNs,
                           [this, backup, msg, confirmed, release]() {
                             if (!is_primary()) {
                               release(Status::Unavailable("no longer primary"));
@@ -704,7 +704,7 @@ void ShardServer::SendReplicateNoOp(NodeId backup, NoOpMsg msg,
                             SendReplicateNoOp(backup, msg, confirmed);
                           });
                     },
-                    params_.seq.order_push_timeout_ns);
+                    kOrderPushTimeoutNs);
 }
 
 // --- reads, stable-gp, trim -----------------------------------------------------------
@@ -1045,9 +1045,8 @@ void ShardServer::ScrubOrphans() {
   // been pushed by the orderer turns the record into a no-op at bind time — losing an
   // acked append.
   const SimTime now = endpoint_.loop()->Now();
-  const uint64_t max_age = params_.seq.st_orphan_scrub_age_ns;
   for (auto it = pool_.begin(); it != pool_.end();) {
-    if (now - it->second.arrival > max_age) {
+    if (now - it->second.arrival > kStOrphanScrubAgeNs) {
       it = pool_.erase(it);
     } else {
       ++it;
@@ -1240,7 +1239,7 @@ void ShardServer::SendCatchUpWindow(NodeId peer, LogPos from, uint32_t attempt) 
                       if (s.ok() || attempt >= 4) {
                         return;  // a peer that stays unreachable gets its own replacement
                       }
-                      endpoint_.loop()->Schedule(params_.seq.order_retry_backoff_ns,
+                      endpoint_.loop()->Schedule(kOrderRetryBackoffNs,
                                                  [this, peer, from, attempt]() {
                                                    SendCatchUpWindow(peer, from, attempt + 1);
                                                  });

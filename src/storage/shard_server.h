@@ -30,6 +30,13 @@ namespace lazylog {
 
 enum class ShardMode { kBlackBox, kStModified };
 
+// Erwin-st missing-data timeout (§5.4): how long a metadata binding waits for its
+// record's data before the primary no-ops the position (a backup asks its primary).
+constexpr uint64_t kStDataTimeoutNs = 2 * kMs;
+// Age after which unmatched data in the Erwin-st unordered pool is scrubbed as a
+// client-crash orphan (§5.4); ScrubOrphans says why it must dominate any ordering stall.
+constexpr uint64_t kStOrphanScrubAgeNs = 400 * kMs;
+
 // Runtime statistics exposed to benches and tests.
 struct ShardStats {
   uint64_t appends = 0;         // ordered records stored
@@ -230,7 +237,7 @@ class ShardServer {
   template <typename Req>
   void DrainParkedWindows();
   // The per-mode steps of the pipeline. WindowCpuBytes is the CPU charge: payload bytes
-  // (Erwin-m) or entries x metadata_entry_bytes (Erwin-st). ApplyEntries stores the
+  // (Erwin-m) or entries x kMetadataEntryBytes (Erwin-st). ApplyEntries stores the
   // owned records (Erwin-m) or updates the position map and binds owned positions
   // (Erwin-st), and returns the bytes the window writes to disk.
   uint64_t WindowCpuBytes(const ShardAppendBatchReq& w) const;
@@ -274,7 +281,7 @@ class ShardServer {
   bool BindPosition(const MetaEntry& entry, const std::shared_ptr<BatchAck>& batch);
   // The one repair loop of a pending binding: fetches the record bound at its position
   // from replicas_[source]. A backup (source 0) asks its primary every
-  // st_data_timeout_ns for as long as the binding is pending; a promoted primary asks
+  // kStDataTimeoutNs for as long as the binding is pending; a promoted primary asks
   // its peers 1..n-1 in turn, then arms its no-op timer. A fetched no-op is adopted
   // with FinalizeNoOp, fetched data settles the binding.
   void RepairBinding(RecordId id, size_t source);

@@ -53,7 +53,7 @@ TEST(Corfu, CheckTailTracksCompletedWrites) {
 }
 
 // CheckTail fills the tail cache: CachedTail answers (and counts a hit) until
-// tail_cache_ttl_ns has passed, then refuses.
+// kTailCacheTtlNs has passed, then refuses.
 TEST(Corfu, CachedTailHitsAfterCheckTailUntilTtl) {
   SimParams params;
   CorfuCluster cluster(1, 2, params);
@@ -69,7 +69,7 @@ TEST(Corfu, CachedTailHitsAfterCheckTailUntilTtl) {
   EXPECT_EQ(durable, 2u);
   EXPECT_EQ(stable, 2u);
   EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
-  cluster.RunFor(params.client_read.tail_cache_ttl_ns + 1 * kUs);
+  cluster.RunFor(kTailCacheTtlNs + 1 * kUs);
   EXPECT_FALSE(client->CachedTail(&durable, &stable));
   EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
 }

@@ -59,7 +59,7 @@ TEST(ErwinSt, MetadataOnlyAppendResolvesToNoOpVisibleToReaders) {
   cluster.RunFor(1 * kMs);
   ASSERT_TRUE(meta_acked);
   ASSERT_TRUE(AppendSyncly(cluster.loop(), *client, "after-crash"));
-  cluster.RunFor(3 * cluster.params().seq.st_data_timeout_ns + 100 * kMs);
+  cluster.RunFor(3 * kStDataTimeoutNs + 100 * kMs);
   auto records = ReadSyncly(cluster.loop(), *client, 0, 2, 10 * kSec);
   ASSERT_TRUE(records.has_value());
   ASSERT_EQ(records->size(), 2u);
@@ -78,7 +78,7 @@ TEST(ErwinSt, DataOnlyAppendIsScrubbedAsOrphan) {
   cluster.RunFor(1 * kMs);
   ASSERT_TRUE(data_acked);
   EXPECT_EQ(cluster.shard(0, 0).unordered_pool_size(), 1u);
-  cluster.RunFor(cluster.params().seq.st_orphan_scrub_age_ns + 200 * kMs);
+  cluster.RunFor(kStOrphanScrubAgeNs + 200 * kMs);
   EXPECT_EQ(cluster.shard(0, 0).unordered_pool_size(), 0u);
   // The log itself never saw it.
   TailResult tail = TailSyncly(cluster.loop(), *client);

@@ -21,11 +21,11 @@ TEST(KafkaLite, ProduceWaitsForLinger) {
     acked = s.ok();
     ack_time = cluster.loop().Now();
   });
-  cluster.RunFor(params.kafka.linger_ns / 2);
+  cluster.RunFor(kKafkaLingerNs / 2);
   EXPECT_FALSE(acked);  // still lingering
-  cluster.RunFor(params.kafka.linger_ns + 10 * kMs);
+  cluster.RunFor(kKafkaLingerNs + 10 * kMs);
   ASSERT_TRUE(acked);
-  EXPECT_GE(ack_time, params.kafka.linger_ns);
+  EXPECT_GE(ack_time, kKafkaLingerNs);
 }
 
 TEST(KafkaLite, BatchSharesOneProduceRpc) {
@@ -36,7 +36,7 @@ TEST(KafkaLite, BatchSharesOneProduceRpc) {
   for (int i = 0; i < 10; ++i) {
     producer->Produce("m" + std::to_string(i), [&](Status s) { acks += s.ok() ? 1 : 0; });
   }
-  cluster.RunFor(params.kafka.linger_ns + 20 * kMs);
+  cluster.RunFor(kKafkaLingerNs + 20 * kMs);
   EXPECT_EQ(acks, 10);
   EXPECT_EQ(cluster.broker(0, 0).log_end_offset(), 10u);
 }

@@ -141,7 +141,7 @@ void CheckQuotaExhaustionMidPipelineWindow(ErwinMode mode) {
   // attempt; appends admitted past the 16-token burst were refused at most the budget
   // minus one times. A leader verdict read from the wrong reply slot would spend an
   // extra attempt per shed append.
-  const uint64_t budget = cluster.params().client_overload_retry_limit + 1;
+  const uint64_t budget = kOverloadRetryLimit + 1;
   EXPECT_GE(pm->quota_rejected, quota * budget);
   EXPECT_LE(pm->quota_rejected, quota * budget + (ok - 16) * (budget - 1));
 

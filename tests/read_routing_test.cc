@@ -489,7 +489,7 @@ TEST(ReadRouting, TailCacheAnswersAfterReadPiggyback) {
   EXPECT_GT(client->ReadPathSnapshot().counters.tail_cache_hits, 0u);
 
   // ...and refuses once the TTL lapses with no traffic refreshing it.
-  cluster.RunFor(cluster.params().client_read.tail_cache_ttl_ns + 1 * kMs);
+  cluster.RunFor(kTailCacheTtlNs + 1 * kMs);
   EXPECT_FALSE(client->CachedTail(&durable, &stable));
 }
 

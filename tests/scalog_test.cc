@@ -171,7 +171,7 @@ TEST(Scalog, CheckTailCountsOrdered) {
 }
 
 // CheckTail fills the tail cache: CachedTail answers (and counts a hit) until
-// tail_cache_ttl_ns has passed, then refuses.
+// kTailCacheTtlNs has passed, then refuses.
 TEST(Scalog, CachedTailHitsAfterCheckTailUntilTtl) {
   SimParams params;
   ScalogCluster cluster(1, params);
@@ -186,7 +186,7 @@ TEST(Scalog, CachedTailHitsAfterCheckTailUntilTtl) {
   EXPECT_EQ(durable, 3u);
   EXPECT_EQ(stable, 3u);
   EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
-  cluster.RunFor(params.client_read.tail_cache_ttl_ns + 1 * kUs);
+  cluster.RunFor(kTailCacheTtlNs + 1 * kUs);
   EXPECT_FALSE(client->CachedTail(&durable, &stable));
   EXPECT_EQ(client->ReadPathSnapshot().counters.tail_cache_hits, 1u);
 }

@@ -527,7 +527,7 @@ TEST(ShardSt, MissingDataBecomesNoOpAfterTimeout) {
   // The late data write must now be rejected.
   EXPECT_EQ(h.PutData(RecordId{8, 1}, "late", 0).code(), StatusCode::kRejected);
   // And the backup converged to a no-op as well.
-  h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_data_timeout_ns * 3);
+  h.loop_.RunUntil(h.loop_.Now() + kStDataTimeoutNs * 3);
   ASSERT_NE(h.servers_[1]->RecordAt(0), nullptr);
   EXPECT_TRUE(h.servers_[1]->RecordAt(0)->no_op);
 }
@@ -564,7 +564,7 @@ TEST(ShardSt, RetransmitCannotOutrunUnconfirmedNoOp) {
   // replicate is lost, and so is the no-op the primary decides once the data times out.
   h.net_.SetPartitioned(h.ids_[0], h.ids_[1], true);
   auto first = h.SendSpan(1, 0, 1);
-  h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_data_timeout_ns + 1 * kMs);
+  h.loop_.RunUntil(h.loop_.Now() + kStDataTimeoutNs + 1 * kMs);
   ASSERT_EQ(h.servers_[0]->stats().noops_created, 1u);
   h.net_.SetPartitioned(h.ids_[0], h.ids_[1], false);
   // A cursor retry re-sends position 0 with the new position 1. Acked durable now, it
@@ -623,7 +623,7 @@ TEST(ShardSt, BackupRepairsFromPrimary) {
   // must repair by fetching the record from the primary.
   ASSERT_TRUE(h.PutData(RecordId{10, 1}, "only-primary", 0).ok());
   ASSERT_TRUE(h.OrderMeta(1, {MetaEntry{0, RecordId{10, 1}, 0}}).ok());
-  h.loop_.RunUntil(h.loop_.Now() + 4 * h.params_.seq.st_data_timeout_ns);
+  h.loop_.RunUntil(h.loop_.Now() + 4 * kStDataTimeoutNs);
   ASSERT_NE(h.servers_[1]->RecordAt(0), nullptr);
   EXPECT_FALSE(h.servers_[1]->RecordAt(0)->no_op);
   EXPECT_EQ(h.servers_[1]->RecordAt(0)->payload, "only-primary");
@@ -640,7 +640,7 @@ TEST(ShardSt, BackupRepairOutlastsLostFetches) {
   ASSERT_NE(h.servers_[1]->RecordAt(0), nullptr);
   ASSERT_TRUE(h.servers_[1]->RecordAt(0)->no_op);  // the placeholder
   h.net_.SetPartitioned(h.ids_[0], h.ids_[1], true);
-  const uint64_t fetch_ns = h.params_.seq.st_data_timeout_ns + h.params_.rpc_timeout_ns;
+  const uint64_t fetch_ns = kStDataTimeoutNs + h.params_.rpc_timeout_ns;
   h.loop_.RunUntil(h.loop_.Now() + 2 * fetch_ns + 1 * kMs);
   h.net_.SetPartitioned(h.ids_[0], h.ids_[1], false);
   // The backup keeps asking while the binding is pending, so it ends with the record.
@@ -668,7 +668,7 @@ TEST(ShardSt, FetchOfPendingPositionIsUnavailable) {
   EXPECT_EQ(rec.payload, Payload(1));
   // A no-op decision is returned as the no-op record.
   h.SendSpan(1, 1, 2);
-  h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_data_timeout_ns + 1 * kMs);
+  h.loop_.RunUntil(h.loop_.Now() + kStDataTimeoutNs + 1 * kMs);
   ASSERT_EQ(h.servers_[0]->stats().noops_created, 1u);
   ASSERT_TRUE(h.FetchRecord(1, 0, &rec).ok());
   EXPECT_TRUE(rec.no_op);
@@ -707,7 +707,7 @@ TEST(ShardSt, PromotedPrimaryAdoptsPeerNoOp) {
   h.SendSpan(1, 0, 1);
   h.loop_.RunUntil(h.loop_.Now() + 500 * kUs);
   h.net_.SetPartitioned(h.ids_[0], h.ids_[1], true);
-  h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_data_timeout_ns + 1 * kMs);
+  h.loop_.RunUntil(h.loop_.Now() + kStDataTimeoutNs + 1 * kMs);
   ASSERT_EQ(h.servers_[0]->stats().noops_created, 1u);
   ASSERT_EQ(h.servers_[2]->stats().noops_created, 1u);
   ASSERT_EQ(h.servers_[1]->stats().noops_created, 0u);
@@ -732,7 +732,7 @@ TEST(ShardSt, CatchUpCannotFlipAMissedNoOp) {
   ASSERT_TRUE(h.PutData(RecordId{1, 1}, Payload(1), 2).ok());
   h.net_.SetPartitioned(h.ids_[0], h.ids_[2], true);
   h.SendSpan(1, 0, 1);
-  h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_data_timeout_ns + 1 * kMs);
+  h.loop_.RunUntil(h.loop_.Now() + kStDataTimeoutNs + 1 * kMs);
   ASSERT_EQ(h.servers_[1]->stats().noops_created, 1u);
   ASSERT_EQ(h.servers_[2]->RecordAt(0), nullptr);
   // The primary crashes; replica 1 is promoted and catches replica 2 up from 0. The
@@ -787,7 +787,7 @@ TEST(ShardSt, OrphanedDataScrubbedEventually) {
   ASSERT_TRUE(h.PutData(RecordId{12, 1}, "orphan", 0).ok());
   EXPECT_EQ(h.servers_[0]->unordered_pool_size(), 1u);
   // No metadata ever references it; the periodic scrubber collects it (§5.4).
-  h.loop_.RunUntil(h.loop_.Now() + h.params_.seq.st_orphan_scrub_age_ns + 200 * kMs);
+  h.loop_.RunUntil(h.loop_.Now() + kStOrphanScrubAgeNs + 200 * kMs);
   EXPECT_EQ(h.servers_[0]->unordered_pool_size(), 0u);
 }
 

@@ -9,12 +9,11 @@ namespace {
 
 class ZkTest : public ::testing::Test {
  protected:
-  ZkTest() : net_(&loop_, NetworkParams{}, 1), zk_(&net_, params_), client_ep_(&net_),
+  ZkTest() : net_(&loop_, NetworkParams{}, 1), zk_(&net_), client_ep_(&net_),
              client_(&client_ep_, zk_.node_id()) {}
 
   EventLoop loop_;
   Network net_;
-  ControlParams params_;
   ZooKeeperLite zk_;
   RpcEndpoint client_ep_;
   ZkClient client_;
@@ -107,7 +106,7 @@ TEST_F(ZkTest, WatchFiresOnCreateAndDelete) {
 
 TEST_F(ZkTest, SessionKeepsEphemeralAliveWhileHeartbeating) {
   RpcEndpoint owner(&net_);
-  ZkSession session(&owner, zk_.node_id(), params_);
+  ZkSession session(&owner, zk_.node_id());
   bool ready = false;
   session.Start("/seq/replicas/7", [&]() { ready = true; });
   loop_.RunUntil(loop_.Now() + 100 * kMs);
@@ -115,7 +114,7 @@ TEST_F(ZkTest, SessionKeepsEphemeralAliveWhileHeartbeating) {
   EXPECT_TRUE(session.connected());
   EXPECT_TRUE(zk_.Exists("/seq/replicas/7"));
   // Stays alive well past the session timeout because heartbeats flow.
-  loop_.RunUntil(loop_.Now() + 5 * params_.session_timeout_ns);
+  loop_.RunUntil(loop_.Now() + 5 * kZkSessionTimeoutNs);
   EXPECT_TRUE(zk_.Exists("/seq/replicas/7"));
 }
 
@@ -127,13 +126,13 @@ TEST_F(ZkTest, SessionExpiryDeletesEphemeralAndFiresWatch) {
     }
   });
   RpcEndpoint owner(&net_);
-  ZkSession session(&owner, zk_.node_id(), params_);
+  ZkSession session(&owner, zk_.node_id());
   session.Start("/seq/replicas/9");
   loop_.RunUntil(loop_.Now() + 100 * kMs);
   ASSERT_TRUE(zk_.Exists("/seq/replicas/9"));
   // Crash the owner: heartbeats stop reaching ZK; the session expires.
   net_.Crash(owner.node_id());
-  loop_.RunUntil(loop_.Now() + 3 * params_.session_timeout_ns);
+  loop_.RunUntil(loop_.Now() + 3 * kZkSessionTimeoutNs);
   EXPECT_FALSE(zk_.Exists("/seq/replicas/9"));
   ASSERT_EQ(deleted.size(), 1u);
   EXPECT_EQ(deleted[0], "/seq/replicas/9");
@@ -144,7 +143,7 @@ TEST_F(ZkTest, WriteLatencyIsCharged) {
   SimTime done_at = 0;
   client_.Create("/slow", "x", 0, [&](Status) { done_at = loop_.Now(); });
   loop_.RunUntil(loop_.Now() + 100 * kMs);
-  EXPECT_GE(done_at - start, params_.zk_write_latency_ns);
+  EXPECT_GE(done_at - start, kZkWriteLatencyNs);
 }
 
 // A fake ZK endpoint answers OK with truncated bodies: the client must surface the
@@ -191,8 +190,7 @@ TEST(ZkClientReplies, TruncatedRepliesAreErrors) {
 TEST(ZkClientReplies, MalformedWatchFireIsRejected) {
   EventLoop loop;
   Network net(&loop, NetworkParams{}, 1);
-  ControlParams params;
-  ZooKeeperLite zk(&net, params);
+  ZooKeeperLite zk(&net);
   RpcEndpoint watcher_ep(&net);
   RpcEndpoint sender(&net);
   ZkClient client(&watcher_ep, zk.node_id());
