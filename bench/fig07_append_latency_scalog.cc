@@ -5,7 +5,12 @@
 // paper reports ~two orders of magnitude lower mean and p99 for Erwin. Also prints the
 // shard-in-isolation comparison of §6.1 (Scalog 693us/34.3K vs Erwin 772us/32.3K),
 // which establishes that the two systems' shards run in a comparable regime.
+//
+// --smoke runs the same configs and exits nonzero unless, at each, Scalog's mean is at
+// least 50x Erwin's and Erwin's mean is at most 25 us: the two-orders-of-magnitude
+// shape that the Scalog calibration (0.1 ms interleave, gRPC handling cost) sets.
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_util.h"
 #include "src/baselines/scalog/scalog.h"
@@ -54,8 +59,10 @@ Histogram RunScalog(uint32_t shards, double rate) {
 }  // namespace
 }  // namespace lazylog
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazylog;
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  int rc = 0;
   PrintHeader(
       "Figure 7: Append latency, Erwin-m vs Scalog (4KB, 2 replicas/shard, 0.1ms interleave)");
 
@@ -77,8 +84,18 @@ int main() {
                     static_cast<double>(erwin.Percentile(0.99)));
     PrintCdf("Erwin", erwin);
     PrintCdf("Scalog", scalog);
+    if (smoke && (scalog.Mean() < 50 * erwin.Mean() || erwin.Mean() > 25 * kUs)) {
+      std::fprintf(stderr, "SMOKE FAIL: %s: Scalog mean %s, Erwin mean %s (want Scalog >= "
+                   "50x Erwin, Erwin <= 25us)\n", c.label, FormatNanos(scalog.Mean()).c_str(),
+                   FormatNanos(erwin.Mean()).c_str());
+      rc = 1;
+    }
   }
   PrintPaperNote("Erwin reduces mean and p99 latencies by ~two orders of magnitude (Fig 7);");
   PrintPaperNote("Scalog pays shard-local durable ordering + batching + Paxos cuts eagerly.");
-  return 0;
+  if (smoke && rc == 0) {
+    std::printf("fig07 smoke OK: Scalog mean >= 50x Erwin's, Erwin mean <= 25us at both "
+                "configs\n");
+  }
+  return rc;
 }

@@ -4,7 +4,12 @@
 // appends at the sequencing layer in 1 RTT (~us) and pushes to Kafka in the background
 // — a ~3-orders-of-magnitude latency reduction while adding linearizable total order
 // across shards.
+//
+// --smoke runs the same configs and exits nonzero unless, at each, standalone Kafka's
+// mean is at least 5 ms, Erwin-m's over Kafka at most 20 us, and the reduction at least
+// 300x: the shape that Kafka's linger and broker cost set.
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_util.h"
 #include "src/baselines/kafkalite/kafkalite.h"
@@ -100,8 +105,10 @@ Histogram RunErwinOnKafka(uint32_t partitions, double rate) {
 }  // namespace
 }  // namespace lazylog
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazylog;
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  int rc = 0;
   PrintHeader("Figure 15: Total order across Kafka shards (standalone Kafka vs Erwin-m+Kafka)");
   struct Config {
     uint32_t shards;
@@ -116,8 +123,19 @@ int main() {
     PrintLatencyRow("Kafka stand-alone (per-shard order)", kafka);
     PrintLatencyRow("Erwin-m w/ Kafka shards (total order)", erwin);
     std::printf("  reduction: mean %.0fx\n", kafka.Mean() / erwin.Mean());
+    if (smoke && (kafka.Mean() < 5 * kMs || erwin.Mean() > 20 * kUs ||
+                  kafka.Mean() < 300 * erwin.Mean())) {
+      std::fprintf(stderr, "SMOKE FAIL: %s: Kafka mean %s, Erwin-m mean %s (want >= 5ms, "
+                   "<= 20us and a reduction >= 300x)\n", c.label,
+                   FormatNanos(kafka.Mean()).c_str(), FormatNanos(erwin.Mean()).c_str());
+      rc = 1;
+    }
   }
   PrintPaperNote("Erwin-m reduces latency by ~3 orders of magnitude while upgrading");
   PrintPaperNote("per-shard order to linearizable total order across Kafka shards (Fig 15).");
-  return 0;
+  if (smoke && rc == 0) {
+    std::printf("fig15 smoke OK: Kafka mean >= 5ms, Erwin-m mean <= 20us, reduction >= 300x "
+                "at 1 and 3 shards\n");
+  }
+  return rc;
 }

@@ -12,9 +12,11 @@
 //         backup with an ordered handoff of the acked-but-unordered tail, and republishes
 //         the config. Prints the detect/seal/handoff/open breakdown plus JSON stats.
 //
-// --smoke runs the same phases and then checks the failover shape: promotion completed
-// once, total failover < 50 ms with seal + handoff + open < 10 ms, and a shard dip at
-// most 2x the seq-crash dip. Exits nonzero on a violation.
+// --smoke runs the same phases and then checks the Fig 17b breakdown (the
+// reconfiguration completes, detection takes at least the ZK session timeout, the
+// new-view step at least one ZK write, and the total stays under 20 ms) and the failover
+// shape: promotion completed once, total failover < 50 ms with seal + handoff + open
+// < 10 ms, and a shard dip at most 2x the seq-crash dip. Exits nonzero on a violation.
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -149,19 +151,22 @@ int main(int argc, char** argv) {
   cluster.RunFor(50 * kMs);
 
   std::printf("\n  -- reconfiguration breakdown (Fig 17b) --\n");
-  if (have_timing && timing.complete) {
-    const double detect = static_cast<double>(timing.detected_at - crash_at) / 1e6;
+  const bool reconfigured = have_timing && timing.complete;
+  double seq_detect = 0, seq_view = 0, seq_total = 0;
+  if (reconfigured) {
+    seq_detect = static_cast<double>(timing.detected_at - crash_at) / 1e6;
     const double seal = static_cast<double>(timing.sealed_at - timing.detected_at) / 1e6;
     const double flush = static_cast<double>(timing.flushed_at - timing.sealed_at) / 1e6;
-    const double view = static_cast<double>(timing.view_written_at - timing.flushed_at) / 1e6;
+    seq_view = static_cast<double>(timing.view_written_at - timing.flushed_at) / 1e6;
     const double start = static_cast<double>(timing.new_view_at - timing.view_written_at) / 1e6;
-    std::printf("  detect     %8.2f ms   (ZooKeeper session expiry + watch)\n", detect);
+    seq_total = seq_detect + seal + flush + seq_view + start;
+    std::printf("  detect     %8.2f ms   (ZooKeeper session expiry + watch)\n", seq_detect);
     std::printf("  seal       %8.2f ms\n", seal);
     std::printf("  flush      %8.2f ms\n", flush);
-    std::printf("  new-view   %8.2f ms   (ZooKeeper config write)\n", view);
+    std::printf("  new-view   %8.2f ms   (ZooKeeper config write)\n", seq_view);
     std::printf("  start-view %8.2f ms\n", start);
-    std::printf("  total      %8.2f ms   (core recovery seal+flush: %.0f us)\n",
-                detect + seal + flush + view + start, (seal + flush) * 1000);
+    std::printf("  total      %8.2f ms   (core recovery seal+flush: %.0f us)\n", seq_total,
+                (seal + flush) * 1000);
   } else {
     std::printf("  reconfiguration did not complete!\n");
   }
@@ -232,6 +237,12 @@ int main(int argc, char** argv) {
       rc = 1;
     }
   };
+  expect(reconfigured, "sequencing reconfiguration did not complete");
+  expect(seq_detect >= static_cast<double>(kZkSessionTimeoutNs) / 1e6,
+         "reconfiguration detect took less than the ZK session timeout");
+  expect(seq_view >= static_cast<double>(kZkWriteLatencyNs) / 1e6,
+         "reconfiguration new-view took less than one ZK write");
+  expect(seq_total < 20, "sequencing reconfiguration took 20 ms or more");
   const double seal_to_open = seal + handoff + open;
   expect(detect >= 0, "shard-primary failover did not complete");
   expect(detect + seal_to_open < 50, "shard failover took 50 ms or more");
@@ -241,8 +252,8 @@ int main(int argc, char** argv) {
   expect(promoted_snap.counters.promotions == 1, "promoted shard did not promote exactly once");
   expect(promoted_snap.counters.seal_to_open_ns > 0, "promoted shard recorded no seal->open");
   if (rc == 0) {
-    std::printf("fig17 smoke OK: shard dip %.0fms vs seq dip %.0fms, seal->open %.2fms\n",
-                shard_dip_ms, seq_dip_ms, seal_to_open);
+    std::printf("fig17 smoke OK: reconfiguration %.2fms, shard dip %.0fms vs seq dip %.0fms, "
+                "seal->open %.2fms\n", seq_total, shard_dip_ms, seq_dip_ms, seal_to_open);
   }
   return rc;
 }
